@@ -1,0 +1,540 @@
+"""Exhaustive verification suites and deterministic parameter sweeps.
+
+Every suite checks an exact identity over a finite grid, so the only
+tolerance anywhere is equality.  Results are merged in lexicographic
+parameter order before rendering, which makes CSV/JSON sweep output
+byte-identical regardless of the worker count.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import random
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+
+from .errors import ResourceLimitError
+from .fp_poly import MultiPoly, fp_integral, partial_derivative
+from .golden import GOLDEN_2D
+from .modp_arith import get_context, is_prime
+from .morris_ct import (
+    MorrisParams,
+    morris_ct_bruteforce,
+    morris_lhs_symmetric_form,
+    morris_rhs,
+    morris_substitution,
+    selberg_via_morris,
+)
+from .selberg_core import (
+    MasterPolySpec,
+    SelbergParams,
+    beta_closed,
+    moment_integral,
+    selberg_bruteforce,
+    selberg_direct_2d,
+    selberg_nd_closed,
+)
+from .selberg2d_closed import (
+    Branch,
+    classify,
+    condition_set,
+    eval_closed,
+    in_condition_sets,
+    relations_check,
+    skew_symmetry_check,
+)
+
+__all__ = [
+    "ALL_SUITES",
+    "SweepConfig",
+    "SuiteResult",
+    "VerificationReport",
+    "render_report",
+    "render_sweep",
+    "run_verification",
+    "sweep_rows",
+]
+
+ALL_SUITES = ("oracle_equiv", "recurrences", "relations", "vanishing", "morris", "stokes", "nd")
+ALL_METHODS = ("bruteforce", "direct", "closed")
+SWEEP_CSV_HEADER = "p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3"
+STOKES_SEED = 0x5E1B
+STOKES_COUNT = 200
+
+# Branches whose vanishing holds over Z (degree or truncation arguments),
+# not merely mod p; checked by the exact-integer oracle in integer mode.
+_INTEGER_ZERO_BRANCHES = {
+    Branch.NOT_APPLICABLE_zero,
+    Branch.C12_delta_neg_zero,
+    Branch.C12_delta0_zero,
+    Branch.C13_zero,
+    Branch.OTHER_zero,
+}
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """Shared configuration for verification runs and sweeps."""
+
+    primes: tuple = (3, 5, 7, 11, 13)
+    cycle_bound: int = 4
+    methods: tuple = ALL_METHODS
+    suites: tuple = ALL_SUITES
+    integer_mode: bool = False
+    output_format: str = "text"
+    parallelism: int = 1
+
+    def __post_init__(self):
+        if not self.primes:
+            raise ValueError("at least one prime is required")
+        for p in self.primes:
+            if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
+                raise ValueError(f"primes must be odd primes >= 3, got {p}")
+        # canonical order keeps sweep rows lexicographic in (p, a, b, c, l1, l2)
+        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
+        if self.cycle_bound < 1:
+            raise ValueError(f"cycle_bound must be >= 1, got {self.cycle_bound}")
+        bad = set(self.methods) - set(ALL_METHODS)
+        if bad:
+            raise ValueError(f"unknown methods: {sorted(bad)}")
+        bad = set(self.suites) - set(ALL_SUITES)
+        if bad:
+            raise ValueError(f"unknown suites: {sorted(bad)}")
+        if not self.suites and not self.methods:
+            raise ValueError("select at least one suite or method")
+        if self.output_format not in ("json", "csv", "text"):
+            raise ValueError(f"output format must be json, csv or text, got {self.output_format!r}")
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+
+    def cycles(self) -> list:
+        return [(l1, l2) for l1 in range(1, self.cycle_bound + 1)
+                for l2 in range(l1, self.cycle_bound + 1)]
+
+
+@dataclass
+class SuiteResult:
+    name: str
+    checked: int = 0
+    passed: int = 0
+    failed: int = 0
+    skipped: int = 0
+    counterexamples: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    seconds: float = 0.0
+
+    def record(self, ok: bool, counterexample: dict | None = None):
+        self.checked += 1
+        if ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+            if counterexample is not None:
+                self.counterexamples.append(counterexample)
+
+
+@dataclass
+class VerificationReport:
+    suites: list
+    config: SweepConfig
+
+    @property
+    def failed_total(self) -> int:
+        return sum(s.failed for s in self.suites)
+
+    @property
+    def checked_total(self) -> int:
+        return sum(s.checked for s in self.suites)
+
+
+def _triples(p: int):
+    return itertools.product(range(1, p), repeat=3)
+
+
+def _map_triples(fn, items, jobs: int) -> list:
+    """Apply fn over items, preserving input order regardless of jobs."""
+    items = list(items)
+    if jobs <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+# -- suites --------------------------------------------------------------------
+
+
+def _suite_oracle_equiv(config: SweepConfig) -> SuiteResult:
+    """All selected evaluation methods agree on every grid point."""
+    result = SuiteResult("oracle_equiv")
+    methods = config.methods if len(config.methods) >= 2 else ALL_METHODS
+    evaluators = {
+        "bruteforce": lambda params, l1, l2: selberg_bruteforce(params.spec(2), (l1, l2)),
+        "direct": lambda params, l1, l2: selberg_direct_2d(params, l1, l2),
+        "closed": lambda params, l1, l2: eval_closed(params, l1, l2),
+    }
+    reference = "bruteforce" if "bruteforce" in methods else methods[0]
+    others = [m for m in methods if m != reference]
+    cycles = config.cycles()
+    for p in config.primes:
+        for a, b, c in _triples(p):
+            params = SelbergParams(a, b, c, p)
+            for l1, l2 in cycles:
+                expected = evaluators[reference](params, l1, l2)
+                for method in others:
+                    got = evaluators[method](params, l1, l2)
+                    result.record(
+                        got == expected,
+                        {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
+                         "branch": str(classify(params, l1, l2)),
+                         "expected": int(expected), "got": int(got), "method": method},
+                    )
+    return result
+
+
+def _suite_recurrences(config: SweepConfig) -> SuiteResult:
+    """Contiguous recurrences tying Phi moments to shifted parameters."""
+    result = SuiteResult("recurrences")
+    cycles = [(1, 1), (1, 2), (2, 2), (1, 3)]
+    for p in config.primes:
+        for a, b, c in _triples(p):
+            params = SelbergParams(a, b, c, p)
+            for cycle in cycles:
+                s = selberg_bruteforce(params.spec(2), cycle)
+                s1 = moment_integral(params, cycle, "S1")
+                s2 = moment_integral(params, cycle, "S2")
+
+                def ce(eq, lhs, rhs):
+                    return {"p": p, "a": a, "b": b, "c": c, "l1": cycle[0], "l2": cycle[1],
+                            "branch": eq, "expected": int(rhs), "got": int(lhs)}
+
+                if a + 1 < p:
+                    sa = selberg_bruteforce(SelbergParams(a + 1, b, c, p).spec(2), cycle)
+                    lhs, rhs = s1 * (a + 1), sa * (2 * (a + b + c + 2))
+                    result.record(lhs == rhs, ce("Ao1", lhs, rhs))
+                lhs, rhs = s * (2 * (a + c + 1)), s1 * (a + b + 2 * c + 2)
+                result.record(lhs == rhs, ce("Ao2", lhs, rhs))
+                if b + 1 < p:
+                    sb = selberg_bruteforce(SelbergParams(a, b + 1, c, p).spec(2), cycle)
+                    lhs, rhs = s2 * (b + 1), sb * (2 * (a + b + c + 2))
+                    result.record(lhs == rhs, ce("Ao3", lhs, rhs))
+                lhs, rhs = s * (2 * (b + c + 1)), s2 * (a + b + 2 * c + 2)
+                result.record(lhs == rhs, ce("Ao4", lhs, rhs))
+
+                denom = (a + b + c + 1) * (a + b + 2 * c + 1) % p
+                if denom:
+                    if a >= 2:
+                        prev = selberg_bruteforce(SelbergParams(a - 1, b, c, p).spec(2), cycle)
+                        rhs = prev * (a * (a + c)) / denom
+                        result.record(s == rhs, ce("Ar1", s, rhs))
+                    if b >= 2:
+                        prev = selberg_bruteforce(SelbergParams(a, b - 1, c, p).spec(2), cycle)
+                        rhs = prev * (b * (b + c)) / denom
+                        result.record(s == rhs, ce("Ar2", s, rhs))
+    return result
+
+
+def _suite_relations(config: SweepConfig) -> SuiteResult:
+    """Multi-cycle regimes: -1/2 relations, uniqueness outside them, golden values."""
+    result = SuiteResult("relations")
+    for p in config.primes:
+        for a, b, c in _triples(p):
+            params = SelbergParams(a, b, c, p)
+            report = relations_check(params)
+            base = {"p": p, "a": a, "b": b, "c": c, "l1": 0, "l2": 0}
+            if report.condition_set is None:
+                result.record(bool(report.uniqueness_holds),
+                              dict(base, branch="uniqueness", expected=1, got=0))
+                continue
+            result.record(bool(report.relation_holds),
+                          dict(base, branch=f"{report.condition_set} relation", expected=1, got=0))
+            head = next(iter(report.values))
+            closed_head = eval_closed(params, *head)
+            result.record(
+                closed_head == report.values[head],
+                dict(base, l1=head[0], l2=head[1], branch=f"{report.condition_set} closed form",
+                     expected=int(report.values[head]), got=int(closed_head)),
+            )
+            if report.condition_set == "R3":
+                ok = skew_symmetry_check(params)
+                result.record(ok, dict(base, branch="R3 skew symmetry", expected=1, got=0))
+    for entry in GOLDEN_2D:
+        if entry.p not in config.primes:
+            continue
+        params = SelbergParams(entry.a, entry.b, entry.c, entry.p)
+        brute = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2))
+        closed = eval_closed(params, entry.l1, entry.l2)
+        ce = {"p": entry.p, "a": entry.a, "b": entry.b, "c": entry.c,
+              "l1": entry.l1, "l2": entry.l2, "branch": "golden",
+              "expected": entry.value, "got": int(brute)}
+        result.record(brute == entry.value and closed == entry.value, ce)
+        if entry.integer_value is not None:
+            exact = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2), exact=True)
+            result.record(exact == entry.integer_value,
+                          dict(ce, branch="golden integer", expected=entry.integer_value, got=exact))
+        if entry.paper_discrepancy:
+            result.notes.append(
+                f"golden ({entry.p};{entry.a},{entry.b},{entry.c};{entry.l1},{entry.l2}):"
+                f" paper_discrepancy=true, printed {entry.printed_value}, oracle {entry.value}"
+                + (f" ({entry.note})" if entry.note else "")
+            )
+    return result
+
+
+def _suite_vanishing(config: SweepConfig) -> SuiteResult:
+    """Every zero branch of the classifier matches a brute-force zero."""
+    result = SuiteResult("vanishing")
+    cycles = config.cycles()
+    for p in config.primes:
+        for a, b, c in _triples(p):
+            params = SelbergParams(a, b, c, p)
+            spec = params.spec(2)
+            for l1, l2 in cycles:
+                tag = classify(params, l1, l2)
+                if not tag.is_zero:
+                    continue
+                value = selberg_bruteforce(spec, (l1, l2))
+                ce = {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
+                      "branch": str(tag), "expected": 0, "got": int(value)}
+                result.record(value == 0, ce)
+                if config.integer_mode and tag.branch in _INTEGER_ZERO_BRANCHES:
+                    exact = selberg_bruteforce(spec, (l1, l2), exact=True)
+                    result.record(exact == 0, dict(ce, branch=f"{tag} (integer)", got=exact))
+    return result
+
+
+def _suite_morris(config: SweepConfig) -> SuiteResult:
+    """Constant-term identity, the rewritten form, and the Selberg bridge."""
+    result = SuiteResult("morris")
+    for n in (1, 2, 3):
+        for alpha, beta, gamma in itertools.product(range(4), repeat=3):
+            mp = MorrisParams(n, alpha, beta, gamma)
+            ct = morris_ct_bruteforce(mp)
+            rhs = morris_rhs(mp)
+            result.record(ct == rhs,
+                          {"p": 0, "a": alpha, "b": beta, "c": gamma, "l1": n, "l2": n,
+                           "branch": "morris identity", "expected": rhs, "got": ct})
+            sym = morris_lhs_symmetric_form(mp)
+            result.record(sym == ct,
+                          {"p": 0, "a": alpha, "b": beta, "c": gamma, "l1": n, "l2": n,
+                           "branch": "morris symmetric form", "expected": ct, "got": sym})
+    for p in [q for q in config.primes if q <= 7]:
+        for a, b, c in _triples(p):
+            params = SelbergParams(a, b, c, p)
+            for l in (1, 2):
+                if a + b + c < l * p - 1 or a + c > l * p - 1:
+                    continue
+                via = selberg_via_morris(params, l)
+                brute = selberg_bruteforce(params.spec(2), (l, l))
+                result.record(via % p == int(brute),
+                              {"p": p, "a": a, "b": b, "c": c, "l1": l, "l2": l,
+                               "branch": "morris bridge", "expected": int(brute), "got": via % p})
+    return result
+
+
+def _suite_stokes(config: SweepConfig) -> SuiteResult:
+    """Integrals of first partial derivatives vanish, on random polynomials."""
+    result = SuiteResult("stokes")
+    rng = random.Random(STOKES_SEED)
+    for _ in range(STOKES_COUNT):
+        p = rng.choice(config.primes)
+        k = rng.randint(1, 2)
+        terms = {}
+        for _ in range(rng.randint(1, 25)):
+            exps = tuple(rng.randrange(3 * p) for _ in range(k))
+            terms[exps] = rng.randrange(p)
+        poly = MultiPoly(k, terms, p)
+        cycle = tuple(rng.randint(1, 3) for _ in range(k))
+        for i in range(1, k + 1):
+            value = fp_integral(partial_derivative(poly, i), cycle)
+            result.record(value == 0,
+                          {"p": p, "a": 0, "b": 0, "c": 0, "l1": cycle[0], "l2": cycle[-1],
+                           "branch": f"stokes d/dx{i}", "expected": 0, "got": int(value)})
+    return result
+
+
+def _suite_nd(config: SweepConfig) -> SuiteResult:
+    """The n-dimensional closed form against expansion, for n = 1, 2, 3."""
+    result = SuiteResult("nd")
+    for p in config.primes:
+        ctx = get_context(p)
+        # n = 1: reduces to the beta closed form on its whole domain.
+        for a in range(p):
+            for b in range(p):
+                if a + b < p - 1:
+                    continue
+                got = selberg_nd_closed(ctx, 1, a, b, 0)
+                want = beta_closed(ctx, a, b)
+                result.record(got == want,
+                              {"p": p, "a": a, "b": b, "c": 0, "l1": 1, "l2": 1,
+                               "branch": "nd n=1", "expected": int(want), "got": int(got)})
+        # n = 2: matches brute force, and the C11_i closed form in the window.
+        for a in range(2 * p):
+            for b in range(2 * p):
+                for c in range(p):
+                    if not (p - 1 <= a + b + c and a + b + 2 * c < 2 * p - 1):
+                        continue
+                    got = selberg_nd_closed(ctx, 2, a, b, c)
+                    brute = selberg_bruteforce(MasterPolySpec(2, a, b, c, p), (1, 1))
+                    result.record(got == brute,
+                                  {"p": p, "a": a, "b": b, "c": c, "l1": 1, "l2": 1,
+                                   "branch": "nd n=2", "expected": int(brute), "got": int(got)})
+                    if 0 < a < p and 0 < b < p and 0 < c < p:
+                        params = SelbergParams(a, b, c, p)
+                        if classify(params, 1, 1).branch == Branch.C11_i:
+                            closed = eval_closed(params, 1, 1)
+                            result.record(got == closed,
+                                          {"p": p, "a": a, "b": b, "c": c, "l1": 1, "l2": 1,
+                                           "branch": "nd n=2 vs C11_i", "expected": int(closed),
+                                           "got": int(got)})
+        # n = 3: brute force is guarded beyond p = 11.
+        if p > 11:
+            result.skipped += 1
+            result.notes.append(f"n=3 comparison skipped at p={p}: brute-force resource guard")
+            continue
+        for a in range(2 * p):
+            for b in range(2 * p):
+                for c in range(p):
+                    if not (p - 1 <= a + b + 2 * c and a + b + 4 * c < 2 * p - 1):
+                        continue
+                    got = selberg_nd_closed(ctx, 3, a, b, c)
+                    try:
+                        brute = selberg_bruteforce(MasterPolySpec(3, a, b, c, p), (1, 1, 1))
+                    except ResourceLimitError:
+                        result.skipped += 1
+                        continue
+                    result.record(got == brute,
+                                  {"p": p, "a": a, "b": b, "c": c, "l1": 1, "l2": 1,
+                                   "branch": "nd n=3", "expected": int(brute), "got": int(got)})
+    return result
+
+
+_SUITE_RUNNERS = {
+    "oracle_equiv": _suite_oracle_equiv,
+    "recurrences": _suite_recurrences,
+    "relations": _suite_relations,
+    "vanishing": _suite_vanishing,
+    "morris": _suite_morris,
+    "stokes": _suite_stokes,
+    "nd": _suite_nd,
+}
+
+
+def run_verification(config: SweepConfig) -> VerificationReport:
+    """Run the selected suites and collect per-suite outcomes."""
+    suites = []
+    for name in config.suites:
+        start = time.perf_counter()
+        outcome = _SUITE_RUNNERS[name](config)
+        outcome.seconds = time.perf_counter() - start
+        suites.append(outcome)
+    return VerificationReport(suites=suites, config=config)
+
+
+# -- sweeps --------------------------------------------------------------------
+
+
+def sweep_rows(config: SweepConfig) -> list:
+    """One row per (p, a, b, c, l1, l2), in lexicographic order.
+
+    The value column uses the first configured method.  Output is a list of
+    dicts with the fixed CSV column set.
+    """
+    method = config.methods[0] if config.methods else "closed"
+    cycles = config.cycles()
+
+    def rows_for(item):
+        p, a, b, c = item
+        params = SelbergParams(a, b, c, p)
+        r1, r2, r3 = in_condition_sets(params)
+        out = []
+        for l1, l2 in cycles:
+            if method == "bruteforce":
+                value = int(selberg_bruteforce(params.spec(2), (l1, l2)))
+            elif method == "direct":
+                value = int(selberg_direct_2d(params, l1, l2))
+            else:
+                value = int(eval_closed(params, l1, l2))
+            out.append({"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
+                        "branch": str(classify(params, l1, l2)), "value": value,
+                        "in_R1": r1, "in_R2": r2, "in_R3": r3})
+        return out
+
+    items = [(p, a, b, c) for p in config.primes for a, b, c in _triples(p)]
+    chunks = _map_triples(rows_for, items, config.parallelism)
+    rows = [row for chunk in chunks for row in chunk]
+    expected = sum((p - 1) ** 3 for p in config.primes) * len(cycles)
+    if len(rows) != expected:
+        raise RuntimeError(f"sweep produced {len(rows)} rows, expected {expected}")
+    return rows
+
+
+def _bool_str(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def render_sweep(rows: list, fmt: str) -> str:
+    if fmt == "csv":
+        lines = [SWEEP_CSV_HEADER]
+        for r in rows:
+            lines.append(
+                f"{r['p']},{r['a']},{r['b']},{r['c']},{r['l1']},{r['l2']},"
+                f"{r['branch']},{r['value']},{_bool_str(r['in_R1'])},"
+                f"{_bool_str(r['in_R2'])},{_bool_str(r['in_R3'])}"
+            )
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return json.dumps({"schema": 1, "kind": "sweep", "rows": rows},
+                          sort_keys=True, indent=2) + "\n"
+    lines = [f"{'p':>3} {'a':>3} {'b':>3} {'c':>3} {'l1':>2} {'l2':>2} "
+             f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}"]
+    for r in rows:
+        lines.append(
+            f"{r['p']:>3} {r['a']:>3} {r['b']:>3} {r['c']:>3} {r['l1']:>2} {r['l2']:>2} "
+            f"{r['branch']:<22} {r['value']:>5} {_bool_str(r['in_R1']):>5} "
+            f"{_bool_str(r['in_R2']):>5} {_bool_str(r['in_R3']):>5}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def render_report(report: VerificationReport, fmt: str) -> str:
+    if fmt == "json":
+        payload = {
+            "schema": 1,
+            "kind": "verification",
+            "failed_total": report.failed_total,
+            "checked_total": report.checked_total,
+            "suites": [
+                {
+                    "name": s.name,
+                    "checked": s.checked,
+                    "passed": s.passed,
+                    "failed": s.failed,
+                    "skipped": s.skipped,
+                    "seconds": round(s.seconds, 3),
+                    "counterexamples": s.counterexamples,
+                    "notes": s.notes,
+                }
+                for s in report.suites
+            ],
+        }
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["suite,checked,passed,failed,skipped,seconds"]
+        for s in report.suites:
+            lines.append(f"{s.name},{s.checked},{s.passed},{s.failed},{s.skipped},{s.seconds:.3f}")
+        return "\n".join(lines) + "\n"
+    lines = []
+    for s in report.suites:
+        status = "ok" if s.failed == 0 else "FAILED"
+        lines.append(f"suite {s.name:<12} checked={s.checked:<7} passed={s.passed:<7} "
+                     f"failed={s.failed:<4} skipped={s.skipped:<3} [{status}] ({s.seconds:.2f}s)")
+        for note in s.notes:
+            lines.append(f"  note: {note}")
+        for ce in s.counterexamples[:20]:
+            lines.append(f"  counterexample: {ce}")
+        if len(s.counterexamples) > 20:
+            lines.append(f"  ... {len(s.counterexamples) - 20} more")
+    lines.append(f"total: checked={report.checked_total} failed={report.failed_total}")
+    return "\n".join(lines) + "\n"
