@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also check integer-level vanishing with the exact oracle")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.add_argument("--out", help="write the report to this path instead of stdout")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for symmetry with sweep and checked to be >= 1;"
+                         " verify always runs its suites serially")
 
     sp = sub.add_parser("sweep", help="emit one row per (p,a,b,c,l1,l2)")
     sp.add_argument("--primes", default="3,5,7,11,13", help="comma-separated odd primes")

@@ -282,11 +282,16 @@ def _dense_mul(arr: np.ndarray, factor: list, p: int | None) -> np.ndarray:
         return np.zeros((1,) * arr.ndim, dtype=arr.dtype)
     fdeg = tuple(max(e[i] for e, _ in factor) for i in range(arr.ndim))
     out = np.zeros(tuple(s + d for s, d in zip(arr.shape, fdeg)), dtype=arr.dtype)
+    # In mod-p mode each slice-add contributes less than p^2 per cell; when
+    # the sum over all terms could leave int64, reduce after every add.
+    reduce_each = p is not None and arr.dtype != object and len(factor) * (p - 1) ** 2 >= _INT64_SAFE
     for exps, coeff in factor:
         sl = tuple(slice(e, e + s) for e, s in zip(exps, arr.shape))
         if p is not None:
             coeff %= p
         out[sl] += coeff * arr
+        if reduce_each:
+            out[sl] %= p
     if p is not None:
         out %= p
     return out
@@ -297,9 +302,13 @@ def _dense_product(num_vars: int, factors: list, p: int | None) -> np.ndarray:
 
     Each factor is a list of (exponent tuple, coefficient) pairs.  The result
     is indexed by exponent vectors; dtype is int64 when that is provably
-    exact, Python objects otherwise.
+    exact (in mod-p mode: p below about 2^31), Python objects otherwise.
     """
-    dtype = np.int64 if p is not None else _exact_dtype(factors)
+    if p is None:
+        dtype = _exact_dtype(factors)
+    else:
+        # reduced accumulator plus one product must stay exact in int64
+        dtype = np.int64 if (p - 1) ** 2 + p < _INT64_SAFE else object
     arr = np.zeros((1,) * num_vars, dtype=dtype)
     arr[(0,) * num_vars] = 1
     for factor in factors:

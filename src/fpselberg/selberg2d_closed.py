@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .errors import DomainError, GuardError
 from .fp_poly import _dense_product
@@ -51,6 +52,7 @@ __all__ = [
     "Branch",
     "CaseTag",
     "CycleClass",
+    "RELATION_CYCLES",
     "RelationReport",
     "classify",
     "condition_set",
@@ -59,6 +61,7 @@ __all__ = [
     "eval_closed",
     "in_condition_sets",
     "relations_check",
+    "relations_from_values",
     "skew_symmetry_check",
 ]
 
@@ -302,6 +305,10 @@ _REL_CYCLES = {
     "R2": ((2, 2), (1, 2), (2, 1)),
     "R3": ((2, 2), (1, 3), (3, 1)),
 }
+_UNIQUENESS_CYCLES = tuple((l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5))
+# Every cycle the relation check reads; the transposed (2,1) and (3,1) are
+# read as coefficients in their own right, not by symmetry.
+RELATION_CYCLES = tuple(dict.fromkeys(_UNIQUENESS_CYCLES + sum(_REL_CYCLES.values(), ())))
 
 
 def in_condition_sets(params: SelbergParams) -> tuple[bool, bool, bool]:
@@ -344,23 +351,24 @@ class RelationReport:
 
 def relations_check(params: SelbergParams) -> RelationReport:
     """Verify the applicable multi-cycle relation with brute-force values."""
-    cs = condition_set(params)
     spec = params.spec(2)
+    return relations_from_values(params, lambda cycle: selberg_bruteforce(spec, cycle))
+
+
+def relations_from_values(params: SelbergParams, value: Callable[[tuple], FpElement]) -> RelationReport:
+    """The multi-cycle relation check on given integrals.
+
+    ``value(cycle)`` returns the integral over ``cycle``; it is asked only for
+    cycles in ``RELATION_CYCLES``.
+    """
+    cs = condition_set(params)
     report = RelationReport(params=params, condition_set=cs)
     if cs is None:
-        values = {}
-        nonzero = 0
-        for l1 in range(1, 5):
-            for l2 in range(l1, 5):
-                v = selberg_bruteforce(spec, (l1, l2))
-                values[(l1, l2)] = v
-                if v:
-                    nonzero += 1
-        report.values = values
-        report.uniqueness_holds = nonzero <= 1
+        report.values = {cycle: value(cycle) for cycle in _UNIQUENESS_CYCLES}
+        report.uniqueness_holds = sum(1 for v in report.values.values() if v) <= 1
         return report
     head, second, third = _REL_CYCLES[cs]
-    values = {cycle: selberg_bruteforce(spec, cycle) for cycle in (head, second, third)}
+    values = {cycle: value(cycle) for cycle in (head, second, third)}
     report.values = values
     minus_half = -values[head] / 2
     report.relation_holds = (

@@ -25,18 +25,22 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, GuardError, ResourceLimitError
-from .fp_poly import MultiPoly, _dense_mul, _dense_product, check_cycle
+from .fp_poly import MultiPoly, _dense_product, check_cycle
 from .modp_arith import FpContext, FpElement, get_context
 
 __all__ = [
     "MasterPolySpec",
+    "SelbergGrid",
     "SelbergParams",
     "beta_closed",
     "master_polynomial",
     "moment_integral",
     "selberg_bruteforce",
     "selberg_direct_2d",
+    "selberg_grid",
     "selberg_nd_closed",
 ]
 
@@ -164,6 +168,12 @@ def _dense_master(n: int, a: int, b: int, c: int, p: int, exact: bool):
     return _dense_product(n, _master_factors(spec), None if exact else p)
 
 
+def _coefficient(arr, index: tuple) -> int:
+    """Entry of a dense coefficient array, 0 outside it (never wrapping a negative index)."""
+    inside = all(0 <= i < s for i, s in zip(index, arr.shape))
+    return int(arr[index]) if inside else 0
+
+
 def master_polynomial(spec: MasterPolySpec, exact: bool = False) -> MultiPoly:
     """Fully expanded Phi_n, over F_p by default or over Z with exact=True."""
     _guard_expansion(spec)
@@ -179,12 +189,108 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
     cycle = check_cycle(cycle, spec.n)
     _guard_expansion(spec)
     arr = _dense_master(spec.n, spec.a, spec.b, spec.c, spec.p, exact)
-    target = tuple(l * spec.p - 1 for l in cycle)
-    inside = all(t < s for t, s in zip(target, arr.shape))
-    value = int(arr[target]) if inside else 0
+    value = _coefficient(arr, tuple(l * spec.p - 1 for l in cycle))
     if exact:
         return value
     return FpElement(value, spec.p)
+
+
+class SelbergGrid:
+    """Brute-force values and S1/S2 moments of a whole parameter box at one prime.
+
+    Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < ``c_stop``
+    and the cycles it was built for.  Reads return the same field elements as
+    ``selberg_bruteforce`` and ``moment_integral``.
+    """
+
+    __slots__ = ("p", "ab_stop", "c_stop", "_index", "_values", "_s1")
+
+    def __init__(self, p: int, ab_stop: int, c_stop: int, cycles: tuple,
+                 values: np.ndarray, s1: np.ndarray):
+        self.p = p
+        self.ab_stop = ab_stop
+        self.c_stop = c_stop
+        self._index = {cycle: k for k, cycle in enumerate(cycles)}
+        self._values = values  # int64 arrays indexed [a, b, c, cycle index]
+        self._s1 = s1
+
+    def _slot(self, a: int, b: int, c: int, cycle) -> tuple:
+        # Explicit bounds: a negative numpy index would silently wrap around.
+        if not (0 <= a < self.ab_stop and 0 <= b < self.ab_stop and 0 <= c < self.c_stop):
+            raise ValueError(f"(a, b, c) = ({a}, {b}, {c}) outside the grid box"
+                             f" [0, {self.ab_stop})^2 x [0, {self.c_stop})")
+        try:
+            k = self._index[tuple(cycle)]
+        except KeyError:
+            raise ValueError(f"cycle {tuple(cycle)} is not in the grid") from None
+        return a, b, c, k
+
+    def value(self, a: int, b: int, c: int, cycle) -> FpElement:
+        """The integral of Phi_{a,b,c} over the cycle, as ``selberg_bruteforce`` gives it."""
+        return FpElement(int(self._values[self._slot(a, b, c, cycle)]), self.p)
+
+    def moments(self, a: int, b: int, c: int, cycle) -> tuple[FpElement, FpElement]:
+        """(S1, S2) as ``moment_integral`` gives them; S2 = 2*S - S1."""
+        slot = self._slot(a, b, c, cycle)
+        s1 = int(self._s1[slot])
+        return FpElement(s1, self.p), FpElement(2 * int(self._values[slot]) - s1, self.p)
+
+
+def selberg_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None = None,
+                 c_stop: int | None = None) -> SelbergGrid:
+    """Two-dimensional brute force for every 0 <= a, b < ab_stop, 0 <= c < c_stop at once.
+
+    Phi_{a,b,c} = (x1*x2)^a * Q_{b,c} with Q_{b,c} = (x1-x2)^(2c) ((1-x1)(1-x2))^b,
+    so one expansion per c serves the whole box: Q_{b+1,c} is Q_{b,c} times
+    (1-x1)(1-x2), a four-term shift-add mod p, and a only moves the index
+    that is read, Phi[t1, t2] = Q[t1-a, t2-a].  The S1 moment at the cycle
+    exponents T is Phi[T1-1, T2] + Phi[T1, T2-1].  An index below 0 means the
+    coefficient is absent and reads as 0.  ``ab_stop`` and ``c_stop`` default
+    to p.  The largest Q goes through the expansion guard before anything
+    is allocated.
+    """
+    get_context(p)  # validates the prime
+    ab_stop = p if ab_stop is None else ab_stop
+    c_stop = p if c_stop is None else c_stop
+    for name, v in (("ab_stop", ab_stop), ("c_stop", c_stop)):
+        if not isinstance(v, int) or v < 1:
+            raise ValueError(f"{name} must be a positive integer, got {v}")
+    cycles = tuple(dict.fromkeys(check_cycle(cycle, 2) for cycle in cycles))
+    if not cycles:
+        raise ValueError("selberg_grid needs at least one cycle")
+    _guard_expansion(MasterPolySpec(2, 0, ab_stop - 1, c_stop - 1, p))  # the largest Q
+
+    # Q lives in the top-left (deg+1)^2 block of a square array whose last
+    # row and column stay zero; every index outside the block is sent there.
+    # Shift-adds only raise exponents, so Q may be cut at the largest target
+    # exponent without changing any entry that is read.
+    deg = min(2 * (c_stop - 1) + ab_stop - 1, max(l * p - 1 for cycle in cycles for l in cycle))
+    zero = deg + 1
+    a = np.arange(ab_stop)
+    t1 = np.array([l1 * p - 1 for l1, _ in cycles])[:, None] - a  # cycles x a
+    t2 = np.array([l2 * p - 1 for _, l2 in cycles])[:, None] - a
+    rows = np.stack([t1, t1 - 1, t1])  # reads Phi[T], Phi[T1-1, T2], Phi[T1, T2-1]
+    cols = np.stack([t2, t2, t2 - 1])
+    inside = (rows >= 0) & (rows <= deg) & (cols >= 0) & (cols <= deg)
+    rows = np.where(inside, rows, zero)
+    cols = np.where(inside, cols, zero)
+
+    values = np.empty((ab_stop, ab_stop, c_stop, len(cycles)), dtype=np.int64)
+    s1 = np.empty_like(values)
+    for c in range(c_stop):
+        q = np.zeros((zero + 1, zero + 1), dtype=np.int64)
+        for k in range(max(0, 2 * c - deg), min(2 * c, deg) + 1):  # Q_{0,c} = (x1 - x2)^(2c)
+            q[2 * c - k, k] = (-1) ** k * math.comb(2 * c, k) % p
+        block = q[:zero, :zero]
+        for b in range(ab_stop):
+            if b:
+                block[1:] = block[1:] - block[:-1]
+                block[:, 1:] = block[:, 1:] - block[:, :-1]
+                block %= p
+            reads = q[rows, cols]
+            values[:, b, c, :] = reads[0].T
+            s1[:, b, c, :] = ((reads[1] + reads[2]) % p).T
+    return SelbergGrid(p, ab_stop, c_stop, cycles, values, s1)
 
 
 def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> FpElement:
@@ -270,25 +376,21 @@ def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> FpEleme
     return ctx.element(value)
 
 
-_MOMENT_FACTORS = {
-    "S1": [((1, 0), 1), ((0, 1), 1)],  # x1 + x2
-    "S2": [((0, 0), 2), ((1, 0), -1), ((0, 1), -1)],  # (1-x1) + (1-x2)
-}
-
-
 def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> FpElement:
     """Integral of (x1+x2)*Phi (kind "S1") or ((1-x1)+(1-x2))*Phi (kind "S2").
 
-    Computed by multiplying Phi by the degree-1 symmetric factor and then
-    extracting the cycle coefficient.
+    Read off the cached expansion of Phi as an index sum: the coefficient of
+    (x1+x2)*Phi at (t1, t2) is Phi[t1-1, t2] + Phi[t1, t2-1], and
+    ((1-x1)+(1-x2)) = 2 - (x1+x2) gives S2 = 2*S - S1.
     """
-    if kind not in _MOMENT_FACTORS:
+    if kind not in ("S1", "S2"):
         raise ValueError(f"kind must be 'S1' or 'S2', got {kind!r}")
     cycle = check_cycle(cycle, 2)
     spec = params.spec(2)
     _guard_expansion(spec)
     phi = _dense_master(2, params.a, params.b, params.c, params.p, False)
-    prod = _dense_mul(phi, _MOMENT_FACTORS[kind], params.p)
-    target = tuple(l * params.p - 1 for l in cycle)
-    inside = all(t < s for t, s in zip(target, prod.shape))
-    return params.ctx.element(int(prod[target]) if inside else 0)
+    t1, t2 = (l * params.p - 1 for l in cycle)
+    s1 = _coefficient(phi, (t1 - 1, t2)) + _coefficient(phi, (t1, t2 - 1))
+    if kind == "S2":
+        return params.ctx.element(2 * _coefficient(phi, (t1, t2)) - s1)
+    return params.ctx.element(s1)

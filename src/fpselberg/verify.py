@@ -14,6 +14,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .fp_poly import MultiPoly, fp_integral, partial_derivative
@@ -29,20 +30,21 @@ from .morris_ct import (
 )
 from .selberg_core import (
     MasterPolySpec,
+    SelbergGrid,
     SelbergParams,
     beta_closed,
-    moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
+    selberg_grid,
     selberg_nd_closed,
 )
 from .selberg2d_closed import (
+    RELATION_CYCLES,
     Branch,
     classify,
-    condition_set,
     eval_closed,
     in_condition_sets,
-    relations_check,
+    relations_from_values,
     skew_symmetry_check,
 )
 
@@ -125,14 +127,15 @@ class SuiteResult:
     notes: list = field(default_factory=list)
     seconds: float = 0.0
 
-    def record(self, ok: bool, counterexample: dict | None = None):
+    def record(self, ok: bool, counterexample: Callable[[], dict] | None = None):
+        """Count one check; ``counterexample`` builds its failure record, only when it fails."""
         self.checked += 1
         if ok:
             self.passed += 1
         else:
             self.failed += 1
             if counterexample is not None:
-                self.counterexamples.append(counterexample)
+                self.counterexamples.append(counterexample())
 
 
 @dataclass
@@ -162,117 +165,126 @@ def _map_triples(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _ce(p, a, b, c, l1, l2, branch, expected, got, **extra) -> dict:
+    """A counterexample record, keys in report order."""
+    return {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
+            "branch": branch, "expected": expected, "got": got, **extra}
+
+
+_RECURRENCE_CYCLES = ((1, 1), (1, 2), (2, 2), (1, 3))
+_BRIDGE_LEVELS = (1, 2)  # the Morris bridge reaches the cycles [1,1] and [2,2]
+
+
+class _GridCache(dict):
+    """Brute-force grids of one verification run, one per prime, built on first use.
+
+    Its cycles are every cycle a suite reads brute force on, so all suites
+    share one expansion per (p, c).
+    """
+
+    def __init__(self, config: SweepConfig):
+        super().__init__()
+        self.cycles = tuple(dict.fromkeys(
+            config.cycles() + list(_RECURRENCE_CYCLES) + [(l, l) for l in _BRIDGE_LEVELS]
+            + list(RELATION_CYCLES)))
+
+    def __missing__(self, p: int) -> SelbergGrid:
+        grid = self[p] = selberg_grid(p, self.cycles)
+        return grid
+
+
 # -- suites --------------------------------------------------------------------
 
 
-def _suite_oracle_equiv(config: SweepConfig) -> SuiteResult:
+def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """All selected evaluation methods agree on every grid point."""
     result = SuiteResult("oracle_equiv")
     methods = config.methods if len(config.methods) >= 2 else ALL_METHODS
-    evaluators = {
-        "bruteforce": lambda params, l1, l2: selberg_bruteforce(params.spec(2), (l1, l2)),
-        "direct": lambda params, l1, l2: selberg_direct_2d(params, l1, l2),
-        "closed": lambda params, l1, l2: eval_closed(params, l1, l2),
-    }
     reference = "bruteforce" if "bruteforce" in methods else methods[0]
     others = [m for m in methods if m != reference]
     cycles = config.cycles()
     for p in config.primes:
+        evaluators = {"direct": selberg_direct_2d, "closed": eval_closed}
+        if "bruteforce" in methods:
+            evaluators["bruteforce"] = (
+                lambda params, l1, l2, grid=grids[p]: grid.value(params.a, params.b, params.c, (l1, l2)))
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             for l1, l2 in cycles:
                 expected = evaluators[reference](params, l1, l2)
                 for method in others:
                     got = evaluators[method](params, l1, l2)
-                    result.record(
-                        got == expected,
-                        {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
-                         "branch": str(classify(params, l1, l2)),
-                         "expected": int(expected), "got": int(got), "method": method},
-                    )
+                    result.record(got == expected, lambda: _ce(
+                        p, a, b, c, l1, l2, str(classify(params, l1, l2)), int(expected), int(got),
+                        method=method))
     return result
 
 
-def _suite_recurrences(config: SweepConfig) -> SuiteResult:
+def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Contiguous recurrences tying Phi moments to shifted parameters."""
     result = SuiteResult("recurrences")
-    cycles = [(1, 1), (1, 2), (2, 2), (1, 3)]
     for p in config.primes:
+        grid = grids[p]
         for a, b, c in _triples(p):
-            params = SelbergParams(a, b, c, p)
-            for cycle in cycles:
-                s = selberg_bruteforce(params.spec(2), cycle)
-                s1 = moment_integral(params, cycle, "S1")
-                s2 = moment_integral(params, cycle, "S2")
+            for cycle in _RECURRENCE_CYCLES:
+                s = grid.value(a, b, c, cycle)
+                s1, s2 = grid.moments(a, b, c, cycle)
 
-                def ce(eq, lhs, rhs):
-                    return {"p": p, "a": a, "b": b, "c": c, "l1": cycle[0], "l2": cycle[1],
-                            "branch": eq, "expected": int(rhs), "got": int(lhs)}
+                def check(eq, lhs, rhs):
+                    result.record(lhs == rhs,
+                                  lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, int(rhs), int(lhs)))
 
                 if a + 1 < p:
-                    sa = selberg_bruteforce(SelbergParams(a + 1, b, c, p).spec(2), cycle)
-                    lhs, rhs = s1 * (a + 1), sa * (2 * (a + b + c + 2))
-                    result.record(lhs == rhs, ce("Ao1", lhs, rhs))
-                lhs, rhs = s * (2 * (a + c + 1)), s1 * (a + b + 2 * c + 2)
-                result.record(lhs == rhs, ce("Ao2", lhs, rhs))
+                    check("Ao1", s1 * (a + 1), grid.value(a + 1, b, c, cycle) * (2 * (a + b + c + 2)))
+                check("Ao2", s * (2 * (a + c + 1)), s1 * (a + b + 2 * c + 2))
                 if b + 1 < p:
-                    sb = selberg_bruteforce(SelbergParams(a, b + 1, c, p).spec(2), cycle)
-                    lhs, rhs = s2 * (b + 1), sb * (2 * (a + b + c + 2))
-                    result.record(lhs == rhs, ce("Ao3", lhs, rhs))
-                lhs, rhs = s * (2 * (b + c + 1)), s2 * (a + b + 2 * c + 2)
-                result.record(lhs == rhs, ce("Ao4", lhs, rhs))
+                    check("Ao3", s2 * (b + 1), grid.value(a, b + 1, c, cycle) * (2 * (a + b + c + 2)))
+                check("Ao4", s * (2 * (b + c + 1)), s2 * (a + b + 2 * c + 2))
 
                 denom = (a + b + c + 1) * (a + b + 2 * c + 1) % p
                 if denom:
                     if a >= 2:
-                        prev = selberg_bruteforce(SelbergParams(a - 1, b, c, p).spec(2), cycle)
-                        rhs = prev * (a * (a + c)) / denom
-                        result.record(s == rhs, ce("Ar1", s, rhs))
+                        check("Ar1", s, grid.value(a - 1, b, c, cycle) * (a * (a + c)) / denom)
                     if b >= 2:
-                        prev = selberg_bruteforce(SelbergParams(a, b - 1, c, p).spec(2), cycle)
-                        rhs = prev * (b * (b + c)) / denom
-                        result.record(s == rhs, ce("Ar2", s, rhs))
+                        check("Ar2", s, grid.value(a, b - 1, c, cycle) * (b * (b + c)) / denom)
     return result
 
 
-def _suite_relations(config: SweepConfig) -> SuiteResult:
+def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Multi-cycle regimes: -1/2 relations, uniqueness outside them, golden values."""
     result = SuiteResult("relations")
     for p in config.primes:
+        grid = grids[p]
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
-            report = relations_check(params)
-            base = {"p": p, "a": a, "b": b, "c": c, "l1": 0, "l2": 0}
+            report = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
             if report.condition_set is None:
                 result.record(bool(report.uniqueness_holds),
-                              dict(base, branch="uniqueness", expected=1, got=0))
+                              lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
                 continue
             result.record(bool(report.relation_holds),
-                          dict(base, branch=f"{report.condition_set} relation", expected=1, got=0))
+                          lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
             head = next(iter(report.values))
             closed_head = eval_closed(params, *head)
-            result.record(
-                closed_head == report.values[head],
-                dict(base, l1=head[0], l2=head[1], branch=f"{report.condition_set} closed form",
-                     expected=int(report.values[head]), got=int(closed_head)),
-            )
+            result.record(closed_head == report.values[head], lambda: _ce(
+                p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
+                int(report.values[head]), int(closed_head)))
             if report.condition_set == "R3":
                 ok = skew_symmetry_check(params)
-                result.record(ok, dict(base, branch="R3 skew symmetry", expected=1, got=0))
+                result.record(ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
     for entry in GOLDEN_2D:
         if entry.p not in config.primes:
             continue
         params = SelbergParams(entry.a, entry.b, entry.c, entry.p)
+        point = (entry.p, entry.a, entry.b, entry.c, entry.l1, entry.l2)
         brute = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2))
         closed = eval_closed(params, entry.l1, entry.l2)
-        ce = {"p": entry.p, "a": entry.a, "b": entry.b, "c": entry.c,
-              "l1": entry.l1, "l2": entry.l2, "branch": "golden",
-              "expected": entry.value, "got": int(brute)}
-        result.record(brute == entry.value and closed == entry.value, ce)
+        result.record(brute == entry.value and closed == entry.value,
+                      lambda: _ce(*point, "golden", entry.value, int(brute)))
         if entry.integer_value is not None:
             exact = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2), exact=True)
             result.record(exact == entry.integer_value,
-                          dict(ce, branch="golden integer", expected=entry.integer_value, got=exact))
+                          lambda: _ce(*point, "golden integer", entry.integer_value, exact))
         if entry.paper_discrepancy:
             result.notes.append(
                 f"golden ({entry.p};{entry.a},{entry.b},{entry.c};{entry.l1},{entry.l2}):"
@@ -282,29 +294,28 @@ def _suite_relations(config: SweepConfig) -> SuiteResult:
     return result
 
 
-def _suite_vanishing(config: SweepConfig) -> SuiteResult:
+def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Every zero branch of the classifier matches a brute-force zero."""
     result = SuiteResult("vanishing")
     cycles = config.cycles()
     for p in config.primes:
+        grid = grids[p]
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
-            spec = params.spec(2)
             for l1, l2 in cycles:
                 tag = classify(params, l1, l2)
                 if not tag.is_zero:
                     continue
-                value = selberg_bruteforce(spec, (l1, l2))
-                ce = {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
-                      "branch": str(tag), "expected": 0, "got": int(value)}
-                result.record(value == 0, ce)
+                value = grid.value(a, b, c, (l1, l2))
+                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(tag), 0, int(value)))
                 if config.integer_mode and tag.branch in _INTEGER_ZERO_BRANCHES:
-                    exact = selberg_bruteforce(spec, (l1, l2), exact=True)
-                    result.record(exact == 0, dict(ce, branch=f"{tag} (integer)", got=exact))
+                    exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
+                    result.record(exact == 0,
+                                  lambda: _ce(p, a, b, c, l1, l2, f"{tag} (integer)", 0, exact))
     return result
 
 
-def _suite_morris(config: SweepConfig) -> SuiteResult:
+def _suite_morris(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Constant-term identity, the rewritten form, and the Selberg bridge."""
     result = SuiteResult("morris")
     for n in (1, 2, 3):
@@ -313,27 +324,25 @@ def _suite_morris(config: SweepConfig) -> SuiteResult:
             ct = morris_ct_bruteforce(mp)
             rhs = morris_rhs(mp)
             result.record(ct == rhs,
-                          {"p": 0, "a": alpha, "b": beta, "c": gamma, "l1": n, "l2": n,
-                           "branch": "morris identity", "expected": rhs, "got": ct})
+                          lambda: _ce(0, alpha, beta, gamma, n, n, "morris identity", rhs, ct))
             sym = morris_lhs_symmetric_form(mp)
             result.record(sym == ct,
-                          {"p": 0, "a": alpha, "b": beta, "c": gamma, "l1": n, "l2": n,
-                           "branch": "morris symmetric form", "expected": ct, "got": sym})
+                          lambda: _ce(0, alpha, beta, gamma, n, n, "morris symmetric form", ct, sym))
     for p in [q for q in config.primes if q <= 7]:
+        grid = grids[p]
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
-            for l in (1, 2):
+            for l in _BRIDGE_LEVELS:
                 if a + b + c < l * p - 1 or a + c > l * p - 1:
                     continue
                 via = selberg_via_morris(params, l)
-                brute = selberg_bruteforce(params.spec(2), (l, l))
+                brute = grid.value(a, b, c, (l, l))
                 result.record(via % p == int(brute),
-                              {"p": p, "a": a, "b": b, "c": c, "l1": l, "l2": l,
-                               "branch": "morris bridge", "expected": int(brute), "got": via % p})
+                              lambda: _ce(p, a, b, c, l, l, "morris bridge", int(brute), via % p))
     return result
 
 
-def _suite_stokes(config: SweepConfig) -> SuiteResult:
+def _suite_stokes(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Integrals of first partial derivatives vanish, on random polynomials."""
     result = SuiteResult("stokes")
     rng = random.Random(STOKES_SEED)
@@ -349,12 +358,11 @@ def _suite_stokes(config: SweepConfig) -> SuiteResult:
         for i in range(1, k + 1):
             value = fp_integral(partial_derivative(poly, i), cycle)
             result.record(value == 0,
-                          {"p": p, "a": 0, "b": 0, "c": 0, "l1": cycle[0], "l2": cycle[-1],
-                           "branch": f"stokes d/dx{i}", "expected": 0, "got": int(value)})
+                          lambda: _ce(p, 0, 0, 0, cycle[0], cycle[-1], f"stokes d/dx{i}", 0, int(value)))
     return result
 
 
-def _suite_nd(config: SweepConfig) -> SuiteResult:
+def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """The n-dimensional closed form against expansion, for n = 1, 2, 3."""
     result = SuiteResult("nd")
     for p in config.primes:
@@ -366,28 +374,24 @@ def _suite_nd(config: SweepConfig) -> SuiteResult:
                     continue
                 got = selberg_nd_closed(ctx, 1, a, b, 0)
                 want = beta_closed(ctx, a, b)
-                result.record(got == want,
-                              {"p": p, "a": a, "b": b, "c": 0, "l1": 1, "l2": 1,
-                               "branch": "nd n=1", "expected": int(want), "got": int(got)})
+                result.record(got == want, lambda: _ce(p, a, b, 0, 1, 1, "nd n=1", int(want), int(got)))
         # n = 2: matches brute force, and the C11_i closed form in the window.
+        window = selberg_grid(p, [(1, 1)], 2 * p, p)
         for a in range(2 * p):
             for b in range(2 * p):
                 for c in range(p):
                     if not (p - 1 <= a + b + c and a + b + 2 * c < 2 * p - 1):
                         continue
                     got = selberg_nd_closed(ctx, 2, a, b, c)
-                    brute = selberg_bruteforce(MasterPolySpec(2, a, b, c, p), (1, 1))
+                    brute = window.value(a, b, c, (1, 1))
                     result.record(got == brute,
-                                  {"p": p, "a": a, "b": b, "c": c, "l1": 1, "l2": 1,
-                                   "branch": "nd n=2", "expected": int(brute), "got": int(got)})
+                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=2", int(brute), int(got)))
                     if 0 < a < p and 0 < b < p and 0 < c < p:
                         params = SelbergParams(a, b, c, p)
                         if classify(params, 1, 1).branch == Branch.C11_i:
                             closed = eval_closed(params, 1, 1)
-                            result.record(got == closed,
-                                          {"p": p, "a": a, "b": b, "c": c, "l1": 1, "l2": 1,
-                                           "branch": "nd n=2 vs C11_i", "expected": int(closed),
-                                           "got": int(got)})
+                            result.record(got == closed, lambda: _ce(
+                                p, a, b, c, 1, 1, "nd n=2 vs C11_i", int(closed), int(got)))
         # n = 3: brute force is guarded beyond p = 11.
         if p > 11:
             result.skipped += 1
@@ -405,8 +409,7 @@ def _suite_nd(config: SweepConfig) -> SuiteResult:
                         result.skipped += 1
                         continue
                     result.record(got == brute,
-                                  {"p": p, "a": a, "b": b, "c": c, "l1": 1, "l2": 1,
-                                   "branch": "nd n=3", "expected": int(brute), "got": int(got)})
+                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=3", int(brute), int(got)))
     return result
 
 
@@ -422,11 +425,16 @@ _SUITE_RUNNERS = {
 
 
 def run_verification(config: SweepConfig) -> VerificationReport:
-    """Run the selected suites and collect per-suite outcomes."""
+    """Run the selected suites and collect per-suite outcomes.
+
+    Suites run one after another in this thread; ``config.parallelism`` is
+    not used here.
+    """
+    grids = _GridCache(config)
     suites = []
     for name in config.suites:
         start = time.perf_counter()
-        outcome = _SUITE_RUNNERS[name](config)
+        outcome = _SUITE_RUNNERS[name](config, grids)
         outcome.seconds = time.perf_counter() - start
         suites.append(outcome)
     return VerificationReport(suites=suites, config=config)
@@ -438,11 +446,13 @@ def run_verification(config: SweepConfig) -> VerificationReport:
 def sweep_rows(config: SweepConfig) -> list:
     """One row per (p, a, b, c, l1, l2), in lexicographic order.
 
-    The value column uses the first configured method.  Output is a list of
+    The value column uses the first configured method; for brute force one
+    grid per prime is built before the rows are mapped.  Output is a list of
     dicts with the fixed CSV column set.
     """
     method = config.methods[0] if config.methods else "closed"
     cycles = config.cycles()
+    grids = {p: selberg_grid(p, cycles) for p in config.primes} if method == "bruteforce" else {}
 
     def rows_for(item):
         p, a, b, c = item
@@ -451,7 +461,7 @@ def sweep_rows(config: SweepConfig) -> list:
         out = []
         for l1, l2 in cycles:
             if method == "bruteforce":
-                value = int(selberg_bruteforce(params.spec(2), (l1, l2)))
+                value = int(grids[p].value(a, b, c, (l1, l2)))
             elif method == "direct":
                 value = int(selberg_direct_2d(params, l1, l2))
             else:

@@ -129,6 +129,18 @@ def test_verify_rejects_bad_primes(capsys):
     assert code == 2
 
 
+def test_verify_jobs_is_validated_and_serial(capsys):
+    counts = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--suite", "relations", "--primes", "7",
+                           "--format", "csv", "--jobs", jobs)
+        assert code == 0
+        counts.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+    assert counts[0] == counts[1]
+    code, _, err = run(capsys, "verify", "--suite", "relations", "--primes", "7", "--jobs", "0")
+    assert code == 2 and "parallelism" in err
+
+
 def test_sweep_deterministic_across_jobs(tmp_path, capsys):
     for fmt, name in (("csv", "sweep.csv"), ("json", "sweep.json")):
         paths = []

@@ -15,7 +15,7 @@ from fpselberg.fp_poly import (
     power,
 )
 
-from reference_impl import PRIMES, ref_mul, ref_reduce
+from reference_impl import PRIMES, ref_mul, ref_pow, ref_reduce
 
 
 def x(i, k, p=None):
@@ -156,6 +156,15 @@ def test_dense_product_matches_reference():
         got = MultiPoly.from_dense(arr, p)
         want = MultiPoly(k, expect if p is None else ref_reduce(expect, p), p)
         assert got == want
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_dense_product_mod_large_prime_is_exact(p):
+    # Three factors with coefficients p-1: int64 accumulation must not wrap.
+    factor = [((0,), p - 1), ((1,), p - 1), ((2,), p - 1)]
+    arr = _dense_product(1, [factor] * 3, p)
+    want = ref_reduce(ref_pow(dict(factor), 3, 1), p)
+    assert {(i,): int(v) for i, v in enumerate(arr) if v} == want
 
 
 def test_dense_product_object_dtype_for_huge_bounds():

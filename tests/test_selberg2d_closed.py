@@ -1,8 +1,9 @@
 import pytest
 
 from fpselberg.errors import DomainError
-from fpselberg.selberg_core import SelbergParams, selberg_bruteforce
+from fpselberg.selberg_core import SelbergParams, selberg_bruteforce, selberg_grid
 from fpselberg.selberg2d_closed import (
+    RELATION_CYCLES,
     Branch,
     CaseTag,
     CycleClass,
@@ -13,6 +14,7 @@ from fpselberg.selberg2d_closed import (
     eval_closed,
     in_condition_sets,
     relations_check,
+    relations_from_values,
     skew_symmetry_check,
 )
 
@@ -130,9 +132,14 @@ def test_relations_reports():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_relations_hold_exhaustively(p):
+    grid = selberg_grid(p, RELATION_CYCLES)
     for a, b, c in all_triples(p):
-        report = relations_check(SelbergParams(a, b, c, p))
+        params = SelbergParams(a, b, c, p)
+        report = relations_check(params)
         assert report.ok, (p, a, b, c, report.condition_set)
+        shared = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
+        assert (shared.condition_set, shared.values, shared.ok) == (
+            report.condition_set, report.values, report.ok)
 
 
 def test_delta_boundary_forms_agree():

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
+from fpselberg import selberg_core
 from fpselberg.errors import DomainError, GuardError, ResourceLimitError
-from fpselberg.fp_poly import MultiPoly
+from fpselberg.fp_poly import MultiPoly, fp_integral
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     MasterPolySpec,
@@ -13,10 +15,14 @@ from fpselberg.selberg_core import (
     moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
+    selberg_grid,
     selberg_nd_closed,
 )
 
-from reference_impl import all_triples, ref_phi, ref_reduce, ref_selberg
+from reference_impl import PRIMES, all_triples, ref_phi, ref_reduce, ref_selberg
+
+# The default verify cycles l1 <= l2 <= 4 plus the transposed relation cycles.
+GRID_CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)] + [(2, 1), (3, 1)]
 
 
 def test_params_validation():
@@ -247,3 +253,79 @@ def test_moment_recurrence_spot_check():
     s1 = moment_integral(params, (1, 1), "S1")
     shifted = selberg_bruteforce(SelbergParams(4, 4, 3, 7).spec(2), (1, 1))
     assert s1 * (params.a + 1) == shifted * (2 * (params.a + params.b + params.c + 2))
+
+
+# Reference moments: multiply Phi by the degree-1 factor, then read the cycle coefficient.
+MOMENT_FACTORS = {"S1": {(1, 0): 1, (0, 1): 1}, "S2": {(0, 0): 2, (1, 0): -1, (0, 1): -1}}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_moment_index_sum_matches_product_formula(p):
+    for a, b, c in all_triples(p):
+        params = SelbergParams(a, b, c, p)
+        phi = master_polynomial(params.spec(2))
+        for kind, factor in MOMENT_FACTORS.items():
+            product = phi * MultiPoly(2, factor, p)
+            for cycle in GRID_CYCLES:
+                want = fp_integral(product, cycle)
+                assert moment_integral(params, cycle, kind) == want, (a, b, c, cycle)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_grid_matches_per_point_bruteforce(p):
+    grid = selberg_grid(p, GRID_CYCLES)
+    for a, b, c in itertools.product(range(p), repeat=3):
+        spec = MasterPolySpec(2, a, b, c, p)
+        for cycle in GRID_CYCLES:
+            assert grid.value(a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
+            if a and b and c:
+                params = SelbergParams(a, b, c, p)
+                s1, s2 = grid.moments(a, b, c, cycle)
+                assert (s1, s2) == (moment_integral(params, cycle, "S1"),
+                                    moment_integral(params, cycle, "S2")), (a, b, c, cycle)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_grid_nd_window_reads_absent_coefficients_as_zero(p):
+    # a, b in [0, 2p): for a >= p the read index T - a is negative.
+    grid = selberg_grid(p, [(1, 1)], 2 * p, p)
+    for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
+        value = grid.value(a, b, c, (1, 1))
+        assert value == selberg_bruteforce(MasterPolySpec(2, a, b, c, p), (1, 1)), (a, b, c)
+        if a >= p:
+            assert value == 0 and grid.moments(a, b, c, (1, 1)) == (0, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_grid_matches_reference_expansion(p):
+    grid = selberg_grid(p, GRID_CYCLES)
+    for a, b, c in all_triples(p):
+        phi = ref_phi(2, a, b, c)
+        for l1, l2 in GRID_CYCLES:
+            assert grid.value(a, b, c, (l1, l2)) == phi.get((l1 * p - 1, l2 * p - 1), 0) % p
+
+
+def test_grid_reads_outside_the_box_are_refused():
+    grid = selberg_grid(5, [(1, 1)])
+    for a, b, c in [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (5, 1, 1), (1, 1, 5)]:
+        with pytest.raises(ValueError):
+            grid.value(a, b, c, (1, 1))
+    with pytest.raises(ValueError):
+        grid.moments(1, 1, 1, (1, 2))
+    with pytest.raises(ValueError):
+        selberg_grid(5, [(1, 1)], ab_stop=0)
+    with pytest.raises(ValueError):
+        selberg_grid(5, [])
+    with pytest.raises(ValueError):
+        selberg_grid(9, [(1, 1)])
+
+
+def test_grid_guard_refuses_before_allocating(monkeypatch):
+    # Without numpy in reach, any allocation would fail with another error.
+    monkeypatch.setattr(selberg_core, "np", None)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    with pytest.raises(ResourceLimitError):
+        selberg_grid(1009, [(1, 1)])
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "100")
+    with pytest.raises(ResourceLimitError):
+        selberg_grid(13, [(1, 1)])
