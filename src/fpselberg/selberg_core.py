@@ -198,27 +198,25 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
 class SelbergGrid:
     """Brute-force values and S1/S2 moments of a whole parameter box at one prime.
 
-    Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < ``c_stop``
-    and the cycles it was built for.  Reads return the same field elements as
+    Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
+    the cycles it was built for.  Reads return the same field elements as
     ``selberg_bruteforce`` and ``moment_integral``.
     """
 
-    __slots__ = ("p", "ab_stop", "c_stop", "_index", "_values", "_s1")
+    __slots__ = ("p", "ab_stop", "_index", "_values", "_s1")
 
-    def __init__(self, p: int, ab_stop: int, c_stop: int, cycles: tuple,
-                 values: np.ndarray, s1: np.ndarray):
+    def __init__(self, p: int, ab_stop: int, cycles: tuple, values: np.ndarray, s1: np.ndarray):
         self.p = p
         self.ab_stop = ab_stop
-        self.c_stop = c_stop
         self._index = {cycle: k for k, cycle in enumerate(cycles)}
         self._values = values  # int64 arrays indexed [a, b, c, cycle index]
         self._s1 = s1
 
     def _slot(self, a: int, b: int, c: int, cycle) -> tuple:
         # Explicit bounds: a negative numpy index would silently wrap around.
-        if not (0 <= a < self.ab_stop and 0 <= b < self.ab_stop and 0 <= c < self.c_stop):
+        if not (0 <= a < self.ab_stop and 0 <= b < self.ab_stop and 0 <= c < self.p):
             raise ValueError(f"(a, b, c) = ({a}, {b}, {c}) outside the grid box"
-                             f" [0, {self.ab_stop})^2 x [0, {self.c_stop})")
+                             f" [0, {self.ab_stop})^2 x [0, {self.p})")
         try:
             k = self._index[tuple(cycle)]
         except KeyError:
@@ -236,36 +234,41 @@ class SelbergGrid:
         return FpElement(s1, self.p), FpElement(2 * int(self._values[slot]) - s1, self.p)
 
 
-def selberg_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None = None,
-                 c_stop: int | None = None) -> SelbergGrid:
-    """Two-dimensional brute force for every 0 <= a, b < ab_stop, 0 <= c < c_stop at once.
+def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
+                 ab_stop: int | None = None) -> SelbergGrid:
+    """Two-dimensional brute force for every 0 <= a, b < ab_stop, 0 <= c < p at once.
 
     Phi_{a,b,c} = (x1*x2)^a * Q_{b,c} with Q_{b,c} = (x1-x2)^(2c) ((1-x1)(1-x2))^b,
     so one expansion per c serves the whole box: Q_{b+1,c} is Q_{b,c} times
     (1-x1)(1-x2), a four-term shift-add mod p, and a only moves the index
     that is read, Phi[t1, t2] = Q[t1-a, t2-a].  The S1 moment at the cycle
     exponents T is Phi[T1-1, T2] + Phi[T1, T2-1].  An index below 0 means the
-    coefficient is absent and reads as 0.  ``ab_stop`` and ``c_stop`` default
-    to p.  The largest Q goes through the expansion guard before anything
-    is allocated.
+    coefficient is absent and reads as 0.  ``ab_stop`` defaults to p.  The
+    cells the grid allocates (Q and the value and moment boxes) are checked
+    against the expansion cap before anything is allocated.
     """
     get_context(p)  # validates the prime
     ab_stop = p if ab_stop is None else ab_stop
-    c_stop = p if c_stop is None else c_stop
-    for name, v in (("ab_stop", ab_stop), ("c_stop", c_stop)):
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v}")
+    if not isinstance(ab_stop, int) or ab_stop < 1:
+        raise ValueError(f"ab_stop must be a positive integer, got {ab_stop}")
     cycles = tuple(dict.fromkeys(check_cycle(cycle, 2) for cycle in cycles))
     if not cycles:
         raise ValueError("selberg_grid needs at least one cycle")
-    _guard_expansion(MasterPolySpec(2, 0, ab_stop - 1, c_stop - 1, p))  # the largest Q
 
     # Q lives in the top-left (deg+1)^2 block of a square array whose last
     # row and column stay zero; every index outside the block is sent there.
     # Shift-adds only raise exponents, so Q may be cut at the largest target
     # exponent without changing any entry that is read.
-    deg = min(2 * (c_stop - 1) + ab_stop - 1, max(l * p - 1 for cycle in cycles for l in cycle))
+    deg = min(2 * (p - 1) + ab_stop - 1, max(l * p - 1 for cycle in cycles for l in cycle))
     zero = deg + 1
+    cells = (zero + 1) ** 2 + 2 * ab_stop * ab_stop * p * len(cycles)
+    cap, _ = _max_cells()
+    if cells > cap:
+        raise ResourceLimitError(
+            f"grid at p={p} with a, b < {ab_stop} and {len(cycles)} cycles needs {cells}"
+            f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)"
+        )
+
     a = np.arange(ab_stop)
     t1 = np.array([l1 * p - 1 for l1, _ in cycles])[:, None] - a  # cycles x a
     t2 = np.array([l2 * p - 1 for _, l2 in cycles])[:, None] - a
@@ -275,9 +278,9 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None = 
     rows = np.where(inside, rows, zero)
     cols = np.where(inside, cols, zero)
 
-    values = np.empty((ab_stop, ab_stop, c_stop, len(cycles)), dtype=np.int64)
+    values = np.empty((ab_stop, ab_stop, p, len(cycles)), dtype=np.int64)
     s1 = np.empty_like(values)
-    for c in range(c_stop):
+    for c in range(p):
         q = np.zeros((zero + 1, zero + 1), dtype=np.int64)
         for k in range(max(0, 2 * c - deg), min(2 * c, deg) + 1):  # Q_{0,c} = (x1 - x2)^(2c)
             q[2 * c - k, k] = (-1) ** k * math.comb(2 * c, k) % p
@@ -290,7 +293,7 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None = 
             reads = q[rows, cols]
             values[:, b, c, :] = reads[0].T
             s1[:, b, c, :] = ((reads[1] + reads[2]) % p).T
-    return SelbergGrid(p, ab_stop, c_stop, cycles, values, s1)
+    return SelbergGrid(p, ab_stop, cycles, values, s1)
 
 
 def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> FpElement:

@@ -33,6 +33,7 @@ from .selberg_core import (
     SelbergGrid,
     SelbergParams,
     beta_closed,
+    moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
     selberg_grid,
@@ -175,8 +176,34 @@ _RECURRENCE_CYCLES = ((1, 1), (1, 2), (2, 2), (1, 3))
 _BRIDGE_LEVELS = (1, 2)  # the Morris bridge reaches the cycles [1,1] and [2,2]
 
 
+class _PointOracle:
+    """Per-point brute force with the grid's reads, for a prime whose grid is over the cap."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def value(self, a: int, b: int, c: int, cycle):
+        return selberg_bruteforce(MasterPolySpec(2, a, b, c, self.p), cycle)
+
+    def moments(self, a: int, b: int, c: int, cycle):
+        params = SelbergParams(a, b, c, self.p)
+        return moment_integral(params, cycle, "S1"), moment_integral(params, cycle, "S2")
+
+
+def _oracle(p: int, cycles, ab_stop: int | None = None) -> SelbergGrid | _PointOracle:
+    """The brute-force grid at p, or per-point brute force where the grid exceeds the cap.
+
+    Per-point expansion keeps its own guard, so a run the grid cannot hold
+    succeeds or fails exactly as it would without the grid.
+    """
+    try:
+        return selberg_grid(p, cycles, ab_stop)
+    except ResourceLimitError:
+        return _PointOracle(p)
+
+
 class _GridCache(dict):
-    """Brute-force grids of one verification run, one per prime, built on first use.
+    """Brute-force oracles of one verification run, one per prime, built on first use.
 
     Its cycles are every cycle a suite reads brute force on, so all suites
     share one expansion per (p, c).
@@ -188,8 +215,8 @@ class _GridCache(dict):
             config.cycles() + list(_RECURRENCE_CYCLES) + [(l, l) for l in _BRIDGE_LEVELS]
             + list(RELATION_CYCLES)))
 
-    def __missing__(self, p: int) -> SelbergGrid:
-        grid = self[p] = selberg_grid(p, self.cycles)
+    def __missing__(self, p: int) -> SelbergGrid | _PointOracle:
+        grid = self[p] = _oracle(p, self.cycles)
         return grid
 
 
@@ -376,7 +403,7 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 want = beta_closed(ctx, a, b)
                 result.record(got == want, lambda: _ce(p, a, b, 0, 1, 1, "nd n=1", int(want), int(got)))
         # n = 2: matches brute force, and the C11_i closed form in the window.
-        window = selberg_grid(p, [(1, 1)], 2 * p, p)
+        window = _oracle(p, [(1, 1)], 2 * p)
         for a in range(2 * p):
             for b in range(2 * p):
                 for c in range(p):
@@ -447,12 +474,13 @@ def sweep_rows(config: SweepConfig) -> list:
     """One row per (p, a, b, c, l1, l2), in lexicographic order.
 
     The value column uses the first configured method; for brute force one
-    grid per prime is built before the rows are mapped.  Output is a list of
-    dicts with the fixed CSV column set.
+    grid per prime (or per-point expansion where the grid is over the cap) is
+    built before the rows are mapped.  Output is a list of dicts with the
+    fixed CSV column set.
     """
     method = config.methods[0] if config.methods else "closed"
     cycles = config.cycles()
-    grids = {p: selberg_grid(p, cycles) for p in config.primes} if method == "bruteforce" else {}
+    grids = {p: _oracle(p, cycles) for p in config.primes} if method == "bruteforce" else {}
 
     def rows_for(item):
         p, a, b, c = item

@@ -288,7 +288,7 @@ def test_grid_matches_per_point_bruteforce(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_grid_nd_window_reads_absent_coefficients_as_zero(p):
     # a, b in [0, 2p): for a >= p the read index T - a is negative.
-    grid = selberg_grid(p, [(1, 1)], 2 * p, p)
+    grid = selberg_grid(p, [(1, 1)], 2 * p)
     for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
         value = grid.value(a, b, c, (1, 1))
         assert value == selberg_bruteforce(MasterPolySpec(2, a, b, c, p), (1, 1)), (a, b, c)
@@ -329,3 +329,27 @@ def test_grid_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "100")
     with pytest.raises(ResourceLimitError):
         selberg_grid(13, [(1, 1)])
+
+
+def test_grid_guard_counts_the_value_boxes(monkeypatch):
+    # At p = 163 the largest Q has (3p-2)^2 = 237,169 cells, under the default
+    # cap, but the value and moment boxes hold 2 * 163^3 * 12 cells.
+    monkeypatch.setattr(selberg_core, "np", None)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    with pytest.raises(ResourceLimitError, match="12 cycles"):
+        selberg_grid(163, GRID_CYCLES)
+
+
+def test_grid_guard_counts_only_the_truncated_expansion(monkeypatch):
+    # a, b < 1 at p = 13 on [1,1]: Q is cut at degree 12, so it takes 14^2 cells
+    # with its zero margin, and the boxes 2 * 1 * 13 * 1.  The untruncated Q
+    # would need 25^2 = 625.
+    cells = 14**2 + 2 * 13
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells - 1))
+    with pytest.raises(ResourceLimitError, match=f"needs {cells} "):
+        selberg_grid(13, [(1, 1)], ab_stop=1)
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells))
+    grid = selberg_grid(13, [(1, 1)], ab_stop=1)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS")
+    for c in range(13):
+        assert grid.value(0, 0, c, (1, 1)) == selberg_bruteforce(MasterPolySpec(2, 0, 0, c, 13), (1, 1))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fpselberg import selberg_core, verify
 from fpselberg.verify import (
     ALL_SUITES,
     SWEEP_CSV_HEADER,
@@ -103,3 +104,29 @@ def test_relations_suite_notes_golden_discrepancy():
     (suite,) = report.suites
     assert suite.failed == 0
     assert any("paper_discrepancy=true" in note for note in suite.notes)
+
+
+def test_grid_over_the_cap_falls_back_to_per_point_bruteforce(monkeypatch):
+    # With the cap at 2,500 cells no p = 7 grid fits (the shared one needs
+    # 2 * 7^3 * 12 boxes), but every per-point expansion the suites make does.
+    config = SweepConfig(primes=(7,), suites=ALL_SUITES)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    on_grid = run_verification(config)
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "2500")
+    assert isinstance(verify._oracle(7, [(1, 1)], 14), verify._PointOracle)
+    per_point = run_verification(config)
+    assert per_point.failed_total == on_grid.failed_total == 0
+    assert [(s.name, s.checked, s.skipped) for s in per_point.suites] == [
+        (s.name, s.checked, s.skipped) for s in on_grid.suites]
+    bruteforce = SweepConfig(primes=(5,), methods=("bruteforce",), suites=("stokes",))
+    assert sweep_rows(bruteforce) == sweep_rows(SweepConfig(primes=(5,), suites=("stokes",)))
+
+
+def test_nd_window_at_p127_is_not_refused(monkeypatch):
+    # The n=2 window grid at p = 127 is over the default cap; verify falls back
+    # to per-point expansion, whose largest window point fits.  Checked without
+    # allocating: the grid refuses before any numpy call.
+    monkeypatch.setattr(selberg_core, "np", None)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    assert isinstance(verify._oracle(127, [(1, 1)], 2 * 127), verify._PointOracle)
+    selberg_core._guard_expansion(selberg_core.MasterPolySpec(2, 126, 126, 0, 127))
