@@ -3,7 +3,7 @@
 Run:  python demos/01_field_arithmetic.py
 """
 
-from fpselberg import binomial_lucas, factorial, get_context, inverse
+from fpselberg import get_context
 
 p = 7
 ctx = get_context(p)
@@ -12,23 +12,23 @@ print(f"working in F_{p}")
 # Factorials are tabulated up to 4p; every argument >= p hits a factor of p
 # and the table stores an exact 0 there.
 print("\nn -> n! mod p, for n = 0..2p:")
-print(" ", {n: int(factorial(ctx, n)) for n in range(2 * p + 1)})
+print(" ", {n: ctx.factorial(n) for n in range(2 * p + 1)})
 
 # Wilson: (p-1)! = -1
-print(f"\n(p-1)! = {factorial(ctx, p - 1)}  (that is -1 mod {p})")
+print(f"\n(p-1)! = {ctx.factorial(p - 1)}  (that is -1 mod {p})")
 
 # Complementary factorials cancel to a sign: a! * (p-1-a)! = (-1)^(a+1)
 for a in range(p):
     b = p - 1 - a
-    product = factorial(ctx, a) * factorial(ctx, b)
+    product = ctx.factorial(a) * ctx.factorial(b) % p
     print(f"  {a}! * {b}! = {product}   expected (-1)^{a + 1} = {(-1) ** (a + 1) % p}")
 
 # Lucas: binomials of arbitrarily large arguments factor through base-p digits.
 print("\nLucas binomials (digit-wise, no big-integer arithmetic):")
 for n, m in [(5, 1), (7, 3), (6, 1), (10**12 + 3, 10**6 + 2)]:
-    print(f"  C({n}, {m}) mod {p} = {binomial_lucas(ctx, n, m)}")
+    print(f"  C({n}, {m}) mod {p} = {ctx.binomial(n, m)}")
 
 # Field elements carry their prime and support the usual operator protocol.
 x = ctx.element(3)
-print(f"\nx = {x}, 1/x = {inverse(ctx, x)}, x * (1/x) = {x * inverse(ctx, x)}")
+print(f"\nx = {x}, 1/x = {ctx.inverse(x.value)}, x * (1/x) = {x * ctx.inverse(x.value)}")
 print(f"x ** -2 = {x ** -2}, -x = {-x}, x / 5 = {x / 5}")

@@ -11,19 +11,10 @@ small-prime grids.
 """
 
 from .errors import DomainError, FpSelbergError, GuardError, ResourceLimitError
-from .fp_poly import MultiPoly, fp_integral, multiply, partial_derivative, power
+from .fp_poly import MultiPoly, fp_integral, partial_derivative
 from .golden import GOLDEN_2D, GoldenValue
-from .modp_arith import (
-    FpContext,
-    FpElement,
-    binomial_lucas,
-    factorial,
-    get_context,
-    inverse,
-    is_prime,
-)
+from .modp_arith import FpContext, FpElement, get_context, is_prime
 from .morris_ct import (
-    LaurentPoly,
     MorrisParams,
     morris_ct_bruteforce,
     morris_lhs_symmetric_form,
@@ -80,7 +71,6 @@ __all__ = [
     "GOLDEN_2D",
     "GoldenValue",
     "GuardError",
-    "LaurentPoly",
     "MasterPolySpec",
     "MorrisParams",
     "MultiPoly",
@@ -91,17 +81,14 @@ __all__ = [
     "SweepConfig",
     "VerificationReport",
     "beta_closed",
-    "binomial_lucas",
     "classify",
     "condition_set",
     "delta_boundary_forms",
     "describe",
     "eval_closed",
-    "factorial",
     "fp_integral",
     "get_context",
     "in_condition_sets",
-    "inverse",
     "is_prime",
     "master_polynomial",
     "moment_integral",
@@ -109,9 +96,7 @@ __all__ = [
     "morris_lhs_symmetric_form",
     "morris_rhs",
     "morris_substitution",
-    "multiply",
     "partial_derivative",
-    "power",
     "relations_check",
     "render_report",
     "render_sweep",

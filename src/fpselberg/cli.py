@@ -13,7 +13,7 @@ import sys
 from .errors import DomainError, ResourceLimitError
 from .modp_arith import is_prime
 from .morris_ct import MorrisParams, morris_ct_bruteforce, morris_lhs_symmetric_form, morris_rhs
-from .selberg_core import SelbergParams, selberg_bruteforce, selberg_direct_2d
+from .selberg_core import SelbergParams, _max_cells, selberg_bruteforce, selberg_direct_2d
 from .selberg2d_closed import classify, describe, eval_closed
 from .verify import (
     ALL_METHODS,
@@ -88,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evaluation route for the value column")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.add_argument("--out", help="write rows to this path instead of stdout")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for symmetry with verify and checked to be >= 1;"
+                         " sweep always builds its rows serially")
 
     sp = sub.add_parser("morris", help="check the constant-term identity at one point")
     sp.add_argument("--n", type=int, required=True)
@@ -236,6 +238,7 @@ def main(argv: list | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _max_cells()  # a malformed FPSELBERG_MAX_TERMS is a usage error, not a failed check
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

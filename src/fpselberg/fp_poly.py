@@ -15,6 +15,7 @@ exact mode (``p`` = None) they are arbitrary-precision integers.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,9 +26,7 @@ __all__ = [
     "MultiPoly",
     "check_cycle",
     "fp_integral",
-    "multiply",
     "partial_derivative",
-    "power",
 ]
 
 # int64 accumulators are exact as long as every intermediate stays below this.
@@ -211,19 +210,6 @@ class MultiPoly:
         return f"MultiPoly[{ring}, k={self.num_vars}]({{{shown}}})"
 
 
-def multiply(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Product polynomial; arity and coefficient ring must match."""
-    if not isinstance(b, MultiPoly):
-        raise ValueError("multiply expects two MultiPoly operands")
-    a._check_compatible(b)
-    return a * b
-
-
-def power(a: MultiPoly, e: int) -> MultiPoly:
-    """a**e by repeated squaring; power(a, 0) is the constant 1."""
-    return a**e
-
-
 def partial_derivative(P: MultiPoly, i: int) -> MultiPoly:
     """Formal derivative with respect to x_i (1-based index)."""
     if not 1 <= i <= P.num_vars:
@@ -262,7 +248,26 @@ def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> FpElement:
 # Products of many small factors (the master polynomials) are built on dense
 # coefficient arrays: each factor term contributes one shifted slice-add of
 # the whole accumulator, which beats dict convolution by a wide margin for
-# the 2- and 3-variable sweep grids.
+# the 2- and 3-variable sweep grids.  Every factor in the package is a
+# binomial power, built by ``_binomial_terms``.
+
+
+def _binomial_terms(shift: Sequence[int], first: Sequence[int], second: Sequence[int], e: int) -> list:
+    """Sparse terms of x^shift * (x^first - x^second)^e, with exact integer coefficients.
+
+    ``shift``, ``first`` and ``second`` are exponent vectors of one arity;
+    term k is (-1)^k C(e, k) x^(shift + (e-k)*first + k*second).
+    """
+    # One arithmetic progression of exponents per axis, zipped into the term tuples.
+    axes = [range(s + e * f, s + e * g + g - f, g - f) if g != f else [s + e * f] * (e + 1)
+            for s, f, g in zip(shift, first, second)]
+    return [(exps, -comb(e, k) if k & 1 else comb(e, k)) for k, exps in enumerate(zip(*axes))]
+
+
+def _coefficient(arr: np.ndarray, index: tuple) -> int:
+    """Entry of a dense coefficient array, 0 outside it (never wrapping a negative index)."""
+    inside = all(0 <= i < s for i, s in zip(index, arr.shape))
+    return int(arr[index]) if inside else 0
 
 
 def _exact_dtype(factors: Iterable[Iterable[tuple]]) -> object:

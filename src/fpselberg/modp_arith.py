@@ -14,10 +14,7 @@ import functools
 __all__ = [
     "FpContext",
     "FpElement",
-    "binomial_lucas",
-    "factorial",
     "get_context",
-    "inverse",
     "is_prime",
 ]
 
@@ -204,10 +201,6 @@ class FpContext:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return pow(v, self.p - 2, self.p)
 
-    def sign(self, k: int) -> int:
-        """(-1)^k as an element of [0, p-1]."""
-        return 1 if k % 2 == 0 else self.p - 1
-
     def __repr__(self):
         return f"FpContext(p={self.p})"
 
@@ -217,18 +210,3 @@ def get_context(p: int) -> FpContext:
     """Shared, cached context per prime."""
     return FpContext(p)
 
-
-def factorial(ctx: FpContext, n: int) -> FpElement:
-    """n! mod p for 0 <= n <= 4p; zero exactly when n >= p."""
-    return ctx.element(ctx.factorial(n))
-
-
-def binomial_lucas(ctx: FpContext, n: int, m: int) -> FpElement:
-    """C(n, m) mod p via the product of base-p digit binomials."""
-    return ctx.element(ctx.binomial(n, m))
-
-
-def inverse(ctx: FpContext, x: FpElement | int) -> FpElement:
-    """Multiplicative inverse of a non-zero element."""
-    v = x.value if isinstance(x, FpElement) else x
-    return ctx.element(ctx.inverse(v))

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Mapping
+from math import factorial
 
 from .errors import DomainError, ResourceLimitError
-from .fp_poly import _dense_product
-from .selberg_core import SelbergParams
+from .fp_poly import _binomial_terms, _coefficient, _dense_product
+from .selberg_core import SelbergParams, _master_factors
 
 __all__ = [
-    "LaurentPoly",
     "MorrisParams",
     "morris_ct_bruteforce",
     "morris_lhs_symmetric_form",
@@ -34,103 +32,6 @@ __all__ = [
 # Expansion guard for the constant-term brute force.
 MAX_N = 3
 MAX_EXPONENT = 4
-
-
-class LaurentPoly:
-    """Sparse Laurent polynomial with exact integer coefficients.
-
-    Exponents may be negative; ``terms`` maps exponent tuples to non-zero
-    integers.  Only what the constant-term computations need: ring operations
-    and ``constant_term``.
-    """
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(self, num_vars: int, terms: Mapping[tuple, int]):
-        if num_vars < 1:
-            raise ValueError(f"num_vars must be >= 1, got {num_vars}")
-        clean: dict[tuple, int] = {}
-        for exps, coeff in terms.items():
-            exps = tuple(exps)
-            if len(exps) != num_vars:
-                raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {num_vars}")
-            if coeff:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if not clean[exps]:
-                    del clean[exps]
-        self.num_vars = num_vars
-        self.terms = clean
-
-    @classmethod
-    def one(cls, num_vars: int) -> "LaurentPoly":
-        return cls(num_vars, {(0,) * num_vars: 1})
-
-    @classmethod
-    def monomial(cls, exps, coeff: int = 1) -> "LaurentPoly":
-        return cls(len(tuple(exps)), {tuple(exps): coeff})
-
-    def _check(self, other: "LaurentPoly"):
-        if self.num_vars != other.num_vars:
-            raise ValueError(f"arity mismatch: {self.num_vars} vs {other.num_vars}")
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return LaurentPoly(self.num_vars, terms)
-
-    def __neg__(self):
-        return LaurentPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        prod: dict[tuple, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod[key] = prod.get(key, 0) + ca * cb
-        return LaurentPoly(self.num_vars, prod)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {e!r}")
-        result = LaurentPoly.one(self.num_vars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.num_vars, 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
-
-    def __repr__(self):
-        items = sorted(self.terms.items())
-        shown = ", ".join(f"{e}: {c}" for e, c in items[:6])
-        if len(items) > 6:
-            shown += f", ... ({len(items)} terms)"
-        return f"LaurentPoly[k={self.num_vars}]({{{shown}}})"
 
 
 @dataclass(frozen=True)
@@ -158,56 +59,29 @@ def _guard(mp: MorrisParams):
         )
 
 
-def _ct_of_factors(num_vars: int, factors: list) -> int:
-    """Constant term of a product of sparse Laurent factors, exactly.
-
-    Each factor is shifted to non-negative exponents so the product can be
-    accumulated on a dense array; the total shift locates the constant term.
-    """
-    offsets = [0] * num_vars
-    shifted = []
-    for factor in factors:
-        fmin = [min(e[i] for e, _ in factor) for i in range(num_vars)]
-        offsets = [o + m for o, m in zip(offsets, fmin)]
-        shifted.append([(tuple(e - m for e, m in zip(exps, fmin)), c) for exps, c in factor])
-    arr = _dense_product(num_vars, shifted, None)
-    idx = tuple(-o for o in offsets)
-    if any(i < 0 or i >= s for i, s in zip(idx, arr.shape)):
-        return 0
-    return int(arr[idx])
-
-
 def morris_ct_bruteforce(mp: MorrisParams) -> int:
-    """Constant term of the Morris product, by exact Laurent expansion."""
+    """Constant term of the Morris product, by exact expansion.
+
+    With (1 - 1/x_i)^beta = x_i^(-beta) (x_i - 1)^beta and
+    (1 - x_j/x_k)^gamma = x_k^(-gamma) (x_k - x_j)^gamma, the product is
+    prod_i x_i^(-s) times a polynomial, s = beta + (n-1)*gamma, so the
+    constant term is that polynomial's coefficient at (s, ..., s).
+    """
     _guard(mp)
     n, alpha, beta, gamma = mp.n, mp.alpha, mp.beta, mp.gamma
     zero = (0,) * n
-
-    def unit(i, e):
-        return zero[:i] + (e,) + zero[i + 1 :]
-
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
     factors = []
-    for i in range(n):
+    for unit in units:
         if alpha:
-            factors.append([(unit(i, k), (-1) ** k * comb(alpha, k)) for k in range(alpha + 1)])
+            factors.append(_binomial_terms(zero, zero, unit, alpha))
         if beta:
-            factors.append([(unit(i, -k), (-1) ** k * comb(beta, k)) for k in range(beta + 1)])
+            factors.append(_binomial_terms(zero, unit, zero, beta))
     if gamma:
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                # (1 - x_j/x_k)^gamma
-                factors.append(
-                    [
-                        (tuple((m if t == j else -m) if t in (j, k) else 0 for t in range(n)),
-                         (-1) ** m * comb(gamma, m))
-                        for m in range(gamma + 1)
-                    ]
-                )
-    if not factors:
-        return 1
-    return _ct_of_factors(n, factors)
+        factors += [_binomial_terms(zero, units[k], units[j], gamma)
+                    for j in range(n) for k in range(n) if j != k]
+    s = beta + (n - 1) * gamma
+    return _coefficient(_dense_product(n, factors, None), (s,) * n)
 
 
 def morris_rhs(mp: MorrisParams) -> int:
@@ -230,31 +104,15 @@ def morris_lhs_symmetric_form(mp: MorrisParams) -> int:
 
     Expands (-1)^(C(n,2)*gamma + n*beta) * prod_{i<j} (x_i-x_j)^(2*gamma)
     * prod_i x_i^(-beta-(n-1)*gamma) (1-x_i)^(alpha+beta) and takes its
-    constant term; must agree with ``morris_ct_bruteforce``.
+    constant term, the coefficient of the polynomial part at (s, ..., s) with
+    s = beta + (n-1)*gamma; must agree with ``morris_ct_bruteforce``.
     """
     _guard(mp)
     n, alpha, beta, gamma = mp.n, mp.alpha, mp.beta, mp.gamma
-    zero = (0,) * n
-
-    def unit(i, e):
-        return zero[:i] + (e,) + zero[i + 1 :]
-
-    shift = -beta - (n - 1) * gamma
-    factors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            factors.append(
-                [
-                    (tuple((2 * gamma - k if t == i else k) if t in (i, j) else 0 for t in range(n)),
-                     (-1) ** k * comb(2 * gamma, k))
-                    for k in range(2 * gamma + 1)
-                ]
-            )
-    for i in range(n):
-        factors.append([(unit(i, shift + k), (-1) ** k * comb(alpha + beta, k))
-                        for k in range(alpha + beta + 1)])
+    factors = _master_factors(n, 0, alpha + beta, 2 * gamma)
+    s = beta + (n - 1) * gamma
     sign = (-1) ** ((n * (n - 1) // 2) * gamma + n * beta)
-    return sign * _ct_of_factors(n, factors)
+    return sign * _coefficient(_dense_product(n, factors, None), (s,) * n)
 
 
 def morris_substitution(params: SelbergParams, l: int) -> MorrisParams:

@@ -38,15 +38,14 @@ relation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, GuardError
-from .fp_poly import _dense_product
+from .fp_poly import _coefficient, _dense_product
 from .modp_arith import FpElement
-from .selberg_core import SelbergParams, selberg_bruteforce
+from .selberg_core import SelbergParams, _master_factors, selberg_bruteforce
 
 __all__ = [
     "Branch",
@@ -401,25 +400,11 @@ def skew_symmetry_check(params: SelbergParams) -> bool:
     if not (2 * c > p and a + b + 2 * c >= 3 * p - 1):
         raise DomainError(f"skew-symmetry check needs 2c > p and a+b+2c >= 3p-1, got {params}")
 
-    def expansion(cross_exp: int):
-        cross = [((cross_exp - k, k), (-1) ** k * math.comb(cross_exp, k)) for k in range(cross_exp + 1)]
-        x1_part = [((a + k, 0), (-1) ** k * math.comb(b, k)) for k in range(b + 1)]
-        x2_part = [((0, a + k), (-1) ** k * math.comb(b, k)) for k in range(b + 1)]
-        return _dense_product(2, [cross, x1_part, x2_part], p)
-
-    full = expansion(2 * c)
-    lower = expansion(2 * c - p)
-
-    def coeff(arr, d1, d2):
-        if d1 < arr.shape[0] and d2 < arr.shape[1]:
-            return FpElement(int(arr[d1, d2]), p)
-        return FpElement(0, p)
-
-    alpha_31 = coeff(full, 3 * p - 1, p - 1)
-    alpha_22 = coeff(full, 2 * p - 1, 2 * p - 1)
-    alpha_13 = coeff(full, p - 1, 3 * p - 1)
-    beta_12 = coeff(lower, p - 1, 2 * p - 1)
-    beta_21 = coeff(lower, 2 * p - 1, p - 1)
+    full = _dense_product(2, _master_factors(2, a, b, 2 * c), p)
+    lower = _dense_product(2, _master_factors(2, a, b, 2 * c - p), p)
+    alpha_31, alpha_22, alpha_13 = (FpElement(_coefficient(full, t), p) for t in
+                                    ((3 * p - 1, p - 1), (2 * p - 1, 2 * p - 1), (p - 1, 3 * p - 1)))
+    beta_12, beta_21 = (FpElement(_coefficient(lower, t), p) for t in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
 
     return (
         beta_12 == -beta_21

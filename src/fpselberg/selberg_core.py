@@ -20,7 +20,6 @@ integral over the cycle [l1, ..., ln].  This module provides:
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, GuardError, ResourceLimitError
-from .fp_poly import MultiPoly, _dense_product, check_cycle
+from .fp_poly import MultiPoly, _binomial_terms, _coefficient, _dense_product, check_cycle
 from .modp_arith import FpContext, FpElement, get_context
 
 __all__ = [
@@ -136,42 +135,22 @@ def _guard_expansion(spec: MasterPolySpec):
             )
 
 
-def _master_factors(spec: MasterPolySpec) -> list:
-    """Sparse factors of Phi_n, with exact integer coefficients."""
-    n, a, b, c = spec.n, spec.a, spec.b, spec.c
+def _master_factors(n: int, a: int, b: int, cross: int) -> list:
+    """Sparse factors of prod_{i<j} (x_i - x_j)^cross * prod_i x_i^a (1 - x_i)^b, exact integers.
+
+    With cross = 2c this is Phi_n.
+    """
     zero = (0,) * n
-
-    def unit(i: int, e: int) -> tuple:
-        return zero[:i] + (e,) + zero[i + 1 :]
-
-    factors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            # (x_i - x_j)^(2c)
-            factors.append(
-                [
-                    (tuple((2 * c - k if t == i else k) if t in (i, j) else 0 for t in range(n)),
-                     (-1) ** k * math.comb(2 * c, k))
-                    for k in range(2 * c + 1)
-                ]
-            )
-    for i in range(n):
-        # x_i^a (1 - x_i)^b
-        factors.append([(unit(i, a + k), (-1) ** k * math.comb(b, k)) for k in range(b + 1)])
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+    factors = [_binomial_terms(zero, units[i], units[j], cross) for i in range(n) for j in range(i + 1, n)]
+    factors += [_binomial_terms(zero[:i] + (a,) + zero[i + 1 :], zero, units[i], b) for i in range(n)]
     return factors
 
 
 @functools.lru_cache(maxsize=4096)
 def _dense_master(n: int, a: int, b: int, c: int, p: int, exact: bool):
     """Cached dense expansion of Phi_n.  Callers must not mutate the array."""
-    spec = MasterPolySpec(n, a, b, c, p)
-    return _dense_product(n, _master_factors(spec), None if exact else p)
-
-
-def _coefficient(arr, index: tuple) -> int:
-    """Entry of a dense coefficient array, 0 outside it (never wrapping a negative index)."""
-    inside = all(0 <= i < s for i, s in zip(index, arr.shape))
-    return int(arr[index]) if inside else 0
+    return _dense_product(n, _master_factors(n, a, b, 2 * c), None if exact else p)
 
 
 def master_polynomial(spec: MasterPolySpec, exact: bool = False) -> MultiPoly:
@@ -282,8 +261,9 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
     s1 = np.empty_like(values)
     for c in range(p):
         q = np.zeros((zero + 1, zero + 1), dtype=np.int64)
-        for k in range(max(0, 2 * c - deg), min(2 * c, deg) + 1):  # Q_{0,c} = (x1 - x2)^(2c)
-            q[2 * c - k, k] = (-1) ** k * math.comb(2 * c, k) % p
+        for (i, j), coeff in _binomial_terms((0, 0), (1, 0), (0, 1), 2 * c):  # Q_{0,c} = (x1 - x2)^(2c)
+            if i <= deg and j <= deg:
+                q[i, j] = coeff % p
         block = q[:zero, :zero]
         for b in range(ab_stop):
             if b:

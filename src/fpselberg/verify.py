@@ -1,9 +1,9 @@
 """Exhaustive verification suites and deterministic parameter sweeps.
 
 Every suite checks an exact identity over a finite grid, so the only
-tolerance anywhere is equality.  Results are merged in lexicographic
-parameter order before rendering, which makes CSV/JSON sweep output
-byte-identical regardless of the worker count.
+tolerance anywhere is equality.  Sweep rows are built serially in
+lexicographic parameter order, which makes CSV/JSON sweep output
+byte-identical regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -155,15 +154,6 @@ class VerificationReport:
 
 def _triples(p: int):
     return itertools.product(range(1, p), repeat=3)
-
-
-def _map_triples(fn, items, jobs: int) -> list:
-    """Apply fn over items, preserving input order regardless of jobs."""
-    items = list(items)
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _ce(p, a, b, c, l1, l2, branch, expected, got, **extra) -> dict:
@@ -455,13 +445,20 @@ def run_verification(config: SweepConfig) -> VerificationReport:
     """Run the selected suites and collect per-suite outcomes.
 
     Suites run one after another in this thread; ``config.parallelism`` is
-    not used here.
+    not used here.  An error inside a suite other than the resource guard
+    ends only that suite, as one failed check naming the error.
     """
     grids = _GridCache(config)
     suites = []
     for name in config.suites:
         start = time.perf_counter()
-        outcome = _SUITE_RUNNERS[name](config, grids)
+        try:
+            outcome = _SUITE_RUNNERS[name](config, grids)
+        except ResourceLimitError:
+            raise
+        except Exception as exc:
+            outcome = SuiteResult(name)
+            outcome.record(False, lambda: {"error": f"{type(exc).__name__}: {exc}"})
         outcome.seconds = time.perf_counter() - start
         suites.append(outcome)
     return VerificationReport(suites=suites, config=config)
@@ -475,36 +472,27 @@ def sweep_rows(config: SweepConfig) -> list:
 
     The value column uses the first configured method; for brute force one
     grid per prime (or per-point expansion where the grid is over the cap) is
-    built before the rows are mapped.  Output is a list of dicts with the
-    fixed CSV column set.
+    built first.  Rows are built serially; ``config.parallelism`` is not
+    used.  Output is a list of dicts with the fixed CSV column set.
     """
     method = config.methods[0] if config.methods else "closed"
     cycles = config.cycles()
-    grids = {p: _oracle(p, cycles) for p in config.primes} if method == "bruteforce" else {}
-
-    def rows_for(item):
-        p, a, b, c = item
-        params = SelbergParams(a, b, c, p)
-        r1, r2, r3 = in_condition_sets(params)
-        out = []
-        for l1, l2 in cycles:
-            if method == "bruteforce":
-                value = int(grids[p].value(a, b, c, (l1, l2)))
-            elif method == "direct":
-                value = int(selberg_direct_2d(params, l1, l2))
-            else:
-                value = int(eval_closed(params, l1, l2))
-            out.append({"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
-                        "branch": str(classify(params, l1, l2)), "value": value,
-                        "in_R1": r1, "in_R2": r2, "in_R3": r3})
-        return out
-
-    items = [(p, a, b, c) for p in config.primes for a, b, c in _triples(p)]
-    chunks = _map_triples(rows_for, items, config.parallelism)
-    rows = [row for chunk in chunks for row in chunk]
-    expected = sum((p - 1) ** 3 for p in config.primes) * len(cycles)
-    if len(rows) != expected:
-        raise RuntimeError(f"sweep produced {len(rows)} rows, expected {expected}")
+    rows = []
+    for p in config.primes:
+        grid = _oracle(p, cycles) if method == "bruteforce" else None
+        for a, b, c in _triples(p):
+            params = SelbergParams(a, b, c, p)
+            r1, r2, r3 = in_condition_sets(params)
+            for l1, l2 in cycles:
+                if method == "bruteforce":
+                    value = int(grid.value(a, b, c, (l1, l2)))
+                elif method == "direct":
+                    value = int(selberg_direct_2d(params, l1, l2))
+                else:
+                    value = int(eval_closed(params, l1, l2))
+                rows.append({"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
+                             "branch": str(classify(params, l1, l2)), "value": value,
+                             "in_R1": r1, "in_R2": r2, "in_R3": r3})
     return rows
 
 

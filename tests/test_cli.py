@@ -251,3 +251,26 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_internal_error_in_a_suite_fails_only_that_suite(monkeypatch, capsys):
+    import fpselberg.verify as verify_mod
+
+    def broken(config, grids):
+        raise ValueError("factorial argument -1 outside table range")
+
+    monkeypatch.setitem(verify_mod._SUITE_RUNNERS, "relations", broken)
+    code, out, _ = run(capsys, "verify", "--suite", "relations,stokes", "--primes", "5", "--format", "json")
+    assert code == 1
+    suites = {s["name"]: s for s in json.loads(out)["suites"]}
+    assert (suites["relations"]["checked"], suites["relations"]["failed"]) == (1, 1)
+    assert "ValueError: factorial argument -1" in suites["relations"]["counterexamples"][0]["error"]
+    assert suites["stokes"]["checked"] > 0 and suites["stokes"]["failed"] == 0
+
+
+def test_malformed_max_terms_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "lots")
+    code, out, err = run(capsys, "verify", "--suite", "stokes", "--primes", "5")
+    assert code == 2
+    assert out == ""
+    assert "FPSELBERG_MAX_TERMS" in err

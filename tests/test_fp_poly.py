@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from fpselberg.fp_poly import (
     MultiPoly,
+    _binomial_terms,
+    _coefficient,
     _dense_product,
     check_cycle,
     fp_integral,
-    multiply,
     partial_derivative,
-    power,
 )
 
-from reference_impl import PRIMES, ref_mul, ref_pow, ref_reduce
+from reference_impl import PRIMES, ref_cross, ref_mul, ref_pow, ref_reduce, ref_univariate
 
 
 def x(i, k, p=None):
@@ -26,37 +26,37 @@ def test_multiply_difference_of_squares():
     k = 2
     a = x(1, k) - x(2, k)
     b = x(1, k) + x(2, k)
-    assert multiply(a, b) == x(1, k) ** 2 - x(2, k) ** 2
+    assert a * b == x(1, k) ** 2 - x(2, k) ** 2
 
 
 def test_multiply_by_one_is_identity():
     poly = MultiPoly(2, {(3, 1): 4, (0, 2): -7})
-    assert multiply(poly, MultiPoly.one(2)) == poly
+    assert poly * MultiPoly.one(2) == poly
 
 
 def test_multiply_cube_times_cube():
     base = MultiPoly.one(1) - x(1, 1)
-    product = multiply(base**3, base**3)
+    product = base**3 * base**3
     assert product == base**6
     assert product.coefficient((3,)) == -20
 
 
 def test_power_examples():
-    assert power(x(1, 1), 5) == MultiPoly.monomial((5,))
-    assert power(MultiPoly.one(1) - x(1, 1), 2) == MultiPoly(1, {(0,): 1, (1,): -2, (2,): 1})
-    assert power(x(1, 2) - x(2, 2), 6).coefficient((3, 3)) == -20
-    assert power(MultiPoly.zero(1), 0) == MultiPoly.one(1)
+    assert x(1, 1) ** 5 == MultiPoly.monomial((5,))
+    assert (MultiPoly.one(1) - x(1, 1)) ** 2 == MultiPoly(1, {(0,): 1, (1,): -2, (2,): 1})
+    assert ((x(1, 2) - x(2, 2)) ** 6).coefficient((3, 3)) == -20
+    assert MultiPoly.zero(1) ** 0 == MultiPoly.one(1)
 
 
 def test_power_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        power(x(1, 1), -1)
+        x(1, 1) ** -1
 
 
 def test_fp_integral_examples():
     assert fp_integral(MultiPoly.monomial((4,), p=5), (1,)) == 1
     assert fp_integral(MultiPoly.monomial((3,), p=5), (1,)) == 0
-    poly = MultiPoly.monomial((3,), p=7) * power(MultiPoly.one(1, 7) - x(1, 1, 7), 3)
+    poly = MultiPoly.monomial((3,), p=7) * (MultiPoly.one(1, 7) - x(1, 1, 7)) ** 3
     assert fp_integral(poly, (1,)) == 6  # coefficient of x^6 is -1
 
 
@@ -83,11 +83,11 @@ def test_partial_derivative_examples():
 
 def test_ring_and_arity_mismatch():
     with pytest.raises(ValueError):
-        multiply(x(1, 2), x(1, 3))
+        x(1, 2) * x(1, 3)
     with pytest.raises(ValueError):
-        multiply(x(1, 2, 5), x(1, 2, 7))
+        x(1, 2, 5) * x(1, 2, 7)
     with pytest.raises(ValueError):
-        multiply(x(1, 2, 5), x(1, 2))
+        x(1, 2, 5) * x(1, 2)
     with pytest.raises(ValueError):
         MultiPoly(2, {(1, -1): 3})
     with pytest.raises(ValueError):
@@ -210,3 +210,38 @@ def test_stokes_property_on_random_polynomials():
             assert fp_integral(partial_derivative(poly, i), cycle) == 0
             checked += 1
     assert checked >= 200
+
+
+def _unit(i, n, e=1):
+    return tuple(e if t == i else 0 for t in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_binomial_terms_match_reference_factors(n):
+    zero = (0,) * n
+    shifts = [zero, tuple(range(1, n + 1)), tuple(2 * t + 3 for t in range(n))]
+    for e in range(7):
+        for i in range(n):
+            # x_i^a (1 - x_i)^b, and (x_i - 1)^b = (-1)^b (1 - x_i)^b
+            for a in (0, 1, 4):
+                assert dict(_binomial_terms(_unit(i, n, a), zero, _unit(i, n), e)) == ref_univariate(a, e, i, n)
+            flipped = {exps: (-1) ** e * c for exps, c in ref_univariate(0, e, i, n).items()}
+            assert dict(_binomial_terms(zero, _unit(i, n), zero, e)) == flipped
+            # x^shift (x_i - x_j)^e
+            for j in range(n):
+                if j == i:
+                    continue
+                for shift in shifts:
+                    want = ref_mul({shift: 1}, ref_cross(i, j, e, n))
+                    assert dict(_binomial_terms(shift, _unit(i, n), _unit(j, n), e)) == want
+
+
+def test_coefficient_reads_zero_outside_the_array():
+    arr = np.arange(1, 7, dtype=np.int64).reshape(2, 3)
+    assert _coefficient(arr, (1, 2)) == 6
+    assert _coefficient(arr, (0, 0)) == 1
+    # a negative index must not wrap around to the last row or column
+    assert _coefficient(arr, (-1, 0)) == 0
+    assert _coefficient(arr, (0, -1)) == 0
+    assert _coefficient(arr, (2, 0)) == 0
+    assert _coefficient(arr, (0, 3)) == 0

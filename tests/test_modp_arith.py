@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpselberg.modp_arith import (
-    FpContext,
-    FpElement,
-    binomial_lucas,
-    factorial,
-    get_context,
-    inverse,
-    is_prime,
-)
+from fpselberg.modp_arith import FpContext, FpElement, get_context, is_prime
 
 from reference_impl import PRIMES
 
@@ -45,13 +37,13 @@ def test_factorial_table_shape_and_vanishing(p):
 @pytest.mark.parametrize("p", PRIMES + (17, 19, 23))
 def test_wilson(p):
     # (p-1)! = -1 mod p
-    assert factorial(get_context(p), p - 1) == p - 1
+    assert get_context(p).factorial(p - 1) == p - 1
 
 
 def test_factorial_examples():
-    assert factorial(get_context(5), 4) == 4  # 24 mod 5
-    assert factorial(get_context(5), 5) == 0  # contains the factor p
-    assert factorial(get_context(7), 6) == 6
+    assert get_context(5).factorial(4) == 4  # 24 mod 5
+    assert get_context(5).factorial(5) == 0  # contains the factor p
+    assert get_context(7).factorial(6) == 6
 
 
 @pytest.mark.parametrize("p", [5, 13])
@@ -89,9 +81,9 @@ def test_binomial_shift_identity(p):
 
 def test_binomial_examples():
     ctx = get_context(5)
-    assert binomial_lucas(ctx, 5, 1) == 0
-    assert binomial_lucas(ctx, 7, 3) == 0  # 35 = 5 * 7
-    assert binomial_lucas(ctx, 6, 1) == 1  # digits (1,1) choose (0,1)
+    assert ctx.binomial(5, 1) == 0
+    assert ctx.binomial(7, 3) == 0  # 35 = 5 * 7
+    assert ctx.binomial(6, 1) == 1  # digits (1,1) choose (0,1)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -114,12 +106,12 @@ def test_binomial_lucas_matches_bignum_large(n, m, p):
 
 def test_inverse_examples():
     ctx = get_context(7)
-    assert inverse(ctx, 3) == 5
-    assert inverse(ctx, 1) == 1
+    assert ctx.inverse(3) == 5
+    assert ctx.inverse(1) == 1
     with pytest.raises(ZeroDivisionError):
-        inverse(ctx, 0)
+        ctx.inverse(0)
     with pytest.raises(ZeroDivisionError):
-        inverse(ctx, ctx.element(0))
+        ctx.inverse(ctx.element(0).value)
 
 
 @pytest.mark.parametrize("p", PRIMES)
