@@ -9,8 +9,9 @@ p = 7
 ctx = get_context(p)
 print(f"working in F_{p}")
 
-# Factorials are tabulated up to 4p; every argument >= p hits a factor of p
-# and the table stores an exact 0 there.
+# Factorials are defined up to 4p; every argument >= p hits a factor of p and
+# is an exact 0.  Only [0, (p-1)/2] is tabulated: the upper half of [0, p-1]
+# follows from the cancellation law below (Wilson reflection).
 print("\nn -> n! mod p, for n = 0..2p:")
 print(" ", {n: ctx.factorial(n) for n in range(2 * p + 1)})
 

@@ -19,7 +19,7 @@ class DomainError(FpSelbergError):
 
 
 class ResourceLimitError(FpSelbergError):
-    """A computation was refused because its expansion would be too large."""
+    """A computation was refused because its expansion or factorial table would be too large."""
 
 
 class GuardError(FpSelbergError):

@@ -16,11 +16,12 @@ exact mode (``p`` = None) they are arbitrary-precision integers.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .modp_arith import FpElement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MultiPoly",
@@ -89,6 +90,8 @@ class MultiPoly:
     @classmethod
     def from_dense(cls, arr: np.ndarray, p: int | None = None) -> "MultiPoly":
         """Build from a dense coefficient array indexed by exponents."""
+        import numpy as np
+
         terms = {}
         for idx in zip(*np.nonzero(arr)):
             terms[tuple(int(e) for e in idx)] = int(arr[idx])
@@ -249,7 +252,9 @@ def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> FpElement:
 # coefficient arrays: each factor term contributes one shifted slice-add of
 # the whole accumulator, which beats dict convolution by a wide margin for
 # the 2- and 3-variable sweep grids.  Every factor in the package is a
-# binomial power, built by ``_binomial_terms``.
+# binomial power, built by ``_binomial_terms``.  numpy is imported inside the
+# functions that use it, so the point-query routes (closed form, direct sum,
+# classifier) never pay for loading it.
 
 
 def _binomial_terms(shift: Sequence[int], first: Sequence[int], second: Sequence[int], e: int) -> list:
@@ -271,6 +276,8 @@ def _coefficient(arr: np.ndarray, index: tuple) -> int:
 
 
 def _exact_dtype(factors: Iterable[Iterable[tuple]]) -> object:
+    import numpy as np
+
     # L1 norm of a product is at most the product of L1 norms, so int64 is
     # provably exact below _INT64_SAFE; otherwise fall back to Python ints.
     bound = 1
@@ -283,6 +290,8 @@ def _exact_dtype(factors: Iterable[Iterable[tuple]]) -> object:
 
 def _dense_mul(arr: np.ndarray, factor: list, p: int | None) -> np.ndarray:
     """Multiply a dense coefficient array by one sparse factor."""
+    import numpy as np
+
     if not factor:
         return np.zeros((1,) * arr.ndim, dtype=arr.dtype)
     fdeg = tuple(max(e[i] for e, _ in factor) for i in range(arr.ndim))
@@ -309,6 +318,8 @@ def _dense_product(num_vars: int, factors: list, p: int | None) -> np.ndarray:
     is indexed by exponent vectors; dtype is int64 when that is provably
     exact (in mod-p mode: p below about 2^31), Python objects otherwise.
     """
+    import numpy as np
+
     if p is None:
         dtype = _exact_dtype(factors)
     else:

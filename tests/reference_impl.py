@@ -17,6 +17,24 @@ def all_triples(p: int):
     return itertools.product(range(1, p), repeat=3)
 
 
+def ref_is_prime(n: int) -> bool:
+    """Trial division; fine up to about 10^12."""
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def prime_at_or_above(n: int) -> int:
+    while not ref_is_prime(n):
+        n += 1
+    return n
+
+
 def ref_mul(t1: dict, t2: dict) -> dict:
     out: dict[tuple, int] = {}
     for e1, c1 in t1.items():

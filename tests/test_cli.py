@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from fpselberg import modp_arith
 from fpselberg.cli import main
+from fpselberg.modp_arith import get_context
+
+MERSENNE_61 = 2**61 - 1
 
 
 def run(capsys, *argv):
@@ -85,6 +93,56 @@ def test_eval_resource_guard_exit_code(capsys):
                        "-l", "1,1", "--method", "bruteforce")
     assert code == 3
     assert "resource guard" in err
+
+
+def test_eval_huge_prime_zero_branch_is_instant(capsys):
+    code, out, _ = run(capsys, "eval", "-p", str(MERSENNE_61), "--params", "5,6,7", "-l", "2,3")
+    assert code == 0
+    assert "value = 0" in out
+    assert "branch = C23_zero" in out
+
+
+def test_factorial_table_guard_exit_code(capsys, monkeypatch):
+    # A non-zero branch above the table cap is refused before any table is
+    # built; a zero branch at the same prime still gets its answer.
+    get_context.cache_clear()
+    point = ("-p", str(MERSENNE_61), "--params", f"{MERSENNE_61 - 2},{MERSENNE_61 - 2},1", "-l", "1,1")
+    for argv in (("eval", *point), ("eval", *point, "--method", "direct"), ("classify", *point)):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "resource guard" in err and "factorial tables" in err
+    code, out, _ = run(capsys, "eval", "-p", str(MERSENNE_61), "--params", "1,1,1", "-l", "1,1")
+    assert code == 0
+    assert "value = 0" in out
+    assert get_context(MERSENNE_61).fact is None
+    # Just above and at the cap, with the cap lowered so nothing large is built.
+    monkeypatch.setattr(modp_arith, "MAX_TABLE_ENTRIES", 1000)
+    get_context.cache_clear()
+    assert run(capsys, "eval", "-p", "2003", "--params", "2001,2001,1", "-l", "1,1")[0] == 3
+    assert run(capsys, "eval", "-p", "1999", "--params", "1997,1997,1", "-l", "1,1")[0] == 0
+    get_context.cache_clear()
+
+
+def test_point_queries_never_import_numpy():
+    # eval --method closed|direct and classify need no dense kernel, so they
+    # must not pay for loading numpy; the brute-force route still loads it.
+    script = """
+import sys
+from fpselberg import cli
+assert "numpy" not in sys.modules
+point = ["-p", "10007", "--params", "6000,6000,2000", "-l", "1,1"]  # branch C11_i
+for argv in (["eval", *point], ["eval", *point, "--method", "direct"], ["classify", *point]):
+    assert cli.main(argv) == 0
+    assert "numpy" not in sys.modules, argv
+assert cli.main(["eval", "-p", "7", "--params", "3,4,3", "-l", "1,1", "--method", "bruteforce"]) == 0
+assert "numpy" in sys.modules
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("value = 1") == 1  # the brute-force golden point
 
 
 def test_verify_single_suite(capsys):

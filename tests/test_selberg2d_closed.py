@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpselberg.errors import DomainError
-from fpselberg.selberg_core import SelbergParams, selberg_bruteforce, selberg_grid
+from fpselberg.modp_arith import get_context
+from fpselberg.selberg_core import SelbergParams, selberg_bruteforce, selberg_direct_2d, selberg_grid
 from fpselberg.selberg2d_closed import (
     RELATION_CYCLES,
     Branch,
@@ -18,7 +21,7 @@ from fpselberg.selberg2d_closed import (
     skew_symmetry_check,
 )
 
-from reference_impl import PRIMES, all_triples
+from reference_impl import PRIMES, all_triples, prime_at_or_above
 
 
 def tag(p, a, b, c, l1, l2) -> CaseTag:
@@ -54,6 +57,25 @@ def test_classify_is_total_and_branches_mutually_consistent():
     # degree-infeasibility vanishing occurs for both diagonal cycle classes
     assert (CycleClass.C11, Branch.NOT_APPLICABLE_zero) in seen
     assert (CycleClass.C22, Branch.NOT_APPLICABLE_zero) in seen
+
+
+@settings(deadline=None, max_examples=60)
+@given(p=st.integers(1_000, 1_000_000).map(prime_at_or_above),
+       cycle=st.sampled_from([(1, 1), (2, 2), (1, 2), (1, 3), (2, 1), (3, 1), (2, 3), (3, 4)]),
+       data=st.data())
+def test_direct_equals_closed_at_large_primes(p, cycle, data):
+    # Primes the brute-force oracle cannot reach: the classifier stays total
+    # on every drawn point, and the two table-light routes agree.  Points are
+    # re-drawn until a non-zero branch comes up, so the formulas get checked.
+    l1, l2 = cycle
+    try:
+        for _ in range(40):
+            params = SelbergParams(*(data.draw(st.integers(1, p - 1)) for _ in "abc"), p)
+            if not classify(params, l1, l2).is_zero:  # GuardError would fail the test
+                break
+        assert selberg_direct_2d(params, l1, l2) == eval_closed(params, l1, l2)
+    finally:
+        get_context.cache_clear()  # each prime's tables are freed with its example
 
 
 def test_eval_closed_reference_values():

@@ -1,9 +1,9 @@
 import itertools
 import random
+import sys
 
 import pytest
 
-from fpselberg import selberg_core
 from fpselberg.errors import DomainError, GuardError, ResourceLimitError
 from fpselberg.fp_poly import MultiPoly, fp_integral
 from fpselberg.modp_arith import get_context
@@ -145,8 +145,19 @@ def test_direct_equals_bruteforce(p):
         params = SelbergParams(a, b, c, p)
         spec = params.spec(2)
         for l1 in range(1, 5):
-            for l2 in range(l1, 5):
+            for l2 in range(1, 5):
                 assert selberg_direct_2d(params, l1, l2) == selberg_bruteforce(spec, (l1, l2))
+
+
+@pytest.mark.parametrize("a, b, c, p", [
+    (1, 1, 1, 999983),  # no k puts both t1 and t2 in [0, b]
+    (1, 15, 995, 1009),  # k in [992, 998] does, but C(2c, k) = 0 there: 2c - p = 981 < k < p
+])
+def test_direct_empty_interval_reads_no_factorial(a, b, c, p):
+    get_context.cache_clear()
+    params = SelbergParams(a, b, c, p)
+    assert selberg_direct_2d(params, 1, 1) == 0
+    assert params.ctx.fact is None
 
 
 def test_beta_closed_examples():
@@ -322,7 +333,7 @@ def test_grid_reads_outside_the_box_are_refused():
 
 def test_grid_guard_refuses_before_allocating(monkeypatch):
     # Without numpy in reach, any allocation would fail with another error.
-    monkeypatch.setattr(selberg_core, "np", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     with pytest.raises(ResourceLimitError):
         selberg_grid(1009, [(1, 1)])
@@ -334,7 +345,7 @@ def test_grid_guard_refuses_before_allocating(monkeypatch):
 def test_grid_guard_counts_the_value_boxes(monkeypatch):
     # At p = 163 the largest Q has (3p-2)^2 = 237,169 cells, under the default
     # cap, but the value and moment boxes hold 2 * 163^3 * 12 cells.
-    monkeypatch.setattr(selberg_core, "np", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     with pytest.raises(ResourceLimitError, match="12 cycles"):
         selberg_grid(163, GRID_CYCLES)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -126,7 +127,7 @@ def test_nd_window_at_p127_is_not_refused(monkeypatch):
     # The n=2 window grid at p = 127 is over the default cap; verify falls back
     # to per-point expansion, whose largest window point fits.  Checked without
     # allocating: the grid refuses before any numpy call.
-    monkeypatch.setattr(selberg_core, "np", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     assert isinstance(verify._oracle(127, [(1, 1)], 2 * 127), verify._PointOracle)
     selberg_core._guard_expansion(selberg_core.MasterPolySpec(2, 126, 126, 0, 127))
