@@ -11,6 +11,7 @@ that vanishing; only arguments in [0, p-1] may ever be inverted.
 from __future__ import annotations
 
 import functools
+from array import array
 
 from .errors import ResourceLimitError
 
@@ -158,10 +159,14 @@ class FpElement:
         return str(self.value)
 
 
-# Largest half-table the context builds: two lists of this many ints stay
-# near 1 GB, so p up to about 3e7.  Above it a factorial read that needs the
-# tables raises ResourceLimitError instead of exhausting memory.
+# Largest half-table the context builds, so p up to about 3e7.  Above it a
+# factorial read that needs the tables raises ResourceLimitError instead of
+# exhausting memory.
 MAX_TABLE_ENTRIES = 15_000_000
+# The tables are C-int arrays, 4 bytes an entry: residues below p < 2^25 fit,
+# the two tables stay near 120 MB at the cap and 4 MB at p = 1e6, and a
+# process's memory hardly depends on whether it built them.
+_TABLE_TYPECODE = "i"
 
 
 class FpContext:
@@ -173,7 +178,8 @@ class FpContext:
       * ``inv_fact[n]`` = the inverse of n! mod p on the same range.
     ``factorial``, ``inv_factorial`` and ``binomial`` reach the rest of
     [0, p-1] by Wilson reflection; both tables are ``None`` until then.
-    Building them is idempotent, so a context may be shared.
+    Both are C-int arrays (``array('i')``).  Building them is idempotent, so
+    a context may be shared.
     """
 
     __slots__ = ("p", "fact", "inv_fact")
@@ -194,13 +200,16 @@ class FpContext:
             raise ResourceLimitError(
                 f"factorial tables at p={p} need {half} entries each, cap is {MAX_TABLE_ENTRIES}"
             )
-        fact = [1] * half
+        fact = array(_TABLE_TYPECODE, [1]) * half
+        v = 1
         for n in range(1, half):
-            fact[n] = fact[n - 1] * n % p
-        inv_fact = [1] * half
-        inv_fact[-1] = pow(fact[-1], p - 2, p)
-        for n in range(half - 1, 1, -1):
-            inv_fact[n - 1] = inv_fact[n] * n % p
+            v = v * n % p
+            fact[n] = v
+        inv_fact = array(_TABLE_TYPECODE, [1]) * half
+        v = pow(v, p - 2, p)
+        for n in range(half - 1, 0, -1):
+            inv_fact[n] = v
+            v = v * n % p
         self.inv_fact = inv_fact
         self.fact = fact
 
