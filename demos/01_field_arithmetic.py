@@ -29,7 +29,7 @@ print("\nLucas binomials (digit-wise, no big-integer arithmetic):")
 for n, m in [(5, 1), (7, 3), (6, 1), (10**12 + 3, 10**6 + 2)]:
     print(f"  C({n}, {m}) mod {p} = {ctx.binomial(n, m)}")
 
-# Field elements carry their prime and support the usual operator protocol.
-x = ctx.element(3)
-print(f"\nx = {x}, 1/x = {ctx.inverse(x.value)}, x * (1/x) = {x * ctx.inverse(x.value)}")
-print(f"x ** -2 = {x ** -2}, -x = {-x}, x / 5 = {x / 5}")
+# Field values are plain ints in [0, p): reduce with % p, divide by inverting.
+x = 3
+print(f"\nx = {x}, 1/x = {ctx.inverse(x)}, x * (1/x) = {x * ctx.inverse(x) % p}")
+print(f"x ** -2 = {pow(x, -2, p)}, -x = {-x % p}, x / 5 = {x * ctx.inverse(5) % p}")

@@ -13,7 +13,7 @@ small-prime grids.
 from .errors import DomainError, FpSelbergError, GuardError, ResourceLimitError
 from .fp_poly import MultiPoly, fp_integral, partial_derivative
 from .golden import GOLDEN_2D, GoldenValue
-from .modp_arith import FpContext, FpElement, get_context, is_prime
+from .modp_arith import FpContext, get_context, is_prime
 from .morris_ct import (
     MorrisParams,
     morris_ct_bruteforce,
@@ -66,7 +66,6 @@ __all__ = [
     "CycleClass",
     "DomainError",
     "FpContext",
-    "FpElement",
     "FpSelbergError",
     "GOLDEN_2D",
     "GoldenValue",

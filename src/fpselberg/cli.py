@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import DomainError, ResourceLimitError
-from .modp_arith import is_prime
+from .modp_arith import get_context
 from .morris_ct import MorrisParams, morris_ct_bruteforce, morris_lhs_symmetric_form, morris_rhs
 from .selberg_core import SelbergParams, _max_cells, selberg_bruteforce, selberg_direct_2d
 from .selberg2d_closed import classify, describe, eval_closed
@@ -103,8 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _point_params(args) -> tuple:
     p = args.prime
-    if p is None or p < 3 or p % 2 == 0 or not is_prime(p):
-        raise UsageError(f"--prime must be an odd prime >= 3, got {p}")
+    try:
+        get_context(p)
+    except ValueError as exc:
+        raise UsageError(f"--prime: {exc}") from None
     if args.params is not None:
         if any(v is not None for v in (args.a, args.b, args.c)):
             raise UsageError("give either --params a,b,c or the -a/-b/-c flags, not both")
@@ -240,10 +242,7 @@ def main(argv: list | None = None) -> int:
     try:
         _max_cells()  # a malformed FPSELBERG_MAX_TERMS is a usage error, not a failed check
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, DomainError) as exc:
+    except (UsageError, ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

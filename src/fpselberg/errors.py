@@ -13,7 +13,7 @@ class FpSelbergError(Exception):
 class DomainError(FpSelbergError):
     """A formula was requested outside the hypotheses under which it holds.
 
-    Distinct from a zero value: vanishing branches return the field element 0,
+    Distinct from a zero value: vanishing branches return the residue 0,
     while a DomainError means the closed form asserts nothing at this input.
     """
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .modp_arith import FpElement
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -237,13 +235,13 @@ def check_cycle(cycle: Sequence[int], num_vars: int | None = None) -> tuple:
     return cycle
 
 
-def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> FpElement:
-    """Coefficient of x1^(l1*p-1) * ... * xk^(lk*p-1), as an element of F_p."""
+def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> int:
+    """Coefficient of x1^(l1*p-1) * ... * xk^(lk*p-1), as a residue in [0, p)."""
     if P.p is None:
         raise ValueError("fp_integral needs a mod-p polynomial; use coefficient() on exact ones")
     cycle = check_cycle(cycle, P.num_vars)
     target = tuple(l * P.p - 1 for l in cycle)
-    return FpElement(P.terms.get(target, 0), P.p)
+    return P.terms.get(target, 0)
 
 
 # -- dense kernels ------------------------------------------------------------

@@ -6,6 +6,9 @@ factorial read; Wilson reflection, n! (p-1-n)! = (-1)^(n+1), gives the upper
 half of [0, p-1].  Factorials of arguments >= p are 0 by construction (p
 divides n!), and the closed-form evaluators elsewhere in the package rely on
 that vanishing; only arguments in [0, p-1] may ever be inverted.
+
+Field values throughout the package are plain ints reduced into [0, p);
+callers write ``% p`` and ``FpContext.inverse`` where they need arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .errors import ResourceLimitError
 
 __all__ = [
     "FpContext",
-    "FpElement",
     "get_context",
     "is_prime",
 ]
@@ -58,105 +60,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class FpElement:
-    """A canonically reduced element of F_p.
-
-    Supports +, -, *, / and ** against other elements of the same field or
-    plain integers (reduced mod p on the way in).  Division by zero raises
-    ``ZeroDivisionError``.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other) -> int | None:
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed fields: p={self.p} vs p={other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return FpElement(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElement(self.value * pow(v, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if self.value == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return FpElement(v * pow(self.value, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            if self.value == 0:
-                raise ZeroDivisionError(f"division by zero in F_{self.p}")
-            return FpElement(pow(pow(self.value, self.p - 2, self.p), -e, self.p), self.p)
-        return FpElement(pow(self.value, e, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FpElement({self.value}, p={self.p})"
-
-    def __str__(self):
-        return str(self.value)
 
 
 # Largest half-table the context builds, so p up to about 3e7.  Above it a
@@ -213,9 +116,6 @@ class FpContext:
         self.inv_fact = inv_fact
         self.fact = fact
 
-    def element(self, value: int) -> FpElement:
-        return FpElement(value, self.p)
-
     def factorial(self, n: int) -> int:
         """n! mod p as a plain int; n must lie in [0, 4p], and n >= p gives 0."""
         p = self.p
@@ -266,6 +166,7 @@ class FpContext:
         return result
 
     def inverse(self, value: int) -> int:
+        """The inverse of value mod p, in [0, p); ZeroDivisionError when p divides value."""
         v = value % self.p
         if v == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
@@ -275,8 +176,11 @@ class FpContext:
         return f"FpContext(p={self.p})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def get_context(p: int) -> FpContext:
-    """Shared, cached context per prime."""
+    """Shared, cached context per prime.
+
+    Typed, so that a float equal to a cached prime is still refused.
+    """
     return FpContext(p)
 

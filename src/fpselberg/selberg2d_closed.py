@@ -44,7 +44,6 @@ from typing import Callable
 
 from .errors import DomainError, GuardError
 from .fp_poly import _coefficient, _dense_product
-from .modp_arith import FpElement
 from .selberg_core import SelbergParams, _master_factors, selberg_bruteforce
 
 __all__ = [
@@ -237,7 +236,7 @@ _ZERO_REASONS = {
 }
 
 
-def _eval_formula(branch: Branch, params: SelbergParams) -> FpElement:
+def _eval_formula(branch: Branch, params: SelbergParams) -> int:
     ctx = params.ctx
     p = params.p
     sign, top, bottom = _formula(branch, params)
@@ -250,14 +249,14 @@ def _eval_formula(branch: Branch, params: SelbergParams) -> FpElement:
                 f"denominator factorial argument {arg} outside [0, p-1] on branch {branch.value}"
             )
         value = value * ctx.inv_factorial(arg) % p
-    return ctx.element(value)
+    return value
 
 
-def eval_closed(params: SelbergParams, l1: int, l2: int) -> FpElement:
+def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
     """Closed-form value of the classified branch; 0 on vanishing branches."""
     tag = classify(params, l1, l2)
     if tag.is_zero:
-        return params.ctx.element(0)
+        return 0
     return _eval_formula(tag.branch, params)
 
 
@@ -280,7 +279,7 @@ def describe(params: SelbergParams, l1: int, l2: int) -> str:
     return "\n".join(lines)
 
 
-def delta_boundary_forms(params: SelbergParams) -> dict[str, FpElement]:
+def delta_boundary_forms(params: SelbergParams) -> dict[str, int]:
     """All closed forms valid at delta = 0 with a+b >= p-1.
 
     Returns the canonical value plus every alternate expression whose side
@@ -354,11 +353,11 @@ def relations_check(params: SelbergParams) -> RelationReport:
     return relations_from_values(params, lambda cycle: selberg_bruteforce(spec, cycle))
 
 
-def relations_from_values(params: SelbergParams, value: Callable[[tuple], FpElement]) -> RelationReport:
+def relations_from_values(params: SelbergParams, value: Callable[[tuple], int]) -> RelationReport:
     """The multi-cycle relation check on given integrals.
 
-    ``value(cycle)`` returns the integral over ``cycle``; it is asked only for
-    cycles in ``RELATION_CYCLES``.
+    ``value(cycle)`` returns the integral over ``cycle`` as a residue in
+    [0, p); it is asked only for cycles in ``RELATION_CYCLES``.
     """
     cs = condition_set(params)
     report = RelationReport(params=params, condition_set=cs)
@@ -369,7 +368,7 @@ def relations_from_values(params: SelbergParams, value: Callable[[tuple], FpElem
     head, second, third = _REL_CYCLES[cs]
     values = {cycle: value(cycle) for cycle in (head, second, third)}
     report.values = values
-    minus_half = -values[head] / 2
+    minus_half = -values[head] * params.ctx.inverse(2) % params.p
     report.relation_holds = (
         all(bool(v) for v in values.values())
         and minus_half == values[second]
@@ -402,15 +401,15 @@ def skew_symmetry_check(params: SelbergParams) -> bool:
 
     full = _dense_product(2, _master_factors(2, a, b, 2 * c), p)
     lower = _dense_product(2, _master_factors(2, a, b, 2 * c - p), p)
-    alpha_31, alpha_22, alpha_13 = (FpElement(_coefficient(full, t), p) for t in
+    alpha_31, alpha_22, alpha_13 = (_coefficient(full, t) for t in
                                     ((3 * p - 1, p - 1), (2 * p - 1, 2 * p - 1), (p - 1, 3 * p - 1)))
-    beta_12, beta_21 = (FpElement(_coefficient(lower, t), p) for t in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
+    beta_12, beta_21 = (_coefficient(lower, t) for t in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
 
     return (
-        beta_12 == -beta_21
+        beta_12 == -beta_21 % p
         and alpha_31 == beta_21
-        and alpha_22 == beta_12 - beta_21
-        and alpha_13 == -beta_12
-        and -alpha_22 / 2 == alpha_13
+        and alpha_22 == (beta_12 - beta_21) % p
+        and alpha_13 == -beta_12 % p
+        and -alpha_22 * params.ctx.inverse(2) % p == alpha_13
         and alpha_13 == alpha_31
     )

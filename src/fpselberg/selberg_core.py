@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, GuardError, ResourceLimitError
 from .fp_poly import MultiPoly, _binomial_terms, _coefficient, _dense_product, check_cycle
-from .modp_arith import FpContext, FpElement, get_context
+from .modp_arith import FpContext, get_context
 
 if TYPE_CHECKING:
     import numpy as np
@@ -164,23 +164,21 @@ def master_polynomial(spec: MasterPolySpec, exact: bool = False) -> MultiPoly:
 def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool = False):
     """Ground-truth evaluation: expand Phi_n and read one coefficient.
 
-    Returns an FpElement, or the exact integer coefficient when exact=True.
+    Returns the residue in [0, p), or the exact integer coefficient when
+    exact=True.
     """
     cycle = check_cycle(cycle, spec.n)
     _guard_expansion(spec)
     arr = _dense_master(spec.n, spec.a, spec.b, spec.c, spec.p, exact)
-    value = _coefficient(arr, tuple(l * spec.p - 1 for l in cycle))
-    if exact:
-        return value
-    return FpElement(value, spec.p)
+    return _coefficient(arr, tuple(l * spec.p - 1 for l in cycle))
 
 
 class SelbergGrid:
     """Brute-force values and S1/S2 moments of a whole parameter box at one prime.
 
     Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
-    the cycles it was built for.  Reads return the same field elements as
-    ``selberg_bruteforce`` and ``moment_integral``.
+    the cycles it was built for.  Reads return the same residues, as Python
+    ints, as ``selberg_bruteforce`` and ``moment_integral``.
     """
 
     __slots__ = ("p", "ab_stop", "_index", "_values", "_s1")
@@ -203,15 +201,15 @@ class SelbergGrid:
             raise ValueError(f"cycle {tuple(cycle)} is not in the grid") from None
         return a, b, c, k
 
-    def value(self, a: int, b: int, c: int, cycle) -> FpElement:
+    def value(self, a: int, b: int, c: int, cycle) -> int:
         """The integral of Phi_{a,b,c} over the cycle, as ``selberg_bruteforce`` gives it."""
-        return FpElement(int(self._values[self._slot(a, b, c, cycle)]), self.p)
+        return int(self._values[self._slot(a, b, c, cycle)])
 
-    def moments(self, a: int, b: int, c: int, cycle) -> tuple[FpElement, FpElement]:
+    def moments(self, a: int, b: int, c: int, cycle) -> tuple[int, int]:
         """(S1, S2) as ``moment_integral`` gives them; S2 = 2*S - S1."""
         slot = self._slot(a, b, c, cycle)
         s1 = int(self._s1[slot])
-        return FpElement(s1, self.p), FpElement(2 * int(self._values[slot]) - s1, self.p)
+        return s1, (2 * int(self._values[slot]) - s1) % self.p
 
 
 def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
@@ -278,7 +276,7 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
     return SelbergGrid(p, ab_stop, cycles, values, s1)
 
 
-def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> FpElement:
+def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:
     """Two-dimensional evaluation by direct binomial summation.
 
     Expanding (x1 - x2)^(2c) and picking the coefficient of x^(l*p-1) in each
@@ -311,11 +309,11 @@ def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> FpElement:
                     * inv(t2) % p * inv(b - t2) % p)
             total = (total - term if (k + l1 + l2) & 1 else total + term) % p
     if total:
-        total = total * ctx.factorial(n0) % p * ctx.factorial(b) ** 2
-    return ctx.element(total)
+        total = total * ctx.factorial(n0) % p * ctx.factorial(b) ** 2 % p
+    return total
 
 
-def beta_closed(ctx: FpContext, a: int, b: int) -> FpElement:
+def beta_closed(ctx: FpContext, a: int, b: int) -> int:
     """Closed form of the one-dimensional integral of x^a (1-x)^b over [1].
 
     Equals -a! b! / (a+b-p+1)! when a+b >= p-1 and 0 otherwise; defined for
@@ -326,12 +324,11 @@ def beta_closed(ctx: FpContext, a: int, b: int) -> FpElement:
         if not isinstance(v, int) or not 0 <= v < p:
             raise ValueError(f"beta_closed needs 0 <= {name} < p={p}, got {v}")
     if a + b < p - 1:
-        return ctx.element(0)
-    value = -ctx.factorial(a) * ctx.factorial(b) * ctx.inv_factorial(a + b - p + 1)
-    return ctx.element(value)
+        return 0
+    return -ctx.factorial(a) * ctx.factorial(b) * ctx.inv_factorial(a + b - p + 1) % p
 
 
-def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> FpElement:
+def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> int:
     """n-dimensional closed form on the cycle [1, ..., 1].
 
     Valid under p-1 <= a+b+(n-1)c and a+b+(2n-2)c < 2p-1, where it equals
@@ -365,10 +362,10 @@ def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> FpEleme
         value = value * ctx.factorial(a + (j - 1) * c) % p
         value = value * ctx.factorial(b + (j - 1) * c) % p
         value = value * ctx.inv_factorial(d) % p
-    return ctx.element(value)
+    return value
 
 
-def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> FpElement:
+def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> int:
     """Integral of (x1+x2)*Phi (kind "S1") or ((1-x1)+(1-x2))*Phi (kind "S2").
 
     Read off the cached expansion of Phi as an index sum: the coefficient of
@@ -384,5 +381,5 @@ def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> F
     t1, t2 = (l * params.p - 1 for l in cycle)
     s1 = _coefficient(phi, (t1 - 1, t2)) + _coefficient(phi, (t1, t2 - 1))
     if kind == "S2":
-        return params.ctx.element(2 * _coefficient(phi, (t1, t2)) - s1)
-    return params.ctx.element(s1)
+        return (2 * _coefficient(phi, (t1, t2)) - s1) % params.p
+    return s1 % params.p

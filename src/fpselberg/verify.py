@@ -18,7 +18,7 @@ from typing import Callable
 from .errors import ResourceLimitError
 from .fp_poly import MultiPoly, fp_integral, partial_derivative
 from .golden import GOLDEN_2D
-from .modp_arith import get_context, is_prime
+from .modp_arith import get_context
 from .morris_ct import (
     MorrisParams,
     morris_ct_bruteforce,
@@ -92,8 +92,7 @@ class SweepConfig:
         if not self.primes:
             raise ValueError("at least one prime is required")
         for p in self.primes:
-            if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
-                raise ValueError(f"primes must be odd primes >= 3, got {p}")
+            get_context(p)  # validates the prime
         # canonical order keeps sweep rows lexicographic in (p, a, b, c, l1, l2)
         object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
         if self.cycle_bound < 1:
@@ -232,7 +231,7 @@ def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 for method in others:
                     got = evaluators[method](params, l1, l2)
                     result.record(got == expected, lambda: _ce(
-                        p, a, b, c, l1, l2, str(classify(params, l1, l2)), int(expected), int(got),
+                        p, a, b, c, l1, l2, str(classify(params, l1, l2)), expected, got,
                         method=method))
     return result
 
@@ -242,6 +241,7 @@ def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     result = SuiteResult("recurrences")
     for p in config.primes:
         grid = grids[p]
+        ctx = get_context(p)
         for a, b, c in _triples(p):
             for cycle in _RECURRENCE_CYCLES:
                 s = grid.value(a, b, c, cycle)
@@ -249,21 +249,22 @@ def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
 
                 def check(eq, lhs, rhs):
                     result.record(lhs == rhs,
-                                  lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, int(rhs), int(lhs)))
+                                  lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, rhs, lhs))
 
                 if a + 1 < p:
-                    check("Ao1", s1 * (a + 1), grid.value(a + 1, b, c, cycle) * (2 * (a + b + c + 2)))
-                check("Ao2", s * (2 * (a + c + 1)), s1 * (a + b + 2 * c + 2))
+                    check("Ao1", s1 * (a + 1) % p, grid.value(a + 1, b, c, cycle) * (2 * (a + b + c + 2)) % p)
+                check("Ao2", s * (2 * (a + c + 1)) % p, s1 * (a + b + 2 * c + 2) % p)
                 if b + 1 < p:
-                    check("Ao3", s2 * (b + 1), grid.value(a, b + 1, c, cycle) * (2 * (a + b + c + 2)))
-                check("Ao4", s * (2 * (b + c + 1)), s2 * (a + b + 2 * c + 2))
+                    check("Ao3", s2 * (b + 1) % p, grid.value(a, b + 1, c, cycle) * (2 * (a + b + c + 2)) % p)
+                check("Ao4", s * (2 * (b + c + 1)) % p, s2 * (a + b + 2 * c + 2) % p)
 
                 denom = (a + b + c + 1) * (a + b + 2 * c + 1) % p
                 if denom:
+                    inv = ctx.inverse(denom)
                     if a >= 2:
-                        check("Ar1", s, grid.value(a - 1, b, c, cycle) * (a * (a + c)) / denom)
+                        check("Ar1", s, grid.value(a - 1, b, c, cycle) * (a * (a + c)) * inv % p)
                     if b >= 2:
-                        check("Ar2", s, grid.value(a, b - 1, c, cycle) * (b * (b + c)) / denom)
+                        check("Ar2", s, grid.value(a, b - 1, c, cycle) * (b * (b + c)) * inv % p)
     return result
 
 
@@ -285,7 +286,7 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             closed_head = eval_closed(params, *head)
             result.record(closed_head == report.values[head], lambda: _ce(
                 p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
-                int(report.values[head]), int(closed_head)))
+                report.values[head], closed_head))
             if report.condition_set == "R3":
                 ok = skew_symmetry_check(params)
                 result.record(ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
@@ -297,7 +298,7 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         brute = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2))
         closed = eval_closed(params, entry.l1, entry.l2)
         result.record(brute == entry.value and closed == entry.value,
-                      lambda: _ce(*point, "golden", entry.value, int(brute)))
+                      lambda: _ce(*point, "golden", entry.value, brute))
         if entry.integer_value is not None:
             exact = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2), exact=True)
             result.record(exact == entry.integer_value,
@@ -324,7 +325,7 @@ def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 if not tag.is_zero:
                     continue
                 value = grid.value(a, b, c, (l1, l2))
-                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(tag), 0, int(value)))
+                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(tag), 0, value))
                 if config.integer_mode and tag.branch in _INTEGER_ZERO_BRANCHES:
                     exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
                     result.record(exact == 0,
@@ -354,8 +355,8 @@ def _suite_morris(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                     continue
                 via = selberg_via_morris(params, l)
                 brute = grid.value(a, b, c, (l, l))
-                result.record(via % p == int(brute),
-                              lambda: _ce(p, a, b, c, l, l, "morris bridge", int(brute), via % p))
+                result.record(via % p == brute,
+                              lambda: _ce(p, a, b, c, l, l, "morris bridge", brute, via % p))
     return result
 
 
@@ -375,7 +376,7 @@ def _suite_stokes(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         for i in range(1, k + 1):
             value = fp_integral(partial_derivative(poly, i), cycle)
             result.record(value == 0,
-                          lambda: _ce(p, 0, 0, 0, cycle[0], cycle[-1], f"stokes d/dx{i}", 0, int(value)))
+                          lambda: _ce(p, 0, 0, 0, cycle[0], cycle[-1], f"stokes d/dx{i}", 0, value))
     return result
 
 
@@ -391,7 +392,7 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                     continue
                 got = selberg_nd_closed(ctx, 1, a, b, 0)
                 want = beta_closed(ctx, a, b)
-                result.record(got == want, lambda: _ce(p, a, b, 0, 1, 1, "nd n=1", int(want), int(got)))
+                result.record(got == want, lambda: _ce(p, a, b, 0, 1, 1, "nd n=1", want, got))
         # n = 2: matches brute force, and the C11_i closed form in the window.
         window = _oracle(p, [(1, 1)], 2 * p)
         for a in range(2 * p):
@@ -402,13 +403,13 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                     got = selberg_nd_closed(ctx, 2, a, b, c)
                     brute = window.value(a, b, c, (1, 1))
                     result.record(got == brute,
-                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=2", int(brute), int(got)))
+                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=2", brute, got))
                     if 0 < a < p and 0 < b < p and 0 < c < p:
                         params = SelbergParams(a, b, c, p)
                         if classify(params, 1, 1).branch == Branch.C11_i:
                             closed = eval_closed(params, 1, 1)
                             result.record(got == closed, lambda: _ce(
-                                p, a, b, c, 1, 1, "nd n=2 vs C11_i", int(closed), int(got)))
+                                p, a, b, c, 1, 1, "nd n=2 vs C11_i", closed, got))
         # n = 3: brute force is guarded beyond p = 11.
         if p > 11:
             result.skipped += 1
@@ -426,7 +427,7 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                         result.skipped += 1
                         continue
                     result.record(got == brute,
-                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=3", int(brute), int(got)))
+                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=3", brute, got))
     return result
 
 
@@ -485,11 +486,11 @@ def sweep_rows(config: SweepConfig) -> list:
             r1, r2, r3 = in_condition_sets(params)
             for l1, l2 in cycles:
                 if method == "bruteforce":
-                    value = int(grid.value(a, b, c, (l1, l2)))
+                    value = grid.value(a, b, c, (l1, l2))
                 elif method == "direct":
-                    value = int(selberg_direct_2d(params, l1, l2))
+                    value = selberg_direct_2d(params, l1, l2)
                 else:
-                    value = int(eval_closed(params, l1, l2))
+                    value = eval_closed(params, l1, l2)
                 rows.append({"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
                              "branch": str(classify(params, l1, l2)), "value": value,
                              "in_R1": r1, "in_R2": r2, "in_R3": r3})

@@ -175,6 +175,7 @@ def test_criterion_07_recurrences():
     start = time.perf_counter()
     failures = []
     for p in (5, 7, 11):
+        ctx = get_context(p)
         for a, b, c in all_triples(p):
             params = SelbergParams(a, b, c, p)
             for cycle in [(1, 1), (1, 2), (2, 2), (1, 3)]:
@@ -183,25 +184,25 @@ def test_criterion_07_recurrences():
                 s2 = moment_integral(params, cycle, "S2")
                 if a + 1 < p:
                     up = selberg_bruteforce(SelbergParams(a + 1, b, c, p).spec(2), cycle)
-                    if s1 * (a + 1) != up * (2 * (a + b + c + 2)):
+                    if s1 * (a + 1) % p != up * (2 * (a + b + c + 2)) % p:
                         failures.append((p, a, b, c, cycle, "Ao1"))
-                if s * (2 * (a + c + 1)) != s1 * (a + b + 2 * c + 2):
+                if s * (2 * (a + c + 1)) % p != s1 * (a + b + 2 * c + 2) % p:
                     failures.append((p, a, b, c, cycle, "Ao2"))
                 if b + 1 < p:
                     up = selberg_bruteforce(SelbergParams(a, b + 1, c, p).spec(2), cycle)
-                    if s2 * (b + 1) != up * (2 * (a + b + c + 2)):
+                    if s2 * (b + 1) % p != up * (2 * (a + b + c + 2)) % p:
                         failures.append((p, a, b, c, cycle, "Ao3"))
-                if s * (2 * (b + c + 1)) != s2 * (a + b + 2 * c + 2):
+                if s * (2 * (b + c + 1)) % p != s2 * (a + b + 2 * c + 2) % p:
                     failures.append((p, a, b, c, cycle, "Ao4"))
                 denom = (a + b + c + 1) * (a + b + 2 * c + 1) % p
                 if denom:
                     if a >= 2:
                         prev = selberg_bruteforce(SelbergParams(a - 1, b, c, p).spec(2), cycle)
-                        if s != prev * (a * (a + c)) / denom:
+                        if s != prev * (a * (a + c)) * ctx.inverse(denom) % p:
                             failures.append((p, a, b, c, cycle, "Ar1"))
                     if b >= 2:
                         prev = selberg_bruteforce(SelbergParams(a, b - 1, c, p).spec(2), cycle)
-                        if s != prev * (b * (b + c)) / denom:
+                        if s != prev * (b * (b + c)) * ctx.inverse(denom) % p:
                             failures.append((p, a, b, c, cycle, "Ar2"))
     _report(7, "moment recurrences Ao1-Ao4 and ratio forms Ar1-Ar2", failures,
             time.perf_counter() - start, 60.0)

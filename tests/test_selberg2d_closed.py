@@ -143,7 +143,7 @@ def test_relations_reports():
     r2 = relations_check(SelbergParams(6, 6, 3, 7))
     assert r2.condition_set == "R2"
     assert r2.relation_holds is True
-    assert -r2.values[(2, 2)] / 2 == r2.values[(1, 2)]
+    assert -r2.values[(2, 2)] * get_context(7).inverse(2) % 7 == r2.values[(1, 2)]
 
     none = relations_check(SelbergParams(1, 1, 1, 7))
     assert none.condition_set is None

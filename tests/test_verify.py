@@ -22,6 +22,9 @@ def test_config_validation():
         SweepConfig(primes=(4,))
     with pytest.raises(ValueError):
         SweepConfig(primes=(2,))
+    SweepConfig(primes=(7,))  # caches the context of 7
+    with pytest.raises(ValueError):
+        SweepConfig(primes=(7.0,))
     with pytest.raises(ValueError):
         SweepConfig(cycle_bound=0)
     with pytest.raises(ValueError):
