@@ -27,9 +27,9 @@ for entry in GOLDEN_2D:
     direct = selberg_direct_2d(params, entry.l1, entry.l2)
     closed = eval_closed(params, entry.l1, entry.l2)
     exact = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2), exact=True)
-    tag = classify(params, entry.l1, entry.l2)
+    branch = classify(params, entry.l1, entry.l2)
     print(f"  S({entry.a},{entry.b},{entry.c}; {entry.l1},{entry.l2})"
-          f" = {brute} = {direct} = {closed}   [branch {tag}, integer {exact}]")
+          f" = {brute} = {direct} = {closed}   [branch {branch}, integer {exact}]")
     if entry.paper_discrepancy:
         print(f"    note: a published table prints {entry.printed_value} here;"
               f" the oracle value {entry.value} is used (see fpselberg/golden.py)")

@@ -34,8 +34,6 @@ from .selberg_core import (
 )
 from .selberg2d_closed import (
     Branch,
-    CaseTag,
-    CycleClass,
     RelationReport,
     classify,
     condition_set,
@@ -62,8 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_SUITES",
     "Branch",
-    "CaseTag",
-    "CycleClass",
     "DomainError",
     "FpContext",
     "FpSelbergError",

@@ -137,8 +137,10 @@ def _write_output(text: str, out_path: str | None):
 
 
 def _cmd_eval(args) -> int:
+    if args.integer_mode and args.method != "bruteforce":
+        raise UsageError(f"--integer-mode needs --method bruteforce, got --method {args.method}")
     params, l1, l2 = _point_params(args)
-    tag = classify(params, l1, l2)
+    branch = classify(params, l1, l2)
     print(f"p={params.p} a={params.a} b={params.b} c={params.c} "
           f"cycle=[{l1},{l2}] method={args.method}")
     if args.method == "bruteforce":
@@ -151,7 +153,7 @@ def _cmd_eval(args) -> int:
     else:
         value = eval_closed(params, l1, l2)
     print(f"value = {value}")
-    print(f"branch = {tag}")
+    print(f"branch = {branch}")
     if args.verbose:
         print(describe(params, l1, l2))
     return 0
@@ -169,6 +171,8 @@ def _parse_suites(raw: list) -> tuple:
     names = []
     for chunk in raw:
         names.extend(s.strip() for s in chunk.split(",") if s.strip())
+    if not names:
+        raise UsageError(f"--suite names no suite; choose from {','.join(ALL_SUITES)}")
     unknown = set(names) - set(ALL_SUITES)
     if unknown:
         raise UsageError(f"unknown suite(s) {sorted(unknown)}; choose from {','.join(ALL_SUITES)}")

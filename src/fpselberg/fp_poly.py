@@ -153,9 +153,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def scale(self, k: int) -> "MultiPoly":
-        return MultiPoly(self.num_vars, {e: c * k for e, c in self.terms.items()}, self.p)
-
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {e!r}")

@@ -2,7 +2,8 @@
 
 For 0 < a, b, c < p and a cycle (l1, l2), exactly one branch below applies
 (after swapping so that l1 <= l2; the sum is symmetric in the cycle labels).
-Writing delta = a+b+2c+1-2p:
+``classify`` returns it as a ``Branch``, a str-valued enum whose str() is
+the name below.  Writing delta = a+b+2c+1-2p:
 
   (1,1)  NOT_APPLICABLE_zero   a+c >= p or a+b+c <= p-2 (coefficient absent)
          C11_i                 b+c <= p-1        -> formula, non-zero iff 2c < p
@@ -43,13 +44,11 @@ from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, GuardError
-from .fp_poly import _coefficient, _dense_product
+from .fp_poly import _coefficient, _dense_product, check_cycle
 from .selberg_core import SelbergParams, _master_factors, selberg_bruteforce
 
 __all__ = [
     "Branch",
-    "CaseTag",
-    "CycleClass",
     "RELATION_CYCLES",
     "RelationReport",
     "classify",
@@ -64,16 +63,9 @@ __all__ = [
 ]
 
 
-class CycleClass(str, Enum):
-    C11 = "C11"
-    C22 = "C22"
-    C12 = "C12"
-    C13 = "C13"
-    C23 = "C23"
-    OTHER = "OTHER"
-
-
 class Branch(str, Enum):
+    """The unique case applying to one (a, b, c, p, l1, l2) input; prints as its value."""
+
     C11_i = "C11_i"
     C11_ii = "C11_ii"
     C11_iii_zero = "C11_iii_zero"
@@ -94,88 +86,78 @@ class Branch(str, Enum):
     OTHER_zero = "OTHER_zero"
     NOT_APPLICABLE_zero = "NOT_APPLICABLE_zero"
 
-    @property
-    def is_zero(self) -> bool:
-        return self.value.endswith("_zero")
-
-
-@dataclass(frozen=True)
-class CaseTag:
-    """The unique branch applying to one (a, b, c, p, l1, l2) input."""
-
-    cycle_class: CycleClass
-    branch: Branch
-
-    @property
-    def is_zero(self) -> bool:
-        return self.branch.is_zero
-
     def __str__(self):
-        return self.branch.value
+        return self.value
+
+    @property
+    def is_zero(self) -> bool:
+        return self in _ZERO_REASONS
+
+
+# Cycle-class labels that describe prints, keyed by canonical cycle.
+_CYCLE_CLASSES = {(1, 1): "C11", (2, 2): "C22", (1, 2): "C12", (1, 3): "C13", (2, 3): "C23"}
 
 
 def _canonical(l1: int, l2: int) -> tuple[int, int]:
-    for l in (l1, l2):
-        if not isinstance(l, int) or l < 1:
-            raise ValueError(f"cycle entries must be positive integers, got ({l1}, {l2})")
+    l1, l2 = check_cycle((l1, l2))
     return (l1, l2) if l1 <= l2 else (l2, l1)
 
 
-def classify(params: SelbergParams, l1: int, l2: int) -> CaseTag:
+def classify(params: SelbergParams, l1: int, l2: int) -> Branch:
     """Return the unique applicable branch for this input."""
     l1, l2 = _canonical(l1, l2)
     a, b, c, p = params.a, params.b, params.c, params.p
 
     if (l1, l2) == (1, 1):
         if a + c >= p or a + b + c <= p - 2:
-            return CaseTag(CycleClass.C11, Branch.NOT_APPLICABLE_zero)
+            return Branch.NOT_APPLICABLE_zero
         # now a+c <= p-1 and a+b+c >= p-1
         if b + c <= p - 1:
-            return CaseTag(CycleClass.C11, Branch.C11_i)
+            return Branch.C11_i
         if a + b + 2 * c >= 2 * p - 1:
-            return CaseTag(CycleClass.C11, Branch.C11_ii)
-        return CaseTag(CycleClass.C11, Branch.C11_iii_zero)
+            return Branch.C11_ii
+        return Branch.C11_iii_zero
 
     if (l1, l2) == (2, 2):
         if a + b + c <= 2 * p - 2:
-            return CaseTag(CycleClass.C22, Branch.NOT_APPLICABLE_zero)
+            return Branch.NOT_APPLICABLE_zero
         if a + b + 2 * c <= 3 * p - 2:
-            return CaseTag(CycleClass.C22, Branch.C22_i)
-        return CaseTag(CycleClass.C22, Branch.C22_ii)
+            return Branch.C22_i
+        return Branch.C22_ii
 
     if (l1, l2) == (1, 2):
         delta = params.delta
         if delta < 0:
-            return CaseTag(CycleClass.C12, Branch.C12_delta_neg_zero)
+            return Branch.C12_delta_neg_zero
         if delta == 0:
             if a + b < p - 1:
-                return CaseTag(CycleClass.C12, Branch.C12_delta0_zero)
-            return CaseTag(CycleClass.C12, Branch.C12_delta0_formula)
+                return Branch.C12_delta0_zero
+            return Branch.C12_delta0_formula
         # delta > 0 forces (a+c) + (b+c) >= 2p, so a+c and b+c cannot both
         # stay below p; 2c = p is impossible for odd p.
         if 2 * c < p:
             if a + c <= p - 1:
-                return CaseTag(CycleClass.C12, Branch.C12_i)
+                return Branch.C12_i
             if b + c <= p - 1:
-                return CaseTag(CycleClass.C12, Branch.C12_ii)
+                return Branch.C12_ii
             if a + b + c < 2 * p - 1:
-                return CaseTag(CycleClass.C12, Branch.C12_iii_zero)
-            return CaseTag(CycleClass.C12, Branch.C12_iv)
+                return Branch.C12_iii_zero
+            return Branch.C12_iv
         if a + c >= p:
-            return CaseTag(CycleClass.C12, Branch.C12_v_zero)
+            return Branch.C12_v_zero
         if b + c >= p:
-            return CaseTag(CycleClass.C12, Branch.C12_vi_zero)
+            return Branch.C12_vi_zero
         raise GuardError(f"unreachable [1,2] case at {params}")
 
     if (l1, l2) == (1, 3):
         if a + b + 2 * c < 3 * p - 1:
-            return CaseTag(CycleClass.C13, Branch.C13_zero)
-        return CaseTag(CycleClass.C13, Branch.C13_formula)
+            return Branch.C13_zero
+        return Branch.C13_formula
 
     if (l1, l2) == (2, 3):
-        return CaseTag(CycleClass.C23, Branch.C23_zero)
+        return Branch.C23_zero
 
-    return CaseTag(CycleClass.OTHER, Branch.OTHER_zero)
+    return Branch.OTHER_zero
 
 
 # Non-zero branch formulas: sign, numerator factorial args, denominator
@@ -254,28 +236,29 @@ def _eval_formula(branch: Branch, params: SelbergParams) -> int:
 
 def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
     """Closed-form value of the classified branch; 0 on vanishing branches."""
-    tag = classify(params, l1, l2)
-    if tag.is_zero:
+    branch = classify(params, l1, l2)
+    if branch.is_zero:
         return 0
-    return _eval_formula(tag.branch, params)
+    return _eval_formula(branch, params)
 
 
 def describe(params: SelbergParams, l1: int, l2: int) -> str:
     """Classification explanation with the instantiated formula arguments."""
-    tag = classify(params, l1, l2)
+    branch = classify(params, l1, l2)
+    cycle_class = _CYCLE_CLASSES.get(_canonical(l1, l2), "OTHER")
     a, b, c, p = params.a, params.b, params.c, params.p
     lines = [
         f"p={p} a={a} b={b} c={c} cycle=[{l1},{l2}]",
-        f"cycle class {tag.cycle_class.value}, branch {tag.branch.value}, delta={params.delta}",
+        f"cycle class {cycle_class}, branch {branch}, delta={params.delta}",
     ]
-    if tag.is_zero:
-        lines.append(f"value 0: {_ZERO_REASONS[tag.branch]}")
+    if branch.is_zero:
+        lines.append(f"value 0: {_ZERO_REASONS[branch]}")
     else:
-        sign, top, bottom = _formula(tag.branch, params)
-        lines.append(f"formula: {_TEMPLATES[tag.branch]}")
+        sign, top, bottom = _formula(branch, params)
+        lines.append(f"formula: {_TEMPLATES[branch]}")
         sgn = "-" if sign % p == p - 1 else "+"
         lines.append(f"numerator factorial arguments {top!r}, denominator {bottom!r}, sign {sgn}")
-        lines.append(f"value {_eval_formula(tag.branch, params)}")
+        lines.append(f"value {_eval_formula(branch, params)}")
     return "\n".join(lines)
 
 

@@ -321,15 +321,15 @@ def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             for l1, l2 in cycles:
-                tag = classify(params, l1, l2)
-                if not tag.is_zero:
+                branch = classify(params, l1, l2)
+                if not branch.is_zero:
                     continue
                 value = grid.value(a, b, c, (l1, l2))
-                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(tag), 0, value))
-                if config.integer_mode and tag.branch in _INTEGER_ZERO_BRANCHES:
+                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
+                if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
                     exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
                     result.record(exact == 0,
-                                  lambda: _ce(p, a, b, c, l1, l2, f"{tag} (integer)", 0, exact))
+                                  lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
     return result
 
 
@@ -406,7 +406,7 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                                   lambda: _ce(p, a, b, c, 1, 1, "nd n=2", brute, got))
                     if 0 < a < p and 0 < b < p and 0 < c < p:
                         params = SelbergParams(a, b, c, p)
-                        if classify(params, 1, 1).branch == Branch.C11_i:
+                        if classify(params, 1, 1) == Branch.C11_i:
                             closed = eval_closed(params, 1, 1)
                             result.record(got == closed, lambda: _ce(
                                 p, a, b, c, 1, 1, "nd n=2 vs C11_i", closed, got))

@@ -99,12 +99,12 @@ def test_criterion_03_classifier_totality_and_zero_branches():
             spec = params.spec(2)
             for l1, l2 in CYCLES:
                 try:
-                    tag = classify(params, l1, l2)  # must never hit the unreachable guard
+                    branch = classify(params, l1, l2)  # must never hit the unreachable guard
                 except Exception as exc:  # noqa: BLE001 - any escape is a failure
                     failures.append((p, a, b, c, l1, l2, repr(exc)))
                     continue
-                if tag.is_zero and selberg_bruteforce(spec, (l1, l2)) != 0:
-                    failures.append((p, a, b, c, l1, l2, str(tag)))
+                if branch.is_zero and selberg_bruteforce(spec, (l1, l2)) != 0:
+                    failures.append((p, a, b, c, l1, l2, str(branch)))
     _report(3, "classifier total, zero branches match brute force", failures,
             time.perf_counter() - start, 60.0)
 
@@ -116,10 +116,10 @@ def test_criterion_04_nonvanishing_iff_claims():
         for a, b, c in all_triples(p):
             params = SelbergParams(a, b, c, p)
             t11 = classify(params, 1, 1)
-            if t11.branch in (Branch.C11_i, Branch.C11_ii):
+            if t11 in (Branch.C11_i, Branch.C11_ii):
                 if bool(eval_closed(params, 1, 1)) != (2 * c < p):
                     failures.append((p, a, b, c, str(t11)))
-            if classify(params, 2, 2).branch == Branch.C22_ii:
+            if classify(params, 2, 2) == Branch.C22_ii:
                 if not eval_closed(params, 2, 2):
                     failures.append((p, a, b, c, "C22_ii zero"))
     _report(4, "non-vanishing iff 2c<p (C11) and always (C22_ii)", failures,
@@ -146,7 +146,7 @@ def test_criterion_05_relations():
                 "R2": ((2, 2), Branch.C22_i),
                 "R3": ((2, 2), Branch.C22_ii),
             }[report.condition_set]
-            if classify(params, *head).branch != expected_branch:
+            if classify(params, *head) != expected_branch:
                 failures.append((p, a, b, c, "head branch"))
             if eval_closed(params, *head) != report.values[head]:
                 failures.append((p, a, b, c, "head closed form"))
@@ -230,7 +230,7 @@ def test_criterion_08_ndimensional_formula():
                             failures.append((p, n, a, b, c, int(got), int(brute)))
                         if n == 2 and 0 < a < p and 0 < b < p and 0 < c < p:
                             params = SelbergParams(a, b, c, p)
-                            if classify(params, 1, 1).branch == Branch.C11_i:
+                            if classify(params, 1, 1) == Branch.C11_i:
                                 if got != eval_closed(params, 1, 1):
                                     failures.append((p, n, a, b, c, "vs C11_i"))
     _report(8, "n-dimensional closed form (n=1,2,3) vs expansion", failures,

@@ -74,6 +74,15 @@ def test_eval_integer_mode_bruteforce(capsys):
     assert "branch = C22_i" in out
 
 
+@pytest.mark.parametrize("method", [(), ("--method", "closed"), ("--method", "direct")])
+def test_eval_integer_mode_needs_bruteforce(capsys, method):
+    code, out, err = run(capsys, "eval", "-p", "7", "--params", "6,6,3", "-l", "2,2",
+                         *method, "--integer-mode")
+    assert code == 2
+    assert out == ""
+    assert "--method bruteforce" in err
+
+
 def test_eval_verbose_shows_formula(capsys):
     code, out, _ = run(capsys, "eval", "-p", "7", "--params", "3,4,3", "-l", "1,1", "-v")
     assert code == 0
@@ -178,6 +187,14 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope", "--primes", "5")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("suite", [",", "", " , "])
+def test_verify_empty_suite_list_is_usage_error(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--primes", "5")
+    assert code == 2
+    assert "checked=" not in out
+    assert "names no suite" in err
 
 
 def test_verify_rejects_bad_primes(capsys):

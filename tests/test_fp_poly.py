@@ -189,7 +189,7 @@ def test_fp_integral_is_linear(data):
     alpha = data.draw(st.integers(0, p - 1))
     beta = data.draw(st.integers(0, p - 1))
     cycle = data.draw(st.tuples(*[st.integers(1, 3)] * k))
-    combined = P.scale(alpha) + Q.scale(beta)
+    combined = alpha * P + beta * Q
     want = (fp_integral(P, cycle) * alpha + fp_integral(Q, cycle) * beta) % p
     assert fp_integral(combined, cycle) == want
 

@@ -1,12 +1,17 @@
-"""The default `verify` counts and `sweep` bytes, pinned.
+"""The default `verify` counts, `sweep` bytes and benchmark eval pins, pinned.
 
 Any change to the package must leave these untouched: the per-suite counts
-of the default verification run and the sha256 of the default sweep in each
-output format and for each evaluation route.
+of the default verification run, the sha256 of the default sweep in each
+output format and for each evaluation route, and the (value, branch) pairs
+the benchmark harness records for its seed-0 point queries.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +49,17 @@ def test_default_sweep_bytes(tmp_path, fmt, method, digest):
     out = tmp_path / f"sweep.{fmt}"
     assert main(["sweep", "--format", fmt, "--method", method, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_benchmark_eval_pins_seed_0():
+    # The benchmark harness reads the package API in-process; a drift in what
+    # eval_closed or classify return shows up here before a benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, str(root / "benchmarks" / "inproc.py"), "pin-eval", "--seed", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=root,
+                          timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    committed = json.loads((root / "benchmarks" / "eval_pins.json").read_text())["seeds"]["0"]["pins"]
+    assert [[pin["value"], pin["branch"]] for pin in result["pins"]] == committed
+    assert not any(result["failures"])

@@ -2,14 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpselberg.errors import DomainError
+from fpselberg.errors import DomainError, GuardError
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import SelbergParams, selberg_bruteforce, selberg_direct_2d, selberg_grid
 from fpselberg.selberg2d_closed import (
+    _TEMPLATES,
+    _ZERO_REASONS,
     RELATION_CYCLES,
     Branch,
-    CaseTag,
-    CycleClass,
+    _formula,
     classify,
     condition_set,
     delta_boundary_forms,
@@ -24,23 +25,24 @@ from fpselberg.selberg2d_closed import (
 from reference_impl import PRIMES, all_triples, prime_at_or_above
 
 
-def tag(p, a, b, c, l1, l2) -> CaseTag:
+def branch(p, a, b, c, l1, l2) -> Branch:
     return classify(SelbergParams(a, b, c, p), l1, l2)
 
 
 def test_classify_examples():
-    assert tag(7, 3, 4, 3, 1, 1).branch == Branch.C11_ii
-    assert tag(7, 1, 1, 1, 1, 1) == CaseTag(CycleClass.C11, Branch.NOT_APPLICABLE_zero)
-    assert tag(7, 6, 6, 6, 2, 3).branch == Branch.C23_zero
-    assert tag(5, 1, 1, 1, 1, 2).branch == Branch.C12_delta_neg_zero
-    assert tag(5, 2, 3, 4, 1, 4).branch == Branch.OTHER_zero
-    assert tag(7, 6, 6, 3, 2, 2) == CaseTag(CycleClass.C22, Branch.C22_i)
+    assert branch(7, 3, 4, 3, 1, 1) == Branch.C11_ii
+    assert branch(7, 1, 1, 1, 1, 1) == Branch.NOT_APPLICABLE_zero
+    assert branch(7, 6, 6, 6, 2, 3) == Branch.C23_zero
+    assert branch(5, 1, 1, 1, 1, 2) == Branch.C12_delta_neg_zero
+    assert branch(5, 2, 3, 4, 1, 4) == Branch.OTHER_zero
+    assert branch(7, 6, 6, 3, 2, 2) == Branch.C22_i
+    assert type(branch(7, 6, 6, 3, 2, 2)) is Branch
 
 
 def test_classify_canonicalizes_cycle_order():
     params = SelbergParams(3, 4, 3, 7)
     assert classify(params, 2, 1) == classify(params, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle entries must be positive integers, got \(0, 1\)$"):
         classify(params, 0, 1)
 
 
@@ -51,12 +53,41 @@ def test_classify_is_total_and_branches_mutually_consistent():
             params = SelbergParams(a, b, c, p)
             for l1 in range(1, 5):
                 for l2 in range(l1, 5):
-                    t = classify(params, l1, l2)  # GuardError would fail the test
-                    seen.add((t.cycle_class, t.branch))
+                    # GuardError would fail the test
+                    seen.add(((l1, l2), classify(params, l1, l2)))
     assert {b for _, b in seen} == set(Branch)
-    # degree-infeasibility vanishing occurs for both diagonal cycle classes
-    assert (CycleClass.C11, Branch.NOT_APPLICABLE_zero) in seen
-    assert (CycleClass.C22, Branch.NOT_APPLICABLE_zero) in seen
+    # degree-infeasibility vanishing occurs for both diagonal cycles
+    assert ((1, 1), Branch.NOT_APPLICABLE_zero) in seen
+    assert ((2, 2), Branch.NOT_APPLICABLE_zero) in seen
+
+
+@pytest.mark.parametrize("b", list(Branch))
+def test_every_branch_has_a_reason_or_a_formula(b):
+    params = SelbergParams(3, 4, 3, 7)
+    assert b.is_zero == b.value.endswith("_zero")
+    if b.is_zero:
+        assert b in _ZERO_REASONS and b not in _TEMPLATES
+        with pytest.raises(GuardError):
+            _formula(b, params)
+    else:
+        assert b in _TEMPLATES and b not in _ZERO_REASONS
+        sign, top, bottom = _formula(b, params)
+        assert sign in (1, -1) and top and bottom
+
+
+@pytest.mark.parametrize("b", list(Branch))
+def test_branch_prints_as_its_value(b):
+    assert str(b) == f"{b}" == b.value
+
+
+@pytest.mark.parametrize("l1, l2, label", [
+    (1, 1, "C11"), (2, 2, "C22"), (1, 2, "C12"), (2, 1, "C12"), (1, 3, "C13"), (3, 1, "C13"),
+    (2, 3, "C23"), (3, 2, "C23"), (1, 4, "OTHER"), (4, 1, "OTHER"),
+])
+def test_describe_cycle_class_line(l1, l2, label):
+    params = SelbergParams(6, 6, 3, 7)
+    assert describe(params, l1, l2).splitlines()[1] == (
+        f"cycle class {label}, branch {classify(params, l1, l2).value}, delta={params.delta}")
 
 
 @settings(deadline=None, max_examples=60)
@@ -105,14 +136,11 @@ def test_nonvanishing_iff_2c_below_p(p):
             (1, 1, (Branch.C11_i, Branch.C11_ii)),
             (2, 2, (Branch.C22_i,)),
         ]:
-            t = classify(params, l1, l2)
-            if t.branch in branches:
+            if classify(params, l1, l2) in branches:
                 assert bool(eval_closed(params, l1, l2)) == (2 * c < p)
-        t22 = classify(params, 2, 2)
-        if t22.branch == Branch.C22_ii:
+        if classify(params, 2, 2) == Branch.C22_ii:
             assert eval_closed(params, 2, 2) != 0
-        t13 = classify(params, 1, 3)
-        if t13.branch == Branch.C13_formula:
+        if classify(params, 1, 3) == Branch.C13_formula:
             assert eval_closed(params, 1, 3) != 0
 
 
