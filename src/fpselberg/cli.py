@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
+from .fp_poly import check_cycle
 from .modp_arith import get_context
 from .morris_ct import MorrisParams, morris_ct_bruteforce, morris_lhs_symmetric_form, morris_rhs
 from .selberg_core import SelbergParams, _max_cells, selberg_bruteforce, selberg_direct_2d
@@ -19,10 +21,10 @@ from .verify import (
     ALL_METHODS,
     ALL_SUITES,
     SweepConfig,
+    iter_render_sweep,
+    iter_sweep_rows,
     render_report,
-    render_sweep,
     run_verification,
-    sweep_rows,
 )
 
 __all__ = ["build_parser", "entry_point", "main"]
@@ -119,19 +121,20 @@ def _point_params(args) -> tuple:
         params = SelbergParams(a, b, c, p)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    l1, l2 = _int_list(args.cycle, "--cycle", 2)
-    if l1 < 1 or l2 < 1:
-        raise UsageError(f"cycle entries must be positive integers, got {args.cycle!r}")
+    l1, l2 = check_cycle(_int_list(args.cycle, "--cycle", 2))
     return params, l1, l2
 
 
-def _write_output(text: str, out_path: str | None):
+def _write_output(chunks: Iterable[str], out_path: str | None):
+    """Write text chunks to ``out_path``, or to stdout, as they come."""
     if out_path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise UsageError(f"cannot write {out_path}: {exc}") from None
 
@@ -200,14 +203,14 @@ def _common_config(args, suites=(), methods=ALL_METHODS) -> SweepConfig:
 def _cmd_verify(args) -> int:
     config = _common_config(args, suites=_parse_suites(args.suite))
     report = run_verification(config)
-    _write_output(render_report(report, config.output_format), args.out)
+    _write_output((render_report(report, config.output_format),), args.out)
     return 0 if report.failed_total == 0 else 1
 
 
 def _cmd_sweep(args) -> int:
     config = _common_config(args, suites=(), methods=(args.method,))
-    rows = sweep_rows(config)
-    _write_output(render_sweep(rows, config.output_format), args.out)
+    rows = iter_sweep_rows(config)  # checks every resource guard before anything is written
+    _write_output(iter_render_sweep(rows, config.output_format), args.out)
     return 0
 
 

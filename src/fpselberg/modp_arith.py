@@ -96,13 +96,18 @@ class FpContext:
         self.fact = None
         self.inv_fact = None
 
-    def _build_tables(self):
-        p = self.p
-        half = (p + 1) // 2
+    def check_table_size(self):
+        """Raise ResourceLimitError if the factorial tables of p are over the cap; builds nothing."""
+        half = (self.p + 1) // 2
         if half > MAX_TABLE_ENTRIES:
             raise ResourceLimitError(
-                f"factorial tables at p={p} need {half} entries each, cap is {MAX_TABLE_ENTRIES}"
+                f"factorial tables at p={self.p} need {half} entries each, cap is {MAX_TABLE_ENTRIES}"
             )
+
+    def _build_tables(self):
+        self.check_table_size()
+        p = self.p
+        half = (p + 1) // 2
         fact = array(_TABLE_TYPECODE, [1]) * half
         v = 1
         for n in range(1, half):

@@ -212,6 +212,34 @@ class SelbergGrid:
         return s1, (2 * int(self._values[slot]) - s1) % self.p
 
 
+def _guard_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None) -> tuple:
+    """Validate a grid request and check its cells against the cap, allocating nothing.
+
+    Returns (ab_stop, cycles, deg): the a, b bound, the distinct cycles and
+    the degree at which Q is cut.
+    """
+    get_context(p)  # validates the prime
+    ab_stop = p if ab_stop is None else ab_stop
+    if not isinstance(ab_stop, int) or ab_stop < 1:
+        raise ValueError(f"ab_stop must be a positive integer, got {ab_stop}")
+    cycles = tuple(dict.fromkeys(check_cycle(cycle, 2) for cycle in cycles))
+    if not cycles:
+        raise ValueError("selberg_grid needs at least one cycle")
+    # Q lives in the top-left (deg+1)^2 block of a square array whose last
+    # row and column stay zero; every index outside the block is sent there.
+    # Shift-adds only raise exponents, so Q may be cut at the largest target
+    # exponent without changing any entry that is read.
+    deg = min(2 * (p - 1) + ab_stop - 1, max(l * p - 1 for cycle in cycles for l in cycle))
+    cells = (deg + 2) ** 2 + 2 * ab_stop * ab_stop * p * len(cycles)
+    cap, _ = _max_cells()
+    if cells > cap:
+        raise ResourceLimitError(
+            f"grid at p={p} with a, b < {ab_stop} and {len(cycles)} cycles needs {cells}"
+            f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)"
+        )
+    return ab_stop, cycles, deg
+
+
 def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
                  ab_stop: int | None = None) -> SelbergGrid:
     """Two-dimensional brute force for every 0 <= a, b < ab_stop, 0 <= c < p at once.
@@ -225,27 +253,8 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
     cells the grid allocates (Q and the value and moment boxes) are checked
     against the expansion cap before anything is allocated.
     """
-    get_context(p)  # validates the prime
-    ab_stop = p if ab_stop is None else ab_stop
-    if not isinstance(ab_stop, int) or ab_stop < 1:
-        raise ValueError(f"ab_stop must be a positive integer, got {ab_stop}")
-    cycles = tuple(dict.fromkeys(check_cycle(cycle, 2) for cycle in cycles))
-    if not cycles:
-        raise ValueError("selberg_grid needs at least one cycle")
-
-    # Q lives in the top-left (deg+1)^2 block of a square array whose last
-    # row and column stay zero; every index outside the block is sent there.
-    # Shift-adds only raise exponents, so Q may be cut at the largest target
-    # exponent without changing any entry that is read.
-    deg = min(2 * (p - 1) + ab_stop - 1, max(l * p - 1 for cycle in cycles for l in cycle))
+    ab_stop, cycles, deg = _guard_grid(p, cycles, ab_stop)
     zero = deg + 1
-    cells = (zero + 1) ** 2 + 2 * ab_stop * ab_stop * p * len(cycles)
-    cap, _ = _max_cells()
-    if cells > cap:
-        raise ResourceLimitError(
-            f"grid at p={p} with a, b < {ab_stop} and {len(cycles)} cycles needs {cells}"
-            f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)"
-        )
     import numpy as np  # after the guard: a refused grid never loads numpy
 
     a = np.arange(ab_stop)

@@ -13,7 +13,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError
 from .fp_poly import MultiPoly, fp_integral, partial_derivative
@@ -31,6 +31,8 @@ from .selberg_core import (
     MasterPolySpec,
     SelbergGrid,
     SelbergParams,
+    _guard_expansion,
+    _guard_grid,
     beta_closed,
     moment_integral,
     selberg_bruteforce,
@@ -41,6 +43,7 @@ from .selberg_core import (
 from .selberg2d_closed import (
     RELATION_CYCLES,
     Branch,
+    _eval_formula,
     classify,
     eval_closed,
     in_condition_sets,
@@ -53,6 +56,8 @@ __all__ = [
     "SweepConfig",
     "SuiteResult",
     "VerificationReport",
+    "iter_render_sweep",
+    "iter_sweep_rows",
     "render_report",
     "render_sweep",
     "run_verification",
@@ -468,61 +473,105 @@ def run_verification(config: SweepConfig) -> VerificationReport:
 # -- sweeps --------------------------------------------------------------------
 
 
-def sweep_rows(config: SweepConfig) -> list:
-    """One row per (p, a, b, c, l1, l2), in lexicographic order.
+def _check_sweep(method: str, p: int, cycles: list):
+    """Raise ResourceLimitError if some row of ``method`` at p would hit a resource guard.
 
-    The value column uses the first configured method; for brute force one
-    grid per prime (or per-point expansion where the grid is over the cap) is
-    built first.  Rows are built serially; ``config.parallelism`` is not
-    used.  Output is a list of dicts with the fixed CSV column set.
+    Brute force reads the grid, or per-point expansions where the grid is
+    over the cap; the largest of those is at a = b = c = p-1.  The closed
+    and direct routes read the factorial tables.
     """
-    method = config.methods[0] if config.methods else "closed"
-    cycles = config.cycles()
-    rows = []
-    for p in config.primes:
+    if method != "bruteforce":
+        get_context(p).check_table_size()
+        return
+    try:
+        _guard_grid(p, cycles, None)
+    except ResourceLimitError:
+        _guard_expansion(MasterPolySpec(2, p - 1, p - 1, p - 1, p))
+
+
+def _sweep_rows(primes: tuple, method: str, cycles: list) -> Iterator[dict]:
+    for p in primes:
         grid = _oracle(p, cycles) if method == "bruteforce" else None
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             r1, r2, r3 = in_condition_sets(params)
             for l1, l2 in cycles:
+                branch = classify(params, l1, l2)
                 if method == "bruteforce":
                     value = grid.value(a, b, c, (l1, l2))
                 elif method == "direct":
                     value = selberg_direct_2d(params, l1, l2)
                 else:
-                    value = eval_closed(params, l1, l2)
-                rows.append({"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
-                             "branch": str(classify(params, l1, l2)), "value": value,
-                             "in_R1": r1, "in_R2": r2, "in_R3": r3})
-    return rows
+                    value = 0 if branch.is_zero else _eval_formula(branch, params)
+                yield {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
+                       "branch": branch.value, "value": value,
+                       "in_R1": r1, "in_R2": r2, "in_R3": r3}
 
 
-def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
+def iter_sweep_rows(config: SweepConfig) -> Iterator[dict]:
+    """One row per (p, a, b, c, l1, l2), in lexicographic order, as a generator.
+
+    Every resource guard a row could hit is checked for every prime when
+    this is called, before the first row is made, so a sweep that would be
+    refused is refused before anything is written.  The value column uses
+    the first configured method (closed if none); brute force builds each
+    prime's grid (or falls back to per-point expansion where the grid is
+    over the cap) just before that prime's rows.  Rows are made serially;
+    ``config.parallelism`` is not used.  Each row is a dict with the fixed
+    CSV column set, and ``classify`` runs once per row.
+    """
+    method = config.methods[0] if config.methods else "closed"
+    cycles = config.cycles()
+    for p in config.primes:
+        _check_sweep(method, p, cycles)
+    return _sweep_rows(config.primes, method, cycles)
 
 
-def render_sweep(rows: list, fmt: str) -> str:
+def sweep_rows(config: SweepConfig) -> list:
+    """The rows of ``iter_sweep_rows`` as a list."""
+    return list(iter_sweep_rows(config))
+
+
+_BOOL = ("false", "true")
+
+
+def iter_render_sweep(rows: Iterable[dict], fmt: str) -> Iterator[str]:
+    """Sweep output in ``fmt`` (csv, json or text), one chunk per row after a header.
+
+    The json chunks join to exactly ``json.dumps({"schema": 1, "kind":
+    "sweep", "rows": rows}, sort_keys=True, indent=2) + "\\n"``: each row fills
+    a fixed template with its keys in sorted order.  Branch names are plain
+    identifiers, so the branch string needs no escaping.
+    """
     if fmt == "csv":
-        lines = [SWEEP_CSV_HEADER]
+        yield SWEEP_CSV_HEADER + "\n"
         for r in rows:
-            lines.append(
-                f"{r['p']},{r['a']},{r['b']},{r['c']},{r['l1']},{r['l2']},"
-                f"{r['branch']},{r['value']},{_bool_str(r['in_R1'])},"
-                f"{_bool_str(r['in_R2'])},{_bool_str(r['in_R3'])}"
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps({"schema": 1, "kind": "sweep", "rows": rows},
-                          sort_keys=True, indent=2) + "\n"
-    lines = [f"{'p':>3} {'a':>3} {'b':>3} {'c':>3} {'l1':>2} {'l2':>2} "
-             f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}"]
-    for r in rows:
-        lines.append(
-            f"{r['p']:>3} {r['a']:>3} {r['b']:>3} {r['c']:>3} {r['l1']:>2} {r['l2']:>2} "
-            f"{r['branch']:<22} {r['value']:>5} {_bool_str(r['in_R1']):>5} "
-            f"{_bool_str(r['in_R2']):>5} {_bool_str(r['in_R3']):>5}"
-        )
-    return "\n".join(lines) + "\n"
+            yield (f"{r['p']},{r['a']},{r['b']},{r['c']},{r['l1']},{r['l2']},"
+                   f"{r['branch']},{r['value']},{_BOOL[r['in_R1']]},"
+                   f"{_BOOL[r['in_R2']]},{_BOOL[r['in_R3']]}\n")
+    elif fmt == "json":
+        yield '{\n  "kind": "sweep",\n  "rows": ['
+        sep = "\n"
+        for r in rows:
+            yield (f'{sep}    {{\n      "a": {r["a"]},\n      "b": {r["b"]},\n'
+                   f'      "branch": "{r["branch"]}",\n      "c": {r["c"]},\n'
+                   f'      "in_R1": {_BOOL[r["in_R1"]]},\n      "in_R2": {_BOOL[r["in_R2"]]},\n'
+                   f'      "in_R3": {_BOOL[r["in_R3"]]},\n      "l1": {r["l1"]},\n'
+                   f'      "l2": {r["l2"]},\n      "p": {r["p"]},\n      "value": {r["value"]}\n    }}')
+            sep = ",\n"
+        yield ("]" if sep == "\n" else "\n  ]") + ',\n  "schema": 1\n}\n'
+    else:
+        yield (f"{'p':>3} {'a':>3} {'b':>3} {'c':>3} {'l1':>2} {'l2':>2} "
+               f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}\n")
+        for r in rows:
+            yield (f"{r['p']:>3} {r['a']:>3} {r['b']:>3} {r['c']:>3} {r['l1']:>2} {r['l2']:>2} "
+                   f"{r['branch']:<22} {r['value']:>5} {_BOOL[r['in_R1']]:>5} "
+                   f"{_BOOL[r['in_R2']]:>5} {_BOOL[r['in_R3']]:>5}\n")
+
+
+def render_sweep(rows: Iterable[dict], fmt: str) -> str:
+    """The chunks of ``iter_render_sweep`` as one string."""
+    return "".join(iter_render_sweep(rows, fmt))
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:

@@ -89,3 +89,37 @@ def ref_selberg(n: int, a: int, b: int, c: int, p: int, cycle) -> int:
     """Exact integer coefficient of Phi_n at the cycle exponents."""
     target = tuple(l * p - 1 for l in cycle)
     return ref_phi(n, a, b, c).get(target, 0)
+
+
+# -- sweep renderers ---------------------------------------------------------------
+# The csv and text sweep renderers as they were before sweep output was streamed:
+# whole-list f-string joins over the row dicts.
+
+SWEEP_CSV_HEADER = "p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3"
+
+
+def _bool_str(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def ref_render_sweep_csv(rows: list) -> str:
+    lines = [SWEEP_CSV_HEADER]
+    for r in rows:
+        lines.append(
+            f"{r['p']},{r['a']},{r['b']},{r['c']},{r['l1']},{r['l2']},"
+            f"{r['branch']},{r['value']},{_bool_str(r['in_R1'])},"
+            f"{_bool_str(r['in_R2'])},{_bool_str(r['in_R3'])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def ref_render_sweep_text(rows: list) -> str:
+    lines = [f"{'p':>3} {'a':>3} {'b':>3} {'c':>3} {'l1':>2} {'l2':>2} "
+             f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}"]
+    for r in rows:
+        lines.append(
+            f"{r['p']:>3} {r['a']:>3} {r['b']:>3} {r['c']:>3} {r['l1']:>2} {r['l2']:>2} "
+            f"{r['branch']:<22} {r['value']:>5} {_bool_str(r['in_R1']):>5} "
+            f"{_bool_str(r['in_R2']):>5} {_bool_str(r['in_R3']):>5}"
+        )
+    return "\n".join(lines) + "\n"

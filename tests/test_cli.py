@@ -61,8 +61,9 @@ def test_eval_params_flag_and_conflicts(capsys):
 def test_eval_bad_cycle(capsys):
     code, _, err = run(capsys, "eval", "-p", "7", "--params", "1,1,1", "-l", "1")
     assert code == 2
-    code, _, err = run(capsys, "eval", "-p", "7", "--params", "1,1,1", "-l", "0,1")
+    code, _, err = run(capsys, "eval", "-p", "7", "--params", "6,6,3", "-l", "0,1")
     assert code == 2
+    assert err == "error: cycle entries must be positive integers, got (0, 1)\n"
 
 
 def test_eval_integer_mode_bruteforce(capsys):

@@ -1,0 +1,113 @@
+"""Streamed sweeps: the same bytes as whole-list rendering, nothing written on a
+refusal, and memory that does not grow with the number of rows."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fpselberg import modp_arith
+from fpselberg.cli import main
+from fpselberg.selberg2d_closed import Branch
+from fpselberg.verify import ALL_METHODS, SweepConfig, render_sweep, sweep_rows
+from reference_impl import ref_render_sweep_csv, ref_render_sweep_text
+
+ROOT = Path(__file__).resolve().parents[1]
+
+REFERENCES = {
+    "json": lambda rows: json.dumps({"schema": 1, "kind": "sweep", "rows": rows},
+                                    sort_keys=True, indent=2) + "\n",
+    "csv": ref_render_sweep_csv,
+    "text": ref_render_sweep_text,
+}
+
+
+@pytest.mark.parametrize("cycle_bound", [1, 4])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_streamed_renderers_match_whole_list_references(tmp_path, capsys, method, cycle_bound):
+    rows = sweep_rows(SweepConfig(primes=(3, 5), cycle_bound=cycle_bound, methods=(method,), suites=()))
+    for fmt, reference in REFERENCES.items():
+        expected = reference(rows)
+        assert render_sweep(rows, fmt) == expected, fmt
+        out = tmp_path / f"sweep.{fmt}"
+        argv = ["sweep", "--primes", "3,5", "--cycle-bound", str(cycle_bound),
+                "--method", method, "--format", fmt]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == expected, fmt
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected, fmt
+
+
+def test_json_renderer_on_no_rows():
+    assert render_sweep([], "json") == REFERENCES["json"]([])
+
+
+def test_branch_values_need_no_json_escaping():
+    # The json row template writes the branch between quotes as it is.
+    for branch in Branch:
+        assert re.fullmatch(r"[A-Za-z0-9_]+", branch.value), branch
+
+
+def _refused(capsys, tmp_path, argv):
+    out = tmp_path / "sweep.out"
+    code = main(argv + ["--out", str(out)])
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (code, main(argv)) == (3, 3)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_bruteforce_sweep_over_the_cap_writes_nothing(monkeypatch, capsys, tmp_path):
+    # The p = 3 rows fit per-point expansion; the worst p = 5 point needs
+    # 17^2 = 289 cells, so the sweep is refused before any p = 3 row is out.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "200")
+    err = _refused(capsys, tmp_path,
+                   ["sweep", "--primes", "3,5", "--method", "bruteforce"])
+    assert "289 coefficient cells" in err
+
+
+def test_bruteforce_sweep_just_under_the_cap_runs_per_point(monkeypatch, capsys):
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "289")
+    assert main(["sweep", "--primes", "3,5", "--method", "bruteforce", "--format", "csv"]) == 0
+    per_point = capsys.readouterr().out
+    assert main(["sweep", "--primes", "3,5", "--format", "csv"]) == 0
+    assert per_point == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["closed", "direct"])
+def test_sweep_over_the_table_cap_writes_nothing(monkeypatch, capsys, tmp_path, method):
+    # Tables of (p+1)/2 entries: p = 3 fits a cap of 2, p = 5 does not.
+    monkeypatch.setattr(modp_arith, "MAX_TABLE_ENTRIES", 2)
+    err = _refused(capsys, tmp_path, ["sweep", "--primes", "3,5", "--method", method])
+    assert "factorial tables at p=5" in err
+
+
+# Runs argv and prints its exit code and peak RSS in KB (bytes on macOS).  The
+# command starts from this small process, not from the test process: a child
+# forked from a large process would report that process's resident size.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_sweep_memory_does_not_grow_with_rows():
+    # 219,520 json rows: 540 MB when every row was held in memory at once.
+    argv = [sys.executable, "-c", _PEAK_RSS,
+            sys.executable, "-m", "fpselberg.cli", "sweep", "--primes", "29", "--format", "json"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=ROOT,
+                          timeout=120, check=True)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    peak_mb = peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
+    assert peak_mb < 64
