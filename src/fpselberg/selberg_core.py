@@ -22,14 +22,11 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DomainError, GuardError, ResourceLimitError
 from .fp_poly import MultiPoly, _binomial_terms, _coefficient, _dense_product, check_cycle
 from .modp_arith import FpContext, get_context
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MasterPolySpec",
@@ -174,21 +171,60 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
 
 
 class SelbergGrid:
-    """Brute-force values and S1/S2 moments of a whole parameter box at one prime.
+    """Brute-force values and S1/S2 moments of a parameter box at one prime.
 
     Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
-    the cycles it was built for.  Reads return the same residues, as Python
-    ints, as ``selberg_bruteforce`` and ``moment_integral``.
+    the cycles it was built for, holding the ``width`` a values from ``start``
+    on.  A read outside them rebuilds that window from a - 2 if above, a - 1 if
+    below, so an ascending pass that also reads a +- 1 builds each window once.
+    Reads return the same residues, as Python ints, as ``selberg_bruteforce``
+    and ``moment_integral``.
     """
 
-    __slots__ = ("p", "ab_stop", "_index", "_values", "_s1")
+    __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_index", "_values", "_s1")
 
-    def __init__(self, p: int, ab_stop: int, cycles: tuple, values: np.ndarray, s1: np.ndarray):
+    def __init__(self, p: int, ab_stop: int, cycles: tuple, deg: int, width: int):
+        import numpy as np
+
         self.p = p
         self.ab_stop = ab_stop
+        self.width = width
+        self._deg = deg  # Q is cut at this degree
         self._index = {cycle: k for k, cycle in enumerate(cycles)}
-        self._values = values  # int64 arrays indexed [a, b, c, cycle index]
-        self._s1 = s1
+        # int64 arrays indexed [a - start, b, c, cycle index]
+        self._values = np.empty((width, ab_stop, p, len(cycles)), dtype=np.int64)
+        self._s1 = np.empty_like(self._values)
+        self._build(0)
+
+    def _build(self, start: int):
+        """Fill the window of a values [start, start + width), one expansion of Q per c."""
+        import numpy as np
+
+        p, deg = self.p, self._deg
+        zero = deg + 1
+        self.start = -self.width  # no a is in the window until the build is complete
+        targets = np.array([[l * p - 1 for l in cycle] for cycle in self._index]).T[:, :, None]
+        t1, t2 = targets - np.arange(start, start + self.width)  # cycles x a
+        rows = np.stack([t1, t1 - 1, t1])  # reads Phi[T], Phi[T1-1, T2], Phi[T1, T2-1]
+        cols = np.stack([t2, t2, t2 - 1])
+        inside = (rows >= 0) & (rows <= deg) & (cols >= 0) & (cols <= deg)
+        rows = np.where(inside, rows, zero)
+        cols = np.where(inside, cols, zero)
+        for c in range(p):
+            q = np.zeros((zero + 1, zero + 1), dtype=np.int64)
+            for (i, j), coeff in _binomial_terms((0, 0), (1, 0), (0, 1), 2 * c):  # Q_{0,c} = (x1 - x2)^(2c)
+                if i <= deg and j <= deg:
+                    q[i, j] = coeff % p
+            block = q[:zero, :zero]
+            for b in range(self.ab_stop):
+                if b:
+                    block[1:] = block[1:] - block[:-1]
+                    block[:, 1:] = block[:, 1:] - block[:, :-1]
+                    block %= p
+                reads = q[rows, cols]
+                self._values[:, b, c, :] = reads[0].T
+                self._s1[:, b, c, :] = ((reads[1] + reads[2]) % p).T
+        self.start = start
 
     def _slot(self, a: int, b: int, c: int, cycle) -> tuple:
         # Explicit bounds: a negative numpy index would silently wrap around.
@@ -199,11 +235,15 @@ class SelbergGrid:
             k = self._index[tuple(cycle)]
         except KeyError:
             raise ValueError(f"cycle {tuple(cycle)} is not in the grid") from None
-        return a, b, c, k
+        if not self.start <= a < self.start + self.width:
+            start = a - 2 if a >= self.start + self.width else a - 1
+            self._build(max(0, min(start, self.ab_stop - self.width)))
+        return a - self.start, b, c, k
 
     def value(self, a: int, b: int, c: int, cycle) -> int:
         """The integral of Phi_{a,b,c} over the cycle, as ``selberg_bruteforce`` gives it."""
-        return int(self._values[self._slot(a, b, c, cycle)])
+        slot = self._slot(a, b, c, cycle)
+        return int(self._values[slot])
 
     def moments(self, a: int, b: int, c: int, cycle) -> tuple[int, int]:
         """(S1, S2) as ``moment_integral`` gives them; S2 = 2*S - S1."""
@@ -213,10 +253,11 @@ class SelbergGrid:
 
 
 def _guard_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None) -> tuple:
-    """Validate a grid request and check its cells against the cap, allocating nothing.
+    """Validate a grid request and size its window against the cap, allocating nothing.
 
-    Returns (ab_stop, cycles, deg): the a, b bound, the distinct cycles and
-    the degree at which Q is cut.
+    Returns (ab_stop, cycles, deg, width): the a, b bound, the distinct
+    cycles, the degree at which Q is cut and the a values one window holds:
+    as many as fit up to ab_stop, and at least min(3, ab_stop) (a and a +- 1).
     """
     get_context(p)  # validates the prime
     ab_stop = p if ab_stop is None else ab_stop
@@ -230,59 +271,34 @@ def _guard_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None) ->
     # Shift-adds only raise exponents, so Q may be cut at the largest target
     # exponent without changing any entry that is read.
     deg = min(2 * (p - 1) + ab_stop - 1, max(l * p - 1 for cycle in cycles for l in cycle))
-    cells = (deg + 2) ** 2 + 2 * ab_stop * ab_stop * p * len(cycles)
+    q_cells = (deg + 2) ** 2
+    a_cells = 2 * ab_stop * p * len(cycles)  # one a value of the value and moment boxes
     cap, _ = _max_cells()
-    if cells > cap:
+    width = min(ab_stop, (cap - q_cells) // a_cells)
+    least = min(3, ab_stop)
+    if width < least:
         raise ResourceLimitError(
-            f"grid at p={p} with a, b < {ab_stop} and {len(cycles)} cycles needs {cells}"
-            f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)"
+            f"grid at p={p} with a, b < {ab_stop} and {len(cycles)} cycles needs {q_cells + least * a_cells}"
+            f" coefficient cells for a window of {least} a values, cap is {cap}"
+            f" (raise {MAX_TERMS_ENV} to override)"
         )
-    return ab_stop, cycles, deg
+    return ab_stop, cycles, deg, width
 
 
 def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
                  ab_stop: int | None = None) -> SelbergGrid:
-    """Two-dimensional brute force for every 0 <= a, b < ab_stop, 0 <= c < p at once.
+    """Two-dimensional brute force for every 0 <= a, b < ab_stop, 0 <= c < p, a window of a at a time.
 
     Phi_{a,b,c} = (x1*x2)^a * Q_{b,c} with Q_{b,c} = (x1-x2)^(2c) ((1-x1)(1-x2))^b,
-    so one expansion per c serves the whole box: Q_{b+1,c} is Q_{b,c} times
+    so one expansion per c serves a whole window: Q_{b+1,c} is Q_{b,c} times
     (1-x1)(1-x2), a four-term shift-add mod p, and a only moves the index
     that is read, Phi[t1, t2] = Q[t1-a, t2-a].  The S1 moment at the cycle
     exponents T is Phi[T1-1, T2] + Phi[T1, T2-1].  An index below 0 means the
     coefficient is absent and reads as 0.  ``ab_stop`` defaults to p.  The
-    cells the grid allocates (Q and the value and moment boxes) are checked
-    against the expansion cap before anything is allocated.
+    cells of Q and of one window's value and moment boxes are checked against
+    the expansion cap before anything is allocated.
     """
-    ab_stop, cycles, deg = _guard_grid(p, cycles, ab_stop)
-    zero = deg + 1
-    import numpy as np  # after the guard: a refused grid never loads numpy
-
-    a = np.arange(ab_stop)
-    t1 = np.array([l1 * p - 1 for l1, _ in cycles])[:, None] - a  # cycles x a
-    t2 = np.array([l2 * p - 1 for _, l2 in cycles])[:, None] - a
-    rows = np.stack([t1, t1 - 1, t1])  # reads Phi[T], Phi[T1-1, T2], Phi[T1, T2-1]
-    cols = np.stack([t2, t2, t2 - 1])
-    inside = (rows >= 0) & (rows <= deg) & (cols >= 0) & (cols <= deg)
-    rows = np.where(inside, rows, zero)
-    cols = np.where(inside, cols, zero)
-
-    values = np.empty((ab_stop, ab_stop, p, len(cycles)), dtype=np.int64)
-    s1 = np.empty_like(values)
-    for c in range(p):
-        q = np.zeros((zero + 1, zero + 1), dtype=np.int64)
-        for (i, j), coeff in _binomial_terms((0, 0), (1, 0), (0, 1), 2 * c):  # Q_{0,c} = (x1 - x2)^(2c)
-            if i <= deg and j <= deg:
-                q[i, j] = coeff % p
-        block = q[:zero, :zero]
-        for b in range(ab_stop):
-            if b:
-                block[1:] = block[1:] - block[:-1]
-                block[:, 1:] = block[:, 1:] - block[:, :-1]
-                block %= p
-            reads = q[rows, cols]
-            values[:, b, c, :] = reads[0].T
-            s1[:, b, c, :] = ((reads[1] + reads[2]) % p).T
-    return SelbergGrid(p, ab_stop, cycles, values, s1)
+    return SelbergGrid(p, *_guard_grid(p, cycles, ab_stop))
 
 
 def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:

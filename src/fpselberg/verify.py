@@ -31,10 +31,8 @@ from .selberg_core import (
     MasterPolySpec,
     SelbergGrid,
     SelbergParams,
-    _guard_expansion,
     _guard_grid,
     beta_closed,
-    moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
     selberg_grid,
@@ -168,39 +166,16 @@ def _ce(p, a, b, c, l1, l2, branch, expected, got, **extra) -> dict:
 
 _RECURRENCE_CYCLES = ((1, 1), (1, 2), (2, 2), (1, 3))
 _BRIDGE_LEVELS = (1, 2)  # the Morris bridge reaches the cycles [1,1] and [2,2]
-
-
-class _PointOracle:
-    """Per-point brute force with the grid's reads, for a prime whose grid is over the cap."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def value(self, a: int, b: int, c: int, cycle):
-        return selberg_bruteforce(MasterPolySpec(2, a, b, c, self.p), cycle)
-
-    def moments(self, a: int, b: int, c: int, cycle):
-        params = SelbergParams(a, b, c, self.p)
-        return moment_integral(params, cycle, "S1"), moment_integral(params, cycle, "S2")
-
-
-def _oracle(p: int, cycles, ab_stop: int | None = None) -> SelbergGrid | _PointOracle:
-    """The brute-force grid at p, or per-point brute force where the grid exceeds the cap.
-
-    Per-point expansion keeps its own guard, so a run the grid cannot hold
-    succeeds or fails exactly as it would without the grid.
-    """
-    try:
-        return selberg_grid(p, cycles, ab_stop)
-    except ResourceLimitError:
-        return _PointOracle(p)
+_BRIDGE_MAX_P = 7  # the bridge is checked at p <= 7 only
 
 
 class _GridCache(dict):
-    """Brute-force oracles of one verification run, one per prime, built on first use.
+    """Brute-force grids of one verification run, one per prime, built on first use.
 
     Its cycles are every cycle a suite reads brute force on, so all suites
-    share one expansion per (p, c).
+    share one expansion per (p, c) and window.  Creating it raises
+    ResourceLimitError, before any suite runs, if a grid that a selected
+    suite reads (nd's n=2 window included) is over the cap at some prime.
     """
 
     def __init__(self, config: SweepConfig):
@@ -208,19 +183,31 @@ class _GridCache(dict):
         self.cycles = tuple(dict.fromkeys(
             config.cycles() + list(_RECURRENCE_CYCLES) + [(l, l) for l in _BRIDGE_LEVELS]
             + list(RELATION_CYCLES)))
+        suites = set(config.suites)
+        shared = bool(suites & {"recurrences", "relations", "vanishing"}) or (
+            "oracle_equiv" in suites and "bruteforce" in _equiv_methods(config))
+        for p in config.primes:
+            if shared or ("morris" in suites and p <= _BRIDGE_MAX_P):
+                _guard_grid(p, self.cycles, None)
+            if "nd" in suites:
+                _guard_grid(p, [(1, 1)], 2 * p)
 
-    def __missing__(self, p: int) -> SelbergGrid | _PointOracle:
-        grid = self[p] = _oracle(p, self.cycles)
+    def __missing__(self, p: int) -> SelbergGrid:
+        grid = self[p] = selberg_grid(p, self.cycles)
         return grid
 
 
 # -- suites --------------------------------------------------------------------
 
 
+def _equiv_methods(config: SweepConfig) -> tuple:
+    return config.methods if len(config.methods) >= 2 else ALL_METHODS
+
+
 def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """All selected evaluation methods agree on every grid point."""
     result = SuiteResult("oracle_equiv")
-    methods = config.methods if len(config.methods) >= 2 else ALL_METHODS
+    methods = _equiv_methods(config)
     reference = "bruteforce" if "bruteforce" in methods else methods[0]
     others = [m for m in methods if m != reference]
     cycles = config.cycles()
@@ -351,7 +338,7 @@ def _suite_morris(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             sym = morris_lhs_symmetric_form(mp)
             result.record(sym == ct,
                           lambda: _ce(0, alpha, beta, gamma, n, n, "morris symmetric form", ct, sym))
-    for p in [q for q in config.primes if q <= 7]:
+    for p in [q for q in config.primes if q <= _BRIDGE_MAX_P]:
         grid = grids[p]
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
@@ -399,7 +386,7 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 want = beta_closed(ctx, a, b)
                 result.record(got == want, lambda: _ce(p, a, b, 0, 1, 1, "nd n=1", want, got))
         # n = 2: matches brute force, and the C11_i closed form in the window.
-        window = _oracle(p, [(1, 1)], 2 * p)
+        window = selberg_grid(p, [(1, 1)], 2 * p)
         for a in range(2 * p):
             for b in range(2 * p):
                 for c in range(p):
@@ -476,22 +463,18 @@ def run_verification(config: SweepConfig) -> VerificationReport:
 def _check_sweep(method: str, p: int, cycles: list):
     """Raise ResourceLimitError if some row of ``method`` at p would hit a resource guard.
 
-    Brute force reads the grid, or per-point expansions where the grid is
-    over the cap; the largest of those is at a = b = c = p-1.  The closed
-    and direct routes read the factorial tables.
+    Brute force reads the grid, whose smallest window must fit the cap; the
+    closed and direct routes read the factorial tables.
     """
-    if method != "bruteforce":
-        get_context(p).check_table_size()
-        return
-    try:
+    if method == "bruteforce":
         _guard_grid(p, cycles, None)
-    except ResourceLimitError:
-        _guard_expansion(MasterPolySpec(2, p - 1, p - 1, p - 1, p))
+    else:
+        get_context(p).check_table_size()
 
 
 def _sweep_rows(primes: tuple, method: str, cycles: list) -> Iterator[dict]:
     for p in primes:
-        grid = _oracle(p, cycles) if method == "bruteforce" else None
+        grid = selberg_grid(p, cycles) if method == "bruteforce" else None
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             r1, r2, r3 = in_condition_sets(params)
@@ -515,8 +498,8 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[dict]:
     this is called, before the first row is made, so a sweep that would be
     refused is refused before anything is written.  The value column uses
     the first configured method (closed if none); brute force builds each
-    prime's grid (or falls back to per-point expansion where the grid is
-    over the cap) just before that prime's rows.  Rows are made serially;
+    prime's grid just before that prime's rows, one window of a values at a
+    time where the whole box is over the cap.  Rows are made serially;
     ``config.parallelism`` is not used.  Each row is a dict with the fixed
     CSV column set, and ``classify`` runs once per row.
     """

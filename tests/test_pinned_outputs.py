@@ -26,6 +26,17 @@ VERIFY_COUNTS = {  # suite: (checked, skipped, failed)
     "stokes": (305, 0, 0),
     "nd": (3595, 1, 0),
 }
+# verify --primes 23: the whole shared grid is over the default cap there, so
+# the suites read it in windows of a values.
+VERIFY_P23_COUNTS = {
+    "oracle_equiv": (212960, 0, 0),
+    "recurrences": (240736, 0, 0),
+    "relations": (13112, 0, 0),
+    "vanishing": (99725, 0, 0),
+    "morris": (384, 0, 0),
+    "stokes": (297, 0, 0),
+    "nd": (8605, 1, 0),
+}
 SWEEP_CSV_SHA256 = "abeb7230281bbb0a9433242eca0d3564bd2248a49760734870dda0548a7dd470"
 SWEEP_JSON_SHA256 = "9a0560aeeccf6597471e167696fa934910941d1cd62f9e5eef030063fce2288a"
 
@@ -37,6 +48,16 @@ def test_default_verify_counts(tmp_path):
     counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
     assert counts == VERIFY_COUNTS
     assert (report["checked_total"], report["failed_total"]) == (160312, 0)
+
+
+def test_verify_p23_counts(tmp_path, monkeypatch):
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--primes", "23", "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
+    assert counts == VERIFY_P23_COUNTS
+    assert (report["checked_total"], report["failed_total"]) == (575819, 0)
 
 
 @pytest.mark.parametrize("fmt, method, digest", [

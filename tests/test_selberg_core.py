@@ -9,6 +9,7 @@ from fpselberg.fp_poly import MultiPoly, fp_integral
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     MasterPolySpec,
+    SelbergGrid,
     SelbergParams,
     beta_closed,
     master_polynomial,
@@ -294,6 +295,54 @@ def test_grid_matches_per_point_bruteforce(p):
                 s1, s2 = grid.moments(a, b, c, cycle)
                 assert (s1, s2) == (moment_integral(params, cycle, "S1"),
                                     moment_integral(params, cycle, "S2")), (a, b, c, cycle)
+
+
+def _window_of_3(monkeypatch, p: int, cycles):
+    """Set the cap to the cells of a window of 3 a values: Q, then 3 a values of both boxes."""
+    deg = min(3 * p - 3, max(l * p - 1 for cycle in cycles for l in cycle))
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str((deg + 2) ** 2 + 3 * 2 * p * p * len(set(cycles))))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_grid_window_reads_in_any_order(monkeypatch, order):
+    p = 7
+    _window_of_3(monkeypatch, p, GRID_CYCLES)
+    grid = selberg_grid(p, GRID_CYCLES)
+    assert (grid.width, grid.start) == (3, 0)
+    points = list(itertools.product(range(p), repeat=3))
+    if order == "descending":
+        points.reverse()
+    elif order == "shuffled":
+        random.Random(order).shuffle(points)
+    starts = set()
+    for a, b, c in points:
+        spec = MasterPolySpec(2, a, b, c, p)
+        for cycle in GRID_CYCLES:
+            assert grid.value(a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
+            if a and b and c:
+                params = SelbergParams(a, b, c, p)
+                assert grid.moments(a, b, c, cycle) == (moment_integral(params, cycle, "S1"),
+                                                        moment_integral(params, cycle, "S2"))
+            starts.add(grid.start)
+    assert len(starts) > 1
+
+
+def test_grid_window_is_built_once_per_ascending_pass(monkeypatch):
+    # A pass in ascending a that also reads a - 1 and a + 1, as the
+    # recurrences do, moves a window of 3 only at the first read past it:
+    # the windows start at 0, 1, 2, 3, 4.
+    p = 7
+    _window_of_3(monkeypatch, p, [(1, 1)])
+    grid = selberg_grid(p, [(1, 1)])
+    builds = []
+    build = SelbergGrid._build
+    monkeypatch.setattr(SelbergGrid, "_build", lambda self, start: builds.append(start) or build(self, start))
+    for _ in range(2):
+        for a, b, c in all_triples(p):
+            for shifted in (a, a + 1, a - 1):
+                if 0 <= shifted < p:
+                    grid.value(shifted, b, c, (1, 1))
+    assert builds == [1, 2, 3, 4, 0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -64,21 +64,26 @@ def _refused(capsys, tmp_path, argv):
     return captured.err
 
 
+# The smallest p = 5 window of the bruteforce sweep: Q cut at degree 12 takes
+# 14^2 cells, and 3 a values of the two boxes 2 * 3 * 5^2 * 10 cycles.
+SMALLEST_P5_WINDOW = 14**2 + 2 * 3 * 5**2 * 10
+
+
 def test_bruteforce_sweep_over_the_cap_writes_nothing(monkeypatch, capsys, tmp_path):
-    # The p = 3 rows fit per-point expansion; the worst p = 5 point needs
-    # 17^2 = 289 cells, so the sweep is refused before any p = 3 row is out.
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "200")
+    # The whole p = 3 grid fits; no p = 5 window does, so the sweep is refused
+    # before any p = 3 row is out.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(SMALLEST_P5_WINDOW - 1))
     err = _refused(capsys, tmp_path,
                    ["sweep", "--primes", "3,5", "--method", "bruteforce"])
-    assert "289 coefficient cells" in err
+    assert f"{SMALLEST_P5_WINDOW} coefficient cells for a window of 3 a values" in err
 
 
-def test_bruteforce_sweep_just_under_the_cap_runs_per_point(monkeypatch, capsys):
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "289")
+def test_bruteforce_sweep_at_the_smallest_window_runs(monkeypatch, capsys):
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(SMALLEST_P5_WINDOW))
     assert main(["sweep", "--primes", "3,5", "--method", "bruteforce", "--format", "csv"]) == 0
-    per_point = capsys.readouterr().out
+    windowed = capsys.readouterr().out
     assert main(["sweep", "--primes", "3,5", "--format", "csv"]) == 0
-    assert per_point == capsys.readouterr().out
+    assert windowed == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("method", ["closed", "direct"])
@@ -100,14 +105,24 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_sweep_memory_does_not_grow_with_rows():
-    # 219,520 json rows: 540 MB when every row was held in memory at once.
-    argv = [sys.executable, "-c", _PEAK_RSS,
-            sys.executable, "-m", "fpselberg.cli", "sweep", "--primes", "29", "--format", "json"]
+def _sweep_peak_mb(*args) -> float:
+    argv = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "fpselberg.cli", "sweep", *args]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("FPSELBERG_MAX_TERMS", None)
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=ROOT,
                           timeout=120, check=True)
     code, peak = map(int, proc.stdout.split())
     assert code == 0
-    peak_mb = peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
-    assert peak_mb < 64
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
+
+
+def test_sweep_memory_does_not_grow_with_rows(tmp_path):
+    # 219,520 json rows: 540 MB when every row was held in memory at once.
+    assert _sweep_peak_mb("--primes", "29", "--format", "json") < 64
+    # The p = 29 bruteforce grid is over the default cap as a whole box and is
+    # read in windows of a values: 201 MB when it was expanded per point.
+    out = {method: tmp_path / f"{method}.csv" for method in ("bruteforce", "closed")}
+    for method, path in out.items():
+        assert _sweep_peak_mb("--primes", "29", "--method", method, "--format", "csv",
+                              "--out", str(path)) < 64
+    assert out["bruteforce"].read_bytes() == out["closed"].read_bytes()

@@ -3,7 +3,10 @@ import sys
 
 import pytest
 
-from fpselberg import selberg_core, verify
+from fpselberg import selberg2d_closed, selberg_core, verify
+from fpselberg.cli import main
+from fpselberg.errors import ResourceLimitError
+from fpselberg.selberg2d_closed import Branch
 from fpselberg.verify import (
     ALL_SUITES,
     SWEEP_CSV_HEADER,
@@ -110,27 +113,102 @@ def test_relations_suite_notes_golden_discrepancy():
     assert any("paper_discrepancy=true" in note for note in suite.notes)
 
 
-def test_grid_over_the_cap_falls_back_to_per_point_bruteforce(monkeypatch):
-    # With the cap at 2,500 cells no p = 7 grid fits (the shared one needs
-    # 2 * 7^3 * 12 boxes), but every per-point expansion the suites make does.
+def _without_seconds(report) -> dict:
+    payload = json.loads(render_report(report, "json"))
+    for suite in payload["suites"]:
+        del suite["seconds"]
+    return payload
+
+
+def test_grid_over_the_cap_runs_window_by_window(monkeypatch):
+    # At 4,000 cells the shared p = 7 grid holds 3 of its 7 a values at once
+    # (400 cells of Q plus 2 * 7^2 * 12 per a value), so every suite pass
+    # reads it window by window; the report must not change.
     config = SweepConfig(primes=(7,), suites=ALL_SUITES)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    on_grid = run_verification(config)
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "2500")
-    assert isinstance(verify._oracle(7, [(1, 1)], 14), verify._PointOracle)
-    per_point = run_verification(config)
-    assert per_point.failed_total == on_grid.failed_total == 0
-    assert [(s.name, s.checked, s.skipped) for s in per_point.suites] == [
-        (s.name, s.checked, s.skipped) for s in on_grid.suites]
-    bruteforce = SweepConfig(primes=(5,), methods=("bruteforce",), suites=("stokes",))
-    assert sweep_rows(bruteforce) == sweep_rows(SweepConfig(primes=(5,), suites=("stokes",)))
+    whole = run_verification(config)
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "4000")
+    assert selberg_core._guard_grid(7, verify._GridCache(config).cycles, None)[3] == 3
+    windowed = run_verification(config)
+    assert windowed.failed_total == whole.failed_total == 0
+    assert _without_seconds(windowed) == _without_seconds(whole)
+    bruteforce = SweepConfig(primes=(5, 7), methods=("bruteforce",), suites=("stokes",))
+    assert selberg_core._guard_grid(7, bruteforce.cycles(), None)[3] == 3
+    assert sweep_rows(bruteforce) == sweep_rows(SweepConfig(primes=(5, 7), suites=("stokes",)))
 
 
 def test_nd_window_at_p127_is_not_refused(monkeypatch):
-    # The n=2 window grid at p = 127 is over the default cap; verify falls back
-    # to per-point expansion, whose largest window point fits.  Checked without
-    # allocating: the grid refuses before any numpy call.
+    # The n=2 window grid (a, b < 2p on [1,1]) at p = 127 is over the default
+    # cap as a whole box, but its 3-value window fits; p = 137 is the last
+    # prime that does.  Checked without allocating: numpy is out of reach.
     monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    assert isinstance(verify._oracle(127, [(1, 1)], 2 * 127), verify._PointOracle)
-    selberg_core._guard_expansion(selberg_core.MasterPolySpec(2, 126, 126, 0, 127))
+    assert selberg_core._guard_grid(127, [(1, 1)], 2 * 127)[3] == 3
+    selberg_core._guard_grid(137, [(1, 1)], 2 * 137)
+    with pytest.raises(ResourceLimitError, match="for a window of 3 a values"):
+        selberg_core._guard_grid(139, [(1, 1)], 2 * 139)
+
+
+def test_windowed_verify_keeps_counterexample_order(monkeypatch):
+    # A wrong C12_ii sign gives the same failing report, counterexamples in
+    # the same order, whether p = 11 is read as a whole box or in windows of
+    # 3 a values (12,000 cells).
+    real = selberg2d_closed._formula
+
+    def flipped(branch, params):
+        sign, top, bottom = real(branch, params)
+        return (-sign if branch == Branch.C12_ii else sign), top, bottom
+
+    monkeypatch.setattr(selberg2d_closed, "_formula", flipped)
+    config = SweepConfig(primes=(5, 7, 11))
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    whole = run_verification(config)
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "12000")
+    assert selberg_core._guard_grid(11, verify._GridCache(config).cycles, None)[3] == 3
+    windowed = run_verification(config)
+    assert whole.failed_total > 0
+    assert _without_seconds(windowed) == _without_seconds(whole)
+
+
+def _record_suite_runs(monkeypatch) -> list:
+    ran = []
+    for name, runner in verify._SUITE_RUNNERS.items():
+        monkeypatch.setitem(verify._SUITE_RUNNERS, name,
+                            lambda *args, name=name, runner=runner: ran.append(name) or runner(*args))
+    return ran
+
+
+@pytest.mark.parametrize("kwargs, refused", [
+    *[({"suites": (suite,)}, suite not in ("stokes", "nd")) for suite in ALL_SUITES],
+    ({"primes": (11,), "suites": ("morris",)}, False),  # the bridge reads the grid at p <= 7 only
+    ({"methods": ("direct", "closed"), "suites": ("oracle_equiv",)}, False),
+], ids=[*ALL_SUITES, "morris-at-p11", "oracle_equiv-without-bruteforce"])
+def test_verify_checks_the_grids_its_suites_read(monkeypatch, kwargs, refused):
+    # One cell under the smallest shared p = 7 window (400 + 3 * 1,176 cells);
+    # the n=2 window of nd still fits.  A refused run runs no suite at all.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "3927")
+    ran = _record_suite_runs(monkeypatch)
+    config = SweepConfig(**{"primes": (7,), **kwargs})
+    if refused:
+        with pytest.raises(ResourceLimitError, match="needs 3928 coefficient cells"):
+            run_verification(config)
+        assert ran == []
+    else:
+        assert run_verification(config).failed_total == 0
+        assert ran == list(config.suites)
+
+
+def test_verify_refuses_a_prime_over_the_cap_before_any_suite(monkeypatch, capsys, tmp_path):
+    # No window of the shared grid fits the default cap at p = 59, so the run
+    # is refused before the p = 13 suites start; stokes reads no grid.
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    ran = _record_suite_runs(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--primes", "13,59", "--out", str(out)]) == 3
+    assert main(["verify", "--primes", "13,59"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p=59" in captured.err and "raise FPSELBERG_MAX_TERMS" in captured.err
+    assert not out.exists() and ran == []
+    assert main(["verify", "--primes", "127", "--suite", "stokes"]) == 0
+    assert ran == ["stokes"]
