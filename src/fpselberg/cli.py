@@ -1,8 +1,8 @@
 """Command-line surface: eval, classify, verify, sweep, morris.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard.  The FPSELBERG_MAX_TERMS environment variable overrides the
-polynomial-size resource guard.
+guard.  The FPSELBERG_MAX_TERMS environment variable sets the guard's cap on
+the coefficient cells of any one expansion or grid window.
 """
 
 from __future__ import annotations
@@ -183,17 +183,13 @@ def _parse_suites(raw: list) -> tuple:
 
 
 def _common_config(args, suites=(), methods=ALL_METHODS) -> SweepConfig:
-    primes = _int_list(args.primes, "--primes")
-    if not primes:
-        raise UsageError("--primes must list at least one odd prime")
     try:
         return SweepConfig(
-            primes=primes,
+            primes=_int_list(args.primes, "--primes"),
             cycle_bound=args.cycle_bound,
             methods=methods,
             suites=suites,
             integer_mode=getattr(args, "integer_mode", False),
-            output_format=args.format,
             parallelism=args.jobs,
         )
     except ValueError as exc:
@@ -203,14 +199,14 @@ def _common_config(args, suites=(), methods=ALL_METHODS) -> SweepConfig:
 def _cmd_verify(args) -> int:
     config = _common_config(args, suites=_parse_suites(args.suite))
     report = run_verification(config)
-    _write_output((render_report(report, config.output_format),), args.out)
+    _write_output((render_report(report, args.format),), args.out)
     return 0 if report.failed_total == 0 else 1
 
 
 def _cmd_sweep(args) -> int:
     config = _common_config(args, suites=(), methods=(args.method,))
     rows = iter_sweep_rows(config)  # checks every resource guard before anything is written
-    _write_output(iter_render_sweep(rows, config.output_format), args.out)
+    _write_output(iter_render_sweep(rows, args.format), args.out)
     return 0
 
 

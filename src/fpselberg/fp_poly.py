@@ -283,22 +283,24 @@ def _exact_dtype(factors: Iterable[Iterable[tuple]]) -> object:
     return np.int64
 
 
-def _dense_mul(arr: np.ndarray, factor: list, p: int | None) -> np.ndarray:
-    """Multiply a dense coefficient array by one sparse factor."""
+def _dense_mul(arr: np.ndarray, factor: list, p: int | None, cut: int | None = None) -> np.ndarray:
+    """Multiply a dense coefficient array by one sparse factor, dropping exponents above ``cut``."""
     import numpy as np
 
     if not factor:
         return np.zeros((1,) * arr.ndim, dtype=arr.dtype)
     fdeg = tuple(max(e[i] for e, _ in factor) for i in range(arr.ndim))
-    out = np.zeros(tuple(s + d for s, d in zip(arr.shape, fdeg)), dtype=arr.dtype)
+    shape = tuple(s + d if cut is None else min(s + d, cut + 1) for s, d in zip(arr.shape, fdeg))
+    out = np.zeros(shape, dtype=arr.dtype)
     # In mod-p mode each slice-add contributes less than p^2 per cell; when
     # the sum over all terms could leave int64, reduce after every add.
     reduce_each = p is not None and arr.dtype != object and len(factor) * (p - 1) ** 2 >= _INT64_SAFE
     for exps, coeff in factor:
-        sl = tuple(slice(e, e + s) for e, s in zip(exps, arr.shape))
+        src = arr if cut is None else arr[tuple(slice(0, max(0, cut + 1 - e)) for e in exps)]  # may be empty
+        sl = tuple(slice(e, e + s) for e, s in zip(exps, src.shape))
         if p is not None:
             coeff %= p
-        out[sl] += coeff * arr
+        out[sl] += coeff * src
         if reduce_each:
             out[sl] %= p
     if p is not None:
@@ -306,12 +308,13 @@ def _dense_mul(arr: np.ndarray, factor: list, p: int | None) -> np.ndarray:
     return out
 
 
-def _dense_product(num_vars: int, factors: list, p: int | None) -> np.ndarray:
+def _dense_product(num_vars: int, factors: list, p: int | None, cut: int | None = None) -> np.ndarray:
     """Expand a product of sparse factors into a dense coefficient array.
 
     Each factor is a list of (exponent tuple, coefficient) pairs.  The result
     is indexed by exponent vectors; dtype is int64 when that is provably
     exact (in mod-p mode: p below about 2^31), Python objects otherwise.
+    Exponents above ``cut``, if given, are dropped as the product is built.
     """
     import numpy as np
 
@@ -323,5 +326,5 @@ def _dense_product(num_vars: int, factors: list, p: int | None) -> np.ndarray:
     arr = np.zeros((1,) * num_vars, dtype=dtype)
     arr[(0,) * num_vars] = 1
     for factor in factors:
-        arr = _dense_mul(arr, factor, p)
+        arr = _dense_mul(arr, factor, p, cut)
     return arr

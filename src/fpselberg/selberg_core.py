@@ -41,9 +41,9 @@ __all__ = [
     "selberg_nd_closed",
 ]
 
-# Dense expansion budget (cells of the coefficient array).  The default keeps
-# brute force within n <= 3 and p <= 11 in three variables while allowing the
-# full two-variable sweep range; FPSELBERG_MAX_TERMS overrides it.
+# Coefficient cells one per-point expansion or one grid window may allocate: by
+# default per-point brute force up to degree 499 per variable at n = 2 and 61 at
+# n = 3, verify's shared grid up to p = 53.  FPSELBERG_MAX_TERMS overrides it.
 DEFAULT_MAX_TERMS = 250_000
 MAX_TERMS_ENV = "FPSELBERG_MAX_TERMS"
 
@@ -107,30 +107,24 @@ class MasterPolySpec:
         return self.a + self.b + 2 * (self.n - 1) * self.c
 
 
-def _max_cells() -> tuple[int, bool]:
+def _max_cells() -> int:
     env = os.environ.get(MAX_TERMS_ENV)
     if env is None:
-        return DEFAULT_MAX_TERMS, False
+        return DEFAULT_MAX_TERMS
     try:
-        return int(env), True
+        return int(env)
     except ValueError:
         raise ValueError(f"{MAX_TERMS_ENV} must be an integer, got {env!r}") from None
 
 
 def _guard_expansion(spec: MasterPolySpec):
     cells = (spec.var_degree + 1) ** spec.n
-    cap, overridden = _max_cells()
+    cap = _max_cells()
     if cells > cap:
         raise ResourceLimitError(
             f"master polynomial for {spec} needs {cells} coefficient cells, cap is {cap}"
             f" (raise {MAX_TERMS_ENV} to override)"
         )
-    if not overridden:
-        if spec.n > 3 or (spec.n == 3 and spec.p > 11):
-            raise ResourceLimitError(
-                f"brute-force expansion capped at n <= 3 with p <= 11, got n={spec.n}, p={spec.p}"
-                f" (set {MAX_TERMS_ENV} to opt in to larger expansions)"
-            )
 
 
 def _master_factors(n: int, a: int, b: int, cross: int) -> list:
@@ -142,7 +136,7 @@ def _master_factors(n: int, a: int, b: int, cross: int) -> list:
     units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
     factors = [_binomial_terms(zero, units[i], units[j], cross) for i in range(n) for j in range(i + 1, n)]
     factors += [_binomial_terms(zero[:i] + (a,) + zero[i + 1 :], zero, units[i], b) for i in range(n)]
-    return factors
+    return [factor for factor in factors if factor != [(zero, 1)]]  # a factor 1 adds nothing
 
 
 @functools.lru_cache(maxsize=4096)
@@ -174,11 +168,11 @@ class SelbergGrid:
     """Brute-force values and S1/S2 moments of a parameter box at one prime.
 
     Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
-    the cycles it was built for, holding the ``width`` a values from ``start``
-    on.  A read outside them rebuilds that window from a - 2 if above, a - 1 if
-    below, so an ascending pass that also reads a +- 1 builds each window once.
-    Reads return the same residues, as Python ints, as ``selberg_bruteforce``
-    and ``moment_integral``.
+    the cycles it was built for, all of one arity n, holding the ``width`` a
+    values from ``start`` on.  A read outside them rebuilds that window from
+    a - 2 if above, a - 1 if below, so an ascending pass that also reads a +- 1
+    builds each window once.  Reads return the same residues, as Python ints,
+    as ``selberg_bruteforce`` and, for n = 2, ``moment_integral``.
     """
 
     __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_index", "_values", "_s1")
@@ -204,26 +198,27 @@ class SelbergGrid:
         zero = deg + 1
         self.start = -self.width  # no a is in the window until the build is complete
         targets = np.array([[l * p - 1 for l in cycle] for cycle in self._index]).T[:, :, None]
-        t1, t2 = targets - np.arange(start, start + self.width)  # cycles x a
-        rows = np.stack([t1, t1 - 1, t1])  # reads Phi[T], Phi[T1-1, T2], Phi[T1, T2-1]
-        cols = np.stack([t2, t2, t2 - 1])
-        inside = (rows >= 0) & (rows <= deg) & (cols >= 0) & (cols <= deg)
-        rows = np.where(inside, rows, zero)
-        cols = np.where(inside, cols, zero)
+        n = len(targets)
+        # Read 0 is Phi[T], read i is Phi[T - e_i]: index reads x axis x cycles x a.
+        shifts = np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)])
+        index = (targets - np.arange(start, start + self.width))[None] - shifts[:, :, None, None]
+        inside = ((index >= 0) & (index <= deg)).all(axis=1, keepdims=True)
+        index = tuple(np.where(inside, index, zero).swapaxes(0, 1))
+        reads = np.empty((self.ab_stop, *index[0].shape), dtype=np.int64)  # b x reads x cycles x a
         for c in range(p):
-            q = np.zeros((zero + 1, zero + 1), dtype=np.int64)
-            for (i, j), coeff in _binomial_terms((0, 0), (1, 0), (0, 1), 2 * c):  # Q_{0,c} = (x1 - x2)^(2c)
-                if i <= deg and j <= deg:
-                    q[i, j] = coeff % p
-            block = q[:zero, :zero]
+            q = np.zeros((zero + 1,) * n, dtype=np.int64)
+            q0 = _dense_product(n, _master_factors(n, 0, 0, 2 * c), p, deg)  # Q_{0,c} = Phi_{0,0,c}
+            q[tuple(map(slice, q0.shape))] = q0
+            block = q[(slice(0, zero),) * n]
+            axes = [np.moveaxis(block, k, 0) for k in range(n)]  # views of block, axis k first
             for b in range(self.ab_stop):
                 if b:
-                    block[1:] = block[1:] - block[:-1]
-                    block[:, 1:] = block[:, 1:] - block[:, :-1]
+                    for along in axes:  # times (1 - x_k)
+                        along[1:] = along[1:] - along[:-1]
                     block %= p
-                reads = q[rows, cols]
-                self._values[:, b, c, :] = reads[0].T
-                self._s1[:, b, c, :] = ((reads[1] + reads[2]) % p).T
+                reads[b] = q[index]
+            self._values[:, :, c] = reads[:, 0].transpose(2, 0, 1)
+            self._s1[:, :, c] = (reads[:, 1:].sum(axis=1) % p).transpose(2, 0, 1)
         self.start = start
 
     def _slot(self, a: int, b: int, c: int, cycle) -> tuple:
@@ -246,57 +241,61 @@ class SelbergGrid:
         return int(self._values[slot])
 
     def moments(self, a: int, b: int, c: int, cycle) -> tuple[int, int]:
-        """(S1, S2) as ``moment_integral`` gives them; S2 = 2*S - S1."""
+        """(S1, S2) of (x1+...+xn)*Phi and ((1-x1)+...+(1-xn))*Phi, as ``moment_integral`` at n = 2."""
         slot = self._slot(a, b, c, cycle)
         s1 = int(self._s1[slot])
-        return s1, (2 * int(self._values[slot]) - s1) % self.p
+        return s1, (len(tuple(cycle)) * int(self._values[slot]) - s1) % self.p
 
 
-def _guard_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None) -> tuple:
-    """Validate a grid request and size its window against the cap, allocating nothing.
-
-    Returns (ab_stop, cycles, deg, width): the a, b bound, the distinct
-    cycles, the degree at which Q is cut and the a values one window holds:
-    as many as fit up to ab_stop, and at least min(3, ab_stop) (a and a +- 1).
-    """
-    get_context(p)  # validates the prime
-    ab_stop = p if ab_stop is None else ab_stop
-    if not isinstance(ab_stop, int) or ab_stop < 1:
-        raise ValueError(f"ab_stop must be a positive integer, got {ab_stop}")
-    cycles = tuple(dict.fromkeys(check_cycle(cycle, 2) for cycle in cycles))
-    if not cycles:
-        raise ValueError("selberg_grid needs at least one cycle")
-    # Q lives in the top-left (deg+1)^2 block of a square array whose last
-    # row and column stay zero; every index outside the block is sent there.
+def _grid_window(p: int, n: int, ab_stop: int, count: int, top: int) -> tuple:
+    """(deg, width) for ``count`` cycles in n variables, largest entry ``top``: the degree Q
+    is cut at, and the a values a window holds, as many as fit up to ab_stop and at
+    least min(3, ab_stop) (a and a +- 1), else ResourceLimitError."""
+    # Q lives in the leading (deg+1)^n block of an array whose last slice on
+    # every axis stays zero; every index outside the block is sent there.
     # Shift-adds only raise exponents, so Q may be cut at the largest target
     # exponent without changing any entry that is read.
-    deg = min(2 * (p - 1) + ab_stop - 1, max(l * p - 1 for cycle in cycles for l in cycle))
-    q_cells = (deg + 2) ** 2
-    a_cells = 2 * ab_stop * p * len(cycles)  # one a value of the value and moment boxes
-    cap, _ = _max_cells()
+    deg = min(2 * (n - 1) * (p - 1) + ab_stop - 1, top * p - 1)
+    q_cells = (deg + 2) ** n
+    a_cells = 2 * ab_stop * p * count  # one a value of the value and moment boxes
+    cap = _max_cells()
     width = min(ab_stop, (cap - q_cells) // a_cells)
     least = min(3, ab_stop)
     if width < least:
         raise ResourceLimitError(
-            f"grid at p={p} with a, b < {ab_stop} and {len(cycles)} cycles needs {q_cells + least * a_cells}"
+            f"grid at p={p} with a, b < {ab_stop} and {count} cycles needs {q_cells + least * a_cells}"
             f" coefficient cells for a window of {least} a values, cap is {cap}"
             f" (raise {MAX_TERMS_ENV} to override)"
         )
-    return ab_stop, cycles, deg, width
+    return deg, width
+
+
+def _guard_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None) -> tuple:
+    """(ab_stop, distinct cycles, deg, width) of a grid request, allocating nothing."""
+    get_context(p)  # validates the prime
+    ab_stop = p if ab_stop is None else ab_stop
+    if not isinstance(ab_stop, int) or ab_stop < 1:
+        raise ValueError(f"ab_stop must be a positive integer, got {ab_stop}")
+    cycles = tuple(dict.fromkeys(check_cycle(cycle) for cycle in cycles))
+    if not cycles:
+        raise ValueError("selberg_grid needs at least one cycle")
+    n = len(cycles[0])
+    cycles = tuple(check_cycle(cycle, n) for cycle in cycles)  # one arity, the number of variables
+    return (ab_stop, cycles, *_grid_window(p, n, ab_stop, len(cycles), max(map(max, cycles))))
 
 
 def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
                  ab_stop: int | None = None) -> SelbergGrid:
-    """Two-dimensional brute force for every 0 <= a, b < ab_stop, 0 <= c < p, a window of a at a time.
+    """Brute force for every 0 <= a, b < ab_stop, 0 <= c < p, a window of a at a time.
 
-    Phi_{a,b,c} = (x1*x2)^a * Q_{b,c} with Q_{b,c} = (x1-x2)^(2c) ((1-x1)(1-x2))^b,
-    so one expansion per c serves a whole window: Q_{b+1,c} is Q_{b,c} times
-    (1-x1)(1-x2), a four-term shift-add mod p, and a only moves the index
-    that is read, Phi[t1, t2] = Q[t1-a, t2-a].  The S1 moment at the cycle
-    exponents T is Phi[T1-1, T2] + Phi[T1, T2-1].  An index below 0 means the
-    coefficient is absent and reads as 0.  ``ab_stop`` defaults to p.  The
-    cells of Q and of one window's value and moment boxes are checked against
-    the expansion cap before anything is allocated.
+    The cycles share one arity, the number of variables n.  Phi_{a,b,c} =
+    (x1...xn)^a * Q_{b,c} with Q_{b,c} = prod_{i<j} (xi-xj)^(2c) prod_i (1-xi)^b,
+    so one expansion of Q_{0,c} per c serves a whole window: Q_{b+1,c} is
+    Q_{b,c} times prod_i (1-xi), one shift-subtract mod p per axis, and a only
+    moves the index that is read, Phi[t] = Q[t - (a, ..., a)].  S1 at the cycle
+    exponents T is the sum over i of Phi[T - e_i]; an index below 0 reads as 0.
+    ``ab_stop`` defaults to p.  The cells of Q and of one window's value and
+    moment boxes are checked against the expansion cap before any allocation.
     """
     return SelbergGrid(p, *_guard_grid(p, cycles, ab_stop))
 

@@ -8,6 +8,7 @@ byte-identical regardless of ``--jobs``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -28,9 +29,9 @@ from .morris_ct import (
     selberg_via_morris,
 )
 from .selberg_core import (
-    MasterPolySpec,
     SelbergGrid,
     SelbergParams,
+    _grid_window,
     _guard_grid,
     beta_closed,
     selberg_bruteforce,
@@ -88,7 +89,6 @@ class SweepConfig:
     methods: tuple = ALL_METHODS
     suites: tuple = ALL_SUITES
     integer_mode: bool = False
-    output_format: str = "text"
     parallelism: int = 1
 
     def __post_init__(self):
@@ -108,14 +108,12 @@ class SweepConfig:
             raise ValueError(f"unknown suites: {sorted(bad)}")
         if not self.suites and not self.methods:
             raise ValueError("select at least one suite or method")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"output format must be json, csv or text, got {self.output_format!r}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
-    def cycles(self) -> list:
-        return [(l1, l2) for l1 in range(1, self.cycle_bound + 1)
-                for l2 in range(l1, self.cycle_bound + 1)]
+    def cycles(self) -> Iterator[tuple]:
+        """The cycles (l1, l2) with 1 <= l1 <= l2 <= cycle_bound in lexicographic order, one at a time."""
+        return itertools.combinations_with_replacement(range(1, self.cycle_bound + 1), 2)
 
 
 @dataclass
@@ -167,33 +165,47 @@ def _ce(p, a, b, c, l1, l2, branch, expected, got, **extra) -> dict:
 _RECURRENCE_CYCLES = ((1, 1), (1, 2), (2, 2), (1, 3))
 _BRIDGE_LEVELS = (1, 2)  # the Morris bridge reaches the cycles [1,1] and [2,2]
 _BRIDGE_MAX_P = 7  # the bridge is checked at p <= 7 only
+_ND3_MAX_P = 11  # nd compares n = 3 with brute force at p <= 11 only
+_SUITE_CYCLES = tuple(dict.fromkeys(  # the cycles suites read besides the configured ones
+    _RECURRENCE_CYCLES + tuple((l, l) for l in _BRIDGE_LEVELS) + RELATION_CYCLES))
+
+
+def _nd_windows(p: int) -> list:
+    """nd's windows at p as ``selberg_grid`` arguments: a, b < 2p on [1, ..., 1], n = 2 and 3."""
+    return [(p, ((1,) * n,), 2 * p) for n in (2, 3) if n == 2 or p <= _ND3_MAX_P]
 
 
 class _GridCache(dict):
-    """Brute-force grids of one verification run, one per prime, built on first use.
+    """Brute-force grids of one verification run, built on first use.
 
-    Its cycles are every cycle a suite reads brute force on, so all suites
-    share one expansion per (p, c) and window.  Creating it raises
-    ResourceLimitError, before any suite runs, if a grid that a selected
-    suite reads (nd's n=2 window included) is over the cap at some prime.
+    ``self[p]`` is the grid of p that every suite shares, holding each cycle a
+    suite reads brute force on; nd's windows are keyed by their ``selberg_grid``
+    arguments.  Creating the cache raises ResourceLimitError, before any suite
+    runs, if a grid a selected suite reads is over the cap at some prime; the
+    shared cycles are counted for that, not listed.
     """
 
     def __init__(self, config: SweepConfig):
         super().__init__()
-        self.cycles = tuple(dict.fromkeys(
-            config.cycles() + list(_RECURRENCE_CYCLES) + [(l, l) for l in _BRIDGE_LEVELS]
-            + list(RELATION_CYCLES)))
+        self._config, bound = config, config.cycle_bound
+        self._extra = tuple(cycle for cycle in _SUITE_CYCLES if not cycle[0] <= cycle[1] <= bound)
+        count, top = bound * (bound + 1) // 2 + len(self._extra), max([bound, *itertools.chain(*self._extra)])
         suites = set(config.suites)
         shared = bool(suites & {"recurrences", "relations", "vanishing"}) or (
             "oracle_equiv" in suites and "bruteforce" in _equiv_methods(config))
         for p in config.primes:
             if shared or ("morris" in suites and p <= _BRIDGE_MAX_P):
-                _guard_grid(p, self.cycles, None)
+                _grid_window(p, 2, p, count, top)
             if "nd" in suites:
-                _guard_grid(p, [(1, 1)], 2 * p)
+                for window in _nd_windows(p):
+                    _guard_grid(*window)
 
-    def __missing__(self, p: int) -> SelbergGrid:
-        grid = self[p] = selberg_grid(p, self.cycles)
+    @functools.cached_property
+    def cycles(self) -> tuple:
+        return (*self._config.cycles(), *self._extra)
+
+    def __missing__(self, key) -> SelbergGrid:
+        grid = self[key] = selberg_grid(*key) if isinstance(key, tuple) else selberg_grid(key, self.cycles)
         return grid
 
 
@@ -210,7 +222,6 @@ def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     methods = _equiv_methods(config)
     reference = "bruteforce" if "bruteforce" in methods else methods[0]
     others = [m for m in methods if m != reference]
-    cycles = config.cycles()
     for p in config.primes:
         evaluators = {"direct": selberg_direct_2d, "closed": eval_closed}
         if "bruteforce" in methods:
@@ -218,7 +229,7 @@ def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 lambda params, l1, l2, grid=grids[p]: grid.value(params.a, params.b, params.c, (l1, l2)))
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
-            for l1, l2 in cycles:
+            for l1, l2 in config.cycles():
                 expected = evaluators[reference](params, l1, l2)
                 for method in others:
                     got = evaluators[method](params, l1, l2)
@@ -307,12 +318,11 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
 def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Every zero branch of the classifier matches a brute-force zero."""
     result = SuiteResult("vanishing")
-    cycles = config.cycles()
     for p in config.primes:
         grid = grids[p]
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
-            for l1, l2 in cycles:
+            for l1, l2 in config.cycles():
                 branch = classify(params, l1, l2)
                 if not branch.is_zero:
                     continue
@@ -385,41 +395,28 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 got = selberg_nd_closed(ctx, 1, a, b, 0)
                 want = beta_closed(ctx, a, b)
                 result.record(got == want, lambda: _ce(p, a, b, 0, 1, 1, "nd n=1", want, got))
-        # n = 2: matches brute force, and the C11_i closed form in the window.
-        window = selberg_grid(p, [(1, 1)], 2 * p)
-        for a in range(2 * p):
-            for b in range(2 * p):
-                for c in range(p):
-                    if not (p - 1 <= a + b + c and a + b + 2 * c < 2 * p - 1):
-                        continue
-                    got = selberg_nd_closed(ctx, 2, a, b, c)
-                    brute = window.value(a, b, c, (1, 1))
-                    result.record(got == brute,
-                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=2", brute, got))
-                    if 0 < a < p and 0 < b < p and 0 < c < p:
-                        params = SelbergParams(a, b, c, p)
-                        if classify(params, 1, 1) == Branch.C11_i:
-                            closed = eval_closed(params, 1, 1)
-                            result.record(got == closed, lambda: _ce(
-                                p, a, b, c, 1, 1, "nd n=2 vs C11_i", closed, got))
-        # n = 3: brute force is guarded beyond p = 11.
-        if p > 11:
+        # n = 2, 3: matches its window's brute force; n = 2 also the C11_i closed form.
+        for request in _nd_windows(p):
+            window, (cycle,) = grids[request], request[1]
+            n = len(cycle)
+            for a in range(2 * p):
+                for b in range(2 * p):
+                    for c in range(p):
+                        if not (p - 1 <= a + b + (n - 1) * c and a + b + (2 * n - 2) * c < 2 * p - 1):
+                            continue
+                        got = selberg_nd_closed(ctx, n, a, b, c)
+                        brute = window.value(a, b, c, cycle)
+                        result.record(got == brute,
+                                      lambda: _ce(p, a, b, c, 1, 1, f"nd n={n}", brute, got))
+                        if n == 2 and 0 < a < p and 0 < b < p and 0 < c < p:
+                            params = SelbergParams(a, b, c, p)
+                            if classify(params, 1, 1) == Branch.C11_i:
+                                closed = eval_closed(params, 1, 1)
+                                result.record(got == closed, lambda: _ce(
+                                    p, a, b, c, 1, 1, "nd n=2 vs C11_i", closed, got))
+        if p > _ND3_MAX_P:
             result.skipped += 1
-            result.notes.append(f"n=3 comparison skipped at p={p}: brute-force resource guard")
-            continue
-        for a in range(2 * p):
-            for b in range(2 * p):
-                for c in range(p):
-                    if not (p - 1 <= a + b + 2 * c and a + b + 4 * c < 2 * p - 1):
-                        continue
-                    got = selberg_nd_closed(ctx, 3, a, b, c)
-                    try:
-                        brute = selberg_bruteforce(MasterPolySpec(3, a, b, c, p), (1, 1, 1))
-                    except ResourceLimitError:
-                        result.skipped += 1
-                        continue
-                    result.record(got == brute,
-                                  lambda: _ce(p, a, b, c, 1, 1, "nd n=3", brute, got))
+            result.notes.append(f"n=3 comparison skipped at p={p}: checked at p <= {_ND3_MAX_P}")
     return result
 
 
@@ -460,25 +457,26 @@ def run_verification(config: SweepConfig) -> VerificationReport:
 # -- sweeps --------------------------------------------------------------------
 
 
-def _check_sweep(method: str, p: int, cycles: list):
+def _check_sweep(method: str, p: int, config: SweepConfig):
     """Raise ResourceLimitError if some row of ``method`` at p would hit a resource guard.
 
-    Brute force reads the grid, whose smallest window must fit the cap; the
-    closed and direct routes read the factorial tables.
+    Brute force reads the grid, whose smallest window must fit the cap (its
+    cycles are counted, not made); the closed and direct routes read the
+    factorial tables.
     """
     if method == "bruteforce":
-        _guard_grid(p, cycles, None)
+        _grid_window(p, 2, p, config.cycle_bound * (config.cycle_bound + 1) // 2, config.cycle_bound)
     else:
         get_context(p).check_table_size()
 
 
-def _sweep_rows(primes: tuple, method: str, cycles: list) -> Iterator[dict]:
-    for p in primes:
-        grid = selberg_grid(p, cycles) if method == "bruteforce" else None
+def _sweep_rows(config: SweepConfig, method: str) -> Iterator[dict]:
+    for p in config.primes:
+        grid = selberg_grid(p, config.cycles()) if method == "bruteforce" else None
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             r1, r2, r3 = in_condition_sets(params)
-            for l1, l2 in cycles:
+            for l1, l2 in config.cycles():
                 branch = classify(params, l1, l2)
                 if method == "bruteforce":
                     value = grid.value(a, b, c, (l1, l2))
@@ -504,10 +502,9 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[dict]:
     CSV column set, and ``classify`` runs once per row.
     """
     method = config.methods[0] if config.methods else "closed"
-    cycles = config.cycles()
     for p in config.primes:
-        _check_sweep(method, p, cycles)
-    return _sweep_rows(config.primes, method, cycles)
+        _check_sweep(method, p, config)
+    return _sweep_rows(config, method)
 
 
 def sweep_rows(config: SweepConfig) -> list:
@@ -526,6 +523,8 @@ def iter_render_sweep(rows: Iterable[dict], fmt: str) -> Iterator[str]:
     a fixed template with its keys in sorted order.  Branch names are plain
     identifiers, so the branch string needs no escaping.
     """
+    if fmt not in ("csv", "json", "text"):
+        raise ValueError(f"sweep format must be csv, json or text, got {fmt!r}")
     if fmt == "csv":
         yield SWEEP_CSV_HEADER + "\n"
         for r in rows:
@@ -584,6 +583,8 @@ def render_report(report: VerificationReport, fmt: str) -> str:
         for s in report.suites:
             lines.append(f"{s.name},{s.checked},{s.passed},{s.failed},{s.skipped},{s.seconds:.3f}")
         return "\n".join(lines) + "\n"
+    if fmt != "text":
+        raise ValueError(f"report format must be json, csv or text, got {fmt!r}")
     lines = []
     for s in report.suites:
         status = "ok" if s.failed == 0 else "FAILED"

@@ -158,6 +158,20 @@ def test_dense_product_matches_reference():
         assert got == want
 
 
+def test_dense_product_cut_drops_only_the_exponents_above_it():
+    rng = random.Random(8)
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        factors = [list(_random_terms(rng, k, 4, 5, rng.randint(1, 5)).items()) for _ in range(3)]
+        factors = [factor for factor in factors if factor]
+        p, cut = rng.choice((None, 5, 11)), rng.randint(0, 6)
+        arr = _dense_product(k, factors, p, cut)
+        assert max(arr.shape) <= cut + 1
+        full = MultiPoly.from_dense(_dense_product(k, factors, p), p)
+        want = {e: v for e, v in full.terms.items() if max(e) <= cut}
+        assert MultiPoly.from_dense(arr, p).terms == want
+
+
 @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
 def test_dense_product_mod_large_prime_is_exact(p):
     # Three factors with coefficients p-1: int64 accumulation must not wrap.

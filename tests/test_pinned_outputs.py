@@ -8,6 +8,7 @@ the benchmark harness records for its seed-0 point queries.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -84,3 +85,18 @@ def test_benchmark_eval_pins_seed_0():
     committed = json.loads((root / "benchmarks" / "eval_pins.json").read_text())["seeds"]["0"]["pins"]
     assert [[pin["value"], pin["branch"]] for pin in result["pins"]] == committed
     assert not any(result["failures"])
+
+
+def test_benchmark_probes_run():
+    # The benchmark's per-layer probes call the package directly (sweep
+    # configs with parallelism, relations_check, moment_integral, the caches
+    # it clears); an API change that breaks one of them shows up here.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("FPSELBERG_MAX_TERMS", None)
+    script = "import json, inproc; print(json.dumps(inproc.probes()))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          cwd=root / "benchmarks", timeout=300, check=True)
+    metrics = json.loads(proc.stdout)
+    assert len(metrics) == 38
+    assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in metrics.values()), metrics

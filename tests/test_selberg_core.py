@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fpselberg import selberg_core
 from fpselberg.errors import DomainError, GuardError, ResourceLimitError
 from fpselberg.fp_poly import MultiPoly, fp_integral
 from fpselberg.modp_arith import get_context
@@ -82,19 +83,19 @@ def test_master_polynomial_matches_reference():
 
 
 def test_resource_guard_and_env_override(monkeypatch):
+    # The guard is a cell count only: n = 3 at p = 13 (7^3 cells) and n = 4
+    # (9^4 cells) fit the default cap.
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    with pytest.raises(ResourceLimitError):
-        master_polynomial(MasterPolySpec(3, 1, 1, 1, 13))  # n=3 capped at p <= 11
-    with pytest.raises(ResourceLimitError):
-        master_polynomial(MasterPolySpec(4, 1, 1, 1, 5))  # n > 3 capped
-    with pytest.raises(ResourceLimitError):
-        selberg_bruteforce(MasterPolySpec(2, 996, 996, 996, 997), (1, 1))  # cell cap
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "100000")
     poly = master_polynomial(MasterPolySpec(4, 1, 1, 1, 5))
     assert poly.coefficient((4, 4, 4, 4)) == ref_selberg(4, 1, 1, 1, 5, (1, 1, 1, 1)) % 5
     assert selberg_bruteforce(MasterPolySpec(3, 1, 1, 1, 13), (1, 1, 1)) == ref_selberg(
         3, 1, 1, 1, 13, (1, 1, 1)
     ) % 13
+    with pytest.raises(ResourceLimitError):
+        selberg_bruteforce(MasterPolySpec(2, 996, 996, 996, 997), (1, 1))  # cell cap
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(9**4 - 1))
+    with pytest.raises(ResourceLimitError, match="needs 6561 coefficient cells"):
+        master_polynomial(MasterPolySpec(4, 1, 1, 1, 5))
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "10")
     with pytest.raises(ResourceLimitError):
         master_polynomial(MasterPolySpec(1, 5, 5, 0, 7))
@@ -413,3 +414,72 @@ def test_grid_guard_counts_only_the_truncated_expansion(monkeypatch):
     monkeypatch.delenv("FPSELBERG_MAX_TERMS")
     for c in range(13):
         assert grid.value(0, 0, c, (1, 1)) == selberg_bruteforce(MasterPolySpec(2, 0, 0, c, 13), (1, 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_grid_n3_window_matches_per_point_bruteforce(p):
+    # nd's three-variable window: a, b < 2p on [1,1,1], read at every point.
+    grid = selberg_grid(p, [(1, 1, 1)], 2 * p)
+    for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
+        want = selberg_bruteforce(MasterPolySpec(3, a, b, c, p), (1, 1, 1))
+        assert grid.value(a, b, c, (1, 1, 1)) == want, (a, b, c)
+
+
+@pytest.mark.parametrize("p, count", [(11, 411), (13, 658)])
+def test_grid_n3_window_matches_nd_closed_form(p, count):
+    ctx = get_context(p)
+    grid = selberg_grid(p, [(1, 1, 1)], 2 * p)
+    checked = 0
+    for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
+        if p - 1 <= a + b + 2 * c and a + b + 4 * c < 2 * p - 1:
+            assert grid.value(a, b, c, (1, 1, 1)) == selberg_nd_closed(ctx, 3, a, b, c), (a, b, c)
+            checked += 1
+    assert checked == count
+
+
+N3_CYCLES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2)]
+
+
+@pytest.mark.parametrize("windowed", [False, True])
+def test_grid_n3_values_and_moments_match_reference(monkeypatch, windowed):
+    # Several three-variable cycles at p = 5, read as a whole box and, under a
+    # cap of a 3-value window, in shuffled order.  S1 is the integral of
+    # (x1+x2+x3)*Phi and S2 that of ((1-x1)+(1-x2)+(1-x3))*Phi.
+    p = 5
+    if windowed:
+        cells = 11**3 + 3 * 2 * p * p * len(N3_CYCLES)  # Q cut at degree 2p - 1 = 9, then 3 a values
+        monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells))
+    grid = selberg_grid(p, N3_CYCLES)
+    assert grid.width == (3 if windowed else p)
+    points = list(itertools.product(range(p), repeat=3))
+    random.Random(3).shuffle(points)
+    x = [MultiPoly.variable(i, 3, p) for i in (1, 2, 3)]
+    for a, b, c in points:
+        phi = MultiPoly(3, ref_phi(3, a, b, c), p)
+        s1_poly, s2_poly = (x[0] + x[1] + x[2]) * phi, (3 - x[0] - x[1] - x[2]) * phi
+        for cycle in N3_CYCLES:
+            assert grid.value(a, b, c, cycle) == fp_integral(phi, cycle), (a, b, c, cycle)
+            assert grid.moments(a, b, c, cycle) == (fp_integral(s1_poly, cycle),
+                                                    fp_integral(s2_poly, cycle)), (a, b, c, cycle)
+
+
+def test_grid_cycles_of_mixed_arity_are_refused():
+    with pytest.raises(ValueError, match="expected 2"):
+        selberg_grid(5, [(1, 1), (1, 1, 1)])
+    with pytest.raises(ValueError, match="expected 3"):
+        selberg_grid(5, [(1, 1, 1), (2, 2)])
+
+
+def test_grid_n3_guard_counts_its_cells(monkeypatch):
+    # nd's n = 3 window at p = 7: Q cut at degree 6 takes 8^3 cells with its
+    # zero margin, and one a value of the two boxes 2 * 14 * 7 cells.
+    # Checked without allocating: numpy is out of reach.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    cells = 8**3 + 3 * 2 * 14 * 7
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells))
+    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 3)
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells - 1))
+    with pytest.raises(ResourceLimitError, match=f"needs {cells} coefficient cells for a window of 3"):
+        selberg_grid(7, [(1, 1, 1)], 14)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS")
+    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 14)

@@ -1,9 +1,11 @@
 """Streamed sweeps: the same bytes as whole-list rendering, nothing written on a
 refusal, and memory that does not grow with the number of rows."""
 
+import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,14 @@ import pytest
 from fpselberg import modp_arith
 from fpselberg.cli import main
 from fpselberg.selberg2d_closed import Branch
-from fpselberg.verify import ALL_METHODS, SweepConfig, render_sweep, sweep_rows
+from fpselberg.verify import (
+    ALL_METHODS,
+    SweepConfig,
+    iter_render_sweep,
+    iter_sweep_rows,
+    render_sweep,
+    sweep_rows,
+)
 from reference_impl import ref_render_sweep_csv, ref_render_sweep_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,3 +135,61 @@ def test_sweep_memory_does_not_grow_with_rows(tmp_path):
         assert _sweep_peak_mb("--primes", "29", "--method", method, "--format", "csv",
                               "--out", str(path)) < 64
     assert out["bruteforce"].read_bytes() == out["closed"].read_bytes()
+
+
+# --cycle-bound 100000 names 5,000,050,000 cycles: their list cannot be built
+# in 1 GiB of address space, the limit these children run under.
+HUGE_BOUND = ["--primes", "3", "--cycle-bound", "100000"]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _cli_in_1gib(*args) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("FPSELBERG_MAX_TERMS", None)
+    return subprocess.Popen([sys.executable, "-m", "fpselberg.cli", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, cwd=ROOT, preexec_fn=_limit_address_space)
+
+
+needs_rlimit_as = pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+
+
+@needs_rlimit_as
+@pytest.mark.parametrize("args", [
+    ["verify", *HUGE_BOUND, "--suite", "stokes"],
+    ["verify", *HUGE_BOUND, "--suite", "nd"],
+    ["verify", "--primes", "11", "--cycle-bound", "100000", "--suite", "morris"],  # no bridge above p = 7
+], ids=["stokes", "nd", "morris-at-p11"])
+def test_huge_cycle_bound_runs_suites_that_read_no_shared_grid(args):
+    out, err = _cli_in_1gib(*args).communicate(timeout=120)
+    assert err == b"" and out.endswith(b" failed=0\n")
+
+
+@needs_rlimit_as
+@pytest.mark.parametrize("args", [
+    ["verify", *HUGE_BOUND],
+    ["verify", *HUGE_BOUND, "--suite", "oracle_equiv"],
+    ["sweep", *HUGE_BOUND, "--method", "bruteforce", "--format", "csv"],
+], ids=["verify", "oracle_equiv", "bruteforce-sweep"])
+def test_huge_cycle_bound_over_the_grid_cap_is_refused(tmp_path, args):
+    out_file = tmp_path / "out"
+    proc = _cli_in_1gib(*args, "--out", str(out_file))
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3 and not out_file.exists()
+    assert b"and 50000500" in err and b"cycles needs" in err  # the cycles are counted exactly
+
+
+@needs_rlimit_as
+def test_huge_cycle_bound_closed_sweep_streams_rows():
+    # The rows of (a, b, c) = (1, 1, 1) come first, cycles (1, 1) ... (1, 1000).
+    proc = _cli_in_1gib("sweep", *HUGE_BOUND, "--format", "csv")
+    try:
+        lines = [proc.stdout.readline().decode() for _ in range(1001)]
+    finally:
+        proc.kill()
+        proc.communicate()
+    config = SweepConfig(primes=(3,), cycle_bound=1000, methods=("closed",), suites=())
+    rows = itertools.islice(iter_sweep_rows(config), 1000)
+    assert "".join(lines) == "".join(iter_render_sweep(rows, "csv"))

@@ -6,6 +6,7 @@ import pytest
 from fpselberg import selberg2d_closed, selberg_core, verify
 from fpselberg.cli import main
 from fpselberg.errors import ResourceLimitError
+from fpselberg.golden import GOLDEN_2D
 from fpselberg.selberg2d_closed import Branch
 from fpselberg.verify import (
     ALL_SUITES,
@@ -37,15 +38,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(methods=(), suites=())
     with pytest.raises(ValueError):
-        SweepConfig(output_format="xml")
-    with pytest.raises(ValueError):
         SweepConfig(parallelism=0)
+    # the output format is checked by the renderers, which are what read it
+    rows = sweep_rows(SweepConfig(primes=(3,), cycle_bound=1, suites=("stokes",)))
+    with pytest.raises(ValueError, match="'xml'"):
+        render_sweep(rows, "xml")
+    with pytest.raises(ValueError, match="'xml'"):
+        render_report(run_verification(SweepConfig(primes=(3,), suites=("morris",))), "xml")
 
 
 def test_config_normalizes_prime_order():
     config = SweepConfig(primes=(7, 3, 5, 3))
     assert config.primes == (3, 5, 7)
-    assert config.cycles() == [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)]
+    assert list(config.cycles()) == [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)]
 
 
 def test_all_suites_pass_on_small_grid():
@@ -102,8 +107,8 @@ def test_nd_suite_records_skip_at_large_prime():
     report = run_verification(SweepConfig(primes=(13,), suites=("nd",)))
     (suite,) = report.suites
     assert suite.failed == 0
-    assert suite.skipped >= 1
-    assert any("resource guard" in note for note in suite.notes)
+    assert suite.skipped == 1
+    assert suite.notes == ["n=3 comparison skipped at p=13: checked at p <= 11"]
 
 
 def test_relations_suite_notes_golden_discrepancy():
@@ -212,3 +217,31 @@ def test_verify_refuses_a_prime_over_the_cap_before_any_suite(monkeypatch, capsy
     assert not out.exists() and ran == []
     assert main(["verify", "--primes", "127", "--suite", "stokes"]) == 0
     assert ran == ["stokes"]
+
+
+def test_verify_refuses_an_nd_n3_window_over_the_cap(monkeypatch, capsys):
+    # One cell under the smallest n = 3 window of nd at p = 7 (8^3 cells of Q
+    # plus 3 * 2 * 14 * 7); its n = 2 window (8^2 + 588 cells) still fits.
+    # The n = 3 comparison used to expand per point and skip the points over
+    # the cap.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(8**3 + 3 * 2 * 14 * 7 - 1))
+    selberg_core._guard_grid(7, [(1, 1)], 14)
+    ran = _record_suite_runs(monkeypatch)
+    assert main(["verify", "--primes", "7", "--suite", "nd"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs 1100 coefficient cells" in captured.err
+    assert ran == []
+
+
+def test_default_verify_expands_only_the_golden_points(monkeypatch):
+    # Every other brute-force read, nd's n = 3 comparison included, comes
+    # from a grid.
+    calls = set()
+    dense_master = selberg_core._dense_master
+    monkeypatch.setattr(selberg_core, "_dense_master",
+                        lambda *args: calls.add(args) or dense_master(*args))
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    assert run_verification(SweepConfig()).failed_total == 0
+    golden = {(2, g.a, g.b, g.c, g.p, False) for g in GOLDEN_2D}
+    golden |= {(2, g.a, g.b, g.c, g.p, True) for g in GOLDEN_2D if g.integer_value is not None}
+    assert calls == golden and len(golden) == 6
