@@ -44,8 +44,8 @@ from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, GuardError
-from .fp_poly import _coefficient, _dense_product, check_cycle
-from .selberg_core import SelbergParams, _master_factors, selberg_bruteforce
+from .fp_poly import _coefficient, check_cycle
+from .selberg_core import SelbergParams, _expansion, selberg_bruteforce
 
 __all__ = [
     "Branch",
@@ -377,15 +377,16 @@ def skew_symmetry_check(params: SelbergParams) -> bool:
         alpha(2p-1, 2p-1) = beta(p-1, 2p-1) - beta(2p-1, p-1)
         alpha(p-1, 3p-1) = -beta(p-1, 2p-1)
         -1/2 * alpha(2p-1, 2p-1) = alpha(p-1, 3p-1) = alpha(3p-1, p-1)
+    Each product is a per-point expansion under the cell cap (ResourceLimitError).
     """
     a, b, c, p = params.a, params.b, params.c, params.p
     if not (2 * c > p and a + b + 2 * c >= 3 * p - 1):
         raise DomainError(f"skew-symmetry check needs 2c > p and a+b+2c >= 3p-1, got {params}")
 
-    full = _dense_product(2, _master_factors(2, a, b, 2 * c), p)
-    lower = _dense_product(2, _master_factors(2, a, b, 2 * c - p), p)
+    full = _expansion(2, a, b, 2 * c, p, False)
     alpha_31, alpha_22, alpha_13 = (_coefficient(full, t) for t in
                                     ((3 * p - 1, p - 1), (2 * p - 1, 2 * p - 1), (p - 1, 3 * p - 1)))
+    lower = _expansion(2, a, b, 2 * c - p, p, False)
     beta_12, beta_21 = (_coefficient(lower, t) for t in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
 
     return (

@@ -41,9 +41,9 @@ __all__ = [
     "selberg_nd_closed",
 ]
 
-# Coefficient cells one per-point expansion or one grid window may allocate: by
-# default per-point brute force up to degree 499 per variable at n = 2 and 61 at
-# n = 3, verify's shared grid up to p = 53.  FPSELBERG_MAX_TERMS overrides it.
+# Coefficient cells one per-point expansion (brute force, moments, skew symmetry)
+# or grid window may allocate: by default degree 499 per variable at n = 2 and 61
+# at n = 3, verify's shared grid up to p = 53.  FPSELBERG_MAX_TERMS overrides it.
 DEFAULT_MAX_TERMS = 250_000
 MAX_TERMS_ENV = "FPSELBERG_MAX_TERMS"
 
@@ -101,11 +101,6 @@ class MasterPolySpec:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"parameter {name} must be a non-negative integer, got {v}")
 
-    @property
-    def var_degree(self) -> int:
-        """Degree of Phi_n in each single variable."""
-        return self.a + self.b + 2 * (self.n - 1) * self.c
-
 
 def _max_cells() -> int:
     env = os.environ.get(MAX_TERMS_ENV)
@@ -115,16 +110,6 @@ def _max_cells() -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"{MAX_TERMS_ENV} must be an integer, got {env!r}") from None
-
-
-def _guard_expansion(spec: MasterPolySpec):
-    cells = (spec.var_degree + 1) ** spec.n
-    cap = _max_cells()
-    if cells > cap:
-        raise ResourceLimitError(
-            f"master polynomial for {spec} needs {cells} coefficient cells, cap is {cap}"
-            f" (raise {MAX_TERMS_ENV} to override)"
-        )
 
 
 def _master_factors(n: int, a: int, b: int, cross: int) -> list:
@@ -139,16 +124,25 @@ def _master_factors(n: int, a: int, b: int, cross: int) -> list:
     return [factor for factor in factors if factor != [(zero, 1)]]  # a factor 1 adds nothing
 
 
-@functools.lru_cache(maxsize=4096)
-def _dense_master(n: int, a: int, b: int, c: int, p: int, exact: bool):
-    """Cached dense expansion of Phi_n.  Callers must not mutate the array."""
-    return _dense_product(n, _master_factors(n, a, b, 2 * c), None if exact else p)
+def _expansion(n: int, a: int, b: int, cross: int, p: int, exact: bool):
+    """Dense prod_{i<j} (x_i - x_j)^cross * prod_i x_i^a (1 - x_i)^b, mod p or exact, read-only: the
+    one per-point expansion, its cells checked against the cap on every call, before numpy loads."""
+    cells, cap = (a + b + (n - 1) * cross + 1) ** n, _max_cells()
+    if cells > cap:
+        raise ResourceLimitError(f"expansion (n, a, b, cross) = ({n}, {a}, {b}, {cross}) needs {cells}"
+                                 f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)")
+    return _dense_master(n, a, b, cross, None if exact else p)
+
+
+@functools.lru_cache(maxsize=1)  # every reuse in the package reads the point just expanded
+def _dense_master(n: int, a: int, b: int, cross: int, p: int | None):
+    """The last expansion made, p = None for exact integers."""
+    return _dense_product(n, _master_factors(n, a, b, cross), p)
 
 
 def master_polynomial(spec: MasterPolySpec, exact: bool = False) -> MultiPoly:
     """Fully expanded Phi_n, over F_p by default or over Z with exact=True."""
-    _guard_expansion(spec)
-    arr = _dense_master(spec.n, spec.a, spec.b, spec.c, spec.p, exact)
+    arr = _expansion(spec.n, spec.a, spec.b, 2 * spec.c, spec.p, exact)
     return MultiPoly.from_dense(arr, None if exact else spec.p)
 
 
@@ -159,8 +153,7 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
     exact=True.
     """
     cycle = check_cycle(cycle, spec.n)
-    _guard_expansion(spec)
-    arr = _dense_master(spec.n, spec.a, spec.b, spec.c, spec.p, exact)
+    arr = _expansion(spec.n, spec.a, spec.b, 2 * spec.c, spec.p, exact)
     return _coefficient(arr, tuple(l * spec.p - 1 for l in cycle))
 
 
@@ -399,9 +392,7 @@ def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> i
     if kind not in ("S1", "S2"):
         raise ValueError(f"kind must be 'S1' or 'S2', got {kind!r}")
     cycle = check_cycle(cycle, 2)
-    spec = params.spec(2)
-    _guard_expansion(spec)
-    phi = _dense_master(2, params.a, params.b, params.c, params.p, False)
+    phi = _expansion(2, params.a, params.b, 2 * params.c, params.p, False)
     t1, t2 = (l * params.p - 1 for l in cycle)
     s1 = _coefficient(phi, (t1 - 1, t2)) + _coefficient(phi, (t1, t2 - 1))
     if kind == "S2":

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +262,48 @@ def test_coefficient_reads_zero_outside_the_array():
     assert _coefficient(arr, (0, -1)) == 0
     assert _coefficient(arr, (2, 0)) == 0
     assert _coefficient(arr, (0, 3)) == 0
+
+
+def test_dense_product_places_its_first_factor():
+    for p, dtype in ((None, np.int64), (7, np.int64), (2**61 - 1, object)):
+        one = _dense_product(2, [], p)
+        assert one.shape == (1, 1) and one.dtype == dtype and int(one[0, 0]) == 1
+    # Repeated exponents add up, mod p; a term above the cut is dropped but the
+    # shape still counts it, as a product with the constant 1 would.
+    factor = [((1, 0), 4), ((1, 0), 5), ((0, 3), 2), ((2, 1), -1)]
+    assert _dense_product(2, [factor], 7).tolist() == [[0, 0, 0, 2], [2, 0, 0, 0], [0, 6, 0, 0]]
+    assert _dense_product(2, [factor], None, 2).tolist() == [[0, 0, 0], [9, 0, 0], [0, -1, 0]]
+    assert _dense_product(2, [[]], 7).tolist() == [[0]]
+
+
+# The per-point expansions of Phi and its relatives all go through
+# selberg_core._dense_master, which the cell cap guards; the grid and the Morris
+# constant terms keep their own guards.
+DENSE_PRODUCT_CALLERS = {
+    "selberg_core._dense_master",
+    "selberg_core.SelbergGrid._build",
+    "morris_ct.morris_ct_bruteforce",
+    "morris_ct.morris_lhs_symmetric_form",
+}
+
+
+def _callers(tree: ast.AST, name: str, scope: str) -> set:
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.add(scope)
+        found |= _callers(node, name, inner)
+    return found
+
+
+def test_dense_product_callers():
+    package = Path(__file__).resolve().parents[1] / "src" / "fpselberg"
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text(encoding="utf-8")), "_dense_product", path.stem)
+    assert callers == DENSE_PRODUCT_CALLERS

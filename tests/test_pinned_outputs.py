@@ -1,9 +1,10 @@
 """The default `verify` counts, `sweep` bytes and benchmark eval pins, pinned.
 
 Any change to the package must leave these untouched: the per-suite counts
-of the default verification run, the sha256 of the default sweep in each
-output format and for each evaluation route, and the (value, branch) pairs
-the benchmark harness records for its seed-0 point queries.
+of the default verification run, with and without --integer-mode, the sha256
+of the default sweep in each output format and for each evaluation route,
+and the (value, branch) pairs the benchmark harness records for its seed-0
+point queries.
 """
 
 import hashlib
@@ -27,6 +28,8 @@ VERIFY_COUNTS = {  # suite: (checked, skipped, failed)
     "stokes": (305, 0, 0),
     "nd": (3595, 1, 0),
 }
+# verify --integer-mode adds the exact-integer vanishing checks.
+VERIFY_INTEGER_COUNTS = {**VERIFY_COUNTS, "vanishing": (51426, 0, 0)}
 # verify --primes 23: the whole shared grid is over the default cap there, so
 # the suites read it in windows of a values.
 VERIFY_P23_COUNTS = {
@@ -49,6 +52,15 @@ def test_default_verify_counts(tmp_path):
     counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
     assert counts == VERIFY_COUNTS
     assert (report["checked_total"], report["failed_total"]) == (160312, 0)
+
+
+def test_integer_mode_verify_counts(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--integer-mode", "--format", "json", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
+    assert counts == VERIFY_INTEGER_COUNTS
+    assert (report["checked_total"], report["failed_total"]) == (183733, 0)
 
 
 def test_verify_p23_counts(tmp_path, monkeypatch):

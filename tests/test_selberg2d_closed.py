@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpselberg.errors import DomainError, GuardError
+from fpselberg.errors import DomainError, GuardError, ResourceLimitError
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import SelbergParams, selberg_bruteforce, selberg_direct_2d, selberg_grid
 from fpselberg.selberg2d_closed import (
@@ -220,6 +222,24 @@ def test_skew_symmetry_examples():
     assert skew_symmetry_check(SelbergParams(5, 6, 6, 7)) is True
     with pytest.raises(DomainError):
         skew_symmetry_check(SelbergParams(3, 4, 3, 7))  # 2c < p
+
+
+def test_skew_symmetry_is_refused_over_the_cap_before_numpy(monkeypatch):
+    # The product with cross exponent 2c takes 801^2 = 641,601 cells.
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ResourceLimitError, match="needs 641601 coefficient cells"):
+        skew_symmetry_check(SelbergParams(200, 200, 200, 211))
+
+
+def test_skew_symmetry_cell_count_is_exact(monkeypatch):
+    # At (6, 6, 6; 7) the larger product, cross exponent 2c = 12, has 25^2 cells.
+    params = SelbergParams(6, 6, 6, 7)
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "625")
+    assert skew_symmetry_check(params) is True
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "624")
+    with pytest.raises(ResourceLimitError, match="needs 625 coefficient cells, cap is 624"):
+        skew_symmetry_check(params)
 
 
 def test_describe_output():

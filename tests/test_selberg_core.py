@@ -38,12 +38,24 @@ def test_params_validation():
 
 
 def test_master_spec_allows_zero_parameters():
-    spec = MasterPolySpec(2, 1, 0, 1, 7)
-    assert spec.var_degree == 3
+    MasterPolySpec(2, 1, 0, 1, 7)
     with pytest.raises(ValueError):
         MasterPolySpec(0, 1, 1, 1, 7)
     with pytest.raises(ValueError):
         MasterPolySpec(2, -1, 1, 1, 7)
+
+
+def test_per_point_expansions_keep_one_cache_entry(monkeypatch):
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    points = [(1, 2, 3, 7), (6, 6, 6, 7), (4, 1, 5, 11), (2, 2, 2, 5)]
+    for a, b, c, p in points:
+        spec = MasterPolySpec(2, a, b, c, p)
+        assert selberg_bruteforce(spec, (1, 2)) == ref_selberg(2, a, b, c, p, (1, 2)) % p
+        assert selberg_core._dense_master.cache_info().currsize == 1
+    # A lowered cap refuses the expansion the cache holds: (2 + 2 + 4 + 1)^2 = 81 cells.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "80")
+    with pytest.raises(ResourceLimitError, match="needs 81 coefficient cells"):
+        selberg_bruteforce(MasterPolySpec(2, 2, 2, 2, 5), (1, 2))
 
 
 def test_master_polynomial_one_dimensional():

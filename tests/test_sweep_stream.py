@@ -1,5 +1,5 @@
 """Streamed sweeps: the same bytes as whole-list rendering, nothing written on a
-refusal, and memory that does not grow with the number of rows."""
+refusal, and memory that does not grow with the number of rows or points."""
 
 import itertools
 import json
@@ -114,8 +114,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def _sweep_peak_mb(*args) -> float:
-    argv = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "fpselberg.cli", "sweep", *args]
+def _cli_peak_mb(*args) -> float:
+    argv = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "fpselberg.cli", *args]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("FPSELBERG_MAX_TERMS", None)
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=ROOT,
@@ -127,14 +127,20 @@ def _sweep_peak_mb(*args) -> float:
 
 def test_sweep_memory_does_not_grow_with_rows(tmp_path):
     # 219,520 json rows: 540 MB when every row was held in memory at once.
-    assert _sweep_peak_mb("--primes", "29", "--format", "json") < 64
+    assert _cli_peak_mb("sweep", "--primes", "29", "--format", "json") < 64
     # The p = 29 bruteforce grid is over the default cap as a whole box and is
     # read in windows of a values: 201 MB when it was expanded per point.
     out = {method: tmp_path / f"{method}.csv" for method in ("bruteforce", "closed")}
     for method, path in out.items():
-        assert _sweep_peak_mb("--primes", "29", "--method", method, "--format", "csv",
-                              "--out", str(path)) < 64
+        assert _cli_peak_mb("sweep", "--primes", "29", "--method", method, "--format", "csv",
+                            "--out", str(path)) < 64
     assert out["bruteforce"].read_bytes() == out["closed"].read_bytes()
+
+
+def test_integer_mode_verify_holds_one_expansion():
+    # Every point of the exact vanishing checks is expanded once and dropped at
+    # the next: 77 MB when the per-point cache kept 4,096 of them.
+    assert _cli_peak_mb("verify", "--integer-mode", "--primes", "17", "--suite", "vanishing") < 50
 
 
 # --cycle-bound 100000 names 5,000,050,000 cycles: their list cannot be built

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 
@@ -233,15 +234,21 @@ def test_verify_refuses_an_nd_n3_window_over_the_cap(monkeypatch, capsys):
     assert ran == []
 
 
-def test_default_verify_expands_only_the_golden_points(monkeypatch):
+def test_default_verify_expands_only_golden_and_skew_points(monkeypatch):
     # Every other brute-force read, nd's n = 3 comparison included, comes
-    # from a grid.
+    # from a grid.  Keys are (n, a, b, cross exponent, p), p = None for exact.
     calls = set()
     dense_master = selberg_core._dense_master
     monkeypatch.setattr(selberg_core, "_dense_master",
                         lambda *args: calls.add(args) or dense_master(*args))
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    assert run_verification(SweepConfig()).failed_total == 0
-    golden = {(2, g.a, g.b, g.c, g.p, False) for g in GOLDEN_2D}
-    golden |= {(2, g.a, g.b, g.c, g.p, True) for g in GOLDEN_2D if g.integer_value is not None}
-    assert calls == golden and len(golden) == 6
+    config = SweepConfig()
+    assert run_verification(config).failed_total == 0
+    golden = {(2, g.a, g.b, 2 * g.c, g.p) for g in GOLDEN_2D}
+    golden |= {(2, g.a, g.b, 2 * g.c, None) for g in GOLDEN_2D if g.integer_value is not None}
+    skew = {(2, a, b, cross, p)
+            for p in config.primes for a, b, c in itertools.product(range(1, p), repeat=3)
+            if selberg2d_closed.condition_set(selberg_core.SelbergParams(a, b, c, p)) == "R3"
+            for cross in (2 * c, 2 * c - p)}
+    assert len(golden) == 6 and len(golden | skew) == 577  # the mod-p (6, 6, 6; 7) key is in both
+    assert calls == golden | skew
