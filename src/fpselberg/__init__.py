@@ -26,7 +26,6 @@ from .selberg_core import (
     MasterPolySpec,
     SelbergParams,
     beta_closed,
-    master_polynomial,
     moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
@@ -37,7 +36,6 @@ from .selberg2d_closed import (
     RelationReport,
     classify,
     condition_set,
-    delta_boundary_forms,
     describe,
     eval_closed,
     in_condition_sets,
@@ -78,14 +76,12 @@ __all__ = [
     "beta_closed",
     "classify",
     "condition_set",
-    "delta_boundary_forms",
     "describe",
     "eval_closed",
     "fp_integral",
     "get_context",
     "in_condition_sets",
     "is_prime",
-    "master_polynomial",
     "moment_integral",
     "morris_ct_bruteforce",
     "morris_lhs_symmetric_form",

@@ -16,7 +16,7 @@ from .fp_poly import check_cycle
 from .modp_arith import get_context
 from .morris_ct import MorrisParams, morris_ct_bruteforce, morris_lhs_symmetric_form, morris_rhs
 from .selberg_core import SelbergParams, _max_cells, selberg_bruteforce, selberg_direct_2d
-from .selberg2d_closed import classify, describe, eval_closed
+from .selberg2d_closed import _closed_value, classify, describe
 from .verify import (
     ALL_METHODS,
     ALL_SUITES,
@@ -154,7 +154,7 @@ def _cmd_eval(args) -> int:
     elif args.method == "direct":
         value = selberg_direct_2d(params, l1, l2)
     else:
-        value = eval_closed(params, l1, l2)
+        value = _closed_value(branch, params)
     print(f"value = {value}")
     print(f"branch = {branch}")
     if args.verbose:

@@ -85,16 +85,6 @@ class MultiPoly:
     def monomial(cls, exps: Sequence[int], coeff: int = 1, p: int | None = None) -> "MultiPoly":
         return cls(len(exps), {tuple(exps): coeff}, p)
 
-    @classmethod
-    def from_dense(cls, arr: np.ndarray, p: int | None = None) -> "MultiPoly":
-        """Build from a dense coefficient array indexed by exponents."""
-        import numpy as np
-
-        terms = {}
-        for idx in zip(*np.nonzero(arr)):
-            terms[tuple(int(e) for e in idx)] = int(arr[idx])
-        return cls(arr.ndim, terms, p)
-
     # -- ring plumbing ------------------------------------------------------
 
     def _check_compatible(self, other: "MultiPoly"):
@@ -287,8 +277,6 @@ def _dense_mul(arr: np.ndarray, factor: list, p: int | None, cut: int | None = N
     """Multiply a dense coefficient array by one sparse factor, dropping exponents above ``cut``."""
     import numpy as np
 
-    if not factor:
-        return np.zeros((1,) * arr.ndim, dtype=arr.dtype)
     fdeg = tuple(max(e[i] for e, _ in factor) for i in range(arr.ndim))
     shape = tuple(s + d if cut is None else min(s + d, cut + 1) for s, d in zip(arr.shape, fdeg))
     out = np.zeros(shape, dtype=arr.dtype)
@@ -315,9 +303,12 @@ def _dense_product(num_vars: int, factors: list, p: int | None, cut: int | None 
     is indexed by exponent vectors; dtype is int64 when that is provably
     exact (in mod-p mode: p below about 2^31), Python objects otherwise.
     Exponents above ``cut``, if given, are dropped as the product is built.
+    An empty factor makes the product 0, one zero cell.
     """
     import numpy as np
 
+    if not all(factors):
+        return np.zeros((1,) * num_vars, dtype=np.int64)
     if p is None:
         dtype = _exact_dtype(factors)
     else:

@@ -53,7 +53,6 @@ __all__ = [
     "RelationReport",
     "classify",
     "condition_set",
-    "delta_boundary_forms",
     "describe",
     "eval_closed",
     "in_condition_sets",
@@ -98,14 +97,15 @@ class Branch(str, Enum):
 _CYCLE_CLASSES = {(1, 1): "C11", (2, 2): "C22", (1, 2): "C12", (1, 3): "C13", (2, 3): "C23"}
 
 
-def _canonical(l1: int, l2: int) -> tuple[int, int]:
-    l1, l2 = check_cycle((l1, l2))
-    return (l1, l2) if l1 <= l2 else (l2, l1)
-
-
 def classify(params: SelbergParams, l1: int, l2: int) -> Branch:
     """Return the unique applicable branch for this input."""
-    l1, l2 = _canonical(l1, l2)
+    return _branch(params, *check_cycle((l1, l2)))
+
+
+def _branch(params: SelbergParams, l1: int, l2: int) -> Branch:
+    """``classify`` on a checked cycle."""
+    if l1 > l2:
+        l1, l2 = l2, l1
     a, b, c, p = params.a, params.b, params.c, params.p
 
     if (l1, l2) == (1, 1):
@@ -218,7 +218,10 @@ _ZERO_REASONS = {
 }
 
 
-def _eval_formula(branch: Branch, params: SelbergParams) -> int:
+def _closed_value(branch: Branch, params: SelbergParams) -> int:
+    """The value of ``branch`` at ``params``: its formula, or 0 on a vanishing branch."""
+    if branch.is_zero:
+        return 0
     ctx = params.ctx
     p = params.p
     sign, top, bottom = _formula(branch, params)
@@ -236,16 +239,14 @@ def _eval_formula(branch: Branch, params: SelbergParams) -> int:
 
 def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
     """Closed-form value of the classified branch; 0 on vanishing branches."""
-    branch = classify(params, l1, l2)
-    if branch.is_zero:
-        return 0
-    return _eval_formula(branch, params)
+    return _closed_value(classify(params, l1, l2), params)
 
 
 def describe(params: SelbergParams, l1: int, l2: int) -> str:
     """Classification explanation with the instantiated formula arguments."""
-    branch = classify(params, l1, l2)
-    cycle_class = _CYCLE_CLASSES.get(_canonical(l1, l2), "OTHER")
+    l1, l2 = check_cycle((l1, l2))
+    branch = _branch(params, l1, l2)
+    cycle_class = _CYCLE_CLASSES.get((min(l1, l2), max(l1, l2)), "OTHER")
     a, b, c, p = params.a, params.b, params.c, params.p
     lines = [
         f"p={p} a={a} b={b} c={c} cycle=[{l1},{l2}]",
@@ -258,25 +259,8 @@ def describe(params: SelbergParams, l1: int, l2: int) -> str:
         lines.append(f"formula: {_TEMPLATES[branch]}")
         sgn = "-" if sign % p == p - 1 else "+"
         lines.append(f"numerator factorial arguments {top!r}, denominator {bottom!r}, sign {sgn}")
-        lines.append(f"value {_eval_formula(branch, params)}")
+        lines.append(f"value {_closed_value(branch, params)}")
     return "\n".join(lines)
-
-
-def delta_boundary_forms(params: SelbergParams) -> dict[str, int]:
-    """All closed forms valid at delta = 0 with a+b >= p-1.
-
-    Returns the canonical value plus every alternate expression whose side
-    condition holds ('b_side' needs b+c >= p, 'a_side' needs a+c >= p); the
-    test suite checks they agree.
-    """
-    if params.delta != 0 or params.a + params.b < params.p - 1:
-        raise DomainError(f"delta-boundary forms need delta=0 and a+b >= p-1, got {params}")
-    forms = {"canonical": _eval_formula(Branch.C12_delta0_formula, params)}
-    if params.b + params.c >= params.p:
-        forms["b_side"] = _eval_formula(Branch.C12_i, params)
-    if params.a + params.c >= params.p:
-        forms["a_side"] = _eval_formula(Branch.C12_ii, params)
-    return forms
 
 
 # -- multi-cycle regimes -------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, GuardError, ResourceLimitError
-from .fp_poly import MultiPoly, _binomial_terms, _coefficient, _dense_product, check_cycle
+from .fp_poly import _binomial_terms, _coefficient, _dense_product, check_cycle
 from .modp_arith import FpContext, get_context
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SelbergGrid",
     "SelbergParams",
     "beta_closed",
-    "master_polynomial",
     "moment_integral",
     "selberg_bruteforce",
     "selberg_direct_2d",
@@ -138,12 +137,6 @@ def _expansion(n: int, a: int, b: int, cross: int, p: int, exact: bool):
 def _dense_master(n: int, a: int, b: int, cross: int, p: int | None):
     """The last expansion made, p = None for exact integers."""
     return _dense_product(n, _master_factors(n, a, b, cross), p)
-
-
-def master_polynomial(spec: MasterPolySpec, exact: bool = False) -> MultiPoly:
-    """Fully expanded Phi_n, over F_p by default or over Z with exact=True."""
-    arr = _expansion(spec.n, spec.a, spec.b, 2 * spec.c, spec.p, exact)
-    return MultiPoly.from_dense(arr, None if exact else spec.p)
 
 
 def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool = False):
@@ -310,7 +303,11 @@ def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:
     built, the cost is O(min(b, c)) field operations, and an empty interval
     returns 0 without reading a factorial.
     """
-    check_cycle((l1, l2))
+    return _direct(params, *check_cycle((l1, l2)))
+
+
+def _direct(params: SelbergParams, l1: int, l2: int) -> int:
+    """``selberg_direct_2d`` on a checked cycle."""
     ctx = params.ctx
     a, b, c, p = params.a, params.b, params.c, params.p
     shift = a + 2 * c + 1 - l1 * p  # t1 = k - shift

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError
-from .fp_poly import MultiPoly, fp_integral, partial_derivative
+from .fp_poly import MultiPoly, _coefficient, fp_integral, partial_derivative
 from .golden import GOLDEN_2D
 from .modp_arith import get_context
 from .morris_ct import (
@@ -31,19 +31,20 @@ from .morris_ct import (
 from .selberg_core import (
     SelbergGrid,
     SelbergParams,
+    _direct,
+    _expansion,
     _grid_window,
     _guard_grid,
     beta_closed,
     selberg_bruteforce,
-    selberg_direct_2d,
     selberg_grid,
     selberg_nd_closed,
 )
 from .selberg2d_closed import (
     RELATION_CYCLES,
     Branch,
-    _eval_formula,
-    classify,
+    _branch,
+    _closed_value,
     eval_closed,
     in_condition_sets,
     relations_from_values,
@@ -216,6 +217,16 @@ def _equiv_methods(config: SweepConfig) -> tuple:
     return config.methods if len(config.methods) >= 2 else ALL_METHODS
 
 
+def _route_value(method: str, params: SelbergParams, l1: int, l2: int, branch: Branch,
+                 grid: SelbergGrid | None) -> int:
+    """One route's value on a checked cycle: ``branch`` is its class, ``grid`` the brute-force grid of p."""
+    if method == "bruteforce":
+        return grid.value(params.a, params.b, params.c, (l1, l2))
+    if method == "direct":
+        return _direct(params, l1, l2)
+    return _closed_value(branch, params)
+
+
 def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """All selected evaluation methods agree on every grid point."""
     result = SuiteResult("oracle_equiv")
@@ -223,19 +234,16 @@ def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     reference = "bruteforce" if "bruteforce" in methods else methods[0]
     others = [m for m in methods if m != reference]
     for p in config.primes:
-        evaluators = {"direct": selberg_direct_2d, "closed": eval_closed}
-        if "bruteforce" in methods:
-            evaluators["bruteforce"] = (
-                lambda params, l1, l2, grid=grids[p]: grid.value(params.a, params.b, params.c, (l1, l2)))
+        grid = grids[p] if "bruteforce" in methods else None
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             for l1, l2 in config.cycles():
-                expected = evaluators[reference](params, l1, l2)
+                branch = _branch(params, l1, l2)
+                expected = _route_value(reference, params, l1, l2, branch, grid)
                 for method in others:
-                    got = evaluators[method](params, l1, l2)
+                    got = _route_value(method, params, l1, l2, branch, grid)
                     result.record(got == expected, lambda: _ce(
-                        p, a, b, c, l1, l2, str(classify(params, l1, l2)), expected, got,
-                        method=method))
+                        p, a, b, c, l1, l2, str(branch), expected, got, method=method))
     return result
 
 
@@ -286,7 +294,7 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             result.record(bool(report.relation_holds),
                           lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
             head = next(iter(report.values))
-            closed_head = eval_closed(params, *head)
+            closed_head = _closed_value(_branch(params, *head), params)
             result.record(closed_head == report.values[head], lambda: _ce(
                 p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
                 report.values[head], closed_head))
@@ -323,13 +331,13 @@ def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             for l1, l2 in config.cycles():
-                branch = classify(params, l1, l2)
+                branch = _branch(params, l1, l2)
                 if not branch.is_zero:
                     continue
                 value = grid.value(a, b, c, (l1, l2))
                 result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
                 if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
-                    exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
+                    exact = _coefficient(_expansion(2, a, b, 2 * c, p, True), (l1 * p - 1, l2 * p - 1))
                     result.record(exact == 0,
                                   lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
     return result
@@ -410,8 +418,8 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                                       lambda: _ce(p, a, b, c, 1, 1, f"nd n={n}", brute, got))
                         if n == 2 and 0 < a < p and 0 < b < p and 0 < c < p:
                             params = SelbergParams(a, b, c, p)
-                            if classify(params, 1, 1) == Branch.C11_i:
-                                closed = eval_closed(params, 1, 1)
+                            if _branch(params, 1, 1) == Branch.C11_i:
+                                closed = _closed_value(Branch.C11_i, params)
                                 result.record(got == closed, lambda: _ce(
                                     p, a, b, c, 1, 1, "nd n=2 vs C11_i", closed, got))
         if p > _ND3_MAX_P:
@@ -477,15 +485,9 @@ def _sweep_rows(config: SweepConfig, method: str) -> Iterator[dict]:
             params = SelbergParams(a, b, c, p)
             r1, r2, r3 = in_condition_sets(params)
             for l1, l2 in config.cycles():
-                branch = classify(params, l1, l2)
-                if method == "bruteforce":
-                    value = grid.value(a, b, c, (l1, l2))
-                elif method == "direct":
-                    value = selberg_direct_2d(params, l1, l2)
-                else:
-                    value = 0 if branch.is_zero else _eval_formula(branch, params)
+                branch = _branch(params, l1, l2)
                 yield {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
-                       "branch": branch.value, "value": value,
+                       "branch": branch.value, "value": _route_value(method, params, l1, l2, branch, grid),
                        "in_R1": r1, "in_R2": r2, "in_R3": r3}
 
 
@@ -499,7 +501,7 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[dict]:
     prime's grid just before that prime's rows, one window of a values at a
     time where the whole box is over the cap.  Rows are made serially;
     ``config.parallelism`` is not used.  Each row is a dict with the fixed
-    CSV column set, and ``classify`` runs once per row.
+    CSV column set; its branch is classified once, its cycle not re-checked.
     """
     method = config.methods[0] if config.methods else "closed"
     for p in config.primes:

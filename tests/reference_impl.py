@@ -3,6 +3,7 @@
 Everything here is deliberately primitive: dict-based term-by-term
 convolution with exact integer coefficients and stdlib binomials, sharing no
 code path with the package's dense kernels or table-driven arithmetic.
+``dense_terms`` only reads out a dense array the package made.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ def ref_selberg(n: int, a: int, b: int, c: int, p: int, cycle) -> int:
     """Exact integer coefficient of Phi_n at the cycle exponents."""
     target = tuple(l * p - 1 for l in cycle)
     return ref_phi(n, a, b, c).get(target, 0)
+
+
+def dense_terms(arr, p: int | None = None) -> dict:
+    """The non-zero entries of a dense coefficient array as exact terms, reduced mod p if given."""
+    terms = {tuple(int(e) for e in idx): int(arr[idx]) for idx in zip(*arr.nonzero())}
+    return terms if p is None else ref_reduce(terms, p)
 
 
 # -- sweep renderers ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from fpselberg.fp_poly import (
     partial_derivative,
 )
 
-from reference_impl import PRIMES, ref_cross, ref_mul, ref_pow, ref_reduce, ref_univariate
+from reference_impl import PRIMES, dense_terms, ref_cross, ref_mul, ref_pow, ref_reduce, ref_univariate
 
 
 def x(i, k, p=None):
@@ -155,7 +155,7 @@ def test_dense_product_matches_reference():
             expect = ref_mul(expect, terms)
         p = rng.choice((None, 5, 11))
         arr = _dense_product(k, factors, p)
-        got = MultiPoly.from_dense(arr, p)
+        got = MultiPoly(k, dense_terms(arr), p)
         want = MultiPoly(k, expect if p is None else ref_reduce(expect, p), p)
         assert got == want
 
@@ -169,9 +169,9 @@ def test_dense_product_cut_drops_only_the_exponents_above_it():
         p, cut = rng.choice((None, 5, 11)), rng.randint(0, 6)
         arr = _dense_product(k, factors, p, cut)
         assert max(arr.shape) <= cut + 1
-        full = MultiPoly.from_dense(_dense_product(k, factors, p), p)
+        full = MultiPoly(k, dense_terms(_dense_product(k, factors, p)), p)
         want = {e: v for e, v in full.terms.items() if max(e) <= cut}
-        assert MultiPoly.from_dense(arr, p).terms == want
+        assert MultiPoly(k, dense_terms(arr), p).terms == want
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
@@ -191,6 +191,15 @@ def test_dense_product_object_dtype_for_huge_bounds():
     assert int(arr[0]) == 2**70
     small = _dense_product(1, [[((0,), 1), ((1,), -1)]], None)
     assert small.dtype == np.int64
+
+
+def test_dense_product_with_an_empty_factor_is_zero():
+    # An empty factor's L1 norm is 0, which must not choose int64 for a later
+    # factor past 2^63; the product is one zero cell in either order.
+    huge = [((4,), -2**65)]
+    for factors in ([[], huge], [huge, []]):
+        arr = _dense_product(1, factors, None, 3)
+        assert arr.shape == (1,) and int(arr[0]) == 0
 
 
 @settings(deadline=None, max_examples=60)

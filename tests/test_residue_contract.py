@@ -15,8 +15,8 @@ from fpselberg.fp_poly import MultiPoly, fp_integral
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     SelbergParams,
+    _expansion,
     beta_closed,
-    master_polynomial,
     moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
@@ -25,11 +25,13 @@ from fpselberg.selberg_core import (
 )
 from fpselberg.selberg2d_closed import (
     RELATION_CYCLES,
-    delta_boundary_forms,
     eval_closed,
     relations_check,
     relations_from_values,
 )
+
+from reference_impl import dense_terms
+from test_selberg2d_closed import delta_boundary_forms
 
 CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)]
 SAMPLE_SEED = 0xC0DE
@@ -67,7 +69,7 @@ def test_two_dimensional_evaluators_return_residues(p, exhaustive):
     for a, b, c in _triples(p, exhaustive):
         params = SelbergParams(a, b, c, p)
         spec = params.spec(2)
-        poly = master_polynomial(spec)
+        poly = MultiPoly(2, dense_terms(_expansion(2, a, b, 2 * c, p, False)), p)
         for cycle in CYCLES:
             seen("selberg_bruteforce", selberg_bruteforce(spec, cycle))
             seen("SelbergGrid.value", grid.value(a, b, c, cycle))

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -12,10 +13,10 @@ from fpselberg.selberg2d_closed import (
     _ZERO_REASONS,
     RELATION_CYCLES,
     Branch,
+    _closed_value,
     _formula,
     classify,
     condition_set,
-    delta_boundary_forms,
     describe,
     eval_closed,
     in_condition_sets,
@@ -44,8 +45,14 @@ def test_classify_examples():
 def test_classify_canonicalizes_cycle_order():
     params = SelbergParams(3, 4, 3, 7)
     assert classify(params, 2, 1) == classify(params, 1, 2)
-    with pytest.raises(ValueError, match=r"^cycle entries must be positive integers, got \(0, 1\)$"):
-        classify(params, 0, 1)
+    # Every public point query checks its cycle itself.
+    queries = (classify, eval_closed, describe, selberg_direct_2d,
+               lambda params, l1, l2: selberg_bruteforce(params.spec(2), (l1, l2)))
+    for cycle in ((0, 1), (2, -1), (1.0, 1)):
+        message = "^" + re.escape(f"cycle entries must be positive integers, got {cycle}") + "$"
+        for query in queries:
+            with pytest.raises(ValueError, match=message):
+                query(params, *cycle)
 
 
 def test_classify_is_total_and_branches_mutually_consistent():
@@ -192,6 +199,22 @@ def test_relations_hold_exhaustively(p):
         shared = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
         assert (shared.condition_set, shared.values, shared.ok) == (
             report.condition_set, report.values, report.ok)
+
+
+def delta_boundary_forms(params: SelbergParams) -> dict[str, int]:
+    """All closed forms valid at delta = 0 with a+b >= p-1.
+
+    Returns the canonical value plus every alternate expression whose side
+    condition holds ('b_side' needs b+c >= p, 'a_side' needs a+c >= p).
+    """
+    if params.delta != 0 or params.a + params.b < params.p - 1:
+        raise DomainError(f"delta-boundary forms need delta=0 and a+b >= p-1, got {params}")
+    forms = {"canonical": _closed_value(Branch.C12_delta0_formula, params)}
+    if params.b + params.c >= params.p:
+        forms["b_side"] = _closed_value(Branch.C12_i, params)
+    if params.a + params.c >= params.p:
+        forms["a_side"] = _closed_value(Branch.C12_ii, params)
+    return forms
 
 
 def test_delta_boundary_forms_agree():

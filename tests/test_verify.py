@@ -7,9 +7,11 @@ import pytest
 from fpselberg import selberg2d_closed, selberg_core, verify
 from fpselberg.cli import main
 from fpselberg.errors import ResourceLimitError
+from fpselberg.fp_poly import check_cycle
 from fpselberg.golden import GOLDEN_2D
 from fpselberg.selberg2d_closed import Branch
 from fpselberg.verify import (
+    ALL_METHODS,
     ALL_SUITES,
     SWEEP_CSV_HEADER,
     SweepConfig,
@@ -71,6 +73,27 @@ def test_row_count_arithmetic():
     rows = sweep_rows(config)
     # sum over p of (p-1)^3 times the number of pairs l1 <= l2 <= bound
     assert len(rows) == (2**3 + 4**3) * 3
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_sweep_checks_cycles_once_per_run(monkeypatch, method):
+    # The configured cycles are checked when the config is made, so the number
+    # of cycle checks a sweep makes must not grow with its rows.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_cycle(*args, **kwargs)
+
+    for module in (selberg2d_closed, selberg_core, verify):
+        monkeypatch.setattr(module, "check_cycle", counted, raising=False)
+    counts = []
+    for p in (5, 7):
+        calls.clear()
+        rows = sweep_rows(SweepConfig(primes=(p,), methods=(method,), suites=()))
+        assert len(rows) == (p - 1) ** 3 * 10
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_sweep_parallelism_gives_identical_rows():
