@@ -8,6 +8,8 @@ the coefficient cells of any one expansion or grid window.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from typing import Iterable
 
@@ -30,17 +32,13 @@ from .verify import (
 __all__ = ["build_parser", "entry_point", "main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 def _int_list(text: str, name: str, count: int | None = None) -> tuple:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise UsageError(f"{name} expects comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{name} expects comma-separated integers, got {text!r}") from None
     if count is not None and len(values) != count:
-        raise UsageError(f"{name} expects {count} comma-separated integers, got {text!r}")
+        raise ValueError(f"{name} expects {count} comma-separated integers, got {text!r}")
     return values
 
 
@@ -108,19 +106,16 @@ def _point_params(args) -> tuple:
     try:
         get_context(p)
     except ValueError as exc:
-        raise UsageError(f"--prime: {exc}") from None
+        raise ValueError(f"--prime: {exc}") from None
     if args.params is not None:
         if any(v is not None for v in (args.a, args.b, args.c)):
-            raise UsageError("give either --params a,b,c or the -a/-b/-c flags, not both")
+            raise ValueError("give either --params a,b,c or the -a/-b/-c flags, not both")
         a, b, c = _int_list(args.params, "--params", 3)
     else:
         if any(v is None for v in (args.a, args.b, args.c)):
-            raise UsageError("parameters a, b, c are required (use -a/-b/-c or --params)")
+            raise ValueError("parameters a, b, c are required (use -a/-b/-c or --params)")
         a, b, c = args.a, args.b, args.c
-    try:
-        params = SelbergParams(a, b, c, p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    params = SelbergParams(a, b, c, p)
     l1, l2 = check_cycle(_int_list(args.cycle, "--cycle", 2))
     return params, l1, l2
 
@@ -136,12 +131,21 @@ def _write_output(chunks: Iterable[str], out_path: str | None):
             for chunk in chunks:
                 fh.write(chunk)
     except OSError as exc:
-        raise UsageError(f"cannot write {out_path}: {exc}") from None
+        raise ValueError(f"cannot write {out_path}: {exc}") from None
+
+
+def _check_out(out_path: str | None):
+    """Refuse, as ``_write_output`` would but creating nothing, a directory or a path in a missing one."""
+    if out_path is None:
+        return
+    code = errno.EISDIR if os.path.isdir(out_path) else errno.ENOENT
+    if code == errno.EISDIR or not os.path.isdir(os.path.dirname(out_path) or "."):
+        raise ValueError(f"cannot write {out_path}: {OSError(code, os.strerror(code), out_path)}")
 
 
 def _cmd_eval(args) -> int:
     if args.integer_mode and args.method != "bruteforce":
-        raise UsageError(f"--integer-mode needs --method bruteforce, got --method {args.method}")
+        raise ValueError(f"--integer-mode needs --method bruteforce, got --method {args.method}")
     params, l1, l2 = _point_params(args)
     branch = classify(params, l1, l2)
     print(f"p={params.p} a={params.a} b={params.b} c={params.c} "
@@ -175,29 +179,27 @@ def _parse_suites(raw: list) -> tuple:
     for chunk in raw:
         names.extend(s.strip() for s in chunk.split(",") if s.strip())
     if not names:
-        raise UsageError(f"--suite names no suite; choose from {','.join(ALL_SUITES)}")
+        raise ValueError(f"--suite names no suite; choose from {','.join(ALL_SUITES)}")
     unknown = set(names) - set(ALL_SUITES)
     if unknown:
-        raise UsageError(f"unknown suite(s) {sorted(unknown)}; choose from {','.join(ALL_SUITES)}")
+        raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {','.join(ALL_SUITES)}")
     return tuple(dict.fromkeys(names))
 
 
 def _common_config(args, suites=(), methods=ALL_METHODS) -> SweepConfig:
-    try:
-        return SweepConfig(
-            primes=_int_list(args.primes, "--primes"),
-            cycle_bound=args.cycle_bound,
-            methods=methods,
-            suites=suites,
-            integer_mode=getattr(args, "integer_mode", False),
-            parallelism=args.jobs,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return SweepConfig(
+        primes=_int_list(args.primes, "--primes"),
+        cycle_bound=args.cycle_bound,
+        methods=methods,
+        suites=suites,
+        integer_mode=getattr(args, "integer_mode", False),
+        parallelism=args.jobs,
+    )
 
 
 def _cmd_verify(args) -> int:
     config = _common_config(args, suites=_parse_suites(args.suite))
+    _check_out(args.out)  # before the suites run, not after
     report = run_verification(config)
     _write_output((render_report(report, args.format),), args.out)
     return 0 if report.failed_total == 0 else 1
@@ -211,10 +213,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_morris(args) -> int:
-    try:
-        mp = MorrisParams(args.n, args.alpha, args.beta, args.gamma)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    mp = MorrisParams(args.n, args.alpha, args.beta, args.gamma)
     rhs = morris_rhs(mp)
     ct = morris_ct_bruteforce(mp)
     sym = morris_lhs_symmetric_form(mp)
@@ -245,7 +244,7 @@ def main(argv: list | None = None) -> int:
     try:
         _max_cells()  # a malformed FPSELBERG_MAX_TERMS is a usage error, not a failed check
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError, DomainError) as exc:
+    except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

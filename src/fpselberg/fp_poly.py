@@ -165,15 +165,6 @@ class MultiPoly:
             raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {self.num_vars}")
         return self.terms.get(exps, 0)
 
-    def degree(self, i: int) -> int:
-        """Largest exponent of x_i (1-based); -1 for the zero polynomial."""
-        if not 1 <= i <= self.num_vars:
-            raise ValueError(f"variable index {i} out of range 1..{self.num_vars}")
-        return max((e[i - 1] for e in self.terms), default=-1)
-
-    def degrees(self) -> tuple:
-        return tuple(self.degree(i) for i in range(1, self.num_vars + 1))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

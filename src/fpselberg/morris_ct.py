@@ -109,7 +109,7 @@ def morris_lhs_symmetric_form(mp: MorrisParams) -> int:
     """
     _guard(mp)
     n, alpha, beta, gamma = mp.n, mp.alpha, mp.beta, mp.gamma
-    factors = _master_factors(n, 0, alpha + beta, 2 * gamma)
+    factors = _master_factors(n, 0, alpha + beta, gamma)  # Phi_n(0, alpha + beta, gamma)
     s = beta + (n - 1) * gamma
     sign = (-1) ** ((n * (n - 1) // 2) * gamma + n * beta)
     return sign * _coefficient(_dense_product(n, factors, None), (s,) * n)

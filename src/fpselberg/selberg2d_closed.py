@@ -309,10 +309,6 @@ class RelationReport:
     relation_holds: bool | None = None
     uniqueness_holds: bool | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.relation_holds if self.condition_set else self.uniqueness_holds
-
 
 def relations_check(params: SelbergParams) -> RelationReport:
     """Verify the applicable multi-cycle relation with brute-force values."""
@@ -361,17 +357,22 @@ def skew_symmetry_check(params: SelbergParams) -> bool:
         alpha(2p-1, 2p-1) = beta(p-1, 2p-1) - beta(2p-1, p-1)
         alpha(p-1, 3p-1) = -beta(p-1, 2p-1)
         -1/2 * alpha(2p-1, 2p-1) = alpha(p-1, 3p-1) = alpha(3p-1, p-1)
-    Each product is a per-point expansion under the cell cap (ResourceLimitError).
+
+    `full` is Phi(a, b, c), and `lower` is (x1-x2) * Phi(a, b, h) with
+    h = c - (p+1)/2 in [0, (p-3)/2], so beta(t) = half[t - e1] - half[t - e2]
+    on half = Phi(a, b, h).  Both are per-point expansions under the cell cap
+    (ResourceLimitError).
     """
     a, b, c, p = params.a, params.b, params.c, params.p
     if not (2 * c > p and a + b + 2 * c >= 3 * p - 1):
         raise DomainError(f"skew-symmetry check needs 2c > p and a+b+2c >= 3p-1, got {params}")
 
-    full = _expansion(2, a, b, 2 * c, p, False)
+    full = _expansion(2, a, b, c, p, False)
     alpha_31, alpha_22, alpha_13 = (_coefficient(full, t) for t in
                                     ((3 * p - 1, p - 1), (2 * p - 1, 2 * p - 1), (p - 1, 3 * p - 1)))
-    lower = _expansion(2, a, b, 2 * c - p, p, False)
-    beta_12, beta_21 = (_coefficient(lower, t) for t in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
+    half = _expansion(2, a, b, c - (p + 1) // 2, p, False)
+    beta_12, beta_21 = ((_coefficient(half, (t1 - 1, t2)) - _coefficient(half, (t1, t2 - 1))) % p
+                        for t1, t2 in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
 
     return (
         beta_12 == -beta_21 % p

@@ -111,32 +111,29 @@ def _max_cells() -> int:
         raise ValueError(f"{MAX_TERMS_ENV} must be an integer, got {env!r}") from None
 
 
-def _master_factors(n: int, a: int, b: int, cross: int) -> list:
-    """Sparse factors of prod_{i<j} (x_i - x_j)^cross * prod_i x_i^a (1 - x_i)^b, exact integers.
-
-    With cross = 2c this is Phi_n.
-    """
+def _master_factors(n: int, a: int, b: int, c: int) -> list:
+    """Sparse factors of Phi_n = prod_{i<j} (x_i - x_j)^(2c) * prod_i x_i^a (1 - x_i)^b, exact integers."""
     zero = (0,) * n
     units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
-    factors = [_binomial_terms(zero, units[i], units[j], cross) for i in range(n) for j in range(i + 1, n)]
+    factors = [_binomial_terms(zero, units[i], units[j], 2 * c) for i in range(n) for j in range(i + 1, n)]
     factors += [_binomial_terms(zero[:i] + (a,) + zero[i + 1 :], zero, units[i], b) for i in range(n)]
     return [factor for factor in factors if factor != [(zero, 1)]]  # a factor 1 adds nothing
 
 
-def _expansion(n: int, a: int, b: int, cross: int, p: int, exact: bool):
-    """Dense prod_{i<j} (x_i - x_j)^cross * prod_i x_i^a (1 - x_i)^b, mod p or exact, read-only: the
-    one per-point expansion, its cells checked against the cap on every call, before numpy loads."""
-    cells, cap = (a + b + (n - 1) * cross + 1) ** n, _max_cells()
+def _expansion(n: int, a: int, b: int, c: int, p: int, exact: bool):
+    """Dense Phi_n(a, b, c), mod p or exact, read-only: the one per-point expansion, its
+    cells checked against the cap on every call, before numpy loads."""
+    cells, cap = (a + b + 2 * (n - 1) * c + 1) ** n, _max_cells()
     if cells > cap:
-        raise ResourceLimitError(f"expansion (n, a, b, cross) = ({n}, {a}, {b}, {cross}) needs {cells}"
+        raise ResourceLimitError(f"expansion (n, a, b, c) = ({n}, {a}, {b}, {c}) needs {cells}"
                                  f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)")
-    return _dense_master(n, a, b, cross, None if exact else p)
+    return _dense_master(n, a, b, c, None if exact else p)
 
 
 @functools.lru_cache(maxsize=1)  # every reuse in the package reads the point just expanded
-def _dense_master(n: int, a: int, b: int, cross: int, p: int | None):
+def _dense_master(n: int, a: int, b: int, c: int, p: int | None):
     """The last expansion made, p = None for exact integers."""
-    return _dense_product(n, _master_factors(n, a, b, cross), p)
+    return _dense_product(n, _master_factors(n, a, b, c), p)
 
 
 def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool = False):
@@ -146,7 +143,7 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
     exact=True.
     """
     cycle = check_cycle(cycle, spec.n)
-    arr = _expansion(spec.n, spec.a, spec.b, 2 * spec.c, spec.p, exact)
+    arr = _expansion(spec.n, spec.a, spec.b, spec.c, spec.p, exact)
     return _coefficient(arr, tuple(l * spec.p - 1 for l in cycle))
 
 
@@ -193,7 +190,7 @@ class SelbergGrid:
         reads = np.empty((self.ab_stop, *index[0].shape), dtype=np.int64)  # b x reads x cycles x a
         for c in range(p):
             q = np.zeros((zero + 1,) * n, dtype=np.int64)
-            q0 = _dense_product(n, _master_factors(n, 0, 0, 2 * c), p, deg)  # Q_{0,c} = Phi_{0,0,c}
+            q0 = _dense_product(n, _master_factors(n, 0, 0, c), p, deg)  # Q_{0,c} = Phi_{0,0,c}
             q[tuple(map(slice, q0.shape))] = q0
             block = q[(slice(0, zero),) * n]
             axes = [np.moveaxis(block, k, 0) for k in range(n)]  # views of block, axis k first
@@ -389,7 +386,7 @@ def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> i
     if kind not in ("S1", "S2"):
         raise ValueError(f"kind must be 'S1' or 'S2', got {kind!r}")
     cycle = check_cycle(cycle, 2)
-    phi = _expansion(2, params.a, params.b, 2 * params.c, params.p, False)
+    phi = _expansion(2, params.a, params.b, params.c, params.p, False)
     t1, t2 = (l * params.p - 1 for l in cycle)
     s1 = _coefficient(phi, (t1 - 1, t2)) + _coefficient(phi, (t1, t2 - 1))
     if kind == "S2":

@@ -83,7 +83,7 @@ _INTEGER_ZERO_BRANCHES = {
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Shared configuration for verification runs and sweeps."""
+    """Shared configuration for verification runs and sweeps; a sweep's values use ``methods[0]``."""
 
     primes: tuple = (3, 5, 7, 11, 13)
     cycle_bound: int = 4
@@ -107,8 +107,8 @@ class SweepConfig:
         bad = set(self.suites) - set(ALL_SUITES)
         if bad:
             raise ValueError(f"unknown suites: {sorted(bad)}")
-        if not self.suites and not self.methods:
-            raise ValueError("select at least one suite or method")
+        if not self.methods:
+            raise ValueError("at least one method is required")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
@@ -192,8 +192,7 @@ class _GridCache(dict):
         self._extra = tuple(cycle for cycle in _SUITE_CYCLES if not cycle[0] <= cycle[1] <= bound)
         count, top = bound * (bound + 1) // 2 + len(self._extra), max([bound, *itertools.chain(*self._extra)])
         suites = set(config.suites)
-        shared = bool(suites & {"recurrences", "relations", "vanishing"}) or (
-            "oracle_equiv" in suites and "bruteforce" in _equiv_methods(config))
+        shared = bool(suites & {"oracle_equiv", "recurrences", "relations", "vanishing"})
         for p in config.primes:
             if shared or ("morris" in suites and p <= _BRIDGE_MAX_P):
                 _grid_window(p, 2, p, count, top)
@@ -213,10 +212,6 @@ class _GridCache(dict):
 # -- suites --------------------------------------------------------------------
 
 
-def _equiv_methods(config: SweepConfig) -> tuple:
-    return config.methods if len(config.methods) >= 2 else ALL_METHODS
-
-
 def _route_value(method: str, params: SelbergParams, l1: int, l2: int, branch: Branch,
                  grid: SelbergGrid | None) -> int:
     """One route's value on a checked cycle: ``branch`` is its class, ``grid`` the brute-force grid of p."""
@@ -228,19 +223,16 @@ def _route_value(method: str, params: SelbergParams, l1: int, l2: int, branch: B
 
 
 def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
-    """All selected evaluation methods agree on every grid point."""
+    """The direct and closed routes agree with the grid's brute force on every grid point."""
     result = SuiteResult("oracle_equiv")
-    methods = _equiv_methods(config)
-    reference = "bruteforce" if "bruteforce" in methods else methods[0]
-    others = [m for m in methods if m != reference]
     for p in config.primes:
-        grid = grids[p] if "bruteforce" in methods else None
+        grid = grids[p]
         for a, b, c in _triples(p):
             params = SelbergParams(a, b, c, p)
             for l1, l2 in config.cycles():
                 branch = _branch(params, l1, l2)
-                expected = _route_value(reference, params, l1, l2, branch, grid)
-                for method in others:
+                expected = grid.value(a, b, c, (l1, l2))
+                for method in ("direct", "closed"):
                     got = _route_value(method, params, l1, l2, branch, grid)
                     result.record(got == expected, lambda: _ce(
                         p, a, b, c, l1, l2, str(branch), expected, got, method=method))
@@ -337,7 +329,7 @@ def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 value = grid.value(a, b, c, (l1, l2))
                 result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
                 if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
-                    exact = _coefficient(_expansion(2, a, b, 2 * c, p, True), (l1 * p - 1, l2 * p - 1))
+                    exact = _coefficient(_expansion(2, a, b, c, p, True), (l1 * p - 1, l2 * p - 1))
                     result.record(exact == 0,
                                   lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
     return result
@@ -497,13 +489,13 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[dict]:
     Every resource guard a row could hit is checked for every prime when
     this is called, before the first row is made, so a sweep that would be
     refused is refused before anything is written.  The value column uses
-    the first configured method (closed if none); brute force builds each
+    the first configured method; brute force builds each
     prime's grid just before that prime's rows, one window of a values at a
     time where the whole box is over the cap.  Rows are made serially;
     ``config.parallelism`` is not used.  Each row is a dict with the fixed
     CSV column set; its branch is classified once, its cycle not re-checked.
     """
-    method = config.methods[0] if config.methods else "closed"
+    method = config.methods[0]
     for p in config.primes:
         _check_sweep(method, p, config)
     return _sweep_rows(config, method)

@@ -10,6 +10,8 @@ from fpselberg import modp_arith
 from fpselberg.cli import main
 from fpselberg.modp_arith import get_context
 
+from test_verify import _record_suite_runs
+
 MERSENNE_61 = 2**61 - 1
 
 
@@ -268,10 +270,17 @@ def test_sweep_bruteforce_method_agrees_with_closed(capsys):
     assert closed_out == brute_out
 
 
-def test_sweep_unwritable_output(capsys):
-    code, _, err = run(capsys, "sweep", "--primes", "3", "--out", "/nonexistent/dir/x.csv")
-    assert code == 2
-    assert "cannot write" in err
+def test_unwritable_output_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
+    # An --out in a missing directory, or naming a directory, is refused with
+    # exit 2 before verify runs a suite, and no file is created.
+    ran = _record_suite_runs(monkeypatch)
+    for out in (tmp_path / "missing" / "x.out", tmp_path):
+        for argv in (("sweep", "--primes", "3"), ("verify", "--primes", "13")):
+            code, stdout, err = run(capsys, *argv, "--out", str(out))
+            assert code == 2 and stdout == ""
+            assert err.startswith(f"error: cannot write {out}: ")
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_empty_primes(capsys):

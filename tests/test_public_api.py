@@ -4,16 +4,22 @@ Library code that only tests call belongs in the tests.  A name counts as
 used when some file reads it: a load of the name or of an attribute by that
 name, in the package itself, in a demo, or in a benchmark script (not the
 frozen copy of the package under benchmarks/).  Definitions, imports and the
-strings of ``__all__`` are not reads.
+strings of ``__all__`` are not reads.  The rule covers the package's own
+``__all__`` and that of each submodule.
 """
 
 import ast
+import functools
+import importlib
 from pathlib import Path
+
+import pytest
 
 import fpselberg
 
 ROOT = Path(__file__).resolve().parents[1]
 USERS = (ROOT / "src" / "fpselberg", ROOT / "demos", ROOT / "benchmarks")
+SUBMODULES = ("fp_poly", "modp_arith", "selberg_core", "selberg2d_closed", "morris_ct", "verify", "cli")
 
 
 def _reads(path: Path) -> set:
@@ -23,6 +29,16 @@ def _reads(path: Path) -> set:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
+@functools.lru_cache(maxsize=1)
+def _read_outside_the_tests() -> frozenset:
+    return frozenset().union(*(_reads(path) for folder in USERS for path in sorted(folder.glob("*.py"))))
+
+
 def test_every_public_name_is_read_outside_the_tests():
-    read = set().union(*(_reads(path) for folder in USERS for path in sorted(folder.glob("*.py"))))
-    assert sorted(set(fpselberg.__all__) - read) == []
+    assert sorted(set(fpselberg.__all__) - _read_outside_the_tests()) == []
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_submodule_export_is_read_outside_the_tests(module):
+    exported = importlib.import_module(f"fpselberg.{module}").__all__
+    assert sorted(set(exported) - _read_outside_the_tests()) == []

@@ -69,7 +69,7 @@ def test_two_dimensional_evaluators_return_residues(p, exhaustive):
     for a, b, c in _triples(p, exhaustive):
         params = SelbergParams(a, b, c, p)
         spec = params.spec(2)
-        poly = MultiPoly(2, dense_terms(_expansion(2, a, b, 2 * c, p, False)), p)
+        poly = MultiPoly(2, dense_terms(_expansion(2, a, b, c, p, False)), p)
         for cycle in CYCLES:
             seen("selberg_bruteforce", selberg_bruteforce(spec, cycle))
             seen("SelbergGrid.value", grid.value(a, b, c, cycle))

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpselberg.errors import DomainError, GuardError, ResourceLimitError
+from fpselberg.fp_poly import _coefficient
 from fpselberg.modp_arith import get_context
-from fpselberg.selberg_core import SelbergParams, selberg_bruteforce, selberg_direct_2d, selberg_grid
+from fpselberg.selberg_core import (
+    SelbergParams,
+    _expansion,
+    selberg_bruteforce,
+    selberg_direct_2d,
+    selberg_grid,
+)
 from fpselberg.selberg2d_closed import (
     _TEMPLATES,
     _ZERO_REASONS,
@@ -25,11 +32,16 @@ from fpselberg.selberg2d_closed import (
     skew_symmetry_check,
 )
 
-from reference_impl import PRIMES, all_triples, prime_at_or_above
+from reference_impl import PRIMES, all_triples, prime_at_or_above, ref_cross, ref_mul, ref_univariate
 
 
 def branch(p, a, b, c, l1, l2) -> Branch:
     return classify(SelbergParams(a, b, c, p), l1, l2)
+
+
+def report_ok(report) -> bool:
+    """The relation inside a condition set, uniqueness outside all of them."""
+    return report.relation_holds if report.condition_set else report.uniqueness_holds
 
 
 def test_classify_examples():
@@ -175,7 +187,7 @@ def test_relations_reports():
     assert r3.relation_holds is True
     assert r3.uniqueness_holds is None
     assert set(r3.values) == {(2, 2), (1, 3), (3, 1)}
-    assert r3.ok
+    assert report_ok(r3)
 
     r2 = relations_check(SelbergParams(6, 6, 3, 7))
     assert r2.condition_set == "R2"
@@ -195,10 +207,10 @@ def test_relations_hold_exhaustively(p):
     for a, b, c in all_triples(p):
         params = SelbergParams(a, b, c, p)
         report = relations_check(params)
-        assert report.ok, (p, a, b, c, report.condition_set)
+        assert report_ok(report), (p, a, b, c, report.condition_set)
         shared = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
-        assert (shared.condition_set, shared.values, shared.ok) == (
-            report.condition_set, report.values, report.ok)
+        assert (shared.condition_set, shared.values, report_ok(shared)) == (
+            report.condition_set, report.values, report_ok(report))
 
 
 def delta_boundary_forms(params: SelbergParams) -> dict[str, int]:
@@ -263,6 +275,25 @@ def test_skew_symmetry_cell_count_is_exact(monkeypatch):
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "624")
     with pytest.raises(ResourceLimitError, match="needs 625 coefficient cells, cap is 624"):
         skew_symmetry_check(params)
+
+
+@pytest.mark.parametrize("p, triples", [(5, 7), (7, 22)])
+def test_skew_beta_reads_match_the_odd_product(p, triples):
+    # skew_symmetry_check reads beta, the coefficients of (x1-x2)^(2c-p) * Psi
+    # with Psi = x1^a (1-x1)^b x2^a (1-x2)^b, as half[t - e1] - half[t - e2]
+    # on half = Phi at c - (p+1)/2.  The odd product itself is the reference.
+    checked = 0
+    for a, b, c in all_triples(p):
+        if condition_set(SelbergParams(a, b, c, p)) != "R3":
+            continue
+        psi = ref_mul(ref_univariate(a, b, 0, 2), ref_univariate(a, b, 1, 2))
+        lower = ref_mul(ref_cross(0, 1, 2 * c - p, 2), psi)
+        half = _expansion(2, a, b, c - (p + 1) // 2, p, False)
+        for t1, t2 in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)):
+            read = (_coefficient(half, (t1 - 1, t2)) - _coefficient(half, (t1, t2 - 1))) % p
+            assert read == lower.get((t1, t2), 0) % p, (p, a, b, c, t1, t2)
+        checked += 1
+    assert checked == triples
 
 
 def test_describe_output():

@@ -60,7 +60,7 @@ def test_per_point_expansions_keep_one_cache_entry(monkeypatch):
 
 def master_terms(n, a, b, c, p, exact=False) -> dict:
     """Phi_n as exact terms, over F_p by default or over Z with exact=True."""
-    return dense_terms(_expansion(n, a, b, 2 * c, p, exact), None if exact else p)
+    return dense_terms(_expansion(n, a, b, c, p, exact), None if exact else p)
 
 
 def test_master_polynomial_one_dimensional():

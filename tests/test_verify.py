@@ -210,7 +210,7 @@ def _record_suite_runs(monkeypatch) -> list:
 @pytest.mark.parametrize("kwargs, refused", [
     *[({"suites": (suite,)}, suite not in ("stokes", "nd")) for suite in ALL_SUITES],
     ({"primes": (11,), "suites": ("morris",)}, False),  # the bridge reads the grid at p <= 7 only
-    ({"methods": ("direct", "closed"), "suites": ("oracle_equiv",)}, False),
+    ({"methods": ("direct", "closed"), "suites": ("oracle_equiv",)}, True),  # compares every route
 ], ids=[*ALL_SUITES, "morris-at-p11", "oracle_equiv-without-bruteforce"])
 def test_verify_checks_the_grids_its_suites_read(monkeypatch, kwargs, refused):
     # One cell under the smallest shared p = 7 window (400 + 3 * 1,176 cells);
@@ -259,7 +259,8 @@ def test_verify_refuses_an_nd_n3_window_over_the_cap(monkeypatch, capsys):
 
 def test_default_verify_expands_only_golden_and_skew_points(monkeypatch):
     # Every other brute-force read, nd's n = 3 comparison included, comes
-    # from a grid.  Keys are (n, a, b, cross exponent, p), p = None for exact.
+    # from a grid.  Keys are (n, a, b, c, p), p = None for exact; skew symmetry
+    # expands Phi at c and at c - (p+1)/2.
     calls = set()
     dense_master = selberg_core._dense_master
     monkeypatch.setattr(selberg_core, "_dense_master",
@@ -267,11 +268,11 @@ def test_default_verify_expands_only_golden_and_skew_points(monkeypatch):
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     config = SweepConfig()
     assert run_verification(config).failed_total == 0
-    golden = {(2, g.a, g.b, 2 * g.c, g.p) for g in GOLDEN_2D}
-    golden |= {(2, g.a, g.b, 2 * g.c, None) for g in GOLDEN_2D if g.integer_value is not None}
-    skew = {(2, a, b, cross, p)
+    golden = {(2, g.a, g.b, g.c, g.p) for g in GOLDEN_2D}
+    golden |= {(2, g.a, g.b, g.c, None) for g in GOLDEN_2D if g.integer_value is not None}
+    skew = {(2, a, b, shifted, p)
             for p in config.primes for a, b, c in itertools.product(range(1, p), repeat=3)
             if selberg2d_closed.condition_set(selberg_core.SelbergParams(a, b, c, p)) == "R3"
-            for cross in (2 * c, 2 * c - p)}
+            for shifted in (c, c - (p + 1) // 2)}
     assert len(golden) == 6 and len(golden | skew) == 577  # the mod-p (6, 6, 6; 7) key is in both
     assert calls == golden | skew
