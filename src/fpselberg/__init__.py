@@ -8,94 +8,42 @@ at exponent vectors (l1*p-1, ..., ln*p-1) over F_p, by three independent
 routes (full expansion, direct binomial summation, closed-form case
 analysis), and machine-checks the identities relating them over exhaustive
 small-prime grids.
+
+The namespace is lazy: ``import fpselberg`` loads no submodule, and the
+first read of an exported name imports the submodule that defines it, so a
+point query never pays for the verifier.
 """
 
-from .errors import DomainError, FpSelbergError, GuardError, ResourceLimitError
-from .fp_poly import MultiPoly, fp_integral, partial_derivative
-from .golden import GOLDEN_2D, GoldenValue
-from .modp_arith import FpContext, get_context, is_prime
-from .morris_ct import (
-    MorrisParams,
-    morris_ct_bruteforce,
-    morris_lhs_symmetric_form,
-    morris_rhs,
-    morris_substitution,
-    selberg_via_morris,
-)
-from .selberg_core import (
-    MasterPolySpec,
-    SelbergParams,
-    beta_closed,
-    moment_integral,
-    selberg_bruteforce,
-    selberg_direct_2d,
-    selberg_nd_closed,
-)
-from .selberg2d_closed import (
-    Branch,
-    RelationReport,
-    classify,
-    condition_set,
-    describe,
-    eval_closed,
-    in_condition_sets,
-    relations_check,
-    skew_symmetry_check,
-)
-from .verify import (
-    ALL_SUITES,
-    SweepConfig,
-    SuiteResult,
-    VerificationReport,
-    render_report,
-    render_sweep,
-    run_verification,
-    sweep_rows,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_SUITES",
-    "Branch",
-    "DomainError",
-    "FpContext",
-    "FpSelbergError",
-    "GOLDEN_2D",
-    "GoldenValue",
-    "GuardError",
-    "MasterPolySpec",
-    "MorrisParams",
-    "MultiPoly",
-    "RelationReport",
-    "ResourceLimitError",
-    "SelbergParams",
-    "SuiteResult",
-    "SweepConfig",
-    "VerificationReport",
-    "beta_closed",
-    "classify",
-    "condition_set",
-    "describe",
-    "eval_closed",
-    "fp_integral",
-    "get_context",
-    "in_condition_sets",
-    "is_prime",
-    "moment_integral",
-    "morris_ct_bruteforce",
-    "morris_lhs_symmetric_form",
-    "morris_rhs",
-    "morris_substitution",
-    "partial_derivative",
-    "relations_check",
-    "render_report",
-    "render_sweep",
-    "run_verification",
-    "selberg_bruteforce",
-    "selberg_direct_2d",
-    "selberg_nd_closed",
-    "selberg_via_morris",
-    "skew_symmetry_check",
-    "sweep_rows",
-]
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("DomainError", "FpSelbergError", "GuardError", "ResourceLimitError"), "errors"),
+    **dict.fromkeys(("MultiPoly", "fp_integral", "partial_derivative"), "fp_poly"),
+    **dict.fromkeys(("GOLDEN_2D", "GoldenValue"), "golden"),
+    **dict.fromkeys(("FpContext", "get_context", "is_prime"), "modp_arith"),
+    **dict.fromkeys(("MorrisParams", "morris_ct_bruteforce", "morris_lhs_symmetric_form", "morris_rhs",
+                     "morris_substitution", "selberg_via_morris"), "morris_ct"),
+    **dict.fromkeys(("MasterPolySpec", "SelbergParams", "beta_closed", "moment_integral",
+                     "selberg_bruteforce", "selberg_direct_2d", "selberg_nd_closed"), "selberg_core"),
+    **dict.fromkeys(("Branch", "RelationReport", "classify", "condition_set", "describe", "eval_closed",
+                     "in_condition_sets", "relations_check", "skew_symmetry_check"), "selberg2d_closed"),
+    **dict.fromkeys(("ALL_SUITES", "SweepConfig", "SuiteResult", "VerificationReport", "render_report",
+                     "render_sweep", "run_verification", "sweep_rows"), "verify"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,20 +14,12 @@ import sys
 from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError
-from .fp_poly import check_cycle
 from .modp_arith import get_context
-from .morris_ct import MorrisParams, morris_ct_bruteforce, morris_lhs_symmetric_form, morris_rhs
-from .selberg_core import SelbergParams, _max_cells, selberg_bruteforce, selberg_direct_2d
-from .selberg2d_closed import _closed_value, classify, describe
-from .verify import (
-    ALL_METHODS,
-    ALL_SUITES,
-    SweepConfig,
-    iter_render_sweep,
-    iter_sweep_rows,
-    render_report,
-    run_verification,
-)
+from .selberg_core import SelbergParams, _direct, _max_cells, selberg_bruteforce
+from .selberg2d_closed import ALL_METHODS, _closed_value, _describe, classify, describe
+
+# verify and morris_ct are imported by the commands that use them, so a point
+# query loads only the modules it runs.
 
 __all__ = ["build_parser", "entry_point", "main"]
 
@@ -70,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run exhaustive verification suites")
     sp.add_argument("--suite", action="append", default=[],
-                    help=f"suite name(s), comma-separated; default: all ({','.join(ALL_SUITES)})")
+                    help="suite name(s), comma-separated; default: every suite")
     sp.add_argument("--primes", default="3,5,7,11,13", help="comma-separated odd primes")
     sp.add_argument("--cycle-bound", type=int, default=4)
     sp.add_argument("--integer-mode", action="store_true",
@@ -102,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _point_params(args) -> tuple:
+    """(params, l1, l2), params validated; the cycle is checked by the command's first call."""
     p = args.prime
     try:
         get_context(p)
@@ -116,7 +109,7 @@ def _point_params(args) -> tuple:
             raise ValueError("parameters a, b, c are required (use -a/-b/-c or --params)")
         a, b, c = args.a, args.b, args.c
     params = SelbergParams(a, b, c, p)
-    l1, l2 = check_cycle(_int_list(args.cycle, "--cycle", 2))
+    l1, l2 = _int_list(args.cycle, "--cycle", 2)
     return params, l1, l2
 
 
@@ -147,7 +140,7 @@ def _cmd_eval(args) -> int:
     if args.integer_mode and args.method != "bruteforce":
         raise ValueError(f"--integer-mode needs --method bruteforce, got --method {args.method}")
     params, l1, l2 = _point_params(args)
-    branch = classify(params, l1, l2)
+    branch = classify(params, l1, l2)  # checks the cycle, for every route
     print(f"p={params.p} a={params.a} b={params.b} c={params.c} "
           f"cycle=[{l1},{l2}] method={args.method}")
     if args.method == "bruteforce":
@@ -156,13 +149,13 @@ def _cmd_eval(args) -> int:
             print(f"integer S = {exact}")
         value = selberg_bruteforce(params.spec(2), (l1, l2))
     elif args.method == "direct":
-        value = selberg_direct_2d(params, l1, l2)
+        value = _direct(params, l1, l2)
     else:
         value = _closed_value(branch, params)
     print(f"value = {value}")
     print(f"branch = {branch}")
     if args.verbose:
-        print(describe(params, l1, l2))
+        print(_describe(params, l1, l2))
     return 0
 
 
@@ -172,33 +165,31 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _parse_suites(raw: list) -> tuple:
+def _parse_suites(raw: list, known: tuple) -> tuple:
     if not raw:
-        return ALL_SUITES
+        return known
     names = []
     for chunk in raw:
         names.extend(s.strip() for s in chunk.split(",") if s.strip())
     if not names:
-        raise ValueError(f"--suite names no suite; choose from {','.join(ALL_SUITES)}")
-    unknown = set(names) - set(ALL_SUITES)
+        raise ValueError(f"--suite names no suite; choose from {','.join(known)}")
+    unknown = set(names) - set(known)
     if unknown:
-        raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {','.join(ALL_SUITES)}")
+        raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {','.join(known)}")
     return tuple(dict.fromkeys(names))
 
 
-def _common_config(args, suites=(), methods=ALL_METHODS) -> SweepConfig:
-    return SweepConfig(
-        primes=_int_list(args.primes, "--primes"),
-        cycle_bound=args.cycle_bound,
-        methods=methods,
-        suites=suites,
-        integer_mode=getattr(args, "integer_mode", False),
-        parallelism=args.jobs,
-    )
+def _grid_options(args) -> dict:
+    """The SweepConfig fields that verify and sweep share."""
+    return {"primes": _int_list(args.primes, "--primes"), "cycle_bound": args.cycle_bound,
+            "parallelism": args.jobs}
 
 
 def _cmd_verify(args) -> int:
-    config = _common_config(args, suites=_parse_suites(args.suite))
+    from .verify import ALL_SUITES, SweepConfig, render_report, run_verification
+
+    config = SweepConfig(suites=_parse_suites(args.suite, ALL_SUITES), integer_mode=args.integer_mode,
+                         **_grid_options(args))
     _check_out(args.out)  # before the suites run, not after
     report = run_verification(config)
     _write_output((render_report(report, args.format),), args.out)
@@ -206,13 +197,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _common_config(args, suites=(), methods=(args.method,))
+    from .verify import SweepConfig, iter_render_sweep, iter_sweep_rows
+
+    config = SweepConfig(suites=(), methods=(args.method,), **_grid_options(args))
     rows = iter_sweep_rows(config)  # checks every resource guard before anything is written
     _write_output(iter_render_sweep(rows, args.format), args.out)
     return 0
 
 
 def _cmd_morris(args) -> int:
+    from .morris_ct import MorrisParams, morris_ct_bruteforce, morris_lhs_symmetric_form, morris_rhs
+
     mp = MorrisParams(args.n, args.alpha, args.beta, args.gamma)
     rhs = morris_rhs(mp)
     ct = morris_ct_bruteforce(mp)

@@ -39,7 +39,7 @@ relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from typing import Callable
 
@@ -48,6 +48,7 @@ from .fp_poly import _coefficient, check_cycle
 from .selberg_core import SelbergParams, _expansion, selberg_bruteforce
 
 __all__ = [
+    "ALL_METHODS",
     "Branch",
     "RELATION_CYCLES",
     "RelationReport",
@@ -218,6 +219,10 @@ _ZERO_REASONS = {
 }
 
 
+# The evaluation routes of a two-dimensional point, by CLI --method name.
+ALL_METHODS = ("bruteforce", "direct", "closed")
+
+
 def _closed_value(branch: Branch, params: SelbergParams) -> int:
     """The value of ``branch`` at ``params``: its formula, or 0 on a vanishing branch."""
     if branch.is_zero:
@@ -244,7 +249,11 @@ def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
 
 def describe(params: SelbergParams, l1: int, l2: int) -> str:
     """Classification explanation with the instantiated formula arguments."""
-    l1, l2 = check_cycle((l1, l2))
+    return _describe(params, *check_cycle((l1, l2)))
+
+
+def _describe(params: SelbergParams, l1: int, l2: int) -> str:
+    """``describe`` on a checked cycle."""
     branch = _branch(params, l1, l2)
     cycle_class = _CYCLE_CLASSES.get((min(l1, l2), max(l1, l2)), "OTHER")
     a, b, c, p = params.a, params.b, params.c, params.p
@@ -293,21 +302,17 @@ def condition_set(params: SelbergParams) -> str | None:
     return hits[0] if hits else None
 
 
-@dataclass
-class RelationReport:
+class RelationReport(namedtuple("RelationReport",
+                                "params condition_set values relation_holds uniqueness_holds")):
     """Outcome of checking the multi-cycle relations for one (a, b, c).
 
     Inside a condition set, ``relation_holds`` records that the three listed
     integrals are non-zero and satisfy -1/2 * first = second = third; outside
     all sets, ``uniqueness_holds`` records that at most one pair l1 <= l2 <= 4
-    carries a non-zero value.
+    carries a non-zero value.  ``values`` maps each cycle read to its integral.
     """
 
-    params: SelbergParams
-    condition_set: str | None
-    values: dict = field(default_factory=dict)
-    relation_holds: bool | None = None
-    uniqueness_holds: bool | None = None
+    __slots__ = ()
 
 
 def relations_check(params: SelbergParams) -> RelationReport:
@@ -323,21 +328,14 @@ def relations_from_values(params: SelbergParams, value: Callable[[tuple], int]) 
     [0, p); it is asked only for cycles in ``RELATION_CYCLES``.
     """
     cs = condition_set(params)
-    report = RelationReport(params=params, condition_set=cs)
     if cs is None:
-        report.values = {cycle: value(cycle) for cycle in _UNIQUENESS_CYCLES}
-        report.uniqueness_holds = sum(1 for v in report.values.values() if v) <= 1
-        return report
+        values = {cycle: value(cycle) for cycle in _UNIQUENESS_CYCLES}
+        return RelationReport(params, cs, values, None, sum(1 for v in values.values() if v) <= 1)
     head, second, third = _REL_CYCLES[cs]
     values = {cycle: value(cycle) for cycle in (head, second, third)}
-    report.values = values
     minus_half = -values[head] * params.ctx.inverse(2) % params.p
-    report.relation_holds = (
-        all(bool(v) for v in values.values())
-        and minus_half == values[second]
-        and values[second] == values[third]
-    )
-    return report
+    holds = all(values.values()) and minus_half == values[second] == values[third]
+    return RelationReport(params, cs, values, holds, None)
 
 
 def skew_symmetry_check(params: SelbergParams) -> bool:

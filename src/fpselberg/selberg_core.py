@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import DomainError, GuardError, ResourceLimitError
@@ -47,21 +47,16 @@ DEFAULT_MAX_TERMS = 250_000
 MAX_TERMS_ENV = "FPSELBERG_MAX_TERMS"
 
 
-@dataclass(frozen=True)
-class SelbergParams:
+class SelbergParams(namedtuple("SelbergParams", "a b c p")):
     """Parameters (a, b, c) with 0 < a, b, c < p, the two-dimensional window."""
 
-    a: int
-    b: int
-    c: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        get_context(self.p)  # validates the prime
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 0 < v < self.p:
-                raise ValueError(f"parameter {name} must satisfy 0 < {name} < p={self.p}, got {v}")
+    def __init__(self, a: int, b: int, c: int, p: int):
+        get_context(p)  # validates the prime
+        for name, v in (("a", a), ("b", b), ("c", c)):
+            if not isinstance(v, int) or not 0 < v < p:
+                raise ValueError(f"parameter {name} must satisfy 0 < {name} < p={p}, got {v}")
 
     @property
     def delta(self) -> int:
@@ -76,8 +71,7 @@ class SelbergParams:
         return MasterPolySpec(n, self.a, self.b, self.c, self.p)
 
 
-@dataclass(frozen=True)
-class MasterPolySpec:
+class MasterPolySpec(namedtuple("MasterPolySpec", "n a b c p")):
     """A master polynomial request: dimension n and non-negative (a, b, c).
 
     Wider than SelbergParams on purpose: the n-dimensional closed form and
@@ -85,18 +79,13 @@ class MasterPolySpec:
     the two-dimensional window excludes.
     """
 
-    n: int
-    a: int
-    b: int
-    c: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        get_context(self.p)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"dimension n must be a positive integer, got {self.n}")
-        for name in ("a", "b", "c"):
-            v = getattr(self, name)
+    def __init__(self, n: int, a: int, b: int, c: int, p: int):
+        get_context(p)
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"dimension n must be a positive integer, got {n}")
+        for name, v in (("a", a), ("b", b), ("c", c)):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"parameter {name} must be a non-negative integer, got {v}")
 

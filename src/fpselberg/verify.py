@@ -41,6 +41,7 @@ from .selberg_core import (
     selberg_nd_closed,
 )
 from .selberg2d_closed import (
+    ALL_METHODS,
     RELATION_CYCLES,
     Branch,
     _branch,
@@ -65,7 +66,6 @@ __all__ = [
 ]
 
 ALL_SUITES = ("oracle_equiv", "recurrences", "relations", "vanishing", "morris", "stokes", "nd")
-ALL_METHODS = ("bruteforce", "direct", "closed")
 SWEEP_CSV_HEADER = "p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3"
 STOKES_SEED = 0x5E1B
 STOKES_COUNT = 200

@@ -137,17 +137,26 @@ def test_factorial_table_guard_exit_code(capsys, monkeypatch):
 
 def test_point_queries_never_import_numpy():
     # eval --method closed|direct and classify need no dense kernel, so they
-    # must not pay for loading numpy; the brute-force route still loads it.
+    # must not pay for loading numpy, nor for the verifier, the Morris bridge
+    # or the stdlib modules only those use; the other commands load them.
     script = """
 import sys
+import fpselberg
+assert [name for name in sys.modules if name.startswith("fpselberg.")] == []
 from fpselberg import cli
-assert "numpy" not in sys.modules
+OFF_THE_POINT_PATH = ("numpy", "fpselberg.verify", "fpselberg.morris_ct", "fpselberg.golden",
+                      "dataclasses", "json", "fractions")
 point = ["-p", "10007", "--params", "6000,6000,2000", "-l", "1,1"]  # branch C11_i
-for argv in (["eval", *point], ["eval", *point, "--method", "direct"], ["classify", *point]):
-    assert cli.main(argv) == 0
-    assert "numpy" not in sys.modules, argv
+for argv in ([], ["eval", *point], ["eval", *point, "--method", "direct", "-v"], ["classify", *point]):
+    assert not argv or cli.main(argv) == 0
+    loaded = [name for name in OFF_THE_POINT_PATH if name in sys.modules]
+    assert not loaded, (argv, loaded)
 assert cli.main(["eval", "-p", "7", "--params", "3,4,3", "-l", "1,1", "--method", "bruteforce"]) == 0
 assert "numpy" in sys.modules
+assert cli.main(["verify", "--suite", "nd", "--primes", "3"]) == 0
+assert cli.main(["sweep", "--primes", "3"]) == 0
+assert cli.main(["morris", "--n", "2", "--alpha", "1", "--beta", "1", "--gamma", "1"]) == 0
+assert {"fpselberg.verify", "fpselberg.morris_ct"} <= set(sys.modules)
 """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -155,6 +164,7 @@ assert "numpy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("value = 1") == 1  # the brute-force golden point
+    assert "total: checked=38 failed=0" in proc.stdout and "identity holds" in proc.stdout
 
 
 def test_verify_single_suite(capsys):

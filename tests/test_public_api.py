@@ -42,3 +42,24 @@ def test_every_public_name_is_read_outside_the_tests():
 def test_every_submodule_export_is_read_outside_the_tests(module):
     exported = importlib.import_module(f"fpselberg.{module}").__all__
     assert sorted(set(exported) - _read_outside_the_tests()) == []
+
+
+def test_lazy_exports_are_the_submodule_objects():
+    for name in fpselberg.__all__:
+        obj = getattr(fpselberg, name)
+        module = importlib.import_module(f"fpselberg.{fpselberg._EXPORTS[name]}")
+        assert obj is vars(module)[name], name
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from fpselberg import *", namespace)
+    assert all(namespace[name] is getattr(fpselberg, name) for name in fpselberg.__all__)
+    assert set(fpselberg.__all__) <= set(dir(fpselberg))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fpselberg.no_such_name
+    assert not hasattr(fpselberg, "no_such_name")

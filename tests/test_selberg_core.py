@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,44 @@ def test_master_spec_allows_zero_parameters():
         MasterPolySpec(0, 1, 1, 1, 7)
     with pytest.raises(ValueError):
         MasterPolySpec(2, -1, 1, 1, 7)
+
+
+@pytest.mark.parametrize("value, twin, text", [
+    (SelbergParams(3, 4, 3, 7), SelbergParams(a=3, b=4, c=3, p=7), "SelbergParams(a=3, b=4, c=3, p=7)"),
+    (MasterPolySpec(2, 3, 0, 3, 7), MasterPolySpec(n=2, a=3, b=0, c=3, p=7),
+     "MasterPolySpec(n=2, a=3, b=0, c=3, p=7)"),
+])
+def test_value_types_print_compare_and_refuse_assignment(value, twin, text):
+    # Messages such as GuardError(f"... at {params}") embed the repr.
+    assert repr(value) == str(value) == text
+    assert value == twin and hash(value) == hash(twin) and value is not twin
+    with pytest.raises(AttributeError):
+        value.a = 1
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (SelbergParams, (0, 1, 1, 7), "parameter a must satisfy 0 < a < p=7, got 0"),
+    (SelbergParams, (1, 7, 1, 7), "parameter b must satisfy 0 < b < p=7, got 7"),
+    (SelbergParams, (1, 1, 1.0, 7), "parameter c must satisfy 0 < c < p=7, got 1.0"),
+    (SelbergParams, (1, 1, 1, 6), "p must be an odd prime >= 3, got 6"),
+    (MasterPolySpec, (0, 1, 1, 1, 7), "dimension n must be a positive integer, got 0"),
+    (MasterPolySpec, (2, 1, -1, 1, 7), "parameter b must be a non-negative integer, got -1"),
+    (MasterPolySpec, (2, 1, 1, "1", 7), "parameter c must be a non-negative integer, got 1"),
+    (MasterPolySpec, (2, 1, 1, 1, 9), "p must be an odd prime >= 3, got 9"),
+])
+def test_value_type_refusals(make, args, message):
+    with pytest.raises(ValueError) as info:
+        make(*args)
+    assert str(info.value) == message
+
+
+def test_traced_classes_define_their_own_init(monkeypatch):
+    # The benchmark tracer times a class by wrapping vars(cls)["__init__"].
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    for module, name in importlib.import_module("tracer").TRACED_CLASSES:
+        assert "__init__" in vars(getattr(importlib.import_module(f"fpselberg.{module}"), name)), name
 
 
 def test_per_point_expansions_keep_one_cache_entry(monkeypatch):
