@@ -39,13 +39,14 @@ relation.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, GuardError
-from .fp_poly import _coefficient, check_cycle
-from .selberg_core import SelbergParams, _expansion, selberg_bruteforce
+from .fp_poly import check_cycle
+from .selberg_core import SelbergParams, _direct_coefficient, selberg_bruteforce
 
 __all__ = [
     "ALL_METHODS",
@@ -358,18 +359,17 @@ def skew_symmetry_check(params: SelbergParams) -> bool:
 
     `full` is Phi(a, b, c), and `lower` is (x1-x2) * Phi(a, b, h) with
     h = c - (p+1)/2 in [0, (p-3)/2], so beta(t) = half[t - e1] - half[t - e2]
-    on half = Phi(a, b, h).  Both are per-point expansions under the cell cap
-    (ResourceLimitError).
+    on half = Phi(a, b, h).  alpha and beta are read by the direct sum.
     """
     a, b, c, p = params.a, params.b, params.c, params.p
     if not (2 * c > p and a + b + 2 * c >= 3 * p - 1):
         raise DomainError(f"skew-symmetry check needs 2c > p and a+b+2c >= 3p-1, got {params}")
 
-    full = _expansion(2, a, b, c, p, False)
-    alpha_31, alpha_22, alpha_13 = (_coefficient(full, t) for t in
+    full = functools.partial(_direct_coefficient, params.ctx, a, b, c)
+    alpha_31, alpha_22, alpha_13 = (full(*t) for t in
                                     ((3 * p - 1, p - 1), (2 * p - 1, 2 * p - 1), (p - 1, 3 * p - 1)))
-    half = _expansion(2, a, b, c - (p + 1) // 2, p, False)
-    beta_12, beta_21 = ((_coefficient(half, (t1 - 1, t2)) - _coefficient(half, (t1, t2 - 1))) % p
+    half = functools.partial(_direct_coefficient, params.ctx, a, b, c - (p + 1) // 2)
+    beta_12, beta_21 = ((half(t1 - 1, t2) - half(t1, t2 - 1)) % p
                         for t1, t2 in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
 
     return (

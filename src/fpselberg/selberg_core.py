@@ -15,6 +15,9 @@ integral over the cycle [l1, ..., ln].  This module provides:
     n-dimensional closed forms on their stated domains;
   * ``moment_integral`` - integrals of (x1+x2)*Phi and ((1-x1)+(1-x2))*Phi,
     the quantities tied to Phi by the contiguous recurrences.
+
+Only brute force expands Phi; the direct route, the moments and skew symmetry
+read its coefficients by the direct sum, ``_direct_coefficient``.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ __all__ = [
     "selberg_nd_closed",
 ]
 
-# Coefficient cells one per-point expansion (brute force, moments, skew symmetry)
-# or grid window may allocate: by default degree 499 per variable at n = 2 and 61
-# at n = 3, verify's shared grid up to p = 53.  FPSELBERG_MAX_TERMS overrides it.
+# Coefficient cells one brute-force expansion or grid window may allocate: by default
+# degree 499 per variable at n = 2 and 61 at n = 3, verify's shared grid up to p = 53.
+# FPSELBERG_MAX_TERMS overrides it.
 DEFAULT_MAX_TERMS = 250_000
 MAX_TERMS_ENV = "FPSELBERG_MAX_TERMS"
 
@@ -109,16 +112,6 @@ def _master_factors(n: int, a: int, b: int, c: int) -> list:
     return [factor for factor in factors if factor != [(zero, 1)]]  # a factor 1 adds nothing
 
 
-def _expansion(n: int, a: int, b: int, c: int, p: int, exact: bool):
-    """Dense Phi_n(a, b, c), mod p or exact, read-only: the one per-point expansion, its
-    cells checked against the cap on every call, before numpy loads."""
-    cells, cap = (a + b + 2 * (n - 1) * c + 1) ** n, _max_cells()
-    if cells > cap:
-        raise ResourceLimitError(f"expansion (n, a, b, c) = ({n}, {a}, {b}, {c}) needs {cells}"
-                                 f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)")
-    return _dense_master(n, a, b, c, None if exact else p)
-
-
 @functools.lru_cache(maxsize=1)  # every reuse in the package reads the point just expanded
 def _dense_master(n: int, a: int, b: int, c: int, p: int | None):
     """The last expansion made, p = None for exact integers."""
@@ -129,11 +122,15 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
     """Ground-truth evaluation: expand Phi_n and read one coefficient.
 
     Returns the residue in [0, p), or the exact integer coefficient when
-    exact=True.
+    exact=True.  Over the cell cap it raises ResourceLimitError, before numpy loads.
     """
     cycle = check_cycle(cycle, spec.n)
-    arr = _expansion(spec.n, spec.a, spec.b, spec.c, spec.p, exact)
-    return _coefficient(arr, tuple(l * spec.p - 1 for l in cycle))
+    n, a, b, c, p = spec
+    cells, cap = (a + b + 2 * (n - 1) * c + 1) ** n, _max_cells()
+    if cells > cap:
+        raise ResourceLimitError(f"expansion (n, a, b, c) = ({n}, {a}, {b}, {c}) needs {cells}"
+                                 f" coefficient cells, cap is {cap} (raise {MAX_TERMS_ENV} to override)")
+    return _coefficient(_dense_master(n, a, b, c, None if exact else p), tuple(l * p - 1 for l in cycle))
 
 
 class SelbergGrid:
@@ -273,41 +270,44 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
 
 
 def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:
-    """Two-dimensional evaluation by direct binomial summation.
-
-    Expanding (x1 - x2)^(2c) and picking the coefficient of x^(l*p-1) in each
-    univariate factor x^alpha (1-x)^b gives
-
-        sum_k (-1)^k C(2c, k) * A(a+2c-k, b; l1) * A(a+k, b; l2),
-
-    where A(alpha, b; l) = (-1)^(l*p-1-alpha) C(b, l*p-1-alpha).  Only the k
-    with both t1 = l1*p-1-(a+2c-k) and t2 = l2*p-1-(a+k) in [0, b] contribute,
-    and the sign is (-1)^(k+l1+l2) since p is odd.  C(b, t) is one base-p
-    digit, b!/(t! (b-t)!).  2c < 2p has the Lucas digits (1, n0 = 2c-p) or
-    (0, n0 = 2c), so C(2c, k) = C(n0, k - start) on the k ranges [0, n0] and,
-    when 2c >= p, [p, 2c], and vanishes between them.  No polynomial is
-    built, the cost is O(min(b, c)) field operations, and an empty interval
-    returns 0 without reading a factorial.
-    """
+    """Two-dimensional evaluation by direct binomial summation: ``_direct_coefficient``
+    at the cycle exponents, O(min(b, c)) field operations, no polynomial built."""
     return _direct(params, *check_cycle((l1, l2)))
 
 
 def _direct(params: SelbergParams, l1: int, l2: int) -> int:
     """``selberg_direct_2d`` on a checked cycle."""
-    ctx = params.ctx
-    a, b, c, p = params.a, params.b, params.c, params.p
-    shift = a + 2 * c + 1 - l1 * p  # t1 = k - shift
-    top = l2 * p - 1 - a  # t2 = top - k
+    return _direct_coefficient(params.ctx, params.a, params.b, params.c, l1 * params.p - 1, l2 * params.p - 1)
+
+
+def _direct_coefficient(ctx: FpContext, a: int, b: int, c: int, t1: int, t2: int) -> int:
+    """The coefficient of x1^t1 x2^t2 in Phi_2(a, b, c) mod p, 0 <= a, b, c < p, any integer t.
+
+    Expanding (x1 - x2)^(2c) and picking the coefficient of x^t in each
+    univariate factor x^alpha (1-x)^b gives
+
+        sum_k (-1)^k C(2c, k) * A(a+2c-k, b; t1) * A(a+k, b; t2),
+
+    where A(alpha, b; t) = (-1)^(t-alpha) C(b, t-alpha).  Only the k with both
+    j1 = t1-(a+2c-k) and j2 = t2-(a+k) in [0, b] contribute, with the sign
+    (-1)^(k+j1+j2) = (-1)^(k+t1+t2).  C(b, j) is one base-p digit.  2c < 2p
+    has the Lucas digits (1, n0 = 2c-p) or (0, n0 = 2c), so C(2c, k) =
+    C(n0, k - start) on the k ranges [0, n0] and, when 2c >= p, [p, 2c], and
+    vanishes between them.  An empty interval reads no factorial.
+    """
+    p = ctx.p
+    shift = a + 2 * c - t1  # j1 = k - shift
+    top = t2 - a  # j2 = top - k
     lo, hi = max(shift, top - b), min(shift + b, top)
     n0 = 2 * c % p
     inv = ctx.inv_factorial
     total = 0
     for start, stop in ((0, n0), (p, 2 * c)) if 2 * c >= p else ((0, n0),):
         for k in range(max(lo, start), min(hi, stop) + 1):
-            t1, t2 = k - shift, top - k
-            term = (inv(k - start) * inv(n0 - k + start) % p * inv(t1) % p * inv(b - t1) % p
-                    * inv(t2) % p * inv(b - t2) % p)
-            total = (total - term if (k + l1 + l2) & 1 else total + term) % p
+            j1, j2 = k - shift, top - k
+            term = (inv(k - start) * inv(n0 - k + start) % p * inv(j1) % p * inv(b - j1) % p
+                    * inv(j2) % p * inv(b - j2) % p)
+            total = (total - term if (k + t1 + t2) & 1 else total + term) % p
     if total:
         total = total * ctx.factorial(n0) % p * ctx.factorial(b) ** 2 % p
     return total
@@ -368,16 +368,16 @@ def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> int:
 def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> int:
     """Integral of (x1+x2)*Phi (kind "S1") or ((1-x1)+(1-x2))*Phi (kind "S2").
 
-    Read off the cached expansion of Phi as an index sum: the coefficient of
-    (x1+x2)*Phi at (t1, t2) is Phi[t1-1, t2] + Phi[t1, t2-1], and
-    ((1-x1)+(1-x2)) = 2 - (x1+x2) gives S2 = 2*S - S1.
+    Coefficients of Phi read by the direct sum: the coefficient of (x1+x2)*Phi
+    at (t1, t2) is Phi[t1-1, t2] + Phi[t1, t2-1], and ((1-x1)+(1-x2)) =
+    2 - (x1+x2) gives S2 = 2*S - S1.
     """
     if kind not in ("S1", "S2"):
         raise ValueError(f"kind must be 'S1' or 'S2', got {kind!r}")
     cycle = check_cycle(cycle, 2)
-    phi = _expansion(2, params.a, params.b, params.c, params.p, False)
+    phi = functools.partial(_direct_coefficient, params.ctx, params.a, params.b, params.c)
     t1, t2 = (l * params.p - 1 for l in cycle)
-    s1 = _coefficient(phi, (t1 - 1, t2)) + _coefficient(phi, (t1, t2 - 1))
+    s1 = phi(t1 - 1, t2) + phi(t1, t2 - 1)
     if kind == "S2":
-        return (2 * _coefficient(phi, (t1, t2)) - s1) % params.p
+        return (2 * phi(t1, t2) - s1) % params.p
     return s1 % params.p

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import ResourceLimitError
-from .fp_poly import MultiPoly, _coefficient, fp_integral, partial_derivative
+from .fp_poly import MultiPoly, fp_integral, partial_derivative
 from .golden import GOLDEN_2D
 from .modp_arith import get_context
 from .morris_ct import (
@@ -32,7 +32,6 @@ from .selberg_core import (
     SelbergGrid,
     SelbergParams,
     _direct,
-    _expansion,
     _grid_window,
     _guard_grid,
     beta_closed,
@@ -239,35 +238,35 @@ def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     return result
 
 
+def _recurrences(p: int, a: int, b: int, c: int, cycle: tuple, value: Callable[..., int], s1: int, s2: int):
+    """The contiguous recurrences tying the moments (s1, s2) of Phi at (a, b, c) on ``cycle`` to
+    shifted parameters, as (name, lhs, rhs); ``value(a, b, c, cycle)`` is the integral."""
+    s = value(a, b, c, cycle)
+    if a + 1 < p:
+        yield "Ao1", s1 * (a + 1) % p, value(a + 1, b, c, cycle) * (2 * (a + b + c + 2)) % p
+    yield "Ao2", s * (2 * (a + c + 1)) % p, s1 * (a + b + 2 * c + 2) % p
+    if b + 1 < p:
+        yield "Ao3", s2 * (b + 1) % p, value(a, b + 1, c, cycle) * (2 * (a + b + c + 2)) % p
+    yield "Ao4", s * (2 * (b + c + 1)) % p, s2 * (a + b + 2 * c + 2) % p
+    denom = (a + b + c + 1) * (a + b + 2 * c + 1) % p
+    if denom:
+        inv = pow(denom, -1, p)
+        if a >= 2:
+            yield "Ar1", s, value(a - 1, b, c, cycle) * (a * (a + c)) * inv % p
+        if b >= 2:
+            yield "Ar2", s, value(a, b - 1, c, cycle) * (b * (b + c)) * inv % p
+
+
 def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Contiguous recurrences tying Phi moments to shifted parameters."""
     result = SuiteResult("recurrences")
     for p in config.primes:
         grid = grids[p]
-        ctx = get_context(p)
         for a, b, c in _triples(p):
             for cycle in _RECURRENCE_CYCLES:
-                s = grid.value(a, b, c, cycle)
-                s1, s2 = grid.moments(a, b, c, cycle)
-
-                def check(eq, lhs, rhs):
-                    result.record(lhs == rhs,
-                                  lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, rhs, lhs))
-
-                if a + 1 < p:
-                    check("Ao1", s1 * (a + 1) % p, grid.value(a + 1, b, c, cycle) * (2 * (a + b + c + 2)) % p)
-                check("Ao2", s * (2 * (a + c + 1)) % p, s1 * (a + b + 2 * c + 2) % p)
-                if b + 1 < p:
-                    check("Ao3", s2 * (b + 1) % p, grid.value(a, b + 1, c, cycle) * (2 * (a + b + c + 2)) % p)
-                check("Ao4", s * (2 * (b + c + 1)) % p, s2 * (a + b + 2 * c + 2) % p)
-
-                denom = (a + b + c + 1) * (a + b + 2 * c + 1) % p
-                if denom:
-                    inv = ctx.inverse(denom)
-                    if a >= 2:
-                        check("Ar1", s, grid.value(a - 1, b, c, cycle) * (a * (a + c)) * inv % p)
-                    if b >= 2:
-                        check("Ar2", s, grid.value(a, b - 1, c, cycle) * (b * (b + c)) * inv % p)
+                checks = _recurrences(p, a, b, c, cycle, grid.value, *grid.moments(a, b, c, cycle))
+                for eq, lhs, rhs in checks:
+                    result.record(lhs == rhs, lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, rhs, lhs))
     return result
 
 
@@ -329,7 +328,7 @@ def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 value = grid.value(a, b, c, (l1, l2))
                 result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
                 if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
-                    exact = _coefficient(_expansion(2, a, b, c, p, True), (l1 * p - 1, l2 * p - 1))
+                    exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
                     result.record(exact == 0,
                                   lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
     return result

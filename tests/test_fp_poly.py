@@ -290,8 +290,8 @@ def test_dense_product_places_its_first_factor():
     assert _dense_product(2, [[]], 7).tolist() == [[0]]
 
 
-# The per-point expansions of Phi and its relatives all go through
-# selberg_core._dense_master, which the cell cap guards; the grid and the Morris
+# The per-point expansions of Phi, brute force's alone, all go through
+# selberg_core._dense_master behind the cell cap; the grid and the Morris
 # constant terms keep their own guards.
 DENSE_PRODUCT_CALLERS = {
     "selberg_core._dense_master",

@@ -15,7 +15,7 @@ from fpselberg.fp_poly import MultiPoly, fp_integral
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     SelbergParams,
-    _expansion,
+    _dense_master,
     beta_closed,
     moment_integral,
     selberg_bruteforce,
@@ -69,7 +69,7 @@ def test_two_dimensional_evaluators_return_residues(p, exhaustive):
     for a, b, c in _triples(p, exhaustive):
         params = SelbergParams(a, b, c, p)
         spec = params.spec(2)
-        poly = MultiPoly(2, dense_terms(_expansion(2, a, b, c, p, False)), p)
+        poly = MultiPoly(2, dense_terms(_dense_master(2, a, b, c, p)), p)
         for cycle in CYCLES:
             seen("selberg_bruteforce", selberg_bruteforce(spec, cycle))
             seen("SelbergGrid.value", grid.value(a, b, c, cycle))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpselberg.errors import DomainError, GuardError, ResourceLimitError
-from fpselberg.fp_poly import _coefficient
+from fpselberg.errors import DomainError, GuardError
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     SelbergParams,
-    _expansion,
+    _direct_coefficient,
+    moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
     selberg_grid,
@@ -259,38 +259,36 @@ def test_skew_symmetry_examples():
         skew_symmetry_check(SelbergParams(3, 4, 3, 7))  # 2c < p
 
 
-def test_skew_symmetry_is_refused_over_the_cap_before_numpy(monkeypatch):
-    # The product with cross exponent 2c takes 801^2 = 641,601 cells.
-    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+def test_skew_symmetry_and_moments_read_without_numpy_or_the_cap(monkeypatch):
+    # Expanding Phi at (200, 200, 200; 211) would take 801^2 = 641,601 cells;
+    # the direct reads allocate none and never load numpy.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "1")
     monkeypatch.setitem(sys.modules, "numpy", None)
-    with pytest.raises(ResourceLimitError, match="needs 641601 coefficient cells"):
-        skew_symmetry_check(SelbergParams(200, 200, 200, 211))
-
-
-def test_skew_symmetry_cell_count_is_exact(monkeypatch):
-    # At (6, 6, 6; 7) the larger product, cross exponent 2c = 12, has 25^2 cells.
-    params = SelbergParams(6, 6, 6, 7)
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "625")
+    params = SelbergParams(200, 200, 200, 211)
+    a, b, c, p = params
     assert skew_symmetry_check(params) is True
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "624")
-    with pytest.raises(ResourceLimitError, match="needs 625 coefficient cells, cap is 624"):
-        skew_symmetry_check(params)
+    s = selberg_direct_2d(params, 2, 2)
+    s1 = moment_integral(params, (2, 2), "S1")
+    assert s and s1 and moment_integral(params, (2, 2), "S2") == (2 * s - s1) % p
+    assert s * 2 * (a + c + 1) % p == s1 * (a + b + 2 * c + 2) % p  # Ao2
 
 
 @pytest.mark.parametrize("p, triples", [(5, 7), (7, 22)])
 def test_skew_beta_reads_match_the_odd_product(p, triples):
     # skew_symmetry_check reads beta, the coefficients of (x1-x2)^(2c-p) * Psi
     # with Psi = x1^a (1-x1)^b x2^a (1-x2)^b, as half[t - e1] - half[t - e2]
-    # on half = Phi at c - (p+1)/2.  The odd product itself is the reference.
-    checked = 0
+    # on half = Phi at c - (p+1)/2, by the direct sum.  The odd product itself
+    # is the reference.
+    checked, ctx = 0, get_context(p)
     for a, b, c in all_triples(p):
         if condition_set(SelbergParams(a, b, c, p)) != "R3":
             continue
         psi = ref_mul(ref_univariate(a, b, 0, 2), ref_univariate(a, b, 1, 2))
         lower = ref_mul(ref_cross(0, 1, 2 * c - p, 2), psi)
-        half = _expansion(2, a, b, c - (p + 1) // 2, p, False)
+        h = c - (p + 1) // 2
         for t1, t2 in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)):
-            read = (_coefficient(half, (t1 - 1, t2)) - _coefficient(half, (t1, t2 - 1))) % p
+            read = (_direct_coefficient(ctx, a, b, h, t1 - 1, t2)
+                    - _direct_coefficient(ctx, a, b, h, t1, t2 - 1)) % p
             assert read == lower.get((t1, t2), 0) % p, (p, a, b, c, t1, t2)
         checked += 1
     assert checked == triples

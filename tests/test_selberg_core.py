@@ -8,13 +8,14 @@ import pytest
 
 from fpselberg import selberg_core
 from fpselberg.errors import DomainError, GuardError, ResourceLimitError
-from fpselberg.fp_poly import MultiPoly, fp_integral
+from fpselberg.fp_poly import MultiPoly, _coefficient, fp_integral
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     MasterPolySpec,
     SelbergGrid,
     SelbergParams,
-    _expansion,
+    _dense_master,
+    _direct_coefficient,
     beta_closed,
     moment_integral,
     selberg_bruteforce,
@@ -100,7 +101,7 @@ def test_per_point_expansions_keep_one_cache_entry(monkeypatch):
 
 def master_terms(n, a, b, c, p, exact=False) -> dict:
     """Phi_n as exact terms, over F_p by default or over Z with exact=True."""
-    return dense_terms(_expansion(n, a, b, c, p, exact), None if exact else p)
+    return dense_terms(_dense_master(n, a, b, c, None if exact else p), None if exact else p)
 
 
 def test_master_polynomial_one_dimensional():
@@ -150,13 +151,25 @@ def test_resource_guard_and_env_override(monkeypatch):
         selberg_bruteforce(MasterPolySpec(2, 996, 996, 996, 997), (1, 1))  # cell cap
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(9**4 - 1))
     with pytest.raises(ResourceLimitError, match="needs 6561 coefficient cells"):
-        master_terms(4, 1, 1, 1, 5)
+        selberg_bruteforce(MasterPolySpec(4, 1, 1, 1, 5), (1, 1, 1, 1))
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "10")
     with pytest.raises(ResourceLimitError):
-        master_terms(1, 5, 5, 0, 7)
+        selberg_bruteforce(MasterPolySpec(1, 5, 5, 0, 7), (1,))
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "not-a-number")
     with pytest.raises(ValueError):
-        master_terms(1, 1, 1, 0, 7)
+        selberg_bruteforce(MasterPolySpec(1, 1, 1, 0, 7), (1,))
+
+
+def test_direct_reader_matches_the_expansion_at_every_target():
+    # Every 0 <= a, b, c < p, so c = 0 and the Lucas split 2c >= p too, and
+    # every target below 3p, including the shifted ones the moments and skew
+    # symmetry read, which the cycle-exponent routes never do.
+    for p in (3, 5, 7):
+        ctx, targets = get_context(p), list(itertools.product(range(3 * p), repeat=2))
+        for a, b, c in itertools.product(range(p), repeat=3):
+            phi = _dense_master(2, a, b, c, p)
+            got = [_direct_coefficient(ctx, a, b, c, *t) for t in targets]
+            assert got == [_coefficient(phi, t) for t in targets], (p, a, b, c)
 
 
 def test_bruteforce_reference_values():

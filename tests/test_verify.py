@@ -1,5 +1,5 @@
-import itertools
 import json
+import random
 import sys
 
 import pytest
@@ -9,7 +9,15 @@ from fpselberg.cli import main
 from fpselberg.errors import ResourceLimitError
 from fpselberg.fp_poly import check_cycle
 from fpselberg.golden import GOLDEN_2D
-from fpselberg.selberg2d_closed import Branch
+from fpselberg.modp_arith import get_context
+from fpselberg.selberg_core import SelbergParams, moment_integral, selberg_direct_2d
+from fpselberg.selberg2d_closed import (
+    Branch,
+    classify,
+    eval_closed,
+    relations_from_values,
+    skew_symmetry_check,
+)
 from fpselberg.verify import (
     ALL_METHODS,
     ALL_SUITES,
@@ -20,6 +28,8 @@ from fpselberg.verify import (
     run_verification,
     sweep_rows,
 )
+
+from reference_impl import prime_at_or_above
 
 
 def test_config_validation():
@@ -257,22 +267,66 @@ def test_verify_refuses_an_nd_n3_window_over_the_cap(monkeypatch, capsys):
     assert ran == []
 
 
-def test_default_verify_expands_only_golden_and_skew_points(monkeypatch):
+def test_default_verify_expands_only_golden_points(monkeypatch):
     # Every other brute-force read, nd's n = 3 comparison included, comes
-    # from a grid.  Keys are (n, a, b, c, p), p = None for exact; skew symmetry
-    # expands Phi at c and at c - (p+1)/2.
+    # from a grid, and skew symmetry reads Phi by the direct sum.  Keys are
+    # (n, a, b, c, p), p = None for exact.
     calls = set()
     dense_master = selberg_core._dense_master
     monkeypatch.setattr(selberg_core, "_dense_master",
                         lambda *args: calls.add(args) or dense_master(*args))
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    config = SweepConfig()
-    assert run_verification(config).failed_total == 0
+    assert run_verification(SweepConfig()).failed_total == 0
     golden = {(2, g.a, g.b, g.c, g.p) for g in GOLDEN_2D}
     golden |= {(2, g.a, g.b, g.c, None) for g in GOLDEN_2D if g.integer_value is not None}
-    skew = {(2, a, b, shifted, p)
-            for p in config.primes for a, b, c in itertools.product(range(1, p), repeat=3)
-            if selberg2d_closed.condition_set(selberg_core.SelbergParams(a, b, c, p)) == "R3"
-            for shifted in (c, c - (p + 1) // 2)}
-    assert len(golden) == 6 and len(golden | skew) == 577  # the mod-p (6, 6, 6; 7) key is in both
-    assert calls == golden | skew
+    assert len(golden) == 6 and calls == golden
+
+
+# Condition sets, and outside them the (1,2) branch, that the large-prime
+# points are drawn from; C12_i lies inside R1, and C12_ii points keep that
+# formula's sign checked against the direct sum.
+LARGE_PRIME_STRATA = ("R1", "R2", "R3", "C12_ii", "C12_iii_zero", "C12_v_zero", "C12_vi_zero",
+                      "C12_delta_neg_zero")
+
+
+def _large_prime_points(rng, per_stratum: int):
+    """Seeded (stratum, params) at primes 10^3..10^4, log-uniform, per_stratum of each stratum."""
+    want = dict.fromkeys(LARGE_PRIME_STRATA, per_stratum)
+    while any(want.values()):
+        p = prime_at_or_above(int(10 ** rng.uniform(3, 4)))
+        for _ in range(200):
+            params = SelbergParams(*(rng.randrange(1, p) for _ in "abc"), p)
+            stratum = selberg2d_closed.condition_set(params) or str(classify(params, 1, 2))
+            if want.get(stratum):
+                want[stratum] -= 1
+                yield stratum, params
+                break
+
+
+def test_relations_recurrences_and_skew_symmetry_at_large_primes():
+    # Primes no grid reaches, read by the direct sum alone: the -1/2
+    # relations or uniqueness with every read equal to the closed form, skew
+    # symmetry on R3, and the recurrences of the verify suite with S from
+    # selberg_direct_2d and (S1, S2) from moment_integral.
+    seen = set()
+    try:
+        for stratum, params in _large_prime_points(random.Random(0x1A46E), 6):
+            a, b, c, p = params
+
+            def direct(a, b, c, cycle):
+                return selberg_direct_2d(SelbergParams(a, b, c, p), *cycle)
+
+            report = relations_from_values(params, lambda cycle: selberg_direct_2d(params, *cycle))
+            assert report.relation_holds if report.condition_set else report.uniqueness_holds, params
+            for cycle, value in report.values.items():
+                assert eval_closed(params, *cycle) == value, (params, cycle)
+            if stratum == "R3":
+                assert skew_symmetry_check(params) is True, params
+            for cycle in verify._RECURRENCE_CYCLES:
+                moments = (moment_integral(params, cycle, kind) for kind in ("S1", "S2"))
+                for eq, lhs, rhs in verify._recurrences(p, a, b, c, cycle, direct, *moments):
+                    assert lhs == rhs, (eq, params, cycle)
+                    seen.add(eq)
+    finally:
+        get_context.cache_clear()  # each prime's tables are freed with the test
+    assert seen == {"Ao1", "Ao2", "Ao3", "Ao4", "Ar1", "Ar2"}
