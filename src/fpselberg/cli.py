@@ -34,6 +34,17 @@ def _int_list(text: str, name: str, count: int | None = None) -> tuple:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1, so a bad value is reported against its flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expects an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fpselberg",
@@ -64,23 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", action="append", default=[],
                     help="suite name(s), comma-separated; default: every suite")
     sp.add_argument("--primes", default="3,5,7,11,13", help="comma-separated odd primes")
-    sp.add_argument("--cycle-bound", type=int, default=4)
+    sp.add_argument("--cycle-bound", type=_positive_int, default=4)
     sp.add_argument("--integer-mode", action="store_true",
                     help="also check integer-level vanishing with the exact oracle")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.add_argument("--out", help="write the report to this path instead of stdout")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_positive_int, default=1,
                     help="accepted for symmetry with sweep and checked to be >= 1;"
                          " verify always runs its suites serially")
 
     sp = sub.add_parser("sweep", help="emit one row per (p,a,b,c,l1,l2)")
     sp.add_argument("--primes", default="3,5,7,11,13", help="comma-separated odd primes")
-    sp.add_argument("--cycle-bound", type=int, default=4)
+    sp.add_argument("--cycle-bound", type=_positive_int, default=4)
     sp.add_argument("--method", choices=ALL_METHODS, default="closed",
                     help="evaluation route for the value column")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sp.add_argument("--out", help="write rows to this path instead of stdout")
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--jobs", type=_positive_int, default=1,
                     help="accepted for symmetry with verify and checked to be >= 1;"
                          " sweep always builds its rows serially")
 
@@ -128,11 +139,11 @@ def _write_output(chunks: Iterable[str], out_path: str | None):
 
 
 def _check_out(out_path: str | None):
-    """Refuse, as ``_write_output`` would but creating nothing, a directory or a path in a missing one."""
+    """Refuse, creating nothing, what ``_write_output`` would: "", a directory, a path in a missing one."""
     if out_path is None:
         return
     code = errno.EISDIR if os.path.isdir(out_path) else errno.ENOENT
-    if code == errno.EISDIR or not os.path.isdir(os.path.dirname(out_path) or "."):
+    if code == errno.EISDIR or not out_path or not os.path.isdir(os.path.dirname(out_path) or "."):
         raise ValueError(f"cannot write {out_path}: {OSError(code, os.strerror(code), out_path)}")
 
 

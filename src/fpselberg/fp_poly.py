@@ -1,16 +1,16 @@
-"""Sparse multivariate polynomials over F_p or over exact integers.
+"""Sparse polynomials over F_p, their cycle integrals, and the dense kernels.
 
 Coefficient extraction at exponents (l1*p - 1, ..., lk*p - 1) is the
 "integral over the cycle [l1, ..., lk]" used throughout the package: it is
 linear and kills every first partial derivative, which is what makes it
 behave like integration over a closed contour.
 
-Representation: ``terms`` maps exponent tuples to non-zero coefficients, e.g.
+Representation: ``terms`` maps exponent tuples to non-zero residues mod p, e.g.
 
-    {(2, 0): 1, (1, 1): -2, (0, 2): 1}   is   x1^2 - 2*x1*x2 + x2^2
+    {(2, 0): 1, (1, 1): p - 2, (0, 2): 1}   is   x1^2 - 2*x1*x2 + x2^2
 
-In F_p mode (``p`` set) coefficients are reduced eagerly at every step; in
-exact mode (``p`` = None) they are arbitrary-precision integers.
+The dense kernels below build the master polynomials, over F_p or, with
+``p`` = None, with exact integer coefficients.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ _INT64_SAFE = 1 << 62
 
 
 class MultiPoly:
-    """Immutable sparse polynomial in ``num_vars`` variables."""
+    """Sparse polynomial in ``num_vars`` variables over F_p: integer terms, reduced and merged."""
 
     __slots__ = ("num_vars", "p", "terms")
 
-    def __init__(self, num_vars: int, terms: Mapping[tuple, int], p: int | None = None):
+    def __init__(self, num_vars: int, terms: Mapping[tuple, int], p: int):
         if num_vars < 1:
             raise ValueError(f"num_vars must be >= 1, got {num_vars}")
         clean: dict[tuple, int] = {}
@@ -45,148 +45,18 @@ class MultiPoly:
             exps = tuple(exps)
             if len(exps) != num_vars:
                 raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {num_vars}")
+            if not isinstance(coeff, int) or not all(isinstance(e, int) for e in exps):
+                raise ValueError(f"term {exps}: {coeff!r} needs integer exponents and coefficient")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}; this type is polynomial-only")
-            if p is not None:
-                coeff %= p
+            coeff = (clean.get(exps, 0) + coeff) % p
             if coeff:
-                clean[exps] = clean.get(exps, 0) + coeff
-                if p is not None:
-                    clean[exps] %= p
-                if not clean[exps]:
-                    del clean[exps]
+                clean[exps] = coeff
+            else:
+                clean.pop(exps, None)
         self.num_vars = num_vars
         self.p = p
         self.terms = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, num_vars: int, p: int | None = None) -> "MultiPoly":
-        return cls(num_vars, {}, p)
-
-    @classmethod
-    def one(cls, num_vars: int, p: int | None = None) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: 1}, p)
-
-    @classmethod
-    def constant(cls, value: int, num_vars: int, p: int | None = None) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: value}, p)
-
-    @classmethod
-    def variable(cls, i: int, num_vars: int, p: int | None = None) -> "MultiPoly":
-        """The monomial x_i (1-based index)."""
-        if not 1 <= i <= num_vars:
-            raise ValueError(f"variable index {i} out of range 1..{num_vars}")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(num_vars))
-        return cls(num_vars, {exps: 1}, p)
-
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coeff: int = 1, p: int | None = None) -> "MultiPoly":
-        return cls(len(exps), {tuple(exps): coeff}, p)
-
-    # -- ring plumbing ------------------------------------------------------
-
-    def _check_compatible(self, other: "MultiPoly"):
-        if self.num_vars != other.num_vars:
-            raise ValueError(f"arity mismatch: {self.num_vars} vs {other.num_vars} variables")
-        if self.p != other.p:
-            raise ValueError(f"coefficient ring mismatch: p={self.p} vs p={other.p}")
-
-    def _coerce(self, other):
-        if isinstance(other, MultiPoly):
-            self._check_compatible(other)
-            return other
-        if isinstance(other, int):
-            return MultiPoly.constant(other, self.num_vars, self.p)
-        return None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly(self.num_vars, terms, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()}, self.p)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        p = self.p
-        prod: dict[tuple, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod[key] = (prod.get(key, 0) + ca * cb) % p if p else prod.get(key, 0) + ca * cb
-        return MultiPoly(self.num_vars, prod, p)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {e!r}")
-        result = MultiPoly.one(self.num_vars, self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    # -- queries -------------------------------------------------------------
-
-    def coefficient(self, exps: Sequence[int]) -> int:
-        """Raw coefficient at the given exponent vector (0 if absent)."""
-        exps = tuple(exps)
-        if len(exps) != self.num_vars:
-            raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {self.num_vars}")
-        return self.terms.get(exps, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def reduce_mod(self, p: int) -> "MultiPoly":
-        """Project an exact-integer polynomial to F_p."""
-        if self.p is not None:
-            raise ValueError("already a mod-p polynomial")
-        return MultiPoly(self.num_vars, self.terms, p)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.p == other.p and self.terms == other.terms
-
-    def __repr__(self):
-        ring = f"F_{self.p}" if self.p else "Z"
-        items = sorted(self.terms.items())
-        shown = ", ".join(f"{e}: {c}" for e, c in items[:6])
-        if len(items) > 6:
-            shown += f", ... ({len(items)} terms)"
-        return f"MultiPoly[{ring}, k={self.num_vars}]({{{shown}}})"
 
 
 def partial_derivative(P: MultiPoly, i: int) -> MultiPoly:
@@ -215,8 +85,6 @@ def check_cycle(cycle: Sequence[int], num_vars: int | None = None) -> tuple:
 
 def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> int:
     """Coefficient of x1^(l1*p-1) * ... * xk^(lk*p-1), as a residue in [0, p)."""
-    if P.p is None:
-        raise ValueError("fp_integral needs a mod-p polynomial; use coefficient() on exact ones")
     cycle = check_cycle(cycle, P.num_vars)
     target = tuple(l * P.p - 1 for l in cycle)
     return P.terms.get(target, 0)

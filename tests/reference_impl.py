@@ -92,6 +92,11 @@ def ref_selberg(n: int, a: int, b: int, c: int, p: int, cycle) -> int:
     return ref_phi(n, a, b, c).get(target, 0)
 
 
+def ref_integral(terms: dict, p: int, cycle) -> int:
+    """The coefficient of exact terms at the cycle exponents (l1*p-1, ...), reduced mod p."""
+    return terms.get(tuple(l * p - 1 for l in cycle), 0) % p
+
+
 def dense_terms(arr, p: int | None = None) -> dict:
     """The non-zero entries of a dense coefficient array as exact terms, reduced mod p if given."""
     terms = {tuple(int(e) for e in idx): int(arr[idx]) for idx in zip(*arr.nonzero())}

@@ -226,7 +226,16 @@ def test_verify_jobs_is_validated_and_serial(capsys):
         counts.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
     assert counts[0] == counts[1]
     code, _, err = run(capsys, "verify", "--suite", "relations", "--primes", "7", "--jobs", "0")
-    assert code == 2 and "parallelism" in err
+    assert code == 2 and "--jobs" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("flag", ["--jobs", "--cycle-bound"])
+def test_count_flags_name_themselves_when_refused(capsys, command, flag):
+    for value in ("0", "-3", "x"):
+        code, out, err = run(capsys, command, "--primes", "3", flag, value)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: expects an integer >= 1, got '{value}'" in err
 
 
 def test_sweep_deterministic_across_jobs(tmp_path, capsys):
@@ -281,10 +290,10 @@ def test_sweep_bruteforce_method_agrees_with_closed(capsys):
 
 
 def test_unwritable_output_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
-    # An --out in a missing directory, or naming a directory, is refused with
-    # exit 2 before verify runs a suite, and no file is created.
+    # An empty --out, one in a missing directory, or one naming a directory, is
+    # refused with exit 2 before verify runs a suite, and no file is created.
     ran = _record_suite_runs(monkeypatch)
-    for out in (tmp_path / "missing" / "x.out", tmp_path):
+    for out in (tmp_path / "missing" / "x.out", tmp_path, ""):
         for argv in (("sweep", "--primes", "3"), ("verify", "--primes", "13")):
             code, stdout, err = run(capsys, *argv, "--out", str(out))
             assert code == 2 and stdout == ""

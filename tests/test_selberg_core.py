@@ -8,7 +8,7 @@ import pytest
 
 from fpselberg import selberg_core
 from fpselberg.errors import DomainError, GuardError, ResourceLimitError
-from fpselberg.fp_poly import MultiPoly, _coefficient, fp_integral
+from fpselberg.fp_poly import _coefficient
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     MasterPolySpec,
@@ -24,7 +24,8 @@ from fpselberg.selberg_core import (
     selberg_nd_closed,
 )
 
-from reference_impl import PRIMES, all_triples, dense_terms, ref_phi, ref_reduce, ref_selberg
+from reference_impl import (PRIMES, all_triples, dense_terms, ref_integral, ref_mul, ref_phi, ref_reduce, ref_selberg,
+                            ref_univariate)
 
 # The default verify cycles l1 <= l2 <= 4 plus the transposed relation cycles.
 GRID_CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)] + [(2, 1), (3, 1)]
@@ -244,14 +245,9 @@ def test_beta_closed_examples():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_beta_closed_equals_one_dimensional_bruteforce(p):
     ctx = get_context(p)
-    one = MultiPoly.one(1, p)
-    xv = MultiPoly.variable(1, 1, p)
     for a in range(p):
         for b in range(p):
-            poly = MultiPoly.monomial((a,), p=p) * (one - xv) ** b
-            from fpselberg.fp_poly import fp_integral
-
-            assert beta_closed(ctx, a, b) == fp_integral(poly, (1,))
+            assert beta_closed(ctx, a, b) == ref_integral(ref_univariate(a, b, 0, 1), p, (1,))
 
 
 def test_nd_closed_examples_and_errors():
@@ -344,11 +340,11 @@ MOMENT_FACTORS = {"S1": {(1, 0): 1, (0, 1): 1}, "S2": {(0, 0): 2, (1, 0): -1, (0
 def test_moment_index_sum_matches_product_formula(p):
     for a, b, c in all_triples(p):
         params = SelbergParams(a, b, c, p)
-        phi = MultiPoly(2, master_terms(2, a, b, c, p), p)
+        phi = ref_phi(2, a, b, c)
         for kind, factor in MOMENT_FACTORS.items():
-            product = phi * MultiPoly(2, factor, p)
+            product = ref_mul(phi, factor)
             for cycle in GRID_CYCLES:
-                want = fp_integral(product, cycle)
+                want = ref_integral(product, p, cycle)
                 assert moment_integral(params, cycle, kind) == want, (a, b, c, cycle)
 
 
@@ -521,14 +517,15 @@ def test_grid_n3_values_and_moments_match_reference(monkeypatch, windowed):
     assert grid.width == (3 if windowed else p)
     points = list(itertools.product(range(p), repeat=3))
     random.Random(3).shuffle(points)
-    x = [MultiPoly.variable(i, 3, p) for i in (1, 2, 3)]
+    s1_factor = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
+    s2_factor = {(0, 0, 0): 3, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1}
     for a, b, c in points:
-        phi = MultiPoly(3, ref_phi(3, a, b, c), p)
-        s1_poly, s2_poly = (x[0] + x[1] + x[2]) * phi, (3 - x[0] - x[1] - x[2]) * phi
+        phi = ref_phi(3, a, b, c)
+        s1_poly, s2_poly = ref_mul(s1_factor, phi), ref_mul(s2_factor, phi)
         for cycle in N3_CYCLES:
-            assert grid.value(a, b, c, cycle) == fp_integral(phi, cycle), (a, b, c, cycle)
-            assert grid.moments(a, b, c, cycle) == (fp_integral(s1_poly, cycle),
-                                                    fp_integral(s2_poly, cycle)), (a, b, c, cycle)
+            assert grid.value(a, b, c, cycle) == ref_integral(phi, p, cycle), (a, b, c, cycle)
+            assert grid.moments(a, b, c, cycle) == (ref_integral(s1_poly, p, cycle),
+                                                    ref_integral(s2_poly, p, cycle)), (a, b, c, cycle)
 
 
 def test_grid_cycles_of_mixed_arity_are_refused():
