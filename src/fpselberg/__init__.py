@@ -30,8 +30,8 @@ _EXPORTS = {
                      "selberg_bruteforce", "selberg_direct_2d", "selberg_nd_closed"), "selberg_core"),
     **dict.fromkeys(("Branch", "RelationReport", "classify", "condition_set", "describe", "eval_closed",
                      "in_condition_sets", "relations_check", "skew_symmetry_check"), "selberg2d_closed"),
-    **dict.fromkeys(("ALL_SUITES", "SweepConfig", "SuiteResult", "VerificationReport", "render_report",
-                     "render_sweep", "run_verification", "sweep_rows"), "verify"),
+    **dict.fromkeys(("ALL_SUITES", "SweepConfig", "render_sweep", "sweep_rows"), "sweep"),
+    **dict.fromkeys(("SuiteResult", "VerificationReport", "render_report", "run_verification"), "verify"),
 }
 
 __all__ = sorted(_EXPORTS)

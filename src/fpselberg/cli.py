@@ -18,8 +18,8 @@ from .modp_arith import get_context
 from .selberg_core import SelbergParams, _direct, _max_cells, selberg_bruteforce
 from .selberg2d_closed import ALL_METHODS, _closed_value, _describe, classify, describe
 
-# verify and morris_ct are imported by the commands that use them, so a point
-# query loads only the modules it runs.
+# sweep, verify and morris_ct are imported by the commands that use them, so
+# each command loads only the modules it runs.
 
 __all__ = ["build_parser", "entry_point", "main"]
 
@@ -197,7 +197,8 @@ def _grid_options(args) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import ALL_SUITES, SweepConfig, render_report, run_verification
+    from .sweep import ALL_SUITES, SweepConfig
+    from .verify import render_report, run_verification
 
     config = SweepConfig(suites=_parse_suites(args.suite, ALL_SUITES), integer_mode=args.integer_mode,
                          **_grid_options(args))
@@ -208,7 +209,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .verify import SweepConfig, iter_render_sweep, iter_sweep_rows
+    from .sweep import SweepConfig, iter_render_sweep, iter_sweep_rows
 
     config = SweepConfig(suites=(), methods=(args.method,), **_grid_options(args))
     rows = iter_sweep_rows(config)  # checks every resource guard before anything is written

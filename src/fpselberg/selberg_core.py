@@ -293,12 +293,15 @@ def _direct_coefficient(ctx: FpContext, a: int, b: int, c: int, t1: int, t2: int
     (-1)^(k+j1+j2) = (-1)^(k+t1+t2).  C(b, j) is one base-p digit.  2c < 2p
     has the Lucas digits (1, n0 = 2c-p) or (0, n0 = 2c), so C(2c, k) =
     C(n0, k - start) on the k ranges [0, n0] and, when 2c >= p, [p, 2c], and
-    vanishes between them.  An empty interval reads no factorial.
+    vanishes between them.  An empty k interval [lo, hi] returns 0 at once,
+    before any range is built or factorial read.
     """
     p = ctx.p
     shift = a + 2 * c - t1  # j1 = k - shift
     top = t2 - a  # j2 = top - k
     lo, hi = max(shift, top - b), min(shift + b, top)
+    if lo > hi:
+        return 0
     n0 = 2 * c % p
     inv = ctx.inv_factorial
     total = 0

@@ -1,0 +1,178 @@
+"""Deterministic parameter sweeps: one row per (p, a, b, c, l1, l2).
+
+A sweep evaluates one route and classifies every 0 < a, b, c < p on every
+cycle 1 <= l1 <= l2 <= bound.  Rows are made serially in lexicographic
+parameter order and rendered as they come, which makes CSV/JSON sweep
+output byte-identical regardless of ``--jobs``.  This module loads only the
+evaluation layers; the verifier reads its configuration and route dispatch
+from here.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import namedtuple
+from typing import Iterable, Iterator
+
+from .modp_arith import get_context
+from .selberg_core import SelbergGrid, SelbergParams, _direct, _grid_window, selberg_grid
+from .selberg2d_closed import ALL_METHODS, Branch, _branch, _closed_value, in_condition_sets
+
+__all__ = [
+    "ALL_SUITES",
+    "SWEEP_CSV_HEADER",
+    "SweepConfig",
+    "iter_render_sweep",
+    "iter_sweep_rows",
+    "render_sweep",
+    "sweep_rows",
+]
+
+# The verify suites a configuration may select, in the order verify runs them.
+ALL_SUITES = ("oracle_equiv", "recurrences", "relations", "vanishing", "morris", "stokes", "nd")
+SWEEP_CSV_HEADER = "p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3"
+
+
+class SweepConfig(namedtuple("SweepConfig", "primes cycle_bound methods suites integer_mode parallelism")):
+    """Shared configuration for verification runs and sweeps; a sweep's values use ``methods[0]``.
+
+    The primes are kept sorted and without repeats, so sweep rows come out
+    lexicographic in (p, a, b, c, l1, l2).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, primes: tuple = (3, 5, 7, 11, 13), cycle_bound: int = 4, methods: tuple = ALL_METHODS,
+                suites: tuple = ALL_SUITES, integer_mode: bool = False, parallelism: int = 1):
+        if not primes:
+            raise ValueError("at least one prime is required")
+        for p in primes:
+            get_context(p)  # validates the prime
+        if not isinstance(cycle_bound, int):
+            raise ValueError(f"cycle_bound must be an integer, got {cycle_bound!r}")
+        if cycle_bound < 1:
+            raise ValueError(f"cycle_bound must be >= 1, got {cycle_bound}")
+        bad = set(methods) - set(ALL_METHODS)
+        if bad:
+            raise ValueError(f"unknown methods: {sorted(bad)}")
+        bad = set(suites) - set(ALL_SUITES)
+        if bad:
+            raise ValueError(f"unknown suites: {sorted(bad)}")
+        if not methods:
+            raise ValueError("at least one method is required")
+        if not isinstance(parallelism, int):
+            raise ValueError(f"parallelism must be an integer, got {parallelism!r}")
+        if parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+        return super().__new__(cls, tuple(sorted(set(primes))), cycle_bound, methods, suites,
+                               integer_mode, parallelism)
+
+    def cycles(self) -> Iterator[tuple]:
+        """The cycles (l1, l2) with 1 <= l1 <= l2 <= cycle_bound in lexicographic order, one at a time."""
+        return itertools.combinations_with_replacement(range(1, self.cycle_bound + 1), 2)
+
+
+def _route_value(method: str, params: SelbergParams, l1: int, l2: int, branch: Branch,
+                 grid: SelbergGrid | None) -> int:
+    """One route's value on a checked cycle: ``branch`` is its class, ``grid`` the brute-force grid of p."""
+    if method == "bruteforce":
+        return grid.value(params.a, params.b, params.c, (l1, l2))
+    if method == "direct":
+        return _direct(params, l1, l2)
+    return _closed_value(branch, params)
+
+
+def _check_sweep(method: str, p: int, config: SweepConfig):
+    """Raise ResourceLimitError if some row of ``method`` at p would hit a resource guard.
+
+    Brute force reads the grid, whose smallest window must fit the cap (its
+    cycles are counted, not made); the closed and direct routes read the
+    factorial tables.
+    """
+    if method == "bruteforce":
+        _grid_window(p, 2, p, config.cycle_bound * (config.cycle_bound + 1) // 2, config.cycle_bound)
+    else:
+        get_context(p).check_table_size()
+
+
+# A row's branch column, read from a table rather than the enum's value descriptor.
+_BRANCH_NAMES = {branch: branch.value for branch in Branch}
+
+
+def _sweep_rows(config: SweepConfig, method: str) -> Iterator[tuple]:
+    for p in config.primes:
+        grid = selberg_grid(p, config.cycles()) if method == "bruteforce" else None
+        for a, b, c in itertools.product(range(1, p), repeat=3):
+            params = SelbergParams(a, b, c, p)
+            r1, r2, r3 = in_condition_sets(params)
+            for l1, l2 in config.cycles():
+                branch = _branch(params, l1, l2)
+                value = _route_value(method, params, l1, l2, branch, grid)
+                yield p, a, b, c, l1, l2, _BRANCH_NAMES[branch], value, r1, r2, r3
+
+
+def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
+    """One row per (p, a, b, c, l1, l2), in lexicographic order, as a generator.
+
+    Every resource guard a row could hit is checked for every prime when
+    this is called, before the first row is made, so a sweep that would be
+    refused is refused before anything is written.  The value column uses
+    the first configured method; brute force builds each
+    prime's grid just before that prime's rows, one window of a values at a
+    time where the whole box is over the cap.  Rows are made serially;
+    ``config.parallelism`` is not used.  Each row is a tuple in
+    ``SWEEP_CSV_HEADER`` column order, with the branch as its name and the
+    R1-R3 memberships as bools; its branch is classified once, its cycle not
+    re-checked.
+    """
+    method = config.methods[0]
+    for p in config.primes:
+        _check_sweep(method, p, config)
+    return _sweep_rows(config, method)
+
+
+def sweep_rows(config: SweepConfig) -> list:
+    """The rows of ``iter_sweep_rows`` as a list."""
+    return list(iter_sweep_rows(config))
+
+
+_BOOL = ("false", "true")
+
+
+def iter_render_sweep(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
+    """Sweep output in ``fmt`` (csv, json or text), one chunk per row after a header.
+
+    The json chunks join to exactly ``json.dumps({"schema": 1, "kind":
+    "sweep", "rows": rows}, sort_keys=True, indent=2) + "\\n"`` with each row
+    as the dict of its ``SWEEP_CSV_HEADER`` columns: each row fills a fixed
+    template with its keys in sorted order.  Branch names are plain
+    identifiers, so the branch string needs no escaping.
+    """
+    if fmt not in ("csv", "json", "text"):
+        raise ValueError(f"sweep format must be csv, json or text, got {fmt!r}")
+    if fmt == "csv":
+        yield SWEEP_CSV_HEADER + "\n"
+        for p, a, b, c, l1, l2, branch, value, r1, r2, r3 in rows:
+            yield f"{p},{a},{b},{c},{l1},{l2},{branch},{value},{_BOOL[r1]},{_BOOL[r2]},{_BOOL[r3]}\n"
+    elif fmt == "json":
+        yield '{\n  "kind": "sweep",\n  "rows": ['
+        sep = "\n"
+        for p, a, b, c, l1, l2, branch, value, r1, r2, r3 in rows:
+            yield (f'{sep}    {{\n      "a": {a},\n      "b": {b},\n'
+                   f'      "branch": "{branch}",\n      "c": {c},\n'
+                   f'      "in_R1": {_BOOL[r1]},\n      "in_R2": {_BOOL[r2]},\n'
+                   f'      "in_R3": {_BOOL[r3]},\n      "l1": {l1},\n'
+                   f'      "l2": {l2},\n      "p": {p},\n      "value": {value}\n    }}')
+            sep = ",\n"
+        yield ("]" if sep == "\n" else "\n  ]") + ',\n  "schema": 1\n}\n'
+    else:
+        yield (f"{'p':>3} {'a':>3} {'b':>3} {'c':>3} {'l1':>2} {'l2':>2} "
+               f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}\n")
+        for p, a, b, c, l1, l2, branch, value, r1, r2, r3 in rows:
+            yield (f"{p:>3} {a:>3} {b:>3} {c:>3} {l1:>2} {l2:>2} "
+                   f"{branch:<22} {value:>5} {_BOOL[r1]:>5} {_BOOL[r2]:>5} {_BOOL[r3]:>5}\n")
+
+
+def render_sweep(rows: Iterable[tuple], fmt: str) -> str:
+    """The chunks of ``iter_render_sweep`` as one string."""
+    return "".join(iter_render_sweep(rows, fmt))

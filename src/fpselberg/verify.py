@@ -1,9 +1,10 @@
-"""Exhaustive verification suites and deterministic parameter sweeps.
+"""Exhaustive verification suites and report rendering.
 
 Every suite checks an exact identity over a finite grid, so the only
-tolerance anywhere is equality.  Sweep rows are built serially in
-lexicographic parameter order, which makes CSV/JSON sweep output
-byte-identical regardless of ``--jobs``.
+tolerance anywhere is equality.  The run configuration, ``SweepConfig``, and
+the one route dispatch that the suites and sweep rows share live in
+``sweep``; this module adds the suites, the brute-force grids they share and
+the report.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .errors import ResourceLimitError
 from .fp_poly import MultiPoly, fp_integral, partial_derivative
@@ -25,13 +26,11 @@ from .morris_ct import (
     morris_ct_bruteforce,
     morris_lhs_symmetric_form,
     morris_rhs,
-    morris_substitution,
     selberg_via_morris,
 )
 from .selberg_core import (
     SelbergGrid,
     SelbergParams,
-    _direct,
     _grid_window,
     _guard_grid,
     beta_closed,
@@ -40,32 +39,25 @@ from .selberg_core import (
     selberg_nd_closed,
 )
 from .selberg2d_closed import (
-    ALL_METHODS,
     RELATION_CYCLES,
     Branch,
     _branch,
     _closed_value,
     eval_closed,
-    in_condition_sets,
     relations_from_values,
     skew_symmetry_check,
 )
+from .sweep import SweepConfig, _route_value
+# benchmarks/inproc.py reads the list and string wrappers of a sweep as verify attributes.
+from .sweep import render_sweep, sweep_rows  # noqa: F401
 
 __all__ = [
-    "ALL_SUITES",
-    "SweepConfig",
     "SuiteResult",
     "VerificationReport",
-    "iter_render_sweep",
-    "iter_sweep_rows",
     "render_report",
-    "render_sweep",
     "run_verification",
-    "sweep_rows",
 ]
 
-ALL_SUITES = ("oracle_equiv", "recurrences", "relations", "vanishing", "morris", "stokes", "nd")
-SWEEP_CSV_HEADER = "p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3"
 STOKES_SEED = 0x5E1B
 STOKES_COUNT = 200
 
@@ -78,42 +70,6 @@ _INTEGER_ZERO_BRANCHES = {
     Branch.C13_zero,
     Branch.OTHER_zero,
 }
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Shared configuration for verification runs and sweeps; a sweep's values use ``methods[0]``."""
-
-    primes: tuple = (3, 5, 7, 11, 13)
-    cycle_bound: int = 4
-    methods: tuple = ALL_METHODS
-    suites: tuple = ALL_SUITES
-    integer_mode: bool = False
-    parallelism: int = 1
-
-    def __post_init__(self):
-        if not self.primes:
-            raise ValueError("at least one prime is required")
-        for p in self.primes:
-            get_context(p)  # validates the prime
-        # canonical order keeps sweep rows lexicographic in (p, a, b, c, l1, l2)
-        object.__setattr__(self, "primes", tuple(sorted(set(self.primes))))
-        if self.cycle_bound < 1:
-            raise ValueError(f"cycle_bound must be >= 1, got {self.cycle_bound}")
-        bad = set(self.methods) - set(ALL_METHODS)
-        if bad:
-            raise ValueError(f"unknown methods: {sorted(bad)}")
-        bad = set(self.suites) - set(ALL_SUITES)
-        if bad:
-            raise ValueError(f"unknown suites: {sorted(bad)}")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-
-    def cycles(self) -> Iterator[tuple]:
-        """The cycles (l1, l2) with 1 <= l1 <= l2 <= cycle_bound in lexicographic order, one at a time."""
-        return itertools.combinations_with_replacement(range(1, self.cycle_bound + 1), 2)
 
 
 @dataclass
@@ -209,16 +165,6 @@ class _GridCache(dict):
 
 
 # -- suites --------------------------------------------------------------------
-
-
-def _route_value(method: str, params: SelbergParams, l1: int, l2: int, branch: Branch,
-                 grid: SelbergGrid | None) -> int:
-    """One route's value on a checked cycle: ``branch`` is its class, ``grid`` the brute-force grid of p."""
-    if method == "bruteforce":
-        return grid.value(params.a, params.b, params.c, (l1, l2))
-    if method == "direct":
-        return _direct(params, l1, l2)
-    return _closed_value(branch, params)
 
 
 def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
@@ -451,102 +397,6 @@ def run_verification(config: SweepConfig) -> VerificationReport:
         outcome.seconds = time.perf_counter() - start
         suites.append(outcome)
     return VerificationReport(suites=suites, config=config)
-
-
-# -- sweeps --------------------------------------------------------------------
-
-
-def _check_sweep(method: str, p: int, config: SweepConfig):
-    """Raise ResourceLimitError if some row of ``method`` at p would hit a resource guard.
-
-    Brute force reads the grid, whose smallest window must fit the cap (its
-    cycles are counted, not made); the closed and direct routes read the
-    factorial tables.
-    """
-    if method == "bruteforce":
-        _grid_window(p, 2, p, config.cycle_bound * (config.cycle_bound + 1) // 2, config.cycle_bound)
-    else:
-        get_context(p).check_table_size()
-
-
-def _sweep_rows(config: SweepConfig, method: str) -> Iterator[dict]:
-    for p in config.primes:
-        grid = selberg_grid(p, config.cycles()) if method == "bruteforce" else None
-        for a, b, c in _triples(p):
-            params = SelbergParams(a, b, c, p)
-            r1, r2, r3 = in_condition_sets(params)
-            for l1, l2 in config.cycles():
-                branch = _branch(params, l1, l2)
-                yield {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
-                       "branch": branch.value, "value": _route_value(method, params, l1, l2, branch, grid),
-                       "in_R1": r1, "in_R2": r2, "in_R3": r3}
-
-
-def iter_sweep_rows(config: SweepConfig) -> Iterator[dict]:
-    """One row per (p, a, b, c, l1, l2), in lexicographic order, as a generator.
-
-    Every resource guard a row could hit is checked for every prime when
-    this is called, before the first row is made, so a sweep that would be
-    refused is refused before anything is written.  The value column uses
-    the first configured method; brute force builds each
-    prime's grid just before that prime's rows, one window of a values at a
-    time where the whole box is over the cap.  Rows are made serially;
-    ``config.parallelism`` is not used.  Each row is a dict with the fixed
-    CSV column set; its branch is classified once, its cycle not re-checked.
-    """
-    method = config.methods[0]
-    for p in config.primes:
-        _check_sweep(method, p, config)
-    return _sweep_rows(config, method)
-
-
-def sweep_rows(config: SweepConfig) -> list:
-    """The rows of ``iter_sweep_rows`` as a list."""
-    return list(iter_sweep_rows(config))
-
-
-_BOOL = ("false", "true")
-
-
-def iter_render_sweep(rows: Iterable[dict], fmt: str) -> Iterator[str]:
-    """Sweep output in ``fmt`` (csv, json or text), one chunk per row after a header.
-
-    The json chunks join to exactly ``json.dumps({"schema": 1, "kind":
-    "sweep", "rows": rows}, sort_keys=True, indent=2) + "\\n"``: each row fills
-    a fixed template with its keys in sorted order.  Branch names are plain
-    identifiers, so the branch string needs no escaping.
-    """
-    if fmt not in ("csv", "json", "text"):
-        raise ValueError(f"sweep format must be csv, json or text, got {fmt!r}")
-    if fmt == "csv":
-        yield SWEEP_CSV_HEADER + "\n"
-        for r in rows:
-            yield (f"{r['p']},{r['a']},{r['b']},{r['c']},{r['l1']},{r['l2']},"
-                   f"{r['branch']},{r['value']},{_BOOL[r['in_R1']]},"
-                   f"{_BOOL[r['in_R2']]},{_BOOL[r['in_R3']]}\n")
-    elif fmt == "json":
-        yield '{\n  "kind": "sweep",\n  "rows": ['
-        sep = "\n"
-        for r in rows:
-            yield (f'{sep}    {{\n      "a": {r["a"]},\n      "b": {r["b"]},\n'
-                   f'      "branch": "{r["branch"]}",\n      "c": {r["c"]},\n'
-                   f'      "in_R1": {_BOOL[r["in_R1"]]},\n      "in_R2": {_BOOL[r["in_R2"]]},\n'
-                   f'      "in_R3": {_BOOL[r["in_R3"]]},\n      "l1": {r["l1"]},\n'
-                   f'      "l2": {r["l2"]},\n      "p": {r["p"]},\n      "value": {r["value"]}\n    }}')
-            sep = ",\n"
-        yield ("]" if sep == "\n" else "\n  ]") + ',\n  "schema": 1\n}\n'
-    else:
-        yield (f"{'p':>3} {'a':>3} {'b':>3} {'c':>3} {'l1':>2} {'l2':>2} "
-               f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}\n")
-        for r in rows:
-            yield (f"{r['p']:>3} {r['a']:>3} {r['b']:>3} {r['c']:>3} {r['l1']:>2} {r['l2']:>2} "
-                   f"{r['branch']:<22} {r['value']:>5} {_BOOL[r['in_R1']]:>5} "
-                   f"{_BOOL[r['in_R2']]:>5} {_BOOL[r['in_R3']]:>5}\n")
-
-
-def render_sweep(rows: Iterable[dict], fmt: str) -> str:
-    """The chunks of ``iter_render_sweep`` as one string."""
-    return "".join(iter_render_sweep(rows, fmt))
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:

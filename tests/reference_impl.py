@@ -105,7 +105,7 @@ def dense_terms(arr, p: int | None = None) -> dict:
 
 # -- sweep renderers ---------------------------------------------------------------
 # The csv and text sweep renderers as they were before sweep output was streamed:
-# whole-list f-string joins over the row dicts.
+# whole-list f-string joins over the rows, tuples in SWEEP_CSV_HEADER column order.
 
 SWEEP_CSV_HEADER = "p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3"
 
@@ -118,9 +118,9 @@ def ref_render_sweep_csv(rows: list) -> str:
     lines = [SWEEP_CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{r['p']},{r['a']},{r['b']},{r['c']},{r['l1']},{r['l2']},"
-            f"{r['branch']},{r['value']},{_bool_str(r['in_R1'])},"
-            f"{_bool_str(r['in_R2'])},{_bool_str(r['in_R3'])}"
+            f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]},{r[5]},"
+            f"{r[6]},{r[7]},{_bool_str(r[8])},"
+            f"{_bool_str(r[9])},{_bool_str(r[10])}"
         )
     return "\n".join(lines) + "\n"
 
@@ -130,8 +130,8 @@ def ref_render_sweep_text(rows: list) -> str:
              f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}"]
     for r in rows:
         lines.append(
-            f"{r['p']:>3} {r['a']:>3} {r['b']:>3} {r['c']:>3} {r['l1']:>2} {r['l2']:>2} "
-            f"{r['branch']:<22} {r['value']:>5} {_bool_str(r['in_R1']):>5} "
-            f"{_bool_str(r['in_R2']):>5} {_bool_str(r['in_R3']):>5}"
+            f"{r[0]:>3} {r[1]:>3} {r[2]:>3} {r[3]:>3} {r[4]:>2} {r[5]:>2} "
+            f"{r[6]:<22} {r[7]:>5} {_bool_str(r[8]):>5} "
+            f"{_bool_str(r[9]):>5} {_bool_str(r[10]):>5}"
         )
     return "\n".join(lines) + "\n"

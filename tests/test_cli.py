@@ -167,6 +167,32 @@ assert {"fpselberg.verify", "fpselberg.morris_ct"} <= set(sys.modules)
     assert "total: checked=38 failed=0" in proc.stdout and "identity holds" in proc.stdout
 
 
+def test_sweeps_import_only_the_sweep():
+    # A sweep reads no verifier, Morris bridge or golden table, nor the stdlib
+    # modules only those use; only a brute-force sweep loads numpy, for its grid.
+    script = """
+import sys
+from fpselberg import cli
+OFF_THE_SWEEP_PATH = ("fpselberg.verify", "fpselberg.morris_ct", "fpselberg.golden",
+                      "dataclasses", "json", "fractions", "numpy")
+for method in ("closed", "direct"):
+    for fmt in ("csv", "json"):
+        assert cli.main(["sweep", "--primes", "3,5", "--method", method, "--format", fmt]) == 0
+loaded = [name for name in OFF_THE_SWEEP_PATH if name in sys.modules]
+assert not loaded, loaded
+assert cli.main(["sweep", "--primes", "3,5", "--method", "bruteforce", "--format", "csv"]) == 0
+loaded = [name for name in OFF_THE_SWEEP_PATH if name in sys.modules]
+assert loaded == ["numpy"], loaded
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3\n") == 3
+    assert proc.stdout.count('"kind": "sweep"') == 2
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle_equiv", "--primes", "3,5")
     assert code == 0

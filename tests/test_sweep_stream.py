@@ -14,22 +14,22 @@ import pytest
 
 from fpselberg import modp_arith
 from fpselberg.cli import main
-from fpselberg.selberg2d_closed import Branch
-from fpselberg.verify import (
-    ALL_METHODS,
-    SweepConfig,
-    iter_render_sweep,
-    iter_sweep_rows,
-    render_sweep,
-    sweep_rows,
-)
-from reference_impl import ref_render_sweep_csv, ref_render_sweep_text
+from fpselberg.selberg2d_closed import ALL_METHODS, Branch
+from fpselberg.sweep import SweepConfig, iter_render_sweep, iter_sweep_rows, render_sweep, sweep_rows
+from reference_impl import SWEEP_CSV_HEADER, ref_render_sweep_csv, ref_render_sweep_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
+def ref_render_sweep_json(rows: list) -> str:
+    # Each row tuple as the dict of its columns, in header order.
+    columns = SWEEP_CSV_HEADER.split(",")
+    payload = {"schema": 1, "kind": "sweep", "rows": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 REFERENCES = {
-    "json": lambda rows: json.dumps({"schema": 1, "kind": "sweep", "rows": rows},
-                                    sort_keys=True, indent=2) + "\n",
+    "json": ref_render_sweep_json,
     "csv": ref_render_sweep_csv,
     "text": ref_render_sweep_text,
 }

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fpselberg import selberg2d_closed, selberg_core, verify
+from fpselberg import selberg2d_closed, selberg_core, sweep, verify
 from fpselberg.cli import main
 from fpselberg.errors import ResourceLimitError
 from fpselberg.fp_poly import check_cycle
@@ -12,22 +12,15 @@ from fpselberg.golden import GOLDEN_2D
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import SelbergParams, moment_integral, selberg_direct_2d
 from fpselberg.selberg2d_closed import (
+    ALL_METHODS,
     Branch,
     classify,
     eval_closed,
     relations_from_values,
     skew_symmetry_check,
 )
-from fpselberg.verify import (
-    ALL_METHODS,
-    ALL_SUITES,
-    SWEEP_CSV_HEADER,
-    SweepConfig,
-    render_report,
-    render_sweep,
-    run_verification,
-    sweep_rows,
-)
+from fpselberg.sweep import ALL_SUITES, SWEEP_CSV_HEADER, SweepConfig, render_sweep, sweep_rows
+from fpselberg.verify import render_report, run_verification
 
 from reference_impl import prime_at_or_above
 
@@ -42,16 +35,18 @@ def test_config_validation():
     SweepConfig(primes=(7,))  # caches the context of 7
     with pytest.raises(ValueError):
         SweepConfig(primes=(7.0,))
-    with pytest.raises(ValueError):
-        SweepConfig(cycle_bound=0)
+    for cycle_bound in (0, 2.5, "3"):
+        with pytest.raises(ValueError, match="cycle_bound"):
+            SweepConfig(primes=(3,), cycle_bound=cycle_bound)
     with pytest.raises(ValueError):
         SweepConfig(methods=("magic",))
     with pytest.raises(ValueError):
         SweepConfig(suites=("magic",))
     with pytest.raises(ValueError):
         SweepConfig(methods=(), suites=())
-    with pytest.raises(ValueError):
-        SweepConfig(parallelism=0)
+    for parallelism in (0, 1.5, "2"):
+        with pytest.raises(ValueError, match="parallelism"):
+            SweepConfig(primes=(3,), parallelism=parallelism)
     # the output format is checked by the renderers, which are what read it
     rows = sweep_rows(SweepConfig(primes=(3,), cycle_bound=1, suites=("stokes",)))
     with pytest.raises(ValueError, match="'xml'"):
@@ -95,7 +90,7 @@ def test_sweep_checks_cycles_once_per_run(monkeypatch, method):
         calls.append(args)
         return check_cycle(*args, **kwargs)
 
-    for module in (selberg2d_closed, selberg_core, verify):
+    for module in (selberg2d_closed, selberg_core, sweep, verify):
         monkeypatch.setattr(module, "check_cycle", counted, raising=False)
     counts = []
     for p in (5, 7):
