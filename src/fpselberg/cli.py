@@ -152,17 +152,21 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"--integer-mode needs --method bruteforce, got --method {args.method}")
     params, l1, l2 = _point_params(args)
     branch = classify(params, l1, l2)  # checks the cycle, for every route
-    print(f"p={params.p} a={params.a} b={params.b} c={params.c} "
-          f"cycle=[{l1},{l2}] method={args.method}")
+    # Every value is computed before the first line is printed, so a refused
+    # point prints nothing to stdout.
+    exact = None
     if args.method == "bruteforce":
         if args.integer_mode:
             exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
-            print(f"integer S = {exact}")
         value = selberg_bruteforce(params.spec(2), (l1, l2))
     elif args.method == "direct":
         value = _direct(params, l1, l2)
     else:
         value = _closed_value(branch, params)
+    print(f"p={params.p} a={params.a} b={params.b} c={params.c} "
+          f"cycle=[{l1},{l2}] method={args.method}")
+    if exact is not None:
+        print(f"integer S = {exact}")
     print(f"value = {value}")
     print(f"branch = {branch}")
     if args.verbose:

@@ -98,9 +98,12 @@ def _max_cells() -> int:
     if env is None:
         return DEFAULT_MAX_TERMS
     try:
-        return int(env)
+        cap = int(env)
     except ValueError:
-        raise ValueError(f"{MAX_TERMS_ENV} must be an integer, got {env!r}") from None
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{MAX_TERMS_ENV} must be an integer >= 1, got {env!r}")
+    return cap
 
 
 def _master_factors(n: int, a: int, b: int, c: int) -> list:
@@ -134,14 +137,15 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
 
 
 class SelbergGrid:
-    """Brute-force values and S1/S2 moments of a parameter box at one prime.
+    """Brute-force values and S1 moments of a parameter box at one prime.
 
     Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
     the cycles it was built for, all of one arity n, holding the ``width`` a
     values from ``start`` on.  A read outside them rebuilds that window from
     a - 2 if above, a - 1 if below, so an ascending pass that also reads a +- 1
-    builds each window once.  Reads return the same residues, as Python ints,
-    as ``selberg_bruteforce`` and, for n = 2, ``moment_integral``.
+    builds each window once.  ``value`` returns one residue as a Python int,
+    as ``selberg_bruteforce`` gives it; ``slab`` copies out every (b, c) of
+    one a at once.
     """
 
     __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_index", "_values", "_s1")
@@ -190,30 +194,41 @@ class SelbergGrid:
             self._s1[:, :, c] = (reads[:, 1:].sum(axis=1) % p).transpose(2, 0, 1)
         self.start = start
 
-    def _slot(self, a: int, b: int, c: int, cycle) -> tuple:
+    def _row(self, a: int) -> int:
+        """The window row of a, 0 <= a < ab_stop, moving the window to hold it."""
+        if not self.start <= a < self.start + self.width:
+            start = a - 2 if a >= self.start + self.width else a - 1
+            self._build(max(0, min(start, self.ab_stop - self.width)))
+        return a - self.start
+
+    def _cycle(self, cycle) -> int:
+        try:
+            return self._index[tuple(cycle)]
+        except KeyError:
+            raise ValueError(f"cycle {tuple(cycle)} is not in the grid") from None
+
+    def value(self, a: int, b: int, c: int, cycle) -> int:
+        """The integral of Phi_{a,b,c} over the cycle, as ``selberg_bruteforce`` gives it."""
         # Explicit bounds: a negative numpy index would silently wrap around.
         if not (0 <= a < self.ab_stop and 0 <= b < self.ab_stop and 0 <= c < self.p):
             raise ValueError(f"(a, b, c) = ({a}, {b}, {c}) outside the grid box"
                              f" [0, {self.ab_stop})^2 x [0, {self.p})")
-        try:
-            k = self._index[tuple(cycle)]
-        except KeyError:
-            raise ValueError(f"cycle {tuple(cycle)} is not in the grid") from None
-        if not self.start <= a < self.start + self.width:
-            start = a - 2 if a >= self.start + self.width else a - 1
-            self._build(max(0, min(start, self.ab_stop - self.width)))
-        return a - self.start, b, c, k
+        k = self._cycle(cycle)
+        return int(self._values[self._row(a), b, c, k])
 
-    def value(self, a: int, b: int, c: int, cycle) -> int:
-        """The integral of Phi_{a,b,c} over the cycle, as ``selberg_bruteforce`` gives it."""
-        slot = self._slot(a, b, c, cycle)
-        return int(self._values[slot])
+    def slab(self, a: int, cycles) -> tuple:
+        """(values, S1) at one a: int64 copies indexed [b, c, i] for 0 <= b < ab_stop,
+        0 <= c < p and the i-th of ``cycles``, each entry what ``value`` reads.
 
-    def moments(self, a: int, b: int, c: int, cycle) -> tuple[int, int]:
-        """(S1, S2) of (x1+...+xn)*Phi and ((1-x1)+...+(1-xn))*Phi, as ``moment_integral`` at n = 2."""
-        slot = self._slot(a, b, c, cycle)
-        s1 = int(self._s1[slot])
-        return s1, (len(tuple(cycle)) * int(self._values[slot]) - s1) % self.p
+        S1 is the integral of (x1+...+xn)*Phi and S2 = n*value - S1 that of
+        ((1-x1)+...+(1-xn))*Phi, as ``moment_integral`` gives them at n = 2.  The
+        window moves as for ``value``, and the copies stay as they are when it does.
+        """
+        if not 0 <= a < self.ab_stop:
+            raise ValueError(f"a = {a} outside the grid box [0, {self.ab_stop})")
+        ks = [self._cycle(cycle) for cycle in cycles]
+        row = self._row(a)
+        return self._values[row][..., ks], self._s1[row][..., ks]
 
 
 def _grid_window(p: int, n: int, ab_stop: int, count: int, top: int) -> tuple:

@@ -3,8 +3,8 @@
 Every suite checks an exact identity over a finite grid, so the only
 tolerance anywhere is equality.  The run configuration, ``SweepConfig``, and
 the one route dispatch that the suites and sweep rows share live in
-``sweep``; this module adds the suites, the brute-force grids they share and
-the report.
+``sweep``; this module adds the suites, the brute-force grids and the
+classification they share, and the report.
 """
 
 from __future__ import annotations
@@ -93,6 +93,13 @@ class SuiteResult:
             if counterexample is not None:
                 self.counterexamples.append(counterexample())
 
+    def tally(self, checked: int, counterexamples: list):
+        """Count ``checked`` checks at once, one failed for each of ``counterexamples``."""
+        self.checked += checked
+        self.passed += checked - len(counterexamples)
+        self.failed += len(counterexamples)
+        self.counterexamples += counterexamples
+
 
 @dataclass
 class VerificationReport:
@@ -131,8 +138,13 @@ def _nd_windows(p: int) -> list:
     return [(p, ((1,) * n,), 2 * p) for n in (2, 3) if n == 2 or p <= _ND3_MAX_P]
 
 
+# Branch codes: the classification of a grid point is stored as its index here.
+_BRANCHES = tuple(Branch)
+_BRANCH_CODES = {branch: code for code, branch in enumerate(_BRANCHES)}
+
+
 class _GridCache(dict):
-    """Brute-force grids of one verification run, built on first use.
+    """Brute-force grids and classifications of one verification run, made on first use.
 
     ``self[p]`` is the grid of p that every suite shares, holding each cycle a
     suite reads brute force on; nd's windows are keyed by their ``selberg_grid``
@@ -145,6 +157,7 @@ class _GridCache(dict):
         super().__init__()
         self._config, bound = config, config.cycle_bound
         self._extra = tuple(cycle for cycle in _SUITE_CYCLES if not cycle[0] <= cycle[1] <= bound)
+        self._codes = {}
         count, top = bound * (bound + 1) // 2 + len(self._extra), max([bound, *itertools.chain(*self._extra)])
         suites = set(config.suites)
         shared = bool(suites & {"oracle_equiv", "recurrences", "relations", "vanishing"})
@@ -163,6 +176,19 @@ class _GridCache(dict):
         grid = self[key] = selberg_grid(*key) if isinstance(key, tuple) else selberg_grid(key, self.cycles)
         return grid
 
+    def branches(self, p: int):
+        """The branch code of every (a, b, c) at p on every configured cycle, a uint8 array
+        indexed [a - 1, b - 1, c - 1, cycle]; each point is classified once per run."""
+        if p not in self._codes:
+            import numpy as np
+
+            cycles = tuple(self._config.cycles())
+            codes = (_BRANCH_CODES[_branch(params, l1, l2)]
+                     for params in (SelbergParams(a, b, c, p) for a, b, c in _triples(p)) for l1, l2 in cycles)
+            shape = (p - 1, p - 1, p - 1, len(cycles))
+            self._codes[p] = np.fromiter(codes, np.uint8, (p - 1) ** 3 * len(cycles)).reshape(shape)
+        return self._codes[p]
+
 
 # -- suites --------------------------------------------------------------------
 
@@ -170,49 +196,65 @@ class _GridCache(dict):
 def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """The direct and closed routes agree with the grid's brute force on every grid point."""
     result = SuiteResult("oracle_equiv")
+    cycles = tuple(config.cycles())
     for p in config.primes:
-        grid = grids[p]
-        for a, b, c in _triples(p):
-            params = SelbergParams(a, b, c, p)
-            for l1, l2 in config.cycles():
-                branch = _branch(params, l1, l2)
-                expected = grid.value(a, b, c, (l1, l2))
-                for method in ("direct", "closed"):
-                    got = _route_value(method, params, l1, l2, branch, grid)
-                    result.record(got == expected, lambda: _ce(
-                        p, a, b, c, l1, l2, str(branch), expected, got, method=method))
+        grid, codes = grids[p], grids.branches(p)
+        for a in range(1, p):
+            values, branches, failures = grid.slab(a, cycles)[0].tolist(), codes[a - 1].tolist(), []
+            for b, c in itertools.product(range(1, p), repeat=2):
+                params = SelbergParams(a, b, c, p)
+                for (l1, l2), code, expected in zip(cycles, branches[b - 1][c - 1], values[b][c]):
+                    branch = _BRANCHES[code]
+                    for method in ("direct", "closed"):
+                        got = _route_value(method, params, l1, l2, branch, grid)
+                        if got != expected:
+                            failures.append(_ce(p, a, b, c, l1, l2, str(branch), expected, got, method=method))
+            result.tally(2 * (p - 1) ** 2 * len(cycles), failures)
     return result
 
 
-def _recurrences(p: int, a: int, b: int, c: int, cycle: tuple, value: Callable[..., int], s1: int, s2: int):
-    """The contiguous recurrences tying the moments (s1, s2) of Phi at (a, b, c) on ``cycle`` to
-    shifted parameters, as (name, lhs, rhs); ``value(a, b, c, cycle)`` is the integral."""
-    s = value(a, b, c, cycle)
-    if a + 1 < p:
-        yield "Ao1", s1 * (a + 1) % p, value(a + 1, b, c, cycle) * (2 * (a + b + c + 2)) % p
-    yield "Ao2", s * (2 * (a + c + 1)) % p, s1 * (a + b + 2 * c + 2) % p
-    if b + 1 < p:
-        yield "Ao3", s2 * (b + 1) % p, value(a, b + 1, c, cycle) * (2 * (a + b + c + 2)) % p
-    yield "Ao4", s * (2 * (b + c + 1)) % p, s2 * (a + b + 2 * c + 2) % p
+def _recurrences(p: int, a, b, c, s, s1, s2, up_a, up_b, down_a, down_b, inverse: Callable):
+    """The contiguous recurrences tying the moments (s1, s2) of Phi at (a, b, c) on one cycle to
+    shifted parameters, as (name, applies, lhs, rhs); a relation is checked where it applies.
+
+    Every argument after p is an int at one point or a NumPy array over many.  s is the
+    integral at (a, b, c); up_a, up_b, down_a and down_b are those at a + 1, b + 1, a - 1 and
+    b - 1, read only where a relation using them applies.  ``inverse(d)`` is 1/d mod p for d != 0.
+    """
     denom = (a + b + c + 1) * (a + b + 2 * c + 1) % p
-    if denom:
-        inv = pow(denom, -1, p)
-        if a >= 2:
-            yield "Ar1", s, value(a - 1, b, c, cycle) * (a * (a + c)) * inv % p
-        if b >= 2:
-            yield "Ar2", s, value(a, b - 1, c, cycle) * (b * (b + c)) * inv % p
+    inv = inverse(denom)
+    yield "Ao1", a + 1 < p, s1 * (a + 1) % p, up_a * (2 * (a + b + c + 2)) % p
+    yield "Ao2", True, s * (2 * (a + c + 1)) % p, s1 * (a + b + 2 * c + 2) % p
+    yield "Ao3", b + 1 < p, s2 * (b + 1) % p, up_b * (2 * (a + b + c + 2)) % p
+    yield "Ao4", True, s * (2 * (b + c + 1)) % p, s2 * (a + b + 2 * c + 2) % p
+    yield "Ar1", (denom != 0) & (a >= 2), s, down_a * (a * (a + c)) * inv % p
+    yield "Ar2", (denom != 0) & (b >= 2), s, down_b * (b * (b + c)) * inv % p
 
 
 def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
-    """Contiguous recurrences tying Phi moments to shifted parameters."""
+    """Contiguous recurrences tying Phi moments to shifted parameters, one slab of a at a time."""
+    import numpy as np
+
     result = SuiteResult("recurrences")
     for p in config.primes:
         grid = grids[p]
-        for a, b, c in _triples(p):
-            for cycle in _RECURRENCE_CYCLES:
-                checks = _recurrences(p, a, b, c, cycle, grid.value, *grid.moments(a, b, c, cycle))
-                for eq, lhs, rhs in checks:
-                    result.record(lhs == rhs, lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, rhs, lhs))
+        inverse = np.array([0, *(pow(d, -1, p) for d in range(1, p))]).__getitem__
+        b, c = np.arange(1, p)[:, None, None], np.arange(1, p)[None, :, None]
+        for a in range(1, p):
+            # values and S1 indexed [b, c, cycle] for 0 <= b, c < p; the checks read b, c >= 1
+            values, s1 = grid.slab(a, _RECURRENCE_CYCLES)
+            s, s1 = values[1:, 1:], s1[1:, 1:]
+            up_a = grid.slab(a + 1, _RECURRENCE_CYCLES)[0][1:, 1:] if a + 1 < p else s
+            down_a = grid.slab(a - 1, _RECURRENCE_CYCLES)[0][1:, 1:] if a >= 2 else s
+            up_b = np.roll(values, -1, axis=0)[1:, 1:]  # b = p - 1 reads b = 0, where Ao3 does not apply
+            down_b = values[:-1, 1:]
+            checks = list(_recurrences(p, a, b, c, s, s1, (2 * s - s1) % p, up_a, up_b, down_a, down_b, inverse))
+            applies, lhs, rhs = (np.stack([np.broadcast_to(check[i], s.shape) for check in checks], axis=-1)
+                                 for i in (1, 2, 3))
+            failed = np.argwhere(applies & (lhs != rhs)).tolist()
+            result.tally(int(applies.sum()), [
+                _ce(p, a, j + 1, k + 1, *_RECURRENCE_CYCLES[i], checks[e][0], int(rhs[j, k, i, e]),
+                    int(lhs[j, k, i, e])) for j, k, i, e in failed])
     return result
 
 
@@ -221,23 +263,25 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     result = SuiteResult("relations")
     for p in config.primes:
         grid = grids[p]
-        for a, b, c in _triples(p):
-            params = SelbergParams(a, b, c, p)
-            report = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
-            if report.condition_set is None:
-                result.record(bool(report.uniqueness_holds),
-                              lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
-                continue
-            result.record(bool(report.relation_holds),
-                          lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
-            head = next(iter(report.values))
-            closed_head = _closed_value(_branch(params, *head), params)
-            result.record(closed_head == report.values[head], lambda: _ce(
-                p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
-                report.values[head], closed_head))
-            if report.condition_set == "R3":
-                ok = skew_symmetry_check(params)
-                result.record(ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
+        for a in range(1, p):
+            values = grid.slab(a, RELATION_CYCLES)[0].tolist()
+            for b, c in itertools.product(range(1, p), repeat=2):
+                params = SelbergParams(a, b, c, p)
+                report = relations_from_values(params, dict(zip(RELATION_CYCLES, values[b][c])).__getitem__)
+                if report.condition_set is None:
+                    result.record(bool(report.uniqueness_holds),
+                                  lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
+                    continue
+                result.record(bool(report.relation_holds),
+                              lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
+                head = next(iter(report.values))
+                closed_head = _closed_value(_branch(params, *head), params)
+                result.record(closed_head == report.values[head], lambda: _ce(
+                    p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
+                    report.values[head], closed_head))
+                if report.condition_set == "R3":
+                    ok = skew_symmetry_check(params)
+                    result.record(ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
     for entry in GOLDEN_2D:
         if entry.p not in config.primes:
             continue
@@ -262,21 +306,27 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
 
 def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
     """Every zero branch of the classifier matches a brute-force zero."""
+    import numpy as np
+
     result = SuiteResult("vanishing")
+    cycles = tuple(config.cycles())
+    zero_codes = np.array([branch.is_zero for branch in _BRANCHES])
     for p in config.primes:
-        grid = grids[p]
-        for a, b, c in _triples(p):
-            params = SelbergParams(a, b, c, p)
-            for l1, l2 in config.cycles():
-                branch = _branch(params, l1, l2)
-                if not branch.is_zero:
-                    continue
-                value = grid.value(a, b, c, (l1, l2))
-                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
+        grid, codes = grids[p], grids.branches(p)
+        for a in range(1, p):
+            values, zero = grid.slab(a, cycles)[0][1:, 1:], zero_codes[codes[a - 1]]  # [b - 1, c - 1, cycle]
+            # In integer mode every zero point is checked one at a time, else only the failing ones
+            # are, after the passing ones are counted.
+            points = np.argwhere(zero if config.integer_mode else zero & (values != 0)).tolist()
+            if not config.integer_mode:
+                result.tally(int(zero.sum()) - len(points), [])
+            for j, k, i in points:
+                b, c, branch, value = j + 1, k + 1, _BRANCHES[codes[a - 1, j, k, i]], int(values[j, k, i])
+                result.record(value == 0, lambda: _ce(p, a, b, c, *cycles[i], str(branch), 0, value))
                 if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
-                    exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
+                    exact = selberg_bruteforce(SelbergParams(a, b, c, p).spec(2), cycles[i], exact=True)
                     result.record(exact == 0,
-                                  lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
+                                  lambda: _ce(p, a, b, c, *cycles[i], f"{branch} (integer)", 0, exact))
     return result
 
 

@@ -3,13 +3,22 @@
 Everything here is deliberately primitive: dict-based term-by-term
 convolution with exact integer coefficients and stdlib binomials, sharing no
 code path with the package's dense kernels or table-driven arithmetic.
-``dense_terms`` only reads out a dense array the package made.
+``dense_terms`` only reads out a dense array the package made.  The verify
+suite loops at the end read the package's grids one point at a time, as the
+suites themselves did before they read a slab of a at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+
+from fpselberg.golden import GOLDEN_2D
+from fpselberg.selberg_core import SelbergParams, selberg_bruteforce
+from fpselberg.selberg2d_closed import (_branch, _closed_value, eval_closed, relations_from_values,
+                                        skew_symmetry_check)
+from fpselberg.sweep import _route_value
+from fpselberg.verify import _INTEGER_ZERO_BRANCHES, _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -135,3 +144,117 @@ def ref_render_sweep_text(rows: list) -> str:
             f"{_bool_str(r[9]):>5} {_bool_str(r[10]):>5}"
         )
     return "\n".join(lines) + "\n"
+
+
+# -- verify suites, one point at a time ---------------------------------------------
+
+
+def grid_moments(grid, a: int, b: int, c: int, cycle) -> tuple:
+    """(S1, S2) of one grid point, from the slab of its a; S2 = n * value - S1."""
+    values, s1 = grid.slab(a, [cycle])
+    s1 = int(s1[b, c, 0])
+    return s1, (len(cycle) * int(values[b, c, 0]) - s1) % grid.p
+
+
+def ref_suite_oracle_equiv(config, grids) -> SuiteResult:
+    result = SuiteResult("oracle_equiv")
+    for p in config.primes:
+        grid = grids[p]
+        for a, b, c in all_triples(p):
+            params = SelbergParams(a, b, c, p)
+            for l1, l2 in config.cycles():
+                branch = _branch(params, l1, l2)
+                expected = grid.value(a, b, c, (l1, l2))
+                for method in ("direct", "closed"):
+                    got = _route_value(method, params, l1, l2, branch, grid)
+                    result.record(got == expected, lambda: _ce(
+                        p, a, b, c, l1, l2, str(branch), expected, got, method=method))
+    return result
+
+
+def ref_suite_recurrences(config, grids) -> SuiteResult:
+    result = SuiteResult("recurrences")
+    for p in config.primes:
+        grid = grids[p]
+        for a, b, c in all_triples(p):
+            for cycle in _RECURRENCE_CYCLES:
+                def value(a, b):  # 0 outside the box, where no recurrence reads it
+                    return grid.value(a, b, c, cycle) if a < p and b < p else 0
+
+                shifted = value(a + 1, b), value(a, b + 1), value(a - 1, b), value(a, b - 1)
+                checks = _recurrences(p, a, b, c, value(a, b), *grid_moments(grid, a, b, c, cycle), *shifted,
+                                      lambda d: pow(d, -1, p) if d else 0)
+                for eq, applies, lhs, rhs in checks:
+                    if applies:
+                        result.record(lhs == rhs, lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, rhs, lhs))
+    return result
+
+
+def ref_suite_relations(config, grids) -> SuiteResult:
+    result = SuiteResult("relations")
+    for p in config.primes:
+        grid = grids[p]
+        for a, b, c in all_triples(p):
+            params = SelbergParams(a, b, c, p)
+            report = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
+            if report.condition_set is None:
+                result.record(bool(report.uniqueness_holds),
+                              lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
+                continue
+            result.record(bool(report.relation_holds),
+                          lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
+            head = next(iter(report.values))
+            closed_head = _closed_value(_branch(params, *head), params)
+            result.record(closed_head == report.values[head], lambda: _ce(
+                p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
+                report.values[head], closed_head))
+            if report.condition_set == "R3":
+                ok = skew_symmetry_check(params)
+                result.record(ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
+    for entry in GOLDEN_2D:
+        if entry.p not in config.primes:
+            continue
+        params = SelbergParams(entry.a, entry.b, entry.c, entry.p)
+        point = (entry.p, entry.a, entry.b, entry.c, entry.l1, entry.l2)
+        brute = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2))
+        closed = eval_closed(params, entry.l1, entry.l2)
+        result.record(brute == entry.value and closed == entry.value,
+                      lambda: _ce(*point, "golden", entry.value, brute))
+        if entry.integer_value is not None:
+            exact = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2), exact=True)
+            result.record(exact == entry.integer_value,
+                          lambda: _ce(*point, "golden integer", entry.integer_value, exact))
+        if entry.paper_discrepancy:
+            result.notes.append(
+                f"golden ({entry.p};{entry.a},{entry.b},{entry.c};{entry.l1},{entry.l2}):"
+                f" paper_discrepancy=true, printed {entry.printed_value}, oracle {entry.value}"
+                + (f" ({entry.note})" if entry.note else "")
+            )
+    return result
+
+
+def ref_suite_vanishing(config, grids) -> SuiteResult:
+    result = SuiteResult("vanishing")
+    for p in config.primes:
+        grid = grids[p]
+        for a, b, c in all_triples(p):
+            params = SelbergParams(a, b, c, p)
+            for l1, l2 in config.cycles():
+                branch = _branch(params, l1, l2)
+                if not branch.is_zero:
+                    continue
+                value = grid.value(a, b, c, (l1, l2))
+                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
+                if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
+                    exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
+                    result.record(exact == 0,
+                                  lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
+    return result
+
+
+REF_SUITES = {
+    "oracle_equiv": ref_suite_oracle_equiv,
+    "recurrences": ref_suite_recurrences,
+    "relations": ref_suite_relations,
+    "vanishing": ref_suite_vanishing,
+}

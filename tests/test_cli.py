@@ -107,6 +107,17 @@ def test_eval_resource_guard_exit_code(capsys):
     assert "resource guard" in err
 
 
+@pytest.mark.parametrize("integer_mode", [False, True])
+def test_eval_refused_by_the_guard_prints_nothing(capsys, integer_mode):
+    # The guard is checked before the header line, as verify and sweep
+    # refuse before writing.
+    code, out, err = run(capsys, "eval", "-p", "251", "-a", "250", "-b", "250", "-c", "250", "-l", "1,1",
+                         "--method", "bruteforce", *(["--integer-mode"] if integer_mode else []))
+    assert code == 3
+    assert out == ""
+    assert "resource guard" in err
+
+
 def test_eval_huge_prime_zero_branch_is_instant(capsys):
     code, out, _ = run(capsys, "eval", "-p", str(MERSENNE_61), "--params", "5,6,7", "-l", "2,3")
     assert code == 0
@@ -399,8 +410,12 @@ def test_internal_error_in_a_suite_fails_only_that_suite(monkeypatch, capsys):
 
 
 def test_malformed_max_terms_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "lots")
-    code, out, err = run(capsys, "verify", "--suite", "stokes", "--primes", "5")
-    assert code == 2
-    assert out == ""
-    assert "FPSELBERG_MAX_TERMS" in err
+    # Not an integer, or no cell at all: a usage error before any command runs.
+    for value in ("lots", "-5", "0"):
+        monkeypatch.setenv("FPSELBERG_MAX_TERMS", value)
+        for argv in (("verify", "--suite", "stokes", "--primes", "5"),
+                     ("eval", "-p", "7", "--params", "3,4,3", "-l", "1,1", "--method", "bruteforce")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (value, argv)
+            assert out == ""
+            assert f"FPSELBERG_MAX_TERMS must be an integer >= 1, got {value!r}" in err

@@ -1,10 +1,10 @@
 """The default `verify` counts, `sweep` bytes and benchmark eval pins, pinned.
 
 Any change to the package must leave these untouched: the per-suite counts
-of the default verification run, with and without --integer-mode, the sha256
-of the default sweep in each output format and for each evaluation route,
-and the (value, branch) pairs the benchmark harness records for its seed-0
-point queries.
+of the default verification run, with and without --integer-mode, and the
+grid windows it builds, the sha256 of the default sweep in each output
+format and for each evaluation route, and the (value, branch) pairs the
+benchmark harness records for its seed-0 point queries.
 """
 
 import hashlib
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from fpselberg.cli import main
+from fpselberg.selberg_core import SelbergGrid
 
 VERIFY_COUNTS = {  # suite: (checked, skipped, failed)
     "oracle_equiv": (60320, 0, 0),
@@ -41,13 +42,35 @@ VERIFY_P23_COUNTS = {
     "stokes": (297, 0, 0),
     "nd": (8605, 1, 0),
 }
+# The grid windows each run builds, in order, as (p, ab_stop, cycles, start):
+# the shared grid of each prime, then nd's n = 2 and n = 3 windows.  At p = 23
+# the shared grid holds 19 of its 23 a values, so each of the four suites that
+# read it in ascending a builds the window from 0, then from 4.
+VERIFY_BUILDS = [(p, p, 12, 0) for p in (3, 5, 7, 11, 13)] + [
+    (p, 2 * p, 1, 0) for p in (3, 3, 5, 5, 7, 7, 11, 11, 13)]
+VERIFY_P23_BUILDS = [(23, 23, 12, 0), (23, 23, 12, 4)] * 4 + [(23, 46, 1, 0)]
 SWEEP_CSV_SHA256 = "abeb7230281bbb0a9433242eca0d3564bd2248a49760734870dda0548a7dd470"
 SWEEP_JSON_SHA256 = "9a0560aeeccf6597471e167696fa934910941d1cd62f9e5eef030063fce2288a"
 
 
-def test_default_verify_counts(tmp_path):
+def _record_builds(monkeypatch) -> list:
+    builds = []
+    build = SelbergGrid._build
+
+    def counted(self, start):
+        builds.append((self.p, self.ab_stop, len(self._index), start))
+        build(self, start)
+
+    monkeypatch.setattr(SelbergGrid, "_build", counted)
+    return builds
+
+
+def test_default_verify_counts(tmp_path, monkeypatch):
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    builds = _record_builds(monkeypatch)
     out = tmp_path / "verify.json"
     assert main(["verify", "--format", "json", "--out", str(out)]) == 0
+    assert builds == VERIFY_BUILDS
     report = json.loads(out.read_text())
     counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
     assert counts == VERIFY_COUNTS
@@ -65,8 +88,10 @@ def test_integer_mode_verify_counts(tmp_path):
 
 def test_verify_p23_counts(tmp_path, monkeypatch):
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    builds = _record_builds(monkeypatch)
     out = tmp_path / "verify.json"
     assert main(["verify", "--primes", "23", "--format", "json", "--out", str(out)]) == 0
+    assert builds == VERIFY_P23_BUILDS
     report = json.loads(out.read_text())
     counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
     assert counts == VERIFY_P23_COUNTS

@@ -4,6 +4,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpselberg import selberg_core
@@ -24,8 +25,8 @@ from fpselberg.selberg_core import (
     selberg_nd_closed,
 )
 
-from reference_impl import (PRIMES, all_triples, dense_terms, ref_integral, ref_mul, ref_phi, ref_reduce, ref_selberg,
-                            ref_univariate)
+from reference_impl import (PRIMES, all_triples, dense_terms, grid_moments, ref_integral, ref_mul, ref_phi, ref_reduce,
+                            ref_selberg, ref_univariate)
 
 # The default verify cycles l1 <= l2 <= 4 plus the transposed relation cycles.
 GRID_CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)] + [(2, 1), (3, 1)]
@@ -357,7 +358,7 @@ def test_grid_matches_per_point_bruteforce(p):
             assert grid.value(a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
             if a and b and c:
                 params = SelbergParams(a, b, c, p)
-                s1, s2 = grid.moments(a, b, c, cycle)
+                s1, s2 = grid_moments(grid, a, b, c, cycle)
                 assert (s1, s2) == (moment_integral(params, cycle, "S1"),
                                     moment_integral(params, cycle, "S2")), (a, b, c, cycle)
 
@@ -386,7 +387,7 @@ def test_grid_window_reads_in_any_order(monkeypatch, order):
             assert grid.value(a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
             if a and b and c:
                 params = SelbergParams(a, b, c, p)
-                assert grid.moments(a, b, c, cycle) == (moment_integral(params, cycle, "S1"),
+                assert grid_moments(grid, a, b, c, cycle) == (moment_integral(params, cycle, "S1"),
                                                         moment_integral(params, cycle, "S2"))
             starts.add(grid.start)
     assert len(starts) > 1
@@ -410,6 +411,40 @@ def test_grid_window_is_built_once_per_ascending_pass(monkeypatch):
     assert builds == [1, 2, 3, 4, 0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windowed"])
+def test_grid_slab_matches_values_and_moments(monkeypatch, windowed, order):
+    # Each slab holds, at every (b, c) and cycle, what a per-cell read gives
+    # and S1 as the reference product with (x1 + x2); it moves the window as a
+    # per-cell read of its a would, and it is a copy that later window
+    # rebuilds leave as it was.
+    p = 5
+    if windowed:
+        _window_of_3(monkeypatch, p, GRID_CYCLES)
+    else:
+        monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    grid, twin = selberg_grid(p, GRID_CYCLES), selberg_grid(p, GRID_CYCLES)
+    assert grid.width == (3 if windowed else p)
+    cycles = GRID_CYCLES[::-1]  # an order of their own, not the grid's
+    slabs = {}
+    for a in range(p) if order == "ascending" else reversed(range(p)):
+        values, s1 = slabs[a] = grid.slab(a, cycles)
+        twin.value(a, 0, 0, cycles[0])
+        assert grid.start == twin.start
+        assert values.dtype == s1.dtype == np.int64
+        assert values.shape == s1.shape == (p, p, len(cycles))
+        for b, c in itertools.product(range(p), repeat=2):
+            s1_poly = ref_mul(MOMENT_FACTORS["S1"], ref_phi(2, a, b, c))
+            for i, cycle in enumerate(cycles):
+                assert values[b, c, i] == twin.value(a, b, c, cycle), (a, b, c, cycle)
+                assert s1[b, c, i] == ref_integral(s1_poly, p, cycle), (a, b, c, cycle)
+    for a, (values, s1) in slabs.items():
+        assert values.tolist() == [[[twin.value(a, b, c, cycle) for cycle in cycles] for c in range(p)]
+                                   for b in range(p)], a
+        assert s1.tolist() == [[[grid_moments(twin, a, b, c, cycle)[0] for cycle in cycles] for c in range(p)]
+                               for b in range(p)], a
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_grid_nd_window_reads_absent_coefficients_as_zero(p):
     # a, b in [0, 2p): for a >= p the read index T - a is negative.
@@ -418,7 +453,7 @@ def test_grid_nd_window_reads_absent_coefficients_as_zero(p):
         value = grid.value(a, b, c, (1, 1))
         assert value == selberg_bruteforce(MasterPolySpec(2, a, b, c, p), (1, 1)), (a, b, c)
         if a >= p:
-            assert value == 0 and grid.moments(a, b, c, (1, 1)) == (0, 0)
+            assert value == 0 and grid_moments(grid, a, b, c, (1, 1)) == (0, 0)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -436,7 +471,10 @@ def test_grid_reads_outside_the_box_are_refused():
         with pytest.raises(ValueError):
             grid.value(a, b, c, (1, 1))
     with pytest.raises(ValueError):
-        grid.moments(1, 1, 1, (1, 2))
+        grid_moments(grid, 1, 1, 1, (1, 2))
+    for a, cycles in [(-1, [(1, 1)]), (5, [(1, 1)]), (1, [(1, 1), (1, 2)])]:
+        with pytest.raises(ValueError):
+            grid.slab(a, cycles)
     with pytest.raises(ValueError):
         selberg_grid(5, [(1, 1)], ab_stop=0)
     with pytest.raises(ValueError):
@@ -524,7 +562,7 @@ def test_grid_n3_values_and_moments_match_reference(monkeypatch, windowed):
         s1_poly, s2_poly = ref_mul(s1_factor, phi), ref_mul(s2_factor, phi)
         for cycle in N3_CYCLES:
             assert grid.value(a, b, c, cycle) == ref_integral(phi, p, cycle), (a, b, c, cycle)
-            assert grid.moments(a, b, c, cycle) == (ref_integral(s1_poly, p, cycle),
+            assert grid_moments(grid, a, b, c, cycle) == (ref_integral(s1_poly, p, cycle),
                                                     ref_integral(s2_poly, p, cycle)), (a, b, c, cycle)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -22,7 +23,7 @@ from fpselberg.selberg2d_closed import (
 from fpselberg.sweep import ALL_SUITES, SWEEP_CSV_HEADER, SweepConfig, render_sweep, sweep_rows
 from fpselberg.verify import render_report, run_verification
 
-from reference_impl import prime_at_or_above
+from reference_impl import REF_SUITES, prime_at_or_above
 
 
 def test_config_validation():
@@ -183,17 +184,56 @@ def test_nd_window_at_p127_is_not_refused(monkeypatch):
         selberg_core._guard_grid(139, [(1, 1)], 2 * 139)
 
 
+# Mutations the pinned reports below are made under.  C12_ii_sign flips the
+# sign of that branch's formula; value_cell and s1_cell add 1 mod p to one
+# value and one S1 cell of the shared p = 7 grid, (a, b, c, cycle) below,
+# whenever a window holding it is built.
+MUTATIONS = ("C12_ii_sign", "value_cell", "s1_cell")
+_MUTATED_CELLS = {"value_cell": (2, 3, 2, (1, 2)), "s1_cell": (4, 2, 5, (2, 2))}
+# sha256 of the JSON report of `verify --primes 5,7,11` without its seconds
+# under each mutation, whole-box or in windows of 3 a values at p = 11.
+MUTATED_REPORT_SHA256 = {
+    "C12_ii_sign": "d23716d220fc36b3d1f41180326fd516ed57a060a70cf2ef47ab50d43dda0d3b",
+    "value_cell": "a4fcd522c13df351557564408fe3ffa82e6c70d179cb822eac49a0f69f4704a2",
+    "s1_cell": "26e0ec970ecd627dd1723186b571e49e74a72848c101350d40b1d233d31a6313",
+}
+
+
+def _mutate(monkeypatch, mutation: str):
+    if mutation == "C12_ii_sign":
+        real = selberg2d_closed._formula
+
+        def flipped(branch, params):
+            sign, top, bottom = real(branch, params)
+            return (-sign if branch == Branch.C12_ii else sign), top, bottom
+
+        monkeypatch.setattr(selberg2d_closed, "_formula", flipped)
+        return
+    a, b, c, cycle = _MUTATED_CELLS[mutation]
+    build = selberg_core.SelbergGrid._build
+
+    def shifted(self, start):
+        build(self, start)
+        if self.p == 7 and cycle in self._index and start <= a < start + self.width:
+            cells = self._values if mutation == "value_cell" else self._s1
+            slot = (a - start, b, c, self._index[cycle])
+            cells[slot] = (cells[slot] + 1) % 7
+
+    monkeypatch.setattr(selberg_core.SelbergGrid, "_build", shifted)
+
+
+def _set_cap(monkeypatch, cap):
+    if cap is None:
+        monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    else:
+        monkeypatch.setenv("FPSELBERG_MAX_TERMS", cap)
+
+
 def test_windowed_verify_keeps_counterexample_order(monkeypatch):
     # A wrong C12_ii sign gives the same failing report, counterexamples in
     # the same order, whether p = 11 is read as a whole box or in windows of
     # 3 a values (12,000 cells).
-    real = selberg2d_closed._formula
-
-    def flipped(branch, params):
-        sign, top, bottom = real(branch, params)
-        return (-sign if branch == Branch.C12_ii else sign), top, bottom
-
-    monkeypatch.setattr(selberg2d_closed, "_formula", flipped)
+    _mutate(monkeypatch, "C12_ii_sign")
     config = SweepConfig(primes=(5, 7, 11))
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     whole = run_verification(config)
@@ -202,6 +242,40 @@ def test_windowed_verify_keeps_counterexample_order(monkeypatch):
     windowed = run_verification(config)
     assert whole.failed_total > 0
     assert _without_seconds(windowed) == _without_seconds(whole)
+
+
+@pytest.mark.parametrize("cap", [None, "12000"], ids=["whole", "windowed"])
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutated_verify_reports_are_pinned(monkeypatch, tmp_path, mutation, cap):
+    _set_cap(monkeypatch, cap)
+    _mutate(monkeypatch, mutation)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--primes", "5,7,11", "--format", "json", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    for suite in payload["suites"]:
+        del suite["seconds"]
+    text = json.dumps(payload, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == MUTATED_REPORT_SHA256[mutation]
+
+
+@pytest.mark.parametrize("cap", [None, "12000"], ids=["whole", "windowed"])
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_grid_suites_match_per_point_reference(monkeypatch, mutation, cap):
+    # The suites that read a slab of a at a time give the counts, notes and
+    # counterexamples, in order, of per-point loops over the same grids.
+    _set_cap(monkeypatch, cap)
+    if mutation:
+        _mutate(monkeypatch, mutation)
+    config = SweepConfig(primes=(5, 7, 11), integer_mode=True)
+    failed = 0
+    for name, reference in REF_SUITES.items():
+        got = verify._SUITE_RUNNERS[name](config, verify._GridCache(config))
+        want = reference(config, verify._GridCache(config))
+        assert (got.checked, got.passed, got.failed, got.skipped, got.notes) == \
+               (want.checked, want.passed, want.failed, want.skipped, want.notes), name
+        assert got.counterexamples == want.counterexamples, name
+        failed += got.failed
+    assert (failed > 0) == (mutation is not None)
 
 
 def _record_suite_runs(monkeypatch) -> list:
@@ -308,8 +382,8 @@ def test_relations_recurrences_and_skew_symmetry_at_large_primes():
         for stratum, params in _large_prime_points(random.Random(0x1A46E), 6):
             a, b, c, p = params
 
-            def direct(a, b, c, cycle):
-                return selberg_direct_2d(SelbergParams(a, b, c, p), *cycle)
+            def direct(a, b, cycle):  # 0 outside the window, where no recurrence reads it
+                return selberg_direct_2d(SelbergParams(a, b, c, p), *cycle) if 0 < a < p and 0 < b < p else 0
 
             report = relations_from_values(params, lambda cycle: selberg_direct_2d(params, *cycle))
             assert report.relation_holds if report.condition_set else report.uniqueness_holds, params
@@ -319,9 +393,14 @@ def test_relations_recurrences_and_skew_symmetry_at_large_primes():
                 assert skew_symmetry_check(params) is True, params
             for cycle in verify._RECURRENCE_CYCLES:
                 moments = (moment_integral(params, cycle, kind) for kind in ("S1", "S2"))
-                for eq, lhs, rhs in verify._recurrences(p, a, b, c, cycle, direct, *moments):
-                    assert lhs == rhs, (eq, params, cycle)
-                    seen.add(eq)
+                shifted = (direct(a + 1, b, cycle), direct(a, b + 1, cycle), direct(a - 1, b, cycle),
+                           direct(a, b - 1, cycle))
+                checks = verify._recurrences(p, a, b, c, direct(a, b, cycle), *moments, *shifted,
+                                             lambda d: pow(d, -1, p) if d else 0)
+                for eq, applies, lhs, rhs in checks:
+                    if applies:
+                        assert lhs == rhs, (eq, params, cycle)
+                        seen.add(eq)
     finally:
         get_context.cache_clear()  # each prime's tables are freed with the test
     assert seen == {"Ao1", "Ao2", "Ao3", "Ao4", "Ar1", "Ar2"}
