@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import os
 import sys
 from typing import Iterable
@@ -124,16 +125,36 @@ def _point_params(args) -> tuple:
     return params, l1, l2
 
 
+# The most chunks (sweep rows) joined into one write.
+_BLOCK_CHUNKS = 1024
+
+
+def _write_blocks(chunks: Iterable[str], write):
+    """Call ``write`` once per block of up to ``_BLOCK_CHUNKS`` chunks, joined, as they come."""
+    chunks = iter(chunks)  # islice over a tuple would start again at its first chunk every time
+    while block := list(itertools.islice(chunks, _BLOCK_CHUNKS)):
+        write("".join(block))
+
+
 def _write_output(chunks: Iterable[str], out_path: str | None):
-    """Write text chunks to ``out_path``, or to stdout, as they come."""
+    """Write text chunks to ``out_path``, or to stdout, a block at a time.
+
+    A reader that closes stdout early (``fpselberg sweep | head``) ends the
+    output quietly: stdout is pointed at the null device, so the flush at exit
+    does not fail again, and the command keeps its own exit code.
+    """
     if out_path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        try:
+            _write_blocks(chunks, sys.stdout.write)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            _write_blocks(chunks, fh.write)
     except OSError as exc:
         raise ValueError(f"cannot write {out_path}: {exc}") from None
 
@@ -264,6 +285,9 @@ def main(argv: list | None = None) -> int:
 
 
 def entry_point():
+    # The package asks numpy only for elementwise integer arithmetic, never
+    # BLAS, so it starts OpenBLAS with one thread unless the user chose.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

@@ -4,8 +4,7 @@ A sweep evaluates one route and classifies every 0 < a, b, c < p on every
 cycle 1 <= l1 <= l2 <= bound.  Rows are made serially in lexicographic
 parameter order and rendered as they come, which makes CSV/JSON sweep
 output byte-identical regardless of ``--jobs``.  This module loads only the
-evaluation layers; the verifier reads its configuration and route dispatch
-from here.
+evaluation layers; the verifier reads its configuration from here.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .modp_arith import get_context
-from .selberg_core import SelbergGrid, SelbergParams, _direct, _grid_window, selberg_grid
+from .selberg_core import SelbergParams, _direct, _grid_window, selberg_grid
 from .selberg2d_closed import ALL_METHODS, Branch, _branch, _closed_value, in_condition_sets
 
 __all__ = [
@@ -72,16 +71,6 @@ class SweepConfig(namedtuple("SweepConfig", "primes cycle_bound methods suites i
         return itertools.combinations_with_replacement(range(1, self.cycle_bound + 1), 2)
 
 
-def _route_value(method: str, params: SelbergParams, l1: int, l2: int, branch: Branch,
-                 grid: SelbergGrid | None) -> int:
-    """One route's value on a checked cycle: ``branch`` is its class, ``grid`` the brute-force grid of p."""
-    if method == "bruteforce":
-        return grid.value(params.a, params.b, params.c, (l1, l2))
-    if method == "direct":
-        return _direct(params, l1, l2)
-    return _closed_value(branch, params)
-
-
 def _check_sweep(method: str, p: int, config: SweepConfig):
     """Raise ResourceLimitError if some row of ``method`` at p would hit a resource guard.
 
@@ -99,16 +88,31 @@ def _check_sweep(method: str, p: int, config: SweepConfig):
 _BRANCH_NAMES = {branch: branch.value for branch in Branch}
 
 
+# The value column of each method, from a row's point, cycle, branch and brute-force grid cell.
+_ROUTES = {
+    "bruteforce": lambda params, l1, l2, branch, cell: cell,
+    "direct": lambda params, l1, l2, branch, cell: _direct(params, l1, l2),
+    "closed": lambda params, l1, l2, branch, cell: _closed_value(branch, params),
+}
+_NO_CELLS = itertools.repeat(None)  # the cell column of a closed or direct sweep
+
+
 def _sweep_rows(config: SweepConfig, method: str) -> Iterator[tuple]:
+    route = _ROUTES[method]
+    # Only brute force lists the cycles: its grid guard has bounded their count.
+    cycles = tuple(config.cycles()) if method == "bruteforce" else None
     for p in config.primes:
-        grid = selberg_grid(p, config.cycles()) if method == "bruteforce" else None
-        for a, b, c in itertools.product(range(1, p), repeat=3):
-            params = SelbergParams(a, b, c, p)
-            r1, r2, r3 = in_condition_sets(params)
-            for l1, l2 in config.cycles():
-                branch = _branch(params, l1, l2)
-                value = _route_value(method, params, l1, l2, branch, grid)
-                yield p, a, b, c, l1, l2, _BRANCH_NAMES[branch], value, r1, r2, r3
+        grid = selberg_grid(p, cycles) if cycles is not None else None
+        for a in range(1, p):
+            slab = grid.slab(a, cycles)[0].tolist() if grid is not None else None  # [b][c][cycle]
+            for b, c in itertools.product(range(1, p), repeat=2):
+                params = SelbergParams(a, b, c, p)
+                r1, r2, r3 = in_condition_sets(params)
+                cells = slab[b][c] if slab is not None else _NO_CELLS
+                for (l1, l2), cell in zip(config.cycles(), cells):
+                    branch = _branch(params, l1, l2)
+                    yield (p, a, b, c, l1, l2, _BRANCH_NAMES[branch], route(params, l1, l2, branch, cell),
+                           r1, r2, r3)
 
 
 def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
@@ -117,10 +121,10 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
     Every resource guard a row could hit is checked for every prime when
     this is called, before the first row is made, so a sweep that would be
     refused is refused before anything is written.  The value column uses
-    the first configured method; brute force builds each
-    prime's grid just before that prime's rows, one window of a values at a
-    time where the whole box is over the cap.  Rows are made serially;
-    ``config.parallelism`` is not used.  Each row is a tuple in
+    the first configured method; brute force builds each prime's grid just
+    before that prime's rows, one window of a values at a time where the
+    whole box is over the cap, and reads it one slab per a.  Rows are made
+    serially; ``config.parallelism`` is not used.  Each row is a tuple in
     ``SWEEP_CSV_HEADER`` column order, with the branch as its name and the
     R1-R3 memberships as bools; its branch is classified once, its cycle not
     re-checked.

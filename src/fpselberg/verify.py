@@ -1,10 +1,9 @@
 """Exhaustive verification suites and report rendering.
 
 Every suite checks an exact identity over a finite grid, so the only
-tolerance anywhere is equality.  The run configuration, ``SweepConfig``, and
-the one route dispatch that the suites and sweep rows share live in
-``sweep``; this module adds the suites, the brute-force grids and the
-classification they share, and the report.
+tolerance anywhere is equality.  The run configuration, ``SweepConfig``,
+lives in ``sweep``; this module adds the suites, the brute-force grids and
+the classification they share, and the report.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .morris_ct import (
 from .selberg_core import (
     SelbergGrid,
     SelbergParams,
+    _direct,
     _grid_window,
     _guard_grid,
     beta_closed,
@@ -47,7 +47,7 @@ from .selberg2d_closed import (
     relations_from_values,
     skew_symmetry_check,
 )
-from .sweep import SweepConfig, _route_value
+from .sweep import SweepConfig
 # benchmarks/inproc.py reads the list and string wrappers of a sweep as verify attributes.
 from .sweep import render_sweep, sweep_rows  # noqa: F401
 
@@ -205,8 +205,8 @@ def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 params = SelbergParams(a, b, c, p)
                 for (l1, l2), code, expected in zip(cycles, branches[b - 1][c - 1], values[b][c]):
                     branch = _BRANCHES[code]
-                    for method in ("direct", "closed"):
-                        got = _route_value(method, params, l1, l2, branch, grid)
+                    routes = ("direct", _direct(params, l1, l2)), ("closed", _closed_value(branch, params))
+                    for method, got in routes:
                         if got != expected:
                             failures.append(_ce(p, a, b, c, l1, l2, str(branch), expected, got, method=method))
             result.tally(2 * (p - 1) ** 2 * len(cycles), failures)

@@ -14,10 +14,9 @@ import itertools
 from math import comb
 
 from fpselberg.golden import GOLDEN_2D
-from fpselberg.selberg_core import SelbergParams, selberg_bruteforce
+from fpselberg.selberg_core import SelbergParams, _direct, selberg_bruteforce
 from fpselberg.selberg2d_closed import (_branch, _closed_value, eval_closed, relations_from_values,
                                         skew_symmetry_check)
-from fpselberg.sweep import _route_value
 from fpselberg.verify import _INTEGER_ZERO_BRANCHES, _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -156,6 +155,11 @@ def grid_moments(grid, a: int, b: int, c: int, cycle) -> tuple:
     return s1, (len(cycle) * int(values[b, c, 0]) - s1) % grid.p
 
 
+def _route_value(method: str, params, l1: int, l2: int, branch) -> int:
+    """The direct or closed route's value on a checked cycle, dispatched per point."""
+    return _direct(params, l1, l2) if method == "direct" else _closed_value(branch, params)
+
+
 def ref_suite_oracle_equiv(config, grids) -> SuiteResult:
     result = SuiteResult("oracle_equiv")
     for p in config.primes:
@@ -166,7 +170,7 @@ def ref_suite_oracle_equiv(config, grids) -> SuiteResult:
                 branch = _branch(params, l1, l2)
                 expected = grid.value(a, b, c, (l1, l2))
                 for method in ("direct", "closed"):
-                    got = _route_value(method, params, l1, l2, branch, grid)
+                    got = _route_value(method, params, l1, l2, branch)
                     result.record(got == expected, lambda: _ce(
                         p, a, b, c, l1, l2, str(branch), expected, got, method=method))
     return result

@@ -204,6 +204,35 @@ assert loaded == ["numpy"], loaded
     assert proc.stdout.count('"kind": "sweep"') == 2
 
 
+# Runs cli.entry_point with a main that prints the OpenBLAS thread setting it sees.
+_SHOW_BLAS_THREADS = """
+import os
+from fpselberg import cli
+cli.main = lambda: print(os.environ.get("OPENBLAS_NUM_THREADS")) or 0
+cli.entry_point()
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_entry_point_starts_one_blas_thread_unless_set(preset, seen):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", _SHOW_BLAS_THREADS], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen}\n", "")
+
+
+def test_main_leaves_the_environment_alone(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["sweep", "--primes", "3", "--method", "bruteforce"]) == 0
+    assert dict(os.environ) == before
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle_equiv", "--primes", "3,5")
     assert code == 0

@@ -20,6 +20,8 @@ import pytest
 from fpselberg.cli import main
 from fpselberg.selberg_core import SelbergGrid
 
+from test_sweep_stream import SMALLEST_P5_WINDOW
+
 VERIFY_COUNTS = {  # suite: (checked, skipped, failed)
     "oracle_equiv": (60320, 0, 0),
     "recurrences": (63712, 0, 0),
@@ -49,6 +51,10 @@ VERIFY_P23_COUNTS = {
 VERIFY_BUILDS = [(p, p, 12, 0) for p in (3, 5, 7, 11, 13)] + [
     (p, 2 * p, 1, 0) for p in (3, 3, 5, 5, 7, 7, 11, 11, 13)]
 VERIFY_P23_BUILDS = [(23, 23, 12, 0), (23, 23, 12, 4)] * 4 + [(23, 46, 1, 0)]
+# A brute-force sweep builds each prime's grid on its 10 cycles once when the
+# whole box fits; at the smallest p = 5 window, 3 a values wide, it moves it twice.
+SWEEP_BUILDS = [(p, p, 10, 0) for p in (3, 5, 7, 11, 13)]
+SWEEP_P5_WINDOW_BUILDS = [(3, 3, 10, 0), (5, 5, 10, 0), (5, 5, 10, 1), (5, 5, 10, 2)]
 SWEEP_CSV_SHA256 = "abeb7230281bbb0a9433242eca0d3564bd2248a49760734870dda0548a7dd470"
 SWEEP_JSON_SHA256 = "9a0560aeeccf6597471e167696fa934910941d1cd62f9e5eef030063fce2288a"
 
@@ -108,6 +114,23 @@ def test_default_sweep_bytes(tmp_path, fmt, method, digest):
     out = tmp_path / f"sweep.{fmt}"
     assert main(["sweep", "--format", fmt, "--method", method, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_terms, primes, expected", [
+    (None, [], SWEEP_BUILDS),
+    (SMALLEST_P5_WINDOW, ["--primes", "3,5"], SWEEP_P5_WINDOW_BUILDS),
+], ids=["default", "p5-window"])
+def test_bruteforce_sweep_windows(tmp_path, monkeypatch, max_terms, primes, expected):
+    if max_terms is None:
+        monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    else:
+        monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(max_terms))
+    out = {method: tmp_path / f"{method}.csv" for method in ("bruteforce", "closed")}
+    builds = _record_builds(monkeypatch)
+    for method, path in out.items():
+        assert main(["sweep", *primes, "--format", "csv", "--method", method, "--out", str(path)]) == 0
+    assert builds == expected
+    assert out["bruteforce"].read_bytes() == out["closed"].read_bytes()
 
 
 def test_benchmark_eval_pins_seed_0():

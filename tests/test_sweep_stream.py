@@ -1,8 +1,10 @@
 """Streamed sweeps: the same bytes as whole-list rendering, nothing written on a
 refusal, and memory that does not grow with the number of rows or points."""
 
+import io
 import itertools
 import json
+import math
 import os
 import re
 import resource
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fpselberg import modp_arith
+from fpselberg import cli, modp_arith
 from fpselberg.cli import main
 from fpselberg.selberg2d_closed import ALL_METHODS, Branch
 from fpselberg.sweep import SweepConfig, iter_render_sweep, iter_sweep_rows, render_sweep, sweep_rows
@@ -49,6 +51,64 @@ def test_streamed_renderers_match_whole_list_references(tmp_path, capsys, method
         assert out.read_text(encoding="utf-8") == expected, fmt
         assert main(argv) == 0
         assert capsys.readouterr().out == expected, fmt
+
+
+class _CountingWriter(io.StringIO):
+    """A text sink that keeps each write and fails past ``limit`` writes, so a
+    writer that loops over its input again fails instead of filling the disk."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.writes, self.limit = [], limit
+
+    def write(self, text):
+        self.writes.append(text)
+        assert len(self.writes) <= self.limit, "too many writes"
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt, method", [("csv", "bruteforce"), ("json", "closed")])
+def test_sweep_writes_blocks_of_rows(monkeypatch, fmt, method):
+    rows = sweep_rows(SweepConfig(cycle_bound=4, methods=(method,), suites=()))
+    most = math.ceil(len(rows) / 1024) + 2
+    stdout = _CountingWriter(most)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["sweep", "--format", fmt, "--method", method]) == 0
+    assert len(rows) == 30160 and len(stdout.writes) <= most
+    assert "".join(stdout.writes) == render_sweep(rows, fmt)
+
+
+def test_verify_writes_its_report_once(monkeypatch, tmp_path):
+    # verify hands the writer a one-chunk tuple, which must not be read again.
+    argv = ["verify", "--primes", "3", "--suite", "stokes"]
+    stdout = _CountingWriter(1)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    out = _CountingWriter(1)
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: out, raising=False)
+    assert main(argv + ["--out", str(tmp_path / "report.txt")]) == 0
+    assert out.writes == stdout.writes and out.writes[0].endswith(" failed=0\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_sweep_into_a_closed_pipe_exits_quietly(unbuffered):
+    # `fpselberg sweep | head -n 2`: the reader goes away after two lines.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "fpselberg.cli", "sweep", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT)
+    try:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head == [f"{SWEEP_CSV_HEADER}\n".encode(), b"3,1,1,1,1,1,C11_i,1,false,false,false\n"]
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_json_renderer_on_no_rows():
