@@ -8,6 +8,7 @@ the coefficient cells of any one expansion or grid window.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import itertools
 import os
@@ -17,7 +18,7 @@ from typing import Iterable
 from .errors import DomainError, ResourceLimitError
 from .modp_arith import get_context
 from .selberg_core import SelbergParams, _direct, _max_cells, selberg_bruteforce
-from .selberg2d_closed import ALL_METHODS, _closed_value, _describe, classify, describe
+from .selberg2d_closed import ALL_METHODS, _closed_value, classify, describe
 
 # sweep, verify and morris_ct are imported by the commands that use them, so
 # each command loads only the modules it runs.
@@ -139,24 +140,25 @@ def _write_blocks(chunks: Iterable[str], write):
 def _write_output(chunks: Iterable[str], out_path: str | None):
     """Write text chunks to ``out_path``, or to stdout, a block at a time.
 
-    A reader that closes stdout early (``fpselberg sweep | head``) ends the
-    output quietly: stdout is pointed at the null device, so the flush at exit
-    does not fail again, and the command keeps its own exit code.
+    Both destinations follow one policy.  A reader that closes the destination
+    early (``fpselberg sweep | head``, or an ``--out`` that names a pipe) ends
+    the output quietly, and the command keeps its own exit code.  Any other
+    OSError is a usage error, ``cannot write <stdout|path>: ...``.  After an
+    error on stdout, stdout is pointed at the null device, so the flush at
+    exit drops what it still holds instead of failing again.
     """
-    if out_path is None:
-        try:
-            _write_blocks(chunks, sys.stdout.write)
-            sys.stdout.flush()
-        except BrokenPipeError:
+    to_stdout = out_path is None
+    try:
+        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w", encoding="utf-8") as fh:
+            _write_blocks(chunks, fh.write)
+            fh.flush()
+    except OSError as exc:
+        if to_stdout:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        return
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _write_blocks(chunks, fh.write)
-    except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc}") from None
+        if not isinstance(exc, BrokenPipeError):
+            raise ValueError(f"cannot write {'stdout' if to_stdout else out_path}: {exc}") from None
 
 
 def _check_out(out_path: str | None):
@@ -191,7 +193,7 @@ def _cmd_eval(args) -> int:
     print(f"value = {value}")
     print(f"branch = {branch}")
     if args.verbose:
-        print(_describe(params, l1, l2))
+        print(describe(params, l1, l2))
     return 0
 
 
@@ -217,8 +219,7 @@ def _parse_suites(raw: list, known: tuple) -> tuple:
 
 def _grid_options(args) -> dict:
     """The SweepConfig fields that verify and sweep share."""
-    return {"primes": _int_list(args.primes, "--primes"), "cycle_bound": args.cycle_bound,
-            "parallelism": args.jobs}
+    return {"primes": _int_list(args.primes, "--primes"), "cycle_bound": args.cycle_bound}
 
 
 def _cmd_verify(args) -> int:

@@ -173,15 +173,7 @@ def _dense_product(num_vars: int, factors: list, p: int | None, cut: int | None 
     else:
         # reduced accumulator plus one product must stay exact in int64
         dtype = np.int64 if (p - 1) ** 2 + p < _INT64_SAFE else object
-    first, *rest = factors or [[((0,) * num_vars, 1)]]  # placed by one indexed add, not multiplied into 1
-    exps = np.array([e for e, _ in first], dtype=np.int64).reshape(-1, num_vars)
-    coeffs = np.array([c if p is None else c % p for _, c in first], dtype=dtype)
-    bound = exps.max(initial=0) if cut is None else cut
-    keep = (exps <= bound).all(axis=1)
-    arr = np.zeros(tuple(np.minimum(exps.max(axis=0, initial=0), bound) + 1), dtype=dtype)
-    np.add.at(arr, tuple(exps[keep].T), coeffs[keep])  # repeated exponents add up
-    if p is not None:
-        arr %= p
-    for factor in rest:
+    arr = np.ones((1,) * num_vars, dtype=dtype)
+    for factor in factors:
         arr = _dense_mul(arr, factor, p, cut)
     return arr

@@ -250,12 +250,7 @@ def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
 
 def describe(params: SelbergParams, l1: int, l2: int) -> str:
     """Classification explanation with the instantiated formula arguments."""
-    return _describe(params, *check_cycle((l1, l2)))
-
-
-def _describe(params: SelbergParams, l1: int, l2: int) -> str:
-    """``describe`` on a checked cycle."""
-    branch = _branch(params, l1, l2)
+    branch = classify(params, l1, l2)
     cycle_class = _CYCLE_CLASSES.get((min(l1, l2), max(l1, l2)), "OTHER")
     a, b, c, p = params.a, params.b, params.c, params.p
     lines = [

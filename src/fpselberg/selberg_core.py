@@ -141,8 +141,8 @@ class SelbergGrid:
 
     Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
     the cycles it was built for, all of one arity n, holding the ``width`` a
-    values from ``start`` on.  A read outside them rebuilds that window from
-    a - 2 if above, a - 1 if below, so an ascending pass that also reads a +- 1
+    values from ``start`` on.  A read of an a outside them rebuilds the window
+    from a - 2, clamped to the box, so an ascending pass that also reads a +- 1
     builds each window once.  ``value`` returns one residue as a Python int,
     as ``selberg_bruteforce`` gives it; ``slab`` copies out every (b, c) of
     one a at once.
@@ -197,8 +197,7 @@ class SelbergGrid:
     def _row(self, a: int) -> int:
         """The window row of a, 0 <= a < ab_stop, moving the window to hold it."""
         if not self.start <= a < self.start + self.width:
-            start = a - 2 if a >= self.start + self.width else a - 1
-            self._build(max(0, min(start, self.ab_stop - self.width)))
+            self._build(max(0, min(a - 2, self.ab_stop - self.width)))
         return a - self.start
 
     def _cycle(self, cycle) -> int:

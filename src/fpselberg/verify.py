@@ -14,7 +14,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import ResourceLimitError
 from .fp_poly import MultiPoly, fp_integral, partial_derivative
@@ -74,37 +74,32 @@ _INTEGER_ZERO_BRANCHES = {
 
 @dataclass
 class SuiteResult:
+    """One suite's outcome: a failed check is one counterexample, every other check passed."""
+
     name: str
     checked: int = 0
-    passed: int = 0
-    failed: int = 0
     skipped: int = 0
     counterexamples: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     seconds: float = 0.0
 
-    def record(self, ok: bool, counterexample: Callable[[], dict] | None = None):
-        """Count one check; ``counterexample`` builds its failure record, only when it fails."""
-        self.checked += 1
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if counterexample is not None:
-                self.counterexamples.append(counterexample())
+    @property
+    def failed(self) -> int:
+        return len(self.counterexamples)
 
-    def tally(self, checked: int, counterexamples: list):
-        """Count ``checked`` checks at once, one failed for each of ``counterexamples``."""
+    @property
+    def passed(self) -> int:
+        return self.checked - self.failed
+
+    def tally(self, checked: int, counterexamples: Iterable[dict] = ()):
+        """Count ``checked`` checks, one failed for each of ``counterexamples``."""
         self.checked += checked
-        self.passed += checked - len(counterexamples)
-        self.failed += len(counterexamples)
         self.counterexamples += counterexamples
 
 
 @dataclass
 class VerificationReport:
     suites: list
-    config: SweepConfig
 
     @property
     def failed_total(self) -> int:
@@ -144,13 +139,13 @@ _BRANCH_CODES = {branch: code for code, branch in enumerate(_BRANCHES)}
 
 
 class _GridCache(dict):
-    """Brute-force grids and classifications of one verification run, made on first use.
+    """The shared brute-force grids and classifications of one verification run, made on first use.
 
     ``self[p]`` is the grid of p that every suite shares, holding each cycle a
-    suite reads brute force on; nd's windows are keyed by their ``selberg_grid``
-    arguments.  Creating the cache raises ResourceLimitError, before any suite
-    runs, if a grid a selected suite reads is over the cap at some prime; the
-    shared cycles are counted for that, not listed.
+    suite reads brute force on.  Creating the cache raises ResourceLimitError,
+    before any suite runs, if a grid a selected suite reads is over the cap at
+    some prime, nd's own windows included; the shared cycles are counted for
+    that, not listed.
     """
 
     def __init__(self, config: SweepConfig):
@@ -172,8 +167,8 @@ class _GridCache(dict):
     def cycles(self) -> tuple:
         return (*self._config.cycles(), *self._extra)
 
-    def __missing__(self, key) -> SelbergGrid:
-        grid = self[key] = selberg_grid(*key) if isinstance(key, tuple) else selberg_grid(key, self.cycles)
+    def __missing__(self, p: int) -> SelbergGrid:
+        grid = self[p] = selberg_grid(p, self.cycles)
         return grid
 
     def branches(self, p: int):
@@ -269,19 +264,19 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 params = SelbergParams(a, b, c, p)
                 report = relations_from_values(params, dict(zip(RELATION_CYCLES, values[b][c])).__getitem__)
                 if report.condition_set is None:
-                    result.record(bool(report.uniqueness_holds),
-                                  lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
+                    result.tally(1, [] if report.uniqueness_holds else [
+                        _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0)])
                     continue
-                result.record(bool(report.relation_holds),
-                              lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
+                result.tally(1, [] if report.relation_holds else [
+                    _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0)])
                 head = next(iter(report.values))
                 closed_head = _closed_value(_branch(params, *head), params)
-                result.record(closed_head == report.values[head], lambda: _ce(
+                result.tally(1, [] if closed_head == report.values[head] else [_ce(
                     p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
-                    report.values[head], closed_head))
+                    report.values[head], closed_head)])
                 if report.condition_set == "R3":
-                    ok = skew_symmetry_check(params)
-                    result.record(ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
+                    result.tally(1, [] if skew_symmetry_check(params) else [
+                        _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0)])
     for entry in GOLDEN_2D:
         if entry.p not in config.primes:
             continue
@@ -289,12 +284,12 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         point = (entry.p, entry.a, entry.b, entry.c, entry.l1, entry.l2)
         brute = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2))
         closed = eval_closed(params, entry.l1, entry.l2)
-        result.record(brute == entry.value and closed == entry.value,
-                      lambda: _ce(*point, "golden", entry.value, brute))
+        result.tally(1, [] if brute == entry.value and closed == entry.value else [
+            _ce(*point, "golden", entry.value, brute)])
         if entry.integer_value is not None:
             exact = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2), exact=True)
-            result.record(exact == entry.integer_value,
-                          lambda: _ce(*point, "golden integer", entry.integer_value, exact))
+            result.tally(1, [] if exact == entry.integer_value else [
+                _ce(*point, "golden integer", entry.integer_value, exact)])
         if entry.paper_discrepancy:
             result.notes.append(
                 f"golden ({entry.p};{entry.a},{entry.b},{entry.c};{entry.l1},{entry.l2}):"
@@ -319,14 +314,14 @@ def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             # are, after the passing ones are counted.
             points = np.argwhere(zero if config.integer_mode else zero & (values != 0)).tolist()
             if not config.integer_mode:
-                result.tally(int(zero.sum()) - len(points), [])
+                result.tally(int(zero.sum()) - len(points))
             for j, k, i in points:
                 b, c, branch, value = j + 1, k + 1, _BRANCHES[codes[a - 1, j, k, i]], int(values[j, k, i])
-                result.record(value == 0, lambda: _ce(p, a, b, c, *cycles[i], str(branch), 0, value))
+                result.tally(1, [] if value == 0 else [_ce(p, a, b, c, *cycles[i], str(branch), 0, value)])
                 if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
                     exact = selberg_bruteforce(SelbergParams(a, b, c, p).spec(2), cycles[i], exact=True)
-                    result.record(exact == 0,
-                                  lambda: _ce(p, a, b, c, *cycles[i], f"{branch} (integer)", 0, exact))
+                    result.tally(1, [] if exact == 0 else [
+                        _ce(p, a, b, c, *cycles[i], f"{branch} (integer)", 0, exact)])
     return result
 
 
@@ -338,11 +333,10 @@ def _suite_morris(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             mp = MorrisParams(n, alpha, beta, gamma)
             ct = morris_ct_bruteforce(mp)
             rhs = morris_rhs(mp)
-            result.record(ct == rhs,
-                          lambda: _ce(0, alpha, beta, gamma, n, n, "morris identity", rhs, ct))
+            result.tally(1, [] if ct == rhs else [_ce(0, alpha, beta, gamma, n, n, "morris identity", rhs, ct)])
             sym = morris_lhs_symmetric_form(mp)
-            result.record(sym == ct,
-                          lambda: _ce(0, alpha, beta, gamma, n, n, "morris symmetric form", ct, sym))
+            result.tally(1, [] if sym == ct else [
+                _ce(0, alpha, beta, gamma, n, n, "morris symmetric form", ct, sym)])
     for p in [q for q in config.primes if q <= _BRIDGE_MAX_P]:
         grid = grids[p]
         for a, b, c in _triples(p):
@@ -350,10 +344,9 @@ def _suite_morris(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             for l in _BRIDGE_LEVELS:
                 if a + b + c < l * p - 1 or a + c > l * p - 1:
                     continue
-                via = selberg_via_morris(params, l)
+                via = selberg_via_morris(params, l) % p
                 brute = grid.value(a, b, c, (l, l))
-                result.record(via % p == brute,
-                              lambda: _ce(p, a, b, c, l, l, "morris bridge", brute, via % p))
+                result.tally(1, [] if via == brute else [_ce(p, a, b, c, l, l, "morris bridge", brute, via)])
     return result
 
 
@@ -372,8 +365,8 @@ def _suite_stokes(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         cycle = tuple(rng.randint(1, 3) for _ in range(k))
         for i in range(1, k + 1):
             value = fp_integral(partial_derivative(poly, i), cycle)
-            result.record(value == 0,
-                          lambda: _ce(p, 0, 0, 0, cycle[0], cycle[-1], f"stokes d/dx{i}", 0, value))
+            result.tally(1, [] if value == 0 else [
+                _ce(p, 0, 0, 0, cycle[0], cycle[-1], f"stokes d/dx{i}", 0, value)])
     return result
 
 
@@ -389,10 +382,10 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                     continue
                 got = selberg_nd_closed(ctx, 1, a, b, 0)
                 want = beta_closed(ctx, a, b)
-                result.record(got == want, lambda: _ce(p, a, b, 0, 1, 1, "nd n=1", want, got))
+                result.tally(1, [] if got == want else [_ce(p, a, b, 0, 1, 1, "nd n=1", want, got)])
         # n = 2, 3: matches its window's brute force; n = 2 also the C11_i closed form.
         for request in _nd_windows(p):
-            window, (cycle,) = grids[request], request[1]
+            window, (cycle,) = selberg_grid(*request), request[1]
             n = len(cycle)
             for a in range(2 * p):
                 for b in range(2 * p):
@@ -401,14 +394,13 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                             continue
                         got = selberg_nd_closed(ctx, n, a, b, c)
                         brute = window.value(a, b, c, cycle)
-                        result.record(got == brute,
-                                      lambda: _ce(p, a, b, c, 1, 1, f"nd n={n}", brute, got))
+                        result.tally(1, [] if got == brute else [_ce(p, a, b, c, 1, 1, f"nd n={n}", brute, got)])
                         if n == 2 and 0 < a < p and 0 < b < p and 0 < c < p:
                             params = SelbergParams(a, b, c, p)
                             if _branch(params, 1, 1) == Branch.C11_i:
                                 closed = _closed_value(Branch.C11_i, params)
-                                result.record(got == closed, lambda: _ce(
-                                    p, a, b, c, 1, 1, "nd n=2 vs C11_i", closed, got))
+                                result.tally(1, [] if got == closed else [
+                                    _ce(p, a, b, c, 1, 1, "nd n=2 vs C11_i", closed, got)])
         if p > _ND3_MAX_P:
             result.skipped += 1
             result.notes.append(f"n=3 comparison skipped at p={p}: checked at p <= {_ND3_MAX_P}")
@@ -429,9 +421,9 @@ _SUITE_RUNNERS = {
 def run_verification(config: SweepConfig) -> VerificationReport:
     """Run the selected suites and collect per-suite outcomes.
 
-    Suites run one after another in this thread; ``config.parallelism`` is
-    not used here.  An error inside a suite other than the resource guard
-    ends only that suite, as one failed check naming the error.
+    Suites run one after another in this thread, sharing each prime's grid;
+    ``nd`` builds its own windows.  An error inside a suite other than the
+    resource guard ends only that suite, as one failed check naming the error.
     """
     grids = _GridCache(config)
     suites = []
@@ -443,10 +435,10 @@ def run_verification(config: SweepConfig) -> VerificationReport:
             raise
         except Exception as exc:
             outcome = SuiteResult(name)
-            outcome.record(False, lambda: {"error": f"{type(exc).__name__}: {exc}"})
+            outcome.tally(1, [{"error": f"{type(exc).__name__}: {exc}"}])
         outcome.seconds = time.perf_counter() - start
         suites.append(outcome)
-    return VerificationReport(suites=suites, config=config)
+    return VerificationReport(suites)
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:

@@ -160,6 +160,11 @@ def _route_value(method: str, params, l1: int, l2: int, branch) -> int:
     return _direct(params, l1, l2) if method == "direct" else _closed_value(branch, params)
 
 
+def _check(result: SuiteResult, ok: bool, counterexample) -> None:
+    """Count one check in ``result``; ``counterexample()`` builds its record when it fails."""
+    result.tally(1, [] if ok else [counterexample()])
+
+
 def ref_suite_oracle_equiv(config, grids) -> SuiteResult:
     result = SuiteResult("oracle_equiv")
     for p in config.primes:
@@ -171,7 +176,7 @@ def ref_suite_oracle_equiv(config, grids) -> SuiteResult:
                 expected = grid.value(a, b, c, (l1, l2))
                 for method in ("direct", "closed"):
                     got = _route_value(method, params, l1, l2, branch)
-                    result.record(got == expected, lambda: _ce(
+                    _check(result, got == expected, lambda: _ce(
                         p, a, b, c, l1, l2, str(branch), expected, got, method=method))
     return result
 
@@ -190,7 +195,7 @@ def ref_suite_recurrences(config, grids) -> SuiteResult:
                                       lambda d: pow(d, -1, p) if d else 0)
                 for eq, applies, lhs, rhs in checks:
                     if applies:
-                        result.record(lhs == rhs, lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, rhs, lhs))
+                        _check(result, lhs == rhs, lambda: _ce(p, a, b, c, cycle[0], cycle[1], eq, rhs, lhs))
     return result
 
 
@@ -202,19 +207,19 @@ def ref_suite_relations(config, grids) -> SuiteResult:
             params = SelbergParams(a, b, c, p)
             report = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
             if report.condition_set is None:
-                result.record(bool(report.uniqueness_holds),
-                              lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
+                _check(result, bool(report.uniqueness_holds),
+                       lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
                 continue
-            result.record(bool(report.relation_holds),
-                          lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
+            _check(result, bool(report.relation_holds),
+                   lambda: _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
             head = next(iter(report.values))
             closed_head = _closed_value(_branch(params, *head), params)
-            result.record(closed_head == report.values[head], lambda: _ce(
+            _check(result, closed_head == report.values[head], lambda: _ce(
                 p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
                 report.values[head], closed_head))
             if report.condition_set == "R3":
                 ok = skew_symmetry_check(params)
-                result.record(ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
+                _check(result, ok, lambda: _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
     for entry in GOLDEN_2D:
         if entry.p not in config.primes:
             continue
@@ -222,12 +227,12 @@ def ref_suite_relations(config, grids) -> SuiteResult:
         point = (entry.p, entry.a, entry.b, entry.c, entry.l1, entry.l2)
         brute = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2))
         closed = eval_closed(params, entry.l1, entry.l2)
-        result.record(brute == entry.value and closed == entry.value,
-                      lambda: _ce(*point, "golden", entry.value, brute))
+        _check(result, brute == entry.value and closed == entry.value,
+               lambda: _ce(*point, "golden", entry.value, brute))
         if entry.integer_value is not None:
             exact = selberg_bruteforce(params.spec(2), (entry.l1, entry.l2), exact=True)
-            result.record(exact == entry.integer_value,
-                          lambda: _ce(*point, "golden integer", entry.integer_value, exact))
+            _check(result, exact == entry.integer_value,
+                   lambda: _ce(*point, "golden integer", entry.integer_value, exact))
         if entry.paper_discrepancy:
             result.notes.append(
                 f"golden ({entry.p};{entry.a},{entry.b},{entry.c};{entry.l1},{entry.l2}):"
@@ -248,11 +253,11 @@ def ref_suite_vanishing(config, grids) -> SuiteResult:
                 if not branch.is_zero:
                     continue
                 value = grid.value(a, b, c, (l1, l2))
-                result.record(value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
+                _check(result, value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
                 if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
                     exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
-                    result.record(exact == 0,
-                                  lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
+                    _check(result, exact == 0,
+                           lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))
     return result
 
 

@@ -111,6 +111,51 @@ def test_sweep_into_a_closed_pipe_exits_quietly(unbuffered):
     assert (proc.returncode, err) == (0, b"")
 
 
+def _cli_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_into_a_closed_pipe_exits_quietly():
+    # `fpselberg sweep --out /dev/stdout | head -n 1`: --out names the pipe,
+    # and a closed pipe ends it as quietly as it ends stdout.
+    argv = [sys.executable, "-m", "fpselberg.cli", "sweep", "--format", "csv", "--out", "/dev/stdout"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(), cwd=ROOT)
+    try:
+        head = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head == f"{SWEEP_CSV_HEADER}\n".encode()
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["sweep", "--primes", "3"], ["verify", "--suite", "stokes", "--primes", "3"]],
+                         ids=["sweep", "verify"])
+def test_unwritable_stdout_is_a_usage_error(argv):
+    # Any write error other than a closed pipe is exit 2 with one line on
+    # stderr, on stdout as on --out; no traceback, no failed flush at exit.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "fpselberg.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_cli_env(), cwd=ROOT, timeout=60)
+    assert proc.returncode == 2
+    assert re.fullmatch(r"error: cannot write stdout: \[Errno \d+\] [^\n]+\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["sweep", "--primes", "3"], ["verify", "--suite", "stokes", "--primes", "3"]],
+                         ids=["sweep", "verify"])
+def test_unwritable_out_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: cannot write /dev/full: \[Errno \d+\] [^\n]+\n", captured.err), captured.err
+
+
 def test_json_renderer_on_no_rows():
     assert render_sweep([], "json") == REFERENCES["json"]([])
 
