@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 # Coefficient cells one brute-force expansion or grid window may allocate: by default
-# degree 499 per variable at n = 2 and 61 at n = 3, verify's shared grid up to p = 53.
+# degree 499 per variable at n = 2 and 61 at n = 3, verify's shared grid up to p = 83.
 # FPSELBERG_MAX_TERMS overrides it.
 DEFAULT_MAX_TERMS = 250_000
 MAX_TERMS_ENV = "FPSELBERG_MAX_TERMS"
@@ -142,10 +142,10 @@ class SelbergGrid:
     Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
     the cycles it was built for, all of one arity n, holding the ``width`` a
     values from ``start`` on.  A read of an a outside them rebuilds the window
-    from a - 2, clamped to the box, so an ascending pass that also reads a +- 1
-    builds each window once.  ``value`` returns one residue as a Python int,
-    as ``selberg_bruteforce`` gives it; ``slab`` copies out every (b, c) of
-    one a at once.
+    as the block of ``width`` a values that holds a, from a - a % width, so a
+    pass in ascending a builds each block once.  ``value`` returns one residue
+    as a Python int, as ``selberg_bruteforce`` gives it; ``slab`` copies out
+    every (b, c) of one a at once.
     """
 
     __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_index", "_values", "_s1")
@@ -197,7 +197,7 @@ class SelbergGrid:
     def _row(self, a: int) -> int:
         """The window row of a, 0 <= a < ab_stop, moving the window to hold it."""
         if not self.start <= a < self.start + self.width:
-            self._build(max(0, min(a - 2, self.ab_stop - self.width)))
+            self._build(a - a % self.width)
         return a - self.start
 
     def _cycle(self, cycle) -> int:
@@ -233,7 +233,7 @@ class SelbergGrid:
 def _grid_window(p: int, n: int, ab_stop: int, count: int, top: int) -> tuple:
     """(deg, width) for ``count`` cycles in n variables, largest entry ``top``: the degree Q
     is cut at, and the a values a window holds, as many as fit up to ab_stop and at
-    least min(3, ab_stop) (a and a +- 1), else ResourceLimitError."""
+    least one, else ResourceLimitError."""
     # Q lives in the leading (deg+1)^n block of an array whose last slice on
     # every axis stays zero; every index outside the block is sent there.
     # Shift-adds only raise exponents, so Q may be cut at the largest target
@@ -243,11 +243,10 @@ def _grid_window(p: int, n: int, ab_stop: int, count: int, top: int) -> tuple:
     a_cells = 2 * ab_stop * p * count  # one a value of the value and moment boxes
     cap = _max_cells()
     width = min(ab_stop, (cap - q_cells) // a_cells)
-    least = min(3, ab_stop)
-    if width < least:
+    if width < 1:
         raise ResourceLimitError(
-            f"grid at p={p} with a, b < {ab_stop} and {count} cycles needs {q_cells + least * a_cells}"
-            f" coefficient cells for a window of {least} a values, cap is {cap}"
+            f"grid at p={p} with a, b < {ab_stop} and {count} cycles needs {q_cells + a_cells}"
+            f" coefficient cells for a window of 1 a value, cap is {cap}"
             f" (raise {MAX_TERMS_ENV} to override)"
         )
     return deg, width

@@ -235,12 +235,12 @@ def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         grid = grids[p]
         inverse = np.array([0, *(pow(d, -1, p) for d in range(1, p))]).__getitem__
         b, c = np.arange(1, p)[:, None, None], np.arange(1, p)[None, :, None]
+        down_a = 0  # the slab of a - 1, kept from the step before; Ar1 reads it from a = 2 on
         for a in range(1, p):
             # values and S1 indexed [b, c, cycle] for 0 <= b, c < p; the checks read b, c >= 1
             values, s1 = grid.slab(a, _RECURRENCE_CYCLES)
             s, s1 = values[1:, 1:], s1[1:, 1:]
             up_a = grid.slab(a + 1, _RECURRENCE_CYCLES)[0][1:, 1:] if a + 1 < p else s
-            down_a = grid.slab(a - 1, _RECURRENCE_CYCLES)[0][1:, 1:] if a >= 2 else s
             up_b = np.roll(values, -1, axis=0)[1:, 1:]  # b = p - 1 reads b = 0, where Ao3 does not apply
             down_b = values[:-1, 1:]
             checks = list(_recurrences(p, a, b, c, s, s1, (2 * s - s1) % p, up_a, up_b, down_a, down_b, inverse))
@@ -250,6 +250,7 @@ def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             result.tally(int(applies.sum()), [
                 _ce(p, a, j + 1, k + 1, *_RECURRENCE_CYCLES[i], checks[e][0], int(rhs[j, k, i, e]),
                     int(lhs[j, k, i, e])) for j, k, i, e in failed])
+            down_a = s
     return result
 
 

@@ -14,7 +14,7 @@ import itertools
 from math import comb
 
 from fpselberg.golden import GOLDEN_2D
-from fpselberg.selberg_core import SelbergParams, _direct, selberg_bruteforce
+from fpselberg.selberg_core import SelbergParams, _direct, selberg_bruteforce, selberg_grid
 from fpselberg.selberg2d_closed import (_branch, _closed_value, eval_closed, relations_from_values,
                                         skew_symmetry_check)
 from fpselberg.verify import _INTEGER_ZERO_BRANCHES, _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
@@ -185,12 +185,14 @@ def ref_suite_recurrences(config, grids) -> SuiteResult:
     result = SuiteResult("recurrences")
     for p in config.primes:
         grid = grids[p]
+        # a + 1 and a - 1 are read from grids of their own: each grid is read in ascending a.
+        up, down = selberg_grid(p, _RECURRENCE_CYCLES), selberg_grid(p, _RECURRENCE_CYCLES)
         for a, b, c in all_triples(p):
             for cycle in _RECURRENCE_CYCLES:
-                def value(a, b):  # 0 outside the box, where no recurrence reads it
-                    return grid.value(a, b, c, cycle) if a < p and b < p else 0
+                def value(a, b, source=grid):  # 0 outside the box, where no recurrence reads it
+                    return source.value(a, b, c, cycle) if a < p and b < p else 0
 
-                shifted = value(a + 1, b), value(a, b + 1), value(a - 1, b), value(a, b - 1)
+                shifted = value(a + 1, b, up), value(a, b + 1), value(a - 1, b, down), value(a, b - 1)
                 checks = _recurrences(p, a, b, c, value(a, b), *grid_moments(grid, a, b, c, cycle), *shifted,
                                       lambda d: pow(d, -1, p) if d else 0)
                 for eq, applies, lhs, rhs in checks:

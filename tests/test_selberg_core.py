@@ -394,9 +394,9 @@ def test_grid_window_reads_in_any_order(monkeypatch, order):
 
 
 def test_grid_window_is_built_once_per_ascending_pass(monkeypatch):
-    # A pass in ascending a that also reads a - 1 and a + 1, as the
-    # recurrences do, moves a window of 3 only at the first read past it:
-    # the windows start at 0, 1, 2, 3, 4.
+    # A pass in ascending a that reads the slabs of a and a + 1, as the
+    # recurrences do, builds each block of 3 a values once, at its first read:
+    # the first pass finds the block from 0 built, the second starts over.
     p = 7
     _window_of_3(monkeypatch, p, [(1, 1)])
     grid = selberg_grid(p, [(1, 1)])
@@ -404,11 +404,11 @@ def test_grid_window_is_built_once_per_ascending_pass(monkeypatch):
     build = SelbergGrid._build
     monkeypatch.setattr(SelbergGrid, "_build", lambda self, start: builds.append(start) or build(self, start))
     for _ in range(2):
-        for a, b, c in all_triples(p):
-            for shifted in (a, a + 1, a - 1):
-                if 0 <= shifted < p:
-                    grid.value(shifted, b, c, (1, 1))
-    assert builds == [1, 2, 3, 4, 0, 1, 2, 3, 4]
+        for a in range(1, p):
+            for shifted in (a, a + 1):
+                if shifted < p:
+                    grid.slab(shifted, [(1, 1)])
+    assert builds == [3, 6, 0, 3, 6]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
@@ -578,11 +578,11 @@ def test_grid_n3_guard_counts_its_cells(monkeypatch):
     # zero margin, and one a value of the two boxes 2 * 14 * 7 cells.
     # Checked without allocating: numpy is out of reach.
     monkeypatch.setitem(sys.modules, "numpy", None)
-    cells = 8**3 + 3 * 2 * 14 * 7
+    cells = 8**3 + 2 * 14 * 7
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells))
-    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 3)
+    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 1)
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells - 1))
-    with pytest.raises(ResourceLimitError, match=f"needs {cells} coefficient cells for a window of 3"):
+    with pytest.raises(ResourceLimitError, match=f"needs {cells} coefficient cells for a window of 1 a value,"):
         selberg_grid(7, [(1, 1, 1)], 14)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS")
     assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 14)

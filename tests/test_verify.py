@@ -156,32 +156,71 @@ def _without_seconds(report) -> dict:
 
 
 def test_grid_over_the_cap_runs_window_by_window(monkeypatch):
-    # At 4,000 cells the shared p = 7 grid holds 3 of its 7 a values at once
-    # (400 cells of Q plus 2 * 7^2 * 12 per a value), so every suite pass
-    # reads it window by window; the report must not change.
+    # The shared p = 7 grid takes 400 cells of Q plus 2 * 7^2 * 12 = 1,176 per
+    # a value, so these caps hold 1, 2 and 3 of its 7 a values at once, and
+    # every suite pass reads it window by window; the report must not change.
+    # The sweep's grid on 10 cycles (980 cells per a value) gets the same widths.
     config = SweepConfig(primes=(7,), suites=ALL_SUITES)
-    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    whole = run_verification(config)
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "4000")
-    assert selberg_core._guard_grid(7, verify._GridCache(config).cycles, None)[3] == 3
-    windowed = run_verification(config)
-    assert windowed.failed_total == whole.failed_total == 0
-    assert _without_seconds(windowed) == _without_seconds(whole)
     bruteforce = SweepConfig(primes=(5, 7), methods=("bruteforce",), suites=("stokes",))
-    assert selberg_core._guard_grid(7, bruteforce.cycles(), None)[3] == 3
-    assert sweep_rows(bruteforce) == sweep_rows(SweepConfig(primes=(5, 7), suites=("stokes",)))
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    whole, closed = run_verification(config), sweep_rows(SweepConfig(primes=(5, 7), suites=("stokes",)))
+    for cap, width in [(1576, 1), (2752, 2), (4000, 3)]:
+        monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cap))
+        assert selberg_core._guard_grid(7, verify._GridCache(config).cycles, None)[3] == width
+        windowed = run_verification(config)
+        assert windowed.failed_total == whole.failed_total == 0
+        assert _without_seconds(windowed) == _without_seconds(whole), cap
+        assert selberg_core._guard_grid(7, bruteforce.cycles(), None)[3] == width
+        assert sweep_rows(bruteforce) == closed, cap
 
 
 def test_nd_window_at_p127_is_not_refused(monkeypatch):
     # The n=2 window grid (a, b < 2p on [1,1]) at p = 127 is over the default
-    # cap as a whole box, but its 3-value window fits; p = 137 is the last
-    # prime that does.  Checked without allocating: numpy is out of reach.
+    # cap as a whole box, but a 3-value window fits; p = 223 is the last prime
+    # whose one-value window does.  Checked without allocating: numpy is out of reach.
     monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     assert selberg_core._guard_grid(127, [(1, 1)], 2 * 127)[3] == 3
-    selberg_core._guard_grid(137, [(1, 1)], 2 * 137)
-    with pytest.raises(ResourceLimitError, match="for a window of 3 a values"):
-        selberg_core._guard_grid(139, [(1, 1)], 2 * 139)
+    selberg_core._guard_grid(223, [(1, 1)], 2 * 223)
+    with pytest.raises(ResourceLimitError, match="for a window of 1 a value,"):
+        selberg_core._guard_grid(227, [(1, 1)], 2 * 227)
+
+
+@pytest.mark.parametrize("run, last, refused", [("verify", 83, 89), ("bruteforce-sweep", 89, 97)])
+def test_default_cap_thresholds(monkeypatch, run, last, refused):
+    # The last prime whose smallest window, one a value, fits the default cap,
+    # and the next prime, refused (nd's are pinned above).  Checked without
+    # allocating: numpy is out of reach.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    guards = {
+        "verify": lambda p: verify._GridCache(SweepConfig(primes=(p,))),
+        "bruteforce-sweep": lambda p: sweep.iter_sweep_rows(SweepConfig(primes=(p,), methods=("bruteforce",))),
+    }
+    guards[run](last)
+    with pytest.raises(ResourceLimitError, match=f"grid at p={refused} .* window of 1 a value,"):
+        guards[run](refused)
+
+
+@pytest.mark.parametrize("run", ["oracle_equiv", "recurrences", "relations", "vanishing", "morris", "nd",
+                                 "bruteforce-sweep"])
+def test_every_pass_reads_its_grids_in_ascending_a(monkeypatch, run):
+    # At 1,576 cells the shared p = 7 grid holds one a value at a time and
+    # nd's windows 7 and 5 of their 14: every grid a suite run alone or a
+    # brute-force sweep builds is built at increasing starts, each block once.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "1576")
+    starts = {}
+    build = selberg_core.SelbergGrid._build
+    monkeypatch.setattr(selberg_core.SelbergGrid, "_build",
+                        lambda self, start: starts.setdefault(self, []).append(start) or build(self, start))
+    if run == "bruteforce-sweep":
+        rows = sweep_rows(SweepConfig(primes=(5, 7), methods=("bruteforce",), suites=("stokes",)))
+        assert rows == sweep_rows(SweepConfig(primes=(5, 7), suites=("stokes",)))
+    else:
+        assert run_verification(SweepConfig(primes=(7,), suites=(run,))).failed_total == 0
+    assert any(len(built) > 1 for built in starts.values())
+    for built in starts.values():
+        assert built == sorted(set(built)), built
 
 
 # Mutations the pinned reports below are made under.  C12_ii_sign flips the
@@ -292,13 +331,13 @@ def _record_suite_runs(monkeypatch) -> list:
     ({"methods": ("direct", "closed"), "suites": ("oracle_equiv",)}, True),  # compares every route
 ], ids=[*ALL_SUITES, "morris-at-p11", "oracle_equiv-without-bruteforce"])
 def test_verify_checks_the_grids_its_suites_read(monkeypatch, kwargs, refused):
-    # One cell under the smallest shared p = 7 window (400 + 3 * 1,176 cells);
-    # the n=2 window of nd still fits.  A refused run runs no suite at all.
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "3927")
+    # One cell under the smallest shared p = 7 window (400 + 1,176 cells);
+    # the windows of nd still fit.  A refused run runs no suite at all.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(400 + 1176 - 1))
     ran = _record_suite_runs(monkeypatch)
     config = SweepConfig(**{"primes": (7,), **kwargs})
     if refused:
-        with pytest.raises(ResourceLimitError, match="needs 3928 coefficient cells"):
+        with pytest.raises(ResourceLimitError, match="needs 1576 coefficient cells"):
             run_verification(config)
         assert ran == []
     else:
@@ -307,16 +346,16 @@ def test_verify_checks_the_grids_its_suites_read(monkeypatch, kwargs, refused):
 
 
 def test_verify_refuses_a_prime_over_the_cap_before_any_suite(monkeypatch, capsys, tmp_path):
-    # No window of the shared grid fits the default cap at p = 59, so the run
+    # No window of the shared grid fits the default cap at p = 89, so the run
     # is refused before the p = 13 suites start; stokes reads no grid.
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     ran = _record_suite_runs(monkeypatch)
     out = tmp_path / "report.json"
-    assert main(["verify", "--primes", "13,59", "--out", str(out)]) == 3
-    assert main(["verify", "--primes", "13,59"]) == 3
+    assert main(["verify", "--primes", "13,89", "--out", str(out)]) == 3
+    assert main(["verify", "--primes", "13,89"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "p=59" in captured.err and "raise FPSELBERG_MAX_TERMS" in captured.err
+    assert "p=89" in captured.err and "raise FPSELBERG_MAX_TERMS" in captured.err
     assert not out.exists() and ran == []
     assert main(["verify", "--primes", "127", "--suite", "stokes"]) == 0
     assert ran == ["stokes"]
@@ -324,15 +363,15 @@ def test_verify_refuses_a_prime_over_the_cap_before_any_suite(monkeypatch, capsy
 
 def test_verify_refuses_an_nd_n3_window_over_the_cap(monkeypatch, capsys):
     # One cell under the smallest n = 3 window of nd at p = 7 (8^3 cells of Q
-    # plus 3 * 2 * 14 * 7); its n = 2 window (8^2 + 588 cells) still fits.
+    # plus 2 * 14 * 7); its n = 2 window (8^2 + 196 cells) still fits.
     # The n = 3 comparison used to expand per point and skip the points over
     # the cap.
-    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(8**3 + 3 * 2 * 14 * 7 - 1))
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(8**3 + 2 * 14 * 7 - 1))
     selberg_core._guard_grid(7, [(1, 1)], 14)
     ran = _record_suite_runs(monkeypatch)
     assert main(["verify", "--primes", "7", "--suite", "nd"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "needs 1100 coefficient cells" in captured.err
+    assert captured.out == "" and "needs 708 coefficient cells" in captured.err
     assert ran == []
 
 
