@@ -26,10 +26,13 @@ the name below.  Writing delta = a+b+2c+1-2p:
   (2,3)  C23_zero              always
   other  OTHER_zero            always (degree cannot reach the coefficient)
 
-The branch conditions are exhaustive and mutually exclusive; the classifier
-raises GuardError if it ever falls through, and the test suite checks that
-this never happens.  Every formula is a signed ratio of factorials whose
-denominator arguments provably lie in [0, p-1] on its branch.
+Each block is one classifier over plain ints (a, b, c, p), and the table
+``_CYCLE_CLASSES``, holding each block's label and classifier under its
+cycle, is the dispatch: one lookup and one call, OTHER_zero off the table.
+Within a block the conditions are exhaustive and mutually exclusive; the
+(1,2) classifier raises GuardError if it ever falls through, and the test
+suite checks that this never happens.  Every formula is a signed ratio of
+factorials whose denominator arguments provably lie in [0, p-1] on its branch.
 
 The module also verifies the three regimes in which several cycles are
 non-zero at once (condition sets R1, R2, R3 and the -1/2 relations between
@@ -95,71 +98,79 @@ class Branch(str, Enum):
         return self in _ZERO_REASONS
 
 
-# Cycle-class labels that describe prints, keyed by canonical cycle.
-_CYCLE_CLASSES = {(1, 1): "C11", (2, 2): "C22", (1, 2): "C12", (1, 3): "C13", (2, 3): "C23"}
-
-
 def classify(params: SelbergParams, l1: int, l2: int) -> Branch:
     """Return the unique applicable branch for this input."""
     return _branch(params, *check_cycle((l1, l2)))
 
 
 def _branch(params: SelbergParams, l1: int, l2: int) -> Branch:
-    """``classify`` on a checked cycle."""
-    if l1 > l2:
-        l1, l2 = l2, l1
-    a, b, c, p = params.a, params.b, params.c, params.p
+    """``classify`` on a checked cycle: one lookup in the cycle-class table."""
+    return _CYCLE_CLASSES.get((l1, l2) if l1 <= l2 else (l2, l1), _OTHER_CLASS)[1](*params)
 
-    if (l1, l2) == (1, 1):
-        if a + c >= p or a + b + c <= p - 2:
-            return Branch.NOT_APPLICABLE_zero
-        # now a+c <= p-1 and a+b+c >= p-1
+
+# One classifier per cycle class, over plain ints (a, b, c, p), returning its branch.
+def _c11(a: int, b: int, c: int, p: int) -> Branch:
+    if a + c >= p or a + b + c <= p - 2:
+        return Branch.NOT_APPLICABLE_zero
+    # now a+c <= p-1 and a+b+c >= p-1
+    if b + c <= p - 1:
+        return Branch.C11_i
+    if a + b + 2 * c >= 2 * p - 1:
+        return Branch.C11_ii
+    return Branch.C11_iii_zero
+
+
+def _c22(a: int, b: int, c: int, p: int) -> Branch:
+    if a + b + c <= 2 * p - 2:
+        return Branch.NOT_APPLICABLE_zero
+    return Branch.C22_i if a + b + 2 * c <= 3 * p - 2 else Branch.C22_ii
+
+
+def _c12(a: int, b: int, c: int, p: int) -> Branch:
+    delta = a + b + 2 * c + 1 - 2 * p
+    if delta < 0:
+        return Branch.C12_delta_neg_zero
+    if delta == 0:
+        return Branch.C12_delta0_zero if a + b < p - 1 else Branch.C12_delta0_formula
+    # delta > 0 forces (a+c) + (b+c) >= 2p, so a+c and b+c cannot both
+    # stay below p; 2c = p is impossible for odd p.
+    if 2 * c < p:
+        if a + c <= p - 1:
+            return Branch.C12_i
         if b + c <= p - 1:
-            return Branch.C11_i
-        if a + b + 2 * c >= 2 * p - 1:
-            return Branch.C11_ii
-        return Branch.C11_iii_zero
+            return Branch.C12_ii
+        if a + b + c < 2 * p - 1:
+            return Branch.C12_iii_zero
+        return Branch.C12_iv
+    if a + c >= p:
+        return Branch.C12_v_zero
+    if b + c >= p:
+        return Branch.C12_vi_zero
+    raise GuardError(f"unreachable [1,2] case at {SelbergParams(a, b, c, p)}")
 
-    if (l1, l2) == (2, 2):
-        if a + b + c <= 2 * p - 2:
-            return Branch.NOT_APPLICABLE_zero
-        if a + b + 2 * c <= 3 * p - 2:
-            return Branch.C22_i
-        return Branch.C22_ii
 
-    if (l1, l2) == (1, 2):
-        delta = params.delta
-        if delta < 0:
-            return Branch.C12_delta_neg_zero
-        if delta == 0:
-            if a + b < p - 1:
-                return Branch.C12_delta0_zero
-            return Branch.C12_delta0_formula
-        # delta > 0 forces (a+c) + (b+c) >= 2p, so a+c and b+c cannot both
-        # stay below p; 2c = p is impossible for odd p.
-        if 2 * c < p:
-            if a + c <= p - 1:
-                return Branch.C12_i
-            if b + c <= p - 1:
-                return Branch.C12_ii
-            if a + b + c < 2 * p - 1:
-                return Branch.C12_iii_zero
-            return Branch.C12_iv
-        if a + c >= p:
-            return Branch.C12_v_zero
-        if b + c >= p:
-            return Branch.C12_vi_zero
-        raise GuardError(f"unreachable [1,2] case at {params}")
+def _c13(a: int, b: int, c: int, p: int) -> Branch:
+    return Branch.C13_zero if a + b + 2 * c < 3 * p - 1 else Branch.C13_formula
 
-    if (l1, l2) == (1, 3):
-        if a + b + 2 * c < 3 * p - 1:
-            return Branch.C13_zero
-        return Branch.C13_formula
 
-    if (l1, l2) == (2, 3):
-        return Branch.C23_zero
+def _c23(a: int, b: int, c: int, p: int) -> Branch:
+    return Branch.C23_zero
 
+
+def _other(a: int, b: int, c: int, p: int) -> Branch:
     return Branch.OTHER_zero
+
+
+# The cycle classes by canonical cycle (l1 <= l2): the label describe prints and the
+# classifier.  Every other cycle is in ``_OTHER_CLASS``.
+_CYCLE_CLASSES = {
+    (1, 1): ("C11", _c11),
+    (2, 2): ("C22", _c22),
+    (1, 2): ("C12", _c12),
+    (1, 3): ("C13", _c13),
+    (2, 3): ("C23", _c23),
+}
+_OTHER_CLASS = ("OTHER", _other)
 
 
 # Non-zero branch formulas: sign, numerator factorial args, denominator
@@ -251,7 +262,7 @@ def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
 def describe(params: SelbergParams, l1: int, l2: int) -> str:
     """Classification explanation with the instantiated formula arguments."""
     branch = classify(params, l1, l2)
-    cycle_class = _CYCLE_CLASSES.get((min(l1, l2), max(l1, l2)), "OTHER")
+    cycle_class, _ = _CYCLE_CLASSES.get((min(l1, l2), max(l1, l2)), _OTHER_CLASS)
     a, b, c, p = params.a, params.b, params.c, params.p
     lines = [
         f"p={p} a={a} b={b} c={c} cycle=[{l1},{l2}]",

@@ -14,8 +14,8 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .modp_arith import get_context
-from .selberg_core import SelbergParams, _direct, _grid_window, selberg_grid
-from .selberg2d_closed import ALL_METHODS, Branch, _branch, _closed_value, in_condition_sets
+from .selberg_core import SelbergParams, _direct_coefficient, _grid_window, selberg_grid
+from .selberg2d_closed import ALL_METHODS, _CYCLE_CLASSES, _OTHER_CLASS, Branch, _closed_value, in_condition_sets
 
 __all__ = [
     "ALL_SUITES",
@@ -88,31 +88,36 @@ def _check_sweep(method: str, p: int, config: SweepConfig):
 _BRANCH_NAMES = {branch: branch.value for branch in Branch}
 
 
-# The value column of each method, from a row's point, cycle, branch and brute-force grid cell.
-_ROUTES = {
-    "bruteforce": lambda params, l1, l2, branch, cell: cell,
-    "direct": lambda params, l1, l2, branch, cell: _direct(params, l1, l2),
-    "closed": lambda params, l1, l2, branch, cell: _closed_value(branch, params),
-}
-_NO_CELLS = itertools.repeat(None)  # the cell column of a closed or direct sweep
-
-
 def _sweep_rows(config: SweepConfig, method: str) -> Iterator[tuple]:
-    route = _ROUTES[method]
-    # Only brute force lists the cycles: its grid guard has bounded their count.
-    cycles = tuple(config.cycles()) if method == "bruteforce" else None
+    names, class_of = _BRANCH_NAMES, _CYCLE_CLASSES.get  # a class is (label, classifier)
+    if method == "bruteforce":
+        # Only brute force lists the cycles: its grid guard has bounded their count.
+        cycles = tuple(config.cycles())
+        classifiers = tuple(class_of(cycle, _OTHER_CLASS)[1] for cycle in cycles)
+        for p in config.primes:
+            grid = selberg_grid(p, cycles)
+            for a in range(1, p):
+                slab = grid.slab(a, cycles)[0].tolist()  # [b][c][cycle]
+                for b, c in itertools.product(range(1, p), repeat=2):
+                    r1, r2, r3 = in_condition_sets(SelbergParams(a, b, c, p))
+                    for (l1, l2), classifier, cell in zip(cycles, classifiers, slab[b][c]):
+                        yield p, a, b, c, l1, l2, names[classifier(a, b, c, p)], cell, r1, r2, r3
+        return
     for p in config.primes:
-        grid = selberg_grid(p, cycles) if cycles is not None else None
-        for a in range(1, p):
-            slab = grid.slab(a, cycles)[0].tolist() if grid is not None else None  # [b][c][cycle]
-            for b, c in itertools.product(range(1, p), repeat=2):
-                params = SelbergParams(a, b, c, p)
-                r1, r2, r3 = in_condition_sets(params)
-                cells = slab[b][c] if slab is not None else _NO_CELLS
-                for (l1, l2), cell in zip(config.cycles(), cells):
-                    branch = _branch(params, l1, l2)
-                    yield (p, a, b, c, l1, l2, _BRANCH_NAMES[branch], route(params, l1, l2, branch, cell),
-                           r1, r2, r3)
+        ctx = get_context(p)
+        for a, b, c in itertools.product(range(1, p), repeat=3):
+            params = SelbergParams(a, b, c, p)
+            r1, r2, r3 = in_condition_sets(params)
+            # Each point walks the cycles afresh, so any cycle bound streams.
+            if method == "closed":
+                for cycle in config.cycles():
+                    branch = class_of(cycle, _OTHER_CLASS)[1](a, b, c, p)
+                    yield (p, a, b, c, *cycle, names[branch], _closed_value(branch, params), r1, r2, r3)
+            else:
+                for cycle in config.cycles():
+                    l1, l2 = cycle
+                    yield (p, a, b, c, l1, l2, names[class_of(cycle, _OTHER_CLASS)[1](a, b, c, p)],
+                           _direct_coefficient(ctx, a, b, c, l1 * p - 1, l2 * p - 1), r1, r2, r3)
 
 
 def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
@@ -126,8 +131,11 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
     whole box is over the cap, and reads it one slab per a.  Rows are made
     serially; ``config.parallelism`` is not used.  Each row is a tuple in
     ``SWEEP_CSV_HEADER`` column order, with the branch as its name and the
-    R1-R3 memberships as bools; its branch is classified once, its cycle not
-    re-checked.
+    R1-R3 memberships as bools.  Its branch is classified once, by its
+    cycle's classifier in the cycle-class table, its cycle not re-checked;
+    the closed and direct routes look that classifier up per row, walking
+    the cycles afresh at every point, so they never list the cycles and
+    stream at any cycle bound.
     """
     method = config.methods[0]
     for p in config.primes:
@@ -150,23 +158,30 @@ def iter_render_sweep(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     "sweep", "rows": rows}, sort_keys=True, indent=2) + "\\n"`` with each row
     as the dict of its ``SWEEP_CSV_HEADER`` columns: each row fills a fixed
     template with its keys in sorted order.  Branch names are plain
-    identifiers, so the branch string needs no escaping.
+    identifiers, so the branch string needs no escaping.  csv and json format
+    the columns a row shares with its point (p, a, b, c, R1-R3) once per run.
     """
     if fmt not in ("csv", "json", "text"):
         raise ValueError(f"sweep format must be csv, json or text, got {fmt!r}")
+    point = None  # the shared columns (p, a, b, c, R1-R3) of the rows last rendered
     if fmt == "csv":
         yield SWEEP_CSV_HEADER + "\n"
         for p, a, b, c, l1, l2, branch, value, r1, r2, r3 in rows:
-            yield f"{p},{a},{b},{c},{l1},{l2},{branch},{value},{_BOOL[r1]},{_BOOL[r2]},{_BOOL[r3]}\n"
+            if (p, a, b, c, r1, r2, r3) != point:
+                point = p, a, b, c, r1, r2, r3
+                head, tail = f"{p},{a},{b},{c},", f",{_BOOL[r1]},{_BOOL[r2]},{_BOOL[r3]}\n"
+            yield f"{head}{l1},{l2},{branch},{value}{tail}"
     elif fmt == "json":
         yield '{\n  "kind": "sweep",\n  "rows": ['
         sep = "\n"
         for p, a, b, c, l1, l2, branch, value, r1, r2, r3 in rows:
-            yield (f'{sep}    {{\n      "a": {a},\n      "b": {b},\n'
-                   f'      "branch": "{branch}",\n      "c": {c},\n'
-                   f'      "in_R1": {_BOOL[r1]},\n      "in_R2": {_BOOL[r2]},\n'
-                   f'      "in_R3": {_BOOL[r3]},\n      "l1": {l1},\n'
-                   f'      "l2": {l2},\n      "p": {p},\n      "value": {value}\n    }}')
+            if (p, a, b, c, r1, r2, r3) != point:
+                point = p, a, b, c, r1, r2, r3
+                head = f'    {{\n      "a": {a},\n      "b": {b},\n      "branch": "'
+                middle = (f'",\n      "c": {c},\n      "in_R1": {_BOOL[r1]},\n      "in_R2": {_BOOL[r2]},\n'
+                          f'      "in_R3": {_BOOL[r3]},\n      "l1": ')
+                tail = f',\n      "p": {p},\n      "value": '
+            yield f'{sep}{head}{branch}{middle}{l1},\n      "l2": {l2}{tail}{value}\n    }}'
             sep = ",\n"
         yield ("]" if sep == "\n" else "\n  ]") + ',\n  "schema": 1\n}\n'
     else:

@@ -40,6 +40,8 @@ from .selberg_core import (
 )
 from .selberg2d_closed import (
     RELATION_CYCLES,
+    _CYCLE_CLASSES,
+    _OTHER_CLASS,
     Branch,
     _branch,
     _closed_value,
@@ -173,15 +175,15 @@ class _GridCache(dict):
 
     def branches(self, p: int):
         """The branch code of every (a, b, c) at p on every configured cycle, a uint8 array
-        indexed [a - 1, b - 1, c - 1, cycle]; each point is classified once per run."""
+        indexed [a - 1, b - 1, c - 1, cycle]; each cycle's classifier is looked up once per
+        prime and each point classified once per run."""
         if p not in self._codes:
             import numpy as np
 
-            cycles = tuple(self._config.cycles())
-            codes = (_BRANCH_CODES[_branch(params, l1, l2)]
-                     for params in (SelbergParams(a, b, c, p) for a, b, c in _triples(p)) for l1, l2 in cycles)
-            shape = (p - 1, p - 1, p - 1, len(cycles))
-            self._codes[p] = np.fromiter(codes, np.uint8, (p - 1) ** 3 * len(cycles)).reshape(shape)
+            classifiers = tuple(_CYCLE_CLASSES.get(cycle, _OTHER_CLASS)[1] for cycle in self._config.cycles())
+            codes = (_BRANCH_CODES[classifier(a, b, c, p)] for a, b, c in _triples(p) for classifier in classifiers)
+            shape = (p - 1, p - 1, p - 1, len(classifiers))
+            self._codes[p] = np.fromiter(codes, np.uint8, (p - 1) ** 3 * len(classifiers)).reshape(shape)
         return self._codes[p]
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+from fpselberg.errors import GuardError
 from fpselberg.golden import GOLDEN_2D
 from fpselberg.selberg_core import SelbergParams, _direct, selberg_bruteforce, selberg_grid
-from fpselberg.selberg2d_closed import (_branch, _closed_value, eval_closed, relations_from_values,
+from fpselberg.selberg2d_closed import (Branch, _branch, _closed_value, eval_closed, relations_from_values,
                                         skew_symmetry_check)
 from fpselberg.verify import _INTEGER_ZERO_BRANCHES, _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
 
@@ -109,6 +110,69 @@ def dense_terms(arr, p: int | None = None) -> dict:
     """The non-zero entries of a dense coefficient array as exact terms, reduced mod p if given."""
     terms = {tuple(int(e) for e in idx): int(arr[idx]) for idx in zip(*arr.nonzero())}
     return terms if p is None else ref_reduce(terms, p)
+
+
+# -- classifier --------------------------------------------------------------------
+# The if-chain over the cycle classes, as the package's classifier was before each
+# class became one function in a table; copied verbatim apart from its name.
+
+
+def ref_branch(params: SelbergParams, l1: int, l2: int) -> Branch:
+    """``classify`` on a checked cycle."""
+    if l1 > l2:
+        l1, l2 = l2, l1
+    a, b, c, p = params.a, params.b, params.c, params.p
+
+    if (l1, l2) == (1, 1):
+        if a + c >= p or a + b + c <= p - 2:
+            return Branch.NOT_APPLICABLE_zero
+        # now a+c <= p-1 and a+b+c >= p-1
+        if b + c <= p - 1:
+            return Branch.C11_i
+        if a + b + 2 * c >= 2 * p - 1:
+            return Branch.C11_ii
+        return Branch.C11_iii_zero
+
+    if (l1, l2) == (2, 2):
+        if a + b + c <= 2 * p - 2:
+            return Branch.NOT_APPLICABLE_zero
+        if a + b + 2 * c <= 3 * p - 2:
+            return Branch.C22_i
+        return Branch.C22_ii
+
+    if (l1, l2) == (1, 2):
+        delta = params.delta
+        if delta < 0:
+            return Branch.C12_delta_neg_zero
+        if delta == 0:
+            if a + b < p - 1:
+                return Branch.C12_delta0_zero
+            return Branch.C12_delta0_formula
+        # delta > 0 forces (a+c) + (b+c) >= 2p, so a+c and b+c cannot both
+        # stay below p; 2c = p is impossible for odd p.
+        if 2 * c < p:
+            if a + c <= p - 1:
+                return Branch.C12_i
+            if b + c <= p - 1:
+                return Branch.C12_ii
+            if a + b + c < 2 * p - 1:
+                return Branch.C12_iii_zero
+            return Branch.C12_iv
+        if a + c >= p:
+            return Branch.C12_v_zero
+        if b + c >= p:
+            return Branch.C12_vi_zero
+        raise GuardError(f"unreachable [1,2] case at {params}")
+
+    if (l1, l2) == (1, 3):
+        if a + b + 2 * c < 3 * p - 1:
+            return Branch.C13_zero
+        return Branch.C13_formula
+
+    if (l1, l2) == (2, 3):
+        return Branch.C23_zero
+
+    return Branch.OTHER_zero
 
 
 # -- sweep renderers ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import inspect
+import itertools
+import operator
 import re
 import sys
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpselberg import selberg2d_closed
 from fpselberg.errors import DomainError, GuardError
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
@@ -20,6 +24,7 @@ from fpselberg.selberg2d_closed import (
     _ZERO_REASONS,
     RELATION_CYCLES,
     Branch,
+    _branch,
     _closed_value,
     _formula,
     classify,
@@ -32,7 +37,7 @@ from fpselberg.selberg2d_closed import (
     skew_symmetry_check,
 )
 
-from reference_impl import PRIMES, all_triples, prime_at_or_above, ref_cross, ref_mul, ref_univariate
+from reference_impl import PRIMES, all_triples, prime_at_or_above, ref_branch, ref_cross, ref_mul, ref_univariate
 
 
 def branch(p, a, b, c, l1, l2) -> Branch:
@@ -80,6 +85,42 @@ def test_classify_is_total_and_branches_mutually_consistent():
     # degree-infeasibility vanishing occurs for both diagonal cycles
     assert ((1, 1), Branch.NOT_APPLICABLE_zero) in seen
     assert ((2, 2), Branch.NOT_APPLICABLE_zero) in seen
+
+
+ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+CYCLES_TO_5 = tuple(itertools.product(range(1, 6), repeat=2))  # both orders of every l1, l2 <= 5
+SORTED_CYCLES_TO_5 = tuple(itertools.combinations_with_replacement(range(1, 6), 2))
+# ref_branch sorts the cycle first, so it is read once per sorted cycle and spread to both orders.
+_BOTH_ORDERS = operator.itemgetter(*(SORTED_CYCLES_TO_5.index(tuple(sorted(cycle))) for cycle in CYCLES_TO_5))
+
+
+def _first_disagreement_with_the_if_chain(classifier, primes) -> tuple | None:
+    """The first (p, a, b, c, cycle, classifier's branch, ref_branch's) where they differ."""
+    for p in primes:
+        for a, b, c in all_triples(p):
+            params = SelbergParams(a, b, c, p)
+            got = tuple(classifier(params, *cycle) for cycle in CYCLES_TO_5)
+            want = _BOTH_ORDERS([ref_branch(params, *cycle) for cycle in SORTED_CYCLES_TO_5])
+            if got != want:
+                return next((p, a, b, c, *diff) for diff in zip(CYCLES_TO_5, got, want) if diff[1] != diff[2])
+    return None
+
+
+def test_classifier_table_matches_the_if_chain():
+    # _branch is classify after its cycle check: the table dispatch, at every point p <= 31.
+    assert _first_disagreement_with_the_if_chain(_branch, ODD_PRIMES_TO_31) is None
+    assert _first_disagreement_with_the_if_chain(classify, PRIMES) is None
+
+
+def test_one_entry_table_mutation_is_caught(monkeypatch):
+    # C12_i read as a + c < p - 1: the points with a + c = p - 1 move to a later branch.
+    source = inspect.getsource(selberg2d_closed._c12)
+    assert source.count("if a + c <= p - 1:") == 1
+    mutant = {}
+    exec(source.replace("if a + c <= p - 1:", "if a + c < p - 1:"), vars(selberg2d_closed), mutant)
+    monkeypatch.setitem(selberg2d_closed._CYCLE_CLASSES, (1, 2), ("C12", mutant["_c12"]))
+    p, a, b, c, cycle, got, want = _first_disagreement_with_the_if_chain(classify, ODD_PRIMES_TO_31)
+    assert sorted(cycle) == [1, 2] and a + c == p - 1 and want == Branch.C12_i != got
 
 
 @pytest.mark.parametrize("b", list(Branch))

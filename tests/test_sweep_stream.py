@@ -162,6 +162,30 @@ def test_json_renderer_on_no_rows():
     assert render_sweep([], "json") == REFERENCES["json"]([])
 
 
+# Hand-made rows whose shared columns (p, a, b, c, R1-R3) change one at a time: a point
+# that comes with a second R1-R3 triple, points one column apart, and a point that
+# comes back after other points.
+_POINT_ROWS = [
+    (7, 1, 2, 3, 1, 1, "C11_i", 5, False, False, False),
+    (7, 1, 2, 3, 1, 2, "C12_i", 6, True, False, False),
+    (7, 1, 2, 3, 2, 2, "C22_i", 0, True, False, False),
+    (7, 1, 2, 3, 1, 3, "C13_zero", 0, True, True, False),
+    (7, 1, 2, 3, 2, 3, "C23_zero", 0, True, True, True),
+    (11, 1, 2, 3, 1, 1, "C11_i", 4, True, True, True),
+    (11, 4, 2, 3, 1, 1, "C11_ii", 1, True, True, True),
+    (11, 4, 5, 3, 1, 1, "NOT_APPLICABLE_zero", 0, True, True, True),
+    (11, 4, 5, 6, 1, 1, "NOT_APPLICABLE_zero", 0, True, True, True),
+    (7, 1, 2, 3, 3, 3, "OTHER_zero", 0, False, False, False),
+    (7, 1, 2, 3, 3, 4, "OTHER_zero", 0, False, False, False),
+]
+
+
+@pytest.mark.parametrize("rows", [_POINT_ROWS, []], ids=["points", "no-rows"])
+@pytest.mark.parametrize("fmt", sorted(REFERENCES))
+def test_renderers_format_each_points_shared_columns_anew(fmt, rows):
+    assert render_sweep(rows, fmt) == REFERENCES[fmt](rows)
+
+
 def test_branch_values_need_no_json_escaping():
     # The json row template writes the branch between quotes as it is.
     for branch in Branch:
@@ -306,3 +330,18 @@ def test_huge_cycle_bound_closed_sweep_streams_rows():
     config = SweepConfig(primes=(3,), cycle_bound=1000, methods=("closed",), suites=())
     rows = itertools.islice(iter_sweep_rows(config), 1000)
     assert "".join(lines) == "".join(iter_render_sweep(rows, "csv"))
+
+
+@needs_rlimit_as
+@pytest.mark.parametrize("method, fmt", [("closed", "json"), ("direct", "csv"), ("direct", "json")])
+def test_huge_cycle_bound_sweeps_stream_rows(method, fmt):
+    # The closed csv case is the test above; here the first 1000 rows are compared as bytes.
+    config = SweepConfig(primes=(3,), cycle_bound=1000, methods=(method,), suites=())
+    expected = "".join(itertools.islice(iter_render_sweep(iter_sweep_rows(config), fmt), 1001)).encode()
+    proc = _cli_in_1gib("sweep", *HUGE_BOUND, "--method", method, "--format", fmt)
+    try:
+        head = proc.stdout.read(len(expected))
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert head == expected
