@@ -15,13 +15,13 @@ import os
 import sys
 from typing import Iterable
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _max_cells
 from .modp_arith import get_context
-from .selberg_core import SelbergParams, _direct, _max_cells, selberg_bruteforce
-from .selberg2d_closed import ALL_METHODS, _closed_value, classify, describe
+from .selberg2d_closed import ALL_METHODS, SelbergParams, _closed_value, _direct, classify, describe
 
-# sweep, verify and morris_ct are imported by the commands that use them, so
-# each command loads only the modules it runs.
+# sweep, verify, morris_ct and the brute-force route's selberg_core are imported
+# by the commands that use them, so each command loads only the modules it runs:
+# a closed or direct point query loads none of the expansion code.
 
 __all__ = ["build_parser", "entry_point", "main"]
 
@@ -179,6 +179,8 @@ def _cmd_eval(args) -> int:
     # point prints nothing to stdout.
     exact = None
     if args.method == "bruteforce":
+        from .selberg_core import selberg_bruteforce
+
         if args.integer_mode:
             exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
         value = selberg_bruteforce(params.spec(2), (l1, l2))

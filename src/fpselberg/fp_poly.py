@@ -18,12 +18,13 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .selberg2d_closed import check_cycle
+
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
     "MultiPoly",
-    "check_cycle",
     "fp_integral",
     "partial_derivative",
 ]
@@ -73,16 +74,6 @@ def partial_derivative(P: MultiPoly, i: int) -> MultiPoly:
     return MultiPoly(P.num_vars, terms, P.p)
 
 
-def check_cycle(cycle: Sequence[int], num_vars: int | None = None) -> tuple:
-    """Validate a cycle label: positive integer entries, optional arity check."""
-    cycle = tuple(cycle)
-    if not cycle or any(not isinstance(l, int) or l < 1 for l in cycle):
-        raise ValueError(f"cycle entries must be positive integers, got {cycle}")
-    if num_vars is not None and len(cycle) != num_vars:
-        raise ValueError(f"cycle {cycle} has length {len(cycle)}, expected {num_vars}")
-    return cycle
-
-
 def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> int:
     """Coefficient of x1^(l1*p-1) * ... * xk^(lk*p-1), as a residue in [0, p)."""
     cycle = check_cycle(cycle, P.num_vars)
@@ -97,8 +88,8 @@ def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> int:
 # the whole accumulator, which beats dict convolution by a wide margin for
 # the 2- and 3-variable sweep grids.  Every factor in the package is a
 # binomial power, built by ``_binomial_terms``.  numpy is imported inside the
-# functions that use it, so the point-query routes (closed form, direct sum,
-# classifier) never pay for loading it.
+# functions that use it, so the closed and direct sweeps, which load this
+# module through ``selberg_core``, never pay for loading it.
 
 
 def _binomial_terms(shift: Sequence[int], first: Sequence[int], second: Sequence[int], e: int) -> list:

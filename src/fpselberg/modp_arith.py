@@ -1,11 +1,20 @@
 """Exact arithmetic in the prime field F_p.
 
 An :class:`FpContext` fixes an odd prime p.  Its factorial and
-inverse-factorial tables cover only [0, (p-1)/2] and are built on the first
-factorial read; Wilson reflection, n! (p-1-n)! = (-1)^(n+1), gives the upper
-half of [0, p-1].  Factorials of arguments >= p are 0 by construction (p
-divides n!), and the closed-form evaluators elsewhere in the package rely on
-that vanishing; only arguments in [0, p-1] may ever be inverted.
+inverse-factorial tables cover only [0, (p-1)/2]; Wilson reflection,
+n! (p-1-n)! = (-1)^(n+1), gives the upper half of [0, p-1].  Factorials of
+arguments >= p are 0 by construction (p divides n!), and the closed-form
+evaluators elsewhere in the package rely on that vanishing; only arguments in
+[0, p-1] may ever be inverted.
+
+The tables cost about p steps to build, which a point query that reads a
+handful of factorials at p near 10^6 need not pay.  So the batch read
+``factorial_ratio``, prod top! / prod bottom!, answers without them by one
+ascending sweep to its largest reflected argument and one inversion, and
+builds the tables only once the context's sweeps would have cost as many
+steps as the tables do: a single point query builds none, a run of many
+queries at one prime builds them after a few and reads them from then on.
+The single reads ``factorial`` and ``inv_factorial`` build them at once.
 
 Field values throughout the package are plain ints reduced into [0, p);
 callers write ``% p`` and ``FpContext.inverse`` where they need arithmetic.
@@ -79,13 +88,15 @@ class FpContext:
     needs them builds the half-tables, each of (p+1)/2 entries:
       * ``fact[n]`` = n! mod p for 0 <= n <= (p-1)/2;
       * ``inv_fact[n]`` = the inverse of n! mod p on the same range.
-    ``factorial``, ``inv_factorial`` and ``binomial`` reach the rest of
-    [0, p-1] by Wilson reflection; both tables are ``None`` until then.
-    Both are C-int arrays (``array('i')``).  Building them is idempotent, so
-    a context may be shared.
+    ``factorial``, ``inv_factorial``, ``binomial`` and ``factorial_ratio``
+    reach the rest of [0, p-1] by Wilson reflection; both tables are ``None``
+    until then, and ``factorial_ratio`` sweeps instead of building them while
+    its sweeps have cost fewer steps than the tables would (``swept`` counts
+    them).  Both are C-int arrays (``array('i')``).  Building them is
+    idempotent, so a context may be shared.
     """
 
-    __slots__ = ("p", "fact", "inv_fact")
+    __slots__ = ("p", "fact", "inv_fact", "swept")
 
     def __init__(self, p: int):
         if not isinstance(p, int):
@@ -95,6 +106,7 @@ class FpContext:
         self.p = p
         self.fact = None
         self.inv_fact = None
+        self.swept = 0
 
     def check_table_size(self):
         """Raise ResourceLimitError if the factorial tables of p are over the cap; builds nothing."""
@@ -146,6 +158,82 @@ class FpContext:
             return self.inv_fact[n]
         v = self.fact[p - 1 - n]  # 1/n! = (-1)^(n+1) (p-1-n)!
         return v if n & 1 else p - v
+
+    def factorial_ratio(self, top, bottom) -> int:
+        """prod(n! for n in top) / prod(n! for n in bottom) mod p, as a plain int.
+
+        Each top argument must lie in [0, 4p], and one >= p makes the ratio 0;
+        each bottom argument must lie in [0, p-1], as for ``factorial`` and
+        ``inv_factorial``.  With the tables built every factor is one table
+        read; before, ``_swept_ratio`` answers or builds them.  Either way a
+        prime over the table cap is refused, as a table read would be.
+        """
+        fact = self.fact
+        if fact is None:
+            return self._swept_ratio(top, bottom)
+        p, inv_fact = self.p, self.inv_fact
+        value = 1
+        for n in bottom:
+            if n < 0 or n >= p:
+                raise ValueError(f"inverse factorial needs 0 <= n < p, got n={n} for p={p}")
+            if 2 * n < p:
+                value = value * inv_fact[n] % p
+            else:  # 1/n! = (-1)^(n+1) (p-1-n)!
+                v = fact[p - 1 - n]
+                value = value * (v if n & 1 else p - v) % p
+        for n in top:
+            if not 0 <= n < p:
+                if n < 0 or n > 4 * p:
+                    raise ValueError(f"factorial argument {n} outside [0, {4 * p}]")
+                value = 0
+            elif 2 * n < p:
+                value = value * fact[n] % p
+            else:  # n! = (-1)^(n+1) / (p-1-n)!
+                v = inv_fact[p - 1 - n]
+                value = value * (v if n & 1 else p - v) % p
+        return value
+
+    def _swept_ratio(self, top, bottom) -> int:
+        """``factorial_ratio`` without the tables: one sweep 1, 2, ..., m and one inversion.
+
+        Wilson reflection sends every argument n > (p-1)/2 to p-1-n on the
+        other side of the fraction, with the sign (-1)^(n+1), so m is at most
+        (p-1)/2.  Once the context's sweeps would reach the p + 1 steps that
+        building both half tables takes, it builds them and reads those.
+        """
+        self.check_table_size()
+        p = self.p
+        for n in bottom:
+            if n < 0 or n >= p:
+                raise ValueError(f"inverse factorial needs 0 <= n < p, got n={n} for p={p}")
+        for n in top:
+            if n < 0 or n > 4 * p:
+                raise ValueError(f"factorial argument {n} outside [0, {4 * p}]")
+        if any(n >= p for n in top):
+            return 0
+        reads, negative = [], False  # (m, whether m! multiplies), m <= (p-1)/2
+        for n, up in [(n, True) for n in top] + [(n, False) for n in bottom]:
+            if 2 * n < p:
+                reads.append((n, up))
+            else:  # n! = (-1)^(n+1) / (p-1-n)!
+                reads.append((p - 1 - n, not up))
+                negative ^= not n & 1
+        steps = max(reads)[0] if reads else 0
+        if self.swept + steps >= p + 1:
+            self._build_tables()
+            return self.factorial_ratio(top, bottom)
+        self.swept += steps
+        num = den = v = n = 1  # v = (n-1)! mod p
+        for m, up in sorted(reads):
+            for x in range(n, m + 1):
+                v = v * x % p
+            n = m + 1
+            if up:
+                num = num * v % p
+            else:
+                den = den * v % p
+        value = num * pow(den, p - 2, p) % p
+        return p - value if negative and value else value
 
     def binomial(self, n: int, m: int) -> int:
         """Binomial coefficient C(n, m) mod p by base-p digit factorization (Lucas).

@@ -18,7 +18,8 @@ from math import factorial
 
 from .errors import DomainError, ResourceLimitError
 from .fp_poly import _binomial_terms, _coefficient, _dense_product
-from .selberg_core import SelbergParams, _master_factors
+from .selberg2d_closed import SelbergParams
+from .selberg_core import _master_factors
 
 __all__ = [
     "MorrisParams",

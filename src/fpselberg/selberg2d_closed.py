@@ -38,6 +38,14 @@ The module also verifies the three regimes in which several cycles are
 non-zero at once (condition sets R1, R2, R3 and the -1/2 relations between
 cycles) and the coefficient-level skew-symmetry argument behind the R3
 relation.
+
+It is the point path: the parameter type ``SelbergParams``, ``check_cycle``
+and the direct sum ``_direct_coefficient`` live here, so ``eval`` and
+``classify`` load this module, ``errors`` and ``modp_arith`` and nothing
+of the expansion code.  A closed value is one ``FpContext.factorial_ratio``
+read, which at a single large prime sweeps instead of building factorial
+tables; the direct sum steps each run of its k interval by the ratio of
+consecutive terms, one inversion and one ratio read per run.
 """
 
 from __future__ import annotations
@@ -45,17 +53,19 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from enum import Enum
-from typing import Callable
+from operator import mul
+from typing import Callable, Sequence
 
 from .errors import DomainError, GuardError
-from .fp_poly import check_cycle
-from .selberg_core import SelbergParams, _direct_coefficient, selberg_bruteforce
+from .modp_arith import FpContext, get_context
 
 __all__ = [
     "ALL_METHODS",
     "Branch",
     "RELATION_CYCLES",
     "RelationReport",
+    "SelbergParams",
+    "check_cycle",
     "classify",
     "condition_set",
     "describe",
@@ -65,6 +75,43 @@ __all__ = [
     "relations_from_values",
     "skew_symmetry_check",
 ]
+
+
+class SelbergParams(namedtuple("SelbergParams", "a b c p")):
+    """Parameters (a, b, c) with 0 < a, b, c < p, the two-dimensional window."""
+
+    __slots__ = ()
+
+    def __init__(self, a: int, b: int, c: int, p: int):
+        get_context(p)  # validates the prime
+        for name, v in (("a", a), ("b", b), ("c", c)):
+            if not isinstance(v, int) or not 0 < v < p:
+                raise ValueError(f"parameter {name} must satisfy 0 < {name} < p={p}, got {v}")
+
+    @property
+    def delta(self) -> int:
+        """The shift a + b + 2c + 1 - 2p governing the [1,2] case analysis."""
+        return self.a + self.b + 2 * self.c + 1 - 2 * self.p
+
+    @property
+    def ctx(self) -> FpContext:
+        return get_context(self.p)
+
+    def spec(self, n: int = 2):
+        """The brute-force request ``selberg_core.MasterPolySpec`` for these parameters in n variables."""
+        from .selberg_core import MasterPolySpec
+
+        return MasterPolySpec(n, self.a, self.b, self.c, self.p)
+
+
+def check_cycle(cycle: Sequence[int], num_vars: int | None = None) -> tuple:
+    """Validate a cycle label: positive integer entries, optional arity check."""
+    cycle = tuple(cycle)
+    if not cycle or any(not isinstance(l, int) or l < 1 for l in cycle):
+        raise ValueError(f"cycle entries must be positive integers, got {cycle}")
+    if num_vars is not None and len(cycle) != num_vars:
+        raise ValueError(f"cycle {cycle} has length {len(cycle)}, expected {num_vars}")
+    return cycle
 
 
 class Branch(str, Enum):
@@ -235,23 +282,81 @@ _ZERO_REASONS = {
 ALL_METHODS = ("bruteforce", "direct", "closed")
 
 
+def _direct(params: SelbergParams, l1: int, l2: int) -> int:
+    """The direct route, ``selberg_core.selberg_direct_2d``, on a checked cycle."""
+    return _direct_coefficient(params.ctx, params.a, params.b, params.c, l1 * params.p - 1, l2 * params.p - 1)
+
+
+def _direct_coefficient(ctx: FpContext, a: int, b: int, c: int, t1: int, t2: int) -> int:
+    """The coefficient of x1^t1 x2^t2 in Phi_2(a, b, c) mod p, 0 <= a, b, c < p, any integer t.
+
+    Expanding (x1 - x2)^(2c) and picking the coefficient of x^t in each
+    univariate factor x^alpha (1-x)^b gives
+
+        sum_k (-1)^k C(2c, k) * A(a+2c-k, b; t1) * A(a+k, b; t2),
+
+    where A(alpha, b; t) = (-1)^(t-alpha) C(b, t-alpha).  Only the k with both
+    j1 = t1-(a+2c-k) and j2 = t2-(a+k) in [0, b] contribute, with the sign
+    (-1)^(k+j1+j2) = (-1)^(k+t1+t2).  C(b, j) is one base-p digit.  2c < 2p
+    has the Lucas digits (1, n0 = 2c-p) or (0, n0 = 2c), so C(2c, k) =
+    C(n0, i) with i = k - start on the k runs [0, n0] and, when 2c >= p,
+    [p, 2c], and vanishes between them.
+
+    Within a run consecutive terms differ by the rational factor
+
+        T(k+1) / T(k) = -(n0-i)(b-j1) j2 / ((i+1)(j1+1)(b-j2+1)),
+
+    whose six factors all lie in [1, p-1] while k+1 stays in the run.  So the
+    part [k0, k1] of a run that the k interval [lo, hi] meets sums
+    Horner-style from its top, T(k0) * (1 + r_k0 * (1 + r_(k0+1) * (...))),
+    with the bracket held as one numerator/denominator pair: one inversion
+    per run, and T(k0) = +-n0! b!^2 / (i! (n0-i)! j1! (b-j1)! j2! (b-j2)!)
+    one ``factorial_ratio`` read of its end-point factorials.  An empty k
+    interval, or one that meets no run, returns 0 at once, before any
+    factorial is read.
+    """
+    p = ctx.p
+    shift = a + 2 * c - t1  # j1 = k - shift
+    top = t2 - a  # j2 = top - k
+    lo, hi = max(shift, top - b), min(shift + b, top)
+    if lo > hi:
+        return 0
+    n0 = 2 * c % p
+    total = 0
+    for start, stop in ((0, n0), (p, 2 * c)) if 2 * c >= p else ((0, n0),):
+        k0, k1 = max(lo, start), min(hi, stop)
+        if k0 > k1:
+            continue
+        i, j1, j2 = k0 - start, k0 - shift, top - k0
+        run = ctx.factorial_ratio((n0, b, b), (i, n0 - i, j1, b - j1, j2, b - j2))
+        if k1 > k0:
+            # The ratio's six factors at k = k1-1, ..., k0: (n0-i), (b-j1) and j2 rise, the rest fall.
+            rises = map(mul, map(mul, range(n0 - k1 + start + 1, n0 - i + 1), range(b - k1 + shift + 1, b - j1 + 1)),
+                        range(top - k1 + 1, j2 + 1))
+            falls = map(mul, map(mul, range(k1 - start, i, -1), range(k1 - shift, j1, -1)),
+                        range(b - top + k1, b - j2, -1))
+            num = den = 1
+            for n, d in zip(rises, falls):
+                num = (d * den - n * num) % p
+                den = d * den % p
+            run = run * num % p * ctx.inverse(den) % p
+        total = total - run if (k0 + t1 + t2) & 1 else total + run
+    return total % p
+
+
 def _closed_value(branch: Branch, params: SelbergParams) -> int:
-    """The value of ``branch`` at ``params``: its formula, or 0 on a vanishing branch."""
+    """The value of ``branch`` at ``params``: its formula, one factorial ratio read, or 0 on a
+    vanishing branch."""
     if branch.is_zero:
         return 0
-    ctx = params.ctx
     p = params.p
     sign, top, bottom = _formula(branch, params)
-    value = sign % p
-    for arg in top:
-        value = value * ctx.factorial(arg) % p
     for arg in bottom:
         if not 0 <= arg < p:
             raise GuardError(
                 f"denominator factorial argument {arg} outside [0, p-1] on branch {branch.value}"
             )
-        value = value * ctx.inv_factorial(arg) % p
-    return value
+    return sign * params.ctx.factorial_ratio(top, bottom) % p
 
 
 def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
@@ -324,6 +429,8 @@ class RelationReport(namedtuple("RelationReport",
 
 def relations_check(params: SelbergParams) -> RelationReport:
     """Verify the applicable multi-cycle relation with brute-force values."""
+    from .selberg_core import selberg_bruteforce
+
     spec = params.spec(2)
     return relations_from_values(params, lambda cycle: selberg_bruteforce(spec, cycle))
 

@@ -17,24 +17,27 @@ integral over the cycle [l1, ..., ln].  This module provides:
     the quantities tied to Phi by the contiguous recurrences.
 
 Only brute force expands Phi; the direct route, the moments and skew symmetry
-read its coefficients by the direct sum, ``_direct_coefficient``.
+read its coefficients by the direct sum, ``_direct_coefficient``.  That sum,
+``SelbergParams`` and ``check_cycle`` are defined in the point module
+``selberg2d_closed`` and read from there, so a point query never loads this
+module or the dense kernels it imports; the brute-force grid and the
+expansion cap's guards are here.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from collections import namedtuple
 from typing import Sequence
 
-from .errors import DomainError, GuardError, ResourceLimitError
-from .fp_poly import _binomial_terms, _coefficient, _dense_product, check_cycle
+from .errors import MAX_TERMS_ENV, DomainError, GuardError, ResourceLimitError, _max_cells
+from .fp_poly import _binomial_terms, _coefficient, _dense_product
 from .modp_arith import FpContext, get_context
+from .selberg2d_closed import SelbergParams, _direct, _direct_coefficient, check_cycle
 
 __all__ = [
     "MasterPolySpec",
     "SelbergGrid",
-    "SelbergParams",
     "beta_closed",
     "moment_integral",
     "selberg_bruteforce",
@@ -42,37 +45,6 @@ __all__ = [
     "selberg_grid",
     "selberg_nd_closed",
 ]
-
-# Coefficient cells one brute-force expansion or grid window may allocate: by default
-# degree 499 per variable at n = 2 and 61 at n = 3, verify's shared grid up to p = 83.
-# FPSELBERG_MAX_TERMS overrides it.
-DEFAULT_MAX_TERMS = 250_000
-MAX_TERMS_ENV = "FPSELBERG_MAX_TERMS"
-
-
-class SelbergParams(namedtuple("SelbergParams", "a b c p")):
-    """Parameters (a, b, c) with 0 < a, b, c < p, the two-dimensional window."""
-
-    __slots__ = ()
-
-    def __init__(self, a: int, b: int, c: int, p: int):
-        get_context(p)  # validates the prime
-        for name, v in (("a", a), ("b", b), ("c", c)):
-            if not isinstance(v, int) or not 0 < v < p:
-                raise ValueError(f"parameter {name} must satisfy 0 < {name} < p={p}, got {v}")
-
-    @property
-    def delta(self) -> int:
-        """The shift a + b + 2c + 1 - 2p governing the [1,2] case analysis."""
-        return self.a + self.b + 2 * self.c + 1 - 2 * self.p
-
-    @property
-    def ctx(self) -> FpContext:
-        return get_context(self.p)
-
-    def spec(self, n: int = 2) -> "MasterPolySpec":
-        return MasterPolySpec(n, self.a, self.b, self.c, self.p)
-
 
 class MasterPolySpec(namedtuple("MasterPolySpec", "n a b c p")):
     """A master polynomial request: dimension n and non-negative (a, b, c).
@@ -91,19 +63,6 @@ class MasterPolySpec(namedtuple("MasterPolySpec", "n a b c p")):
         for name, v in (("a", a), ("b", b), ("c", c)):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"parameter {name} must be a non-negative integer, got {v}")
-
-
-def _max_cells() -> int:
-    env = os.environ.get(MAX_TERMS_ENV)
-    if env is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{MAX_TERMS_ENV} must be an integer >= 1, got {env!r}")
-    return cap
 
 
 def _master_factors(n: int, a: int, b: int, c: int) -> list:
@@ -286,47 +245,6 @@ def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:
     """Two-dimensional evaluation by direct binomial summation: ``_direct_coefficient``
     at the cycle exponents, O(min(b, c)) field operations, no polynomial built."""
     return _direct(params, *check_cycle((l1, l2)))
-
-
-def _direct(params: SelbergParams, l1: int, l2: int) -> int:
-    """``selberg_direct_2d`` on a checked cycle."""
-    return _direct_coefficient(params.ctx, params.a, params.b, params.c, l1 * params.p - 1, l2 * params.p - 1)
-
-
-def _direct_coefficient(ctx: FpContext, a: int, b: int, c: int, t1: int, t2: int) -> int:
-    """The coefficient of x1^t1 x2^t2 in Phi_2(a, b, c) mod p, 0 <= a, b, c < p, any integer t.
-
-    Expanding (x1 - x2)^(2c) and picking the coefficient of x^t in each
-    univariate factor x^alpha (1-x)^b gives
-
-        sum_k (-1)^k C(2c, k) * A(a+2c-k, b; t1) * A(a+k, b; t2),
-
-    where A(alpha, b; t) = (-1)^(t-alpha) C(b, t-alpha).  Only the k with both
-    j1 = t1-(a+2c-k) and j2 = t2-(a+k) in [0, b] contribute, with the sign
-    (-1)^(k+j1+j2) = (-1)^(k+t1+t2).  C(b, j) is one base-p digit.  2c < 2p
-    has the Lucas digits (1, n0 = 2c-p) or (0, n0 = 2c), so C(2c, k) =
-    C(n0, k - start) on the k ranges [0, n0] and, when 2c >= p, [p, 2c], and
-    vanishes between them.  An empty k interval [lo, hi] returns 0 at once,
-    before any range is built or factorial read.
-    """
-    p = ctx.p
-    shift = a + 2 * c - t1  # j1 = k - shift
-    top = t2 - a  # j2 = top - k
-    lo, hi = max(shift, top - b), min(shift + b, top)
-    if lo > hi:
-        return 0
-    n0 = 2 * c % p
-    inv = ctx.inv_factorial
-    total = 0
-    for start, stop in ((0, n0), (p, 2 * c)) if 2 * c >= p else ((0, n0),):
-        for k in range(max(lo, start), min(hi, stop) + 1):
-            j1, j2 = k - shift, top - k
-            term = (inv(k - start) * inv(n0 - k + start) % p * inv(j1) % p * inv(b - j1) % p
-                    * inv(j2) % p * inv(b - j2) % p)
-            total = (total - term if (k + t1 + t2) & 1 else total + term) % p
-    if total:
-        total = total * ctx.factorial(n0) % p * ctx.factorial(b) ** 2 % p
-    return total
 
 
 def beta_closed(ctx: FpContext, a: int, b: int) -> int:

@@ -14,8 +14,9 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .modp_arith import get_context
-from .selberg_core import SelbergParams, _direct_coefficient, _grid_window, selberg_grid
-from .selberg2d_closed import ALL_METHODS, _CYCLE_CLASSES, _OTHER_CLASS, Branch, _closed_value, in_condition_sets
+from .selberg_core import _grid_window, selberg_grid
+from .selberg2d_closed import (ALL_METHODS, _CYCLE_CLASSES, _OTHER_CLASS, Branch, SelbergParams, _closed_value,
+                               _direct_coefficient, in_condition_sets)
 
 __all__ = [
     "ALL_SUITES",
@@ -158,7 +159,7 @@ def iter_render_sweep(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
     "sweep", "rows": rows}, sort_keys=True, indent=2) + "\\n"`` with each row
     as the dict of its ``SWEEP_CSV_HEADER`` columns: each row fills a fixed
     template with its keys in sorted order.  Branch names are plain
-    identifiers, so the branch string needs no escaping.  csv and json format
+    identifiers, so the branch string needs no escaping.  Every format formats
     the columns a row shares with its point (p, a, b, c, R1-R3) once per run.
     """
     if fmt not in ("csv", "json", "text"):
@@ -188,8 +189,10 @@ def iter_render_sweep(rows: Iterable[tuple], fmt: str) -> Iterator[str]:
         yield (f"{'p':>3} {'a':>3} {'b':>3} {'c':>3} {'l1':>2} {'l2':>2} "
                f"{'branch':<22} {'value':>5} {'R1':>5} {'R2':>5} {'R3':>5}\n")
         for p, a, b, c, l1, l2, branch, value, r1, r2, r3 in rows:
-            yield (f"{p:>3} {a:>3} {b:>3} {c:>3} {l1:>2} {l2:>2} "
-                   f"{branch:<22} {value:>5} {_BOOL[r1]:>5} {_BOOL[r2]:>5} {_BOOL[r3]:>5}\n")
+            if (p, a, b, c, r1, r2, r3) != point:
+                point = p, a, b, c, r1, r2, r3
+                head, tail = f"{p:>3} {a:>3} {b:>3} {c:>3} ", f" {_BOOL[r1]:>5} {_BOOL[r2]:>5} {_BOOL[r3]:>5}\n"
+            yield f"{head}{l1:>2} {l2:>2} {branch:<22} {value:>5}{tail}"
 
 
 def render_sweep(rows: Iterable[tuple], fmt: str) -> str:

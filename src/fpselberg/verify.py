@@ -29,8 +29,6 @@ from .morris_ct import (
 )
 from .selberg_core import (
     SelbergGrid,
-    SelbergParams,
-    _direct,
     _grid_window,
     _guard_grid,
     beta_closed,
@@ -43,8 +41,10 @@ from .selberg2d_closed import (
     _CYCLE_CLASSES,
     _OTHER_CLASS,
     Branch,
+    SelbergParams,
     _branch,
     _closed_value,
+    _direct,
     eval_closed,
     relations_from_values,
     skew_symmetry_check,

@@ -16,8 +16,8 @@ from math import comb
 from fpselberg.errors import GuardError
 from fpselberg.golden import GOLDEN_2D
 from fpselberg.selberg_core import SelbergParams, _direct, selberg_bruteforce, selberg_grid
-from fpselberg.selberg2d_closed import (Branch, _branch, _closed_value, eval_closed, relations_from_values,
-                                        skew_symmetry_check)
+from fpselberg.selberg2d_closed import (Branch, _branch, _closed_value, _formula, eval_closed,
+                                        relations_from_values, skew_symmetry_check)
 from fpselberg.verify import _INTEGER_ZERO_BRANCHES, _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -110,6 +110,71 @@ def dense_terms(arr, p: int | None = None) -> dict:
     """The non-zero entries of a dense coefficient array as exact terms, reduced mod p if given."""
     terms = {tuple(int(e) for e in idx): int(arr[idx]) for idx in zip(*arr.nonzero())}
     return terms if p is None else ref_reduce(terms, p)
+
+
+# -- factorial reads -------------------------------------------------------------------
+# The closed and direct routes as they were before they read factorials through
+# FpContext.factorial_ratio: one table read per factorial, and one term of the direct
+# sum at a time.  Their context builds its tables on the first read.
+
+
+def ref_factorial_ratio(ctx, top, bottom) -> int:
+    """prod top! / prod bottom! mod p, one ``factorial`` or ``inv_factorial`` read per argument."""
+    value = 1
+    for n in top:
+        value = value * ctx.factorial(n) % ctx.p
+    for n in bottom:
+        value = value * ctx.inv_factorial(n) % ctx.p
+    return value
+
+
+def ref_closed_value(branch: Branch, params: SelbergParams) -> int:
+    """``_closed_value`` with one table read per factorial."""
+    if branch.is_zero:
+        return 0
+    ctx = params.ctx
+    p = params.p
+    sign, top, bottom = _formula(branch, params)
+    value = sign % p
+    for arg in top:
+        value = value * ctx.factorial(arg) % p
+    for arg in bottom:
+        if not 0 <= arg < p:
+            raise GuardError(
+                f"denominator factorial argument {arg} outside [0, p-1] on branch {branch.value}"
+            )
+        value = value * ctx.inv_factorial(arg) % p
+    return value
+
+
+def ref_direct_coefficient(ctx, a: int, b: int, c: int, t1: int, t2: int) -> int:
+    """``_direct_coefficient`` summed one term at a time, six inverse-factorial reads per term."""
+    p = ctx.p
+    shift = a + 2 * c - t1  # j1 = k - shift
+    top = t2 - a  # j2 = top - k
+    lo, hi = max(shift, top - b), min(shift + b, top)
+    if lo > hi:
+        return 0
+    n0 = 2 * c % p
+    inv = ctx.inv_factorial
+    total = 0
+    for start, stop in ((0, n0), (p, 2 * c)) if 2 * c >= p else ((0, n0),):
+        for k in range(max(lo, start), min(hi, stop) + 1):
+            j1, j2 = k - shift, top - k
+            term = (inv(k - start) * inv(n0 - k + start) % p * inv(j1) % p * inv(b - j1) % p
+                    * inv(j2) % p * inv(b - j2) % p)
+            total = (total - term if (k + t1 + t2) & 1 else total + term) % p
+    if total:
+        total = total * ctx.factorial(n0) % p * ctx.factorial(b) ** 2 % p
+    return total
+
+
+def ref_direct_runs(p: int, a: int, b: int, c: int, t1: int, t2: int) -> int:
+    """How many of the direct sum's k runs, [0, 2c mod p] and [p, 2c], meet its k interval."""
+    shift, top = a + 2 * c - t1, t2 - a
+    lo, hi = max(shift, top - b), min(shift + b, top)
+    runs = ((0, 2 * c % p), (p, 2 * c)) if 2 * c >= p else ((0, 2 * c),)
+    return sum(max(lo, start) <= min(hi, stop) for start, stop in runs)
 
 
 # -- classifier --------------------------------------------------------------------

@@ -146,24 +146,53 @@ def test_factorial_table_guard_exit_code(capsys, monkeypatch):
     get_context.cache_clear()
 
 
+def test_point_queries_near_a_million_build_no_factorial_table(capsys):
+    # One point reads at most 8 factorials: a sweep to the largest reflected one
+    # costs less than the two half tables of p = 999983, so neither route builds them.
+    point = ("-p", "999983", "--params", "400000,400000,300000", "-l", "1,1")
+    for method in ("closed", "direct"):
+        get_context.cache_clear()
+        code, out, _ = run(capsys, "eval", *point, "--method", method)
+        assert code == 0
+        assert "value = 144219\nbranch = C11_i\n" in out
+        assert get_context(999983).fact is None
+    get_context.cache_clear()
+    code, out, _ = run(capsys, "classify", *point)
+    assert code == 0 and "value 144219" in out
+    assert get_context(999983).fact is None
+    get_context.cache_clear()
+
+
+@pytest.mark.parametrize("method", ["closed", "direct"])
+def test_sweeps_at_small_primes_build_the_tables(capsys, method):
+    # Many points at one prime: the context's sweeps soon cost as much as the tables,
+    # which it then builds and reads.
+    get_context.cache_clear()
+    code, out, _ = run(capsys, "sweep", "--primes", "13", "--format", "csv", "--method", method)
+    assert code == 0 and out.count("\n") == 1 + 12**3 * 10
+    assert get_context(13).fact is not None
+    get_context.cache_clear()
+
+
 def test_point_queries_never_import_numpy():
     # eval --method closed|direct and classify need no dense kernel, so they
-    # must not pay for loading numpy, nor for the verifier, the Morris bridge
-    # or the stdlib modules only those use; the other commands load them.
+    # must not pay for loading numpy or the expansion code (fp_poly and the grid
+    # in selberg_core), nor for the verifier, the Morris bridge or the stdlib
+    # modules only those use; the other commands load them.
     script = """
 import sys
 import fpselberg
 assert [name for name in sys.modules if name.startswith("fpselberg.")] == []
 from fpselberg import cli
 OFF_THE_POINT_PATH = ("numpy", "fpselberg.verify", "fpselberg.morris_ct", "fpselberg.golden",
-                      "dataclasses", "json", "fractions")
+                      "fpselberg.fp_poly", "fpselberg.selberg_core", "dataclasses", "json", "fractions")
 point = ["-p", "10007", "--params", "6000,6000,2000", "-l", "1,1"]  # branch C11_i
 for argv in ([], ["eval", *point], ["eval", *point, "--method", "direct", "-v"], ["classify", *point]):
     assert not argv or cli.main(argv) == 0
     loaded = [name for name in OFF_THE_POINT_PATH if name in sys.modules]
     assert not loaded, (argv, loaded)
 assert cli.main(["eval", "-p", "7", "--params", "3,4,3", "-l", "1,1", "--method", "bruteforce"]) == 0
-assert "numpy" in sys.modules
+assert {"numpy", "fpselberg.fp_poly", "fpselberg.selberg_core"} <= set(sys.modules)
 assert cli.main(["verify", "--suite", "nd", "--primes", "3"]) == 0
 assert cli.main(["sweep", "--primes", "3"]) == 0
 assert cli.main(["morris", "--n", "2", "--alpha", "1", "--beta", "1", "--gamma", "1"]) == 0

@@ -12,10 +12,10 @@ from fpselberg.fp_poly import (
     _binomial_terms,
     _coefficient,
     _dense_product,
-    check_cycle,
     fp_integral,
     partial_derivative,
 )
+from fpselberg.selberg2d_closed import check_cycle
 
 from reference_impl import PRIMES, dense_terms, ref_cross, ref_mul, ref_pow, ref_reduce, ref_univariate
 

@@ -8,7 +8,7 @@ from fpselberg import modp_arith
 from fpselberg.errors import ResourceLimitError
 from fpselberg.modp_arith import FpContext, get_context, is_prime
 
-from reference_impl import PRIMES, prime_at_or_above, ref_is_prime
+from reference_impl import PRIMES, prime_at_or_above, ref_factorial_ratio, ref_is_prime
 
 
 def test_is_prime_small_range():
@@ -84,7 +84,8 @@ def test_table_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(modp_arith, "MAX_TABLE_ENTRIES", 50)
     ctx = FpContext(101)  # needs 51 entries per table
     assert ctx.factorial(101) == 0
-    for read in (lambda: ctx.factorial(3), lambda: ctx.inv_factorial(3), lambda: ctx.binomial(5, 2)):
+    for read in (lambda: ctx.factorial(3), lambda: ctx.inv_factorial(3), lambda: ctx.binomial(5, 2),
+                 lambda: ctx.factorial_ratio((3,), ()), lambda: ctx.factorial_ratio((3, 200), (1,))):
         with pytest.raises(ResourceLimitError):
             read()
     assert ctx.fact is None and ctx.inv_fact is None
@@ -209,3 +210,80 @@ def test_inverse_on_ints(y, p):
     else:
         with pytest.raises(ZeroDivisionError):
             ctx.inverse(y)
+
+
+# -- factorial_ratio ------------------------------------------------------------
+
+
+def _swept(p: int) -> FpContext:
+    """A fresh context of p, whose first ratio reads sweep instead of building tables."""
+    return FpContext(p)
+
+
+def _tabled(p: int) -> FpContext:
+    ctx = FpContext(p)
+    ctx.factorial(1)  # builds the tables
+    return ctx
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_factorial_ratio_exhaustive_at_small_primes(p):
+    # Every top argument in [0, 2p) against every bottom argument in [0, p), singly
+    # and in pairs with repeats, by sweep and by table reads, against the bignum.
+    fact = [math.factorial(n) % p for n in range(2 * p)]
+    inverse = [pow(f, p - 2, p) for f in fact[:p]]
+    tabled = _tabled(p)
+    for top in [()] + [(n,) for n in range(2 * p)] + [(m, n) for m in range(p) for n in range(m, p)]:
+        for bottom in [()] + [(n,) for n in range(p)] + [(n, n) for n in range(p)]:
+            want = math.prod(fact[n] for n in top) * math.prod(inverse[n] for n in bottom) % p
+            ctx = _swept(p)
+            assert ctx.factorial_ratio(top, bottom) == want, (top, bottom)
+            assert ctx.fact is None  # one read at a time never reaches the table cost here
+            assert tabled.factorial_ratio(top, bottom) == want, (top, bottom)
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=st.integers(1_000, 1_000_000).map(prime_at_or_above), data=st.data())
+def test_factorial_ratio_matches_table_reads_at_large_primes(p, data):
+    # Arguments on both sides of (p-1)/2, so reflected ones move across the fraction
+    # with their sign, and tops >= p, whose factorial is 0.
+    half = (p - 1) // 2
+    arg = st.one_of(st.integers(0, half), st.integers(half + 1, p - 1), st.sampled_from((0, 1, half, half + 1, p - 1)))
+    top = data.draw(st.lists(st.one_of(arg, st.integers(p, 4 * p)) if data.draw(st.booleans()) else arg,
+                             max_size=6))
+    bottom = data.draw(st.lists(arg, max_size=4))
+    want = ref_factorial_ratio(get_context(p), top, bottom)
+    ctx = _swept(p)
+    assert ctx.factorial_ratio(top, bottom) == want
+    assert ctx.fact is None
+    assert ctx.swept <= half
+    ctx.factorial(1)
+    assert ctx.factorial_ratio(top, bottom) == want
+    get_context.cache_clear()  # the reference tables go with it
+
+
+def test_factorial_ratio_builds_the_tables_once_sweeps_cost_as_much():
+    p = 1009
+    ctx = _swept(p)
+    top, bottom = (504,), (503,)  # 504! / 503! = 504, a 504-step sweep
+    assert ctx.factorial_ratio(top, bottom) == 504
+    assert ctx.fact is None and ctx.swept == 504
+    # 504 + 504 = 1008 steps stay under the p + 1 = 1010 both half tables take ...
+    assert ctx.factorial_ratio(top, bottom) == 504
+    assert ctx.fact is None and ctx.swept == 1008
+    # ... and the next read builds them, then reads them.
+    assert ctx.factorial_ratio((2,), ()) == 2
+    assert ctx.fact is not None and ctx.swept == 1008
+    assert ctx.factorial_ratio(top, bottom) == 504
+    # A vanishing top sweeps nothing.
+    fresh = _swept(p)
+    assert fresh.factorial_ratio((500, p), (3,)) == 0
+    assert fresh.fact is None and fresh.swept == 0
+
+
+@pytest.mark.parametrize("p", [5, 1009])
+def test_factorial_ratio_range_errors(p):
+    for ctx in (_swept(p), _tabled(p)):
+        for top, bottom in (((-1,), ()), ((4 * p + 1,), ()), ((), (p,)), ((), (-1,)), ((p,), (p,))):
+            with pytest.raises(ValueError):
+                ctx.factorial_ratio(top, bottom)

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import operator
+import random
 import re
 import sys
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from fpselberg import selberg2d_closed
 from fpselberg.errors import DomainError, GuardError
-from fpselberg.modp_arith import get_context
+from fpselberg.modp_arith import FpContext, get_context
 from fpselberg.selberg_core import (
     SelbergParams,
     _direct_coefficient,
@@ -37,7 +38,8 @@ from fpselberg.selberg2d_closed import (
     skew_symmetry_check,
 )
 
-from reference_impl import PRIMES, all_triples, prime_at_or_above, ref_branch, ref_cross, ref_mul, ref_univariate
+from reference_impl import (PRIMES, all_triples, prime_at_or_above, ref_branch, ref_closed_value, ref_cross,
+                            ref_direct_coefficient, ref_direct_runs, ref_mul, ref_univariate)
 
 
 def branch(p, a, b, c, l1, l2) -> Branch:
@@ -169,6 +171,96 @@ def test_direct_equals_closed_at_large_primes(p, cycle, data):
         assert selberg_direct_2d(params, l1, l2) == eval_closed(params, l1, l2)
     finally:
         get_context.cache_clear()  # each prime's tables are freed with its example
+
+
+def _targets(p: int, cycles) -> list:
+    """The cycle exponents of each cycle and the off-cycle targets t - e1 and t - e2 the
+    moments and skew symmetry read."""
+    return [t for l1, l2 in cycles for t in ((l1 * p - 1, l2 * p - 1), (l1 * p - 2, l2 * p - 1),
+                                               (l1 * p - 1, l2 * p - 2))]
+
+
+SMALL_CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(1, 5)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_run_wise_direct_sum_matches_the_per_term_sum_exhaustively(p):
+    # Every 0 < a, b, c < p on every cycle l1, l2 <= 4 and its off-cycle targets, on a
+    # fresh context (sweeping) and on a built one (table reads).
+    tabled = FpContext(p)
+    tabled.factorial(1)
+    targets = _targets(p, SMALL_CYCLES)
+    for a, b, c in all_triples(p):
+        for t1, t2 in targets:
+            want = ref_direct_coefficient(get_context(p), a, b, c, t1, t2)
+            assert _direct_coefficient(FpContext(p), a, b, c, t1, t2) == want, (p, a, b, c, t1, t2)
+            assert _direct_coefficient(tabled, a, b, c, t1, t2) == want, (p, a, b, c, t1, t2)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_closed_ratio_read_matches_the_table_reads_exhaustively(p):
+    for a, b, c in all_triples(p):
+        get_context.cache_clear()  # the point's first closed values sweep
+        params = SelbergParams(a, b, c, p)
+        for l1, l2 in SMALL_CYCLES:
+            branch = _branch(params, l1, l2)
+            assert _closed_value(branch, params) == ref_closed_value(branch, params), (params, l1, l2)
+    get_context.cache_clear()
+
+
+def _large_points(rng, p: int):
+    """Seeded points whose k intervals hold at most a few hundred terms: (a, b, c, cycles)."""
+    b = rng.randint(2, min(p - 1, 400))
+    yield rng.randint(1, p - 1), b, rng.randint(1, p - 1), SMALL_CYCLES
+    # a+b+2c >= 3p-1 with c close to p: on [2,2] the k interval meets both runs
+    # [0, 2c-p] and [p, 2c] of C(2c, k).
+    r = rng.randint(0, b // 2 - 1)
+    c = p - 1 - r
+    yield rng.randint(max(1, p + 1 - b + 2 * r), p - 1), b, c, [(2, 2), (1, 3), (3, 1), (2, 3), (1, 2)]
+
+
+def test_run_wise_direct_sum_matches_the_per_term_sum_at_large_primes():
+    # Primes 10^3..10^6, log-uniform and seeded.  Each read of a fresh context sweeps,
+    # and no single read builds a table there.
+    rng = random.Random(0xD1CE)
+    runs_seen = [0, 0, 0]  # points whose k interval meets no run, one run, both runs
+    for _ in range(24):
+        p = prime_at_or_above(int(10 ** rng.uniform(3, 6)))
+        reference = FpContext(p)
+        for a, b, c, cycles in _large_points(rng, p):
+            for t1, t2 in _targets(p, cycles):
+                want = ref_direct_coefficient(reference, a, b, c, t1, t2)
+                ctx = FpContext(p)
+                assert _direct_coefficient(ctx, a, b, c, t1, t2) == want, (p, a, b, c, t1, t2)
+                assert ctx.fact is None
+                runs_seen[ref_direct_runs(p, a, b, c, t1, t2)] += 1
+        assert _direct_coefficient(reference, a, b, c, 2 * p - 1, 2 * p - 1) == (
+            ref_direct_coefficient(reference, a, b, c, 2 * p - 1, 2 * p - 1))  # table reads
+    assert min(runs_seen) >= 20, runs_seen
+
+
+def test_closed_ratio_read_matches_the_table_reads_at_large_primes():
+    rng = random.Random(0xC105ED)
+    hits = set()
+    for _ in range(24):
+        p = prime_at_or_above(int(10 ** rng.uniform(3, 6)))
+        points = []
+        for cycle in [(1, 1), (2, 2), (1, 2), (1, 3)]:
+            for _ in range(40):  # re-drawn until a formula branch comes up
+                params = SelbergParams(*(rng.randint(1, p - 1) for _ in "abc"), p)
+                branch = _branch(params, *cycle)
+                if not branch.is_zero:
+                    break
+            get_context.cache_clear()
+            points.append((branch, params, _closed_value(branch, params)))
+            assert get_context(p).fact is None
+        get_context.cache_clear()
+        for branch, params, value in points:
+            assert value == ref_closed_value(branch, params), (params, branch)  # builds the tables once
+            assert _closed_value(branch, params) == value
+            hits.add(branch)
+        get_context.cache_clear()
+    assert len(hits) >= 6, hits
 
 
 def test_eval_closed_reference_values():

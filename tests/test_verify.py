@@ -8,13 +8,13 @@ import pytest
 from fpselberg import selberg2d_closed, selberg_core, sweep, verify
 from fpselberg.cli import main
 from fpselberg.errors import ResourceLimitError
-from fpselberg.fp_poly import check_cycle
 from fpselberg.golden import GOLDEN_2D
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import SelbergParams, moment_integral, selberg_direct_2d
 from fpselberg.selberg2d_closed import (
     ALL_METHODS,
     Branch,
+    check_cycle,
     classify,
     eval_closed,
     relations_from_values,
