@@ -194,8 +194,8 @@ def _cmd_eval(args) -> int:
         print(f"integer S = {exact}")
     print(f"value = {value}")
     print(f"branch = {branch}")
-    if args.verbose:
-        print(describe(params, l1, l2))
+    if args.verbose:  # the closed route's value is the one describe prints
+        print(describe(params, l1, l2, branch, value if args.method == "closed" else None))
     return 0
 
 

@@ -364,9 +364,11 @@ def eval_closed(params: SelbergParams, l1: int, l2: int) -> int:
     return _closed_value(classify(params, l1, l2), params)
 
 
-def describe(params: SelbergParams, l1: int, l2: int) -> str:
-    """Classification explanation with the instantiated formula arguments."""
-    branch = classify(params, l1, l2)
+def describe(params: SelbergParams, l1: int, l2: int, branch: Branch | None = None,
+             value: int | None = None) -> str:
+    """Classification explanation with the instantiated formula arguments; the branch and the
+    closed value are computed here unless the caller passes them in."""
+    branch = classify(params, l1, l2) if branch is None else branch
     cycle_class, _ = _CYCLE_CLASSES.get((min(l1, l2), max(l1, l2)), _OTHER_CLASS)
     a, b, c, p = params.a, params.b, params.c, params.p
     lines = [
@@ -380,7 +382,7 @@ def describe(params: SelbergParams, l1: int, l2: int) -> str:
         lines.append(f"formula: {_TEMPLATES[branch]}")
         sgn = "-" if sign % p == p - 1 else "+"
         lines.append(f"numerator factorial arguments {top!r}, denominator {bottom!r}, sign {sgn}")
-        lines.append(f"value {_closed_value(branch, params)}")
+        lines.append(f"value {_closed_value(branch, params) if value is None else value}")
     return "\n".join(lines)
 
 

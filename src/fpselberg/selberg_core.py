@@ -100,11 +100,10 @@ class SelbergGrid:
 
     Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
     the cycles it was built for, all of one arity n, holding the ``width`` a
-    values from ``start`` on.  A read of an a outside them rebuilds the window
-    as the block of ``width`` a values that holds a, from a - a % width, so a
-    pass in ascending a builds each block once.  ``value`` returns one residue
-    as a Python int, as ``selberg_bruteforce`` gives it; ``slab`` copies out
-    every (b, c) of one a at once.
+    values from ``start`` on.  ``slab`` copies out every (b, c) of one a; a read
+    of an a outside the window rebuilds it as the block of ``width`` a values
+    that holds a, from a - a % width, so a pass in ascending a builds each
+    block once.
     """
 
     __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_index", "_values", "_s1")
@@ -153,40 +152,23 @@ class SelbergGrid:
             self._s1[:, :, c] = (reads[:, 1:].sum(axis=1) % p).transpose(2, 0, 1)
         self.start = start
 
-    def _row(self, a: int) -> int:
-        """The window row of a, 0 <= a < ab_stop, moving the window to hold it."""
-        if not self.start <= a < self.start + self.width:
-            self._build(a - a % self.width)
-        return a - self.start
-
-    def _cycle(self, cycle) -> int:
-        try:
-            return self._index[tuple(cycle)]
-        except KeyError:
-            raise ValueError(f"cycle {tuple(cycle)} is not in the grid") from None
-
-    def value(self, a: int, b: int, c: int, cycle) -> int:
-        """The integral of Phi_{a,b,c} over the cycle, as ``selberg_bruteforce`` gives it."""
-        # Explicit bounds: a negative numpy index would silently wrap around.
-        if not (0 <= a < self.ab_stop and 0 <= b < self.ab_stop and 0 <= c < self.p):
-            raise ValueError(f"(a, b, c) = ({a}, {b}, {c}) outside the grid box"
-                             f" [0, {self.ab_stop})^2 x [0, {self.p})")
-        k = self._cycle(cycle)
-        return int(self._values[self._row(a), b, c, k])
-
     def slab(self, a: int, cycles) -> tuple:
         """(values, S1) at one a: int64 copies indexed [b, c, i] for 0 <= b < ab_stop,
-        0 <= c < p and the i-th of ``cycles``, each entry what ``value`` reads.
+        0 <= c < p and the i-th of ``cycles``; a value is what ``selberg_bruteforce`` gives.
 
         S1 is the integral of (x1+...+xn)*Phi and S2 = n*value - S1 that of
         ((1-x1)+...+(1-xn))*Phi, as ``moment_integral`` gives them at n = 2.  The
-        window moves as for ``value``, and the copies stay as they are when it does.
+        copies stay as they are when the window moves.
         """
         if not 0 <= a < self.ab_stop:
             raise ValueError(f"a = {a} outside the grid box [0, {self.ab_stop})")
-        ks = [self._cycle(cycle) for cycle in cycles]
-        row = self._row(a)
-        return self._values[row][..., ks], self._s1[row][..., ks]
+        try:
+            ks = [self._index[tuple(cycle)] for cycle in cycles]
+        except KeyError as missing:
+            raise ValueError(f"cycle {missing.args[0]} is not in the grid") from None
+        if not self.start <= a < self.start + self.width:
+            self._build(a - a % self.width)
+        return self._values[a - self.start][..., ks], self._s1[a - self.start][..., ks]
 
 
 def _grid_window(p: int, n: int, ab_stop: int, count: int, top: int) -> tuple:

@@ -8,11 +8,11 @@ the classification they share, and the report.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -28,7 +28,6 @@ from .morris_ct import (
     selberg_via_morris,
 )
 from .selberg_core import (
-    SelbergGrid,
     _grid_window,
     _guard_grid,
     beta_closed,
@@ -140,74 +139,50 @@ _BRANCHES = tuple(Branch)
 _BRANCH_CODES = {branch: code for code, branch in enumerate(_BRANCHES)}
 
 
-class _GridCache(dict):
-    """The shared brute-force grids and classifications of one verification run, made on first use.
+def _branch_codes(config: SweepConfig, p: int):
+    """The branch code of every (a, b, c) at p on every configured cycle, a uint8 array
+    indexed [a - 1, b - 1, c - 1, cycle]; each cycle's classifier is looked up once."""
+    import numpy as np
 
-    ``self[p]`` is the grid of p that every suite shares, holding each cycle a
-    suite reads brute force on.  Creating the cache raises ResourceLimitError,
-    before any suite runs, if a grid a selected suite reads is over the cap at
-    some prime, nd's own windows included; the shared cycles are counted for
-    that, not listed.
+    classifiers = tuple(_CYCLE_CLASSES.get(cycle, _OTHER_CLASS)[1] for cycle in config.cycles())
+    codes = (_BRANCH_CODES[classifier(a, b, c, p)] for a, b, c in _triples(p) for classifier in classifiers)
+    shape = (p - 1, p - 1, p - 1, len(classifiers))
+    return np.fromiter(codes, np.uint8, (p - 1) ** 3 * len(classifiers)).reshape(shape)
+
+
+class _Step(namedtuple("_Step", "p a slabs index codes")):
+    """One a of the walk over the shared grid of p, as each grid check sees it.
+
+    ``slabs`` holds (values, S1) at a - 1, a and a + 1, the last None at a = p - 1;
+    ``index`` maps a cycle to its column in them, the configured cycles first; ``codes``
+    holds the branch codes at a, indexed [b - 1, c - 1, configured cycle], or None.
     """
 
-    def __init__(self, config: SweepConfig):
-        super().__init__()
-        self._config, bound = config, config.cycle_bound
-        self._extra = tuple(cycle for cycle in _SUITE_CYCLES if not cycle[0] <= cycle[1] <= bound)
-        self._codes = {}
-        count, top = bound * (bound + 1) // 2 + len(self._extra), max([bound, *itertools.chain(*self._extra)])
-        suites = set(config.suites)
-        shared = bool(suites & {"oracle_equiv", "recurrences", "relations", "vanishing"})
-        for p in config.primes:
-            if shared or ("morris" in suites and p <= _BRIDGE_MAX_P):
-                _grid_window(p, 2, p, count, top)
-            if "nd" in suites:
-                for window in _nd_windows(p):
-                    _guard_grid(*window)
+    __slots__ = ()
 
-    @functools.cached_property
-    def cycles(self) -> tuple:
-        return (*self._config.cycles(), *self._extra)
-
-    def __missing__(self, p: int) -> SelbergGrid:
-        grid = self[p] = selberg_grid(p, self.cycles)
-        return grid
-
-    def branches(self, p: int):
-        """The branch code of every (a, b, c) at p on every configured cycle, a uint8 array
-        indexed [a - 1, b - 1, c - 1, cycle]; each cycle's classifier is looked up once per
-        prime and each point classified once per run."""
-        if p not in self._codes:
-            import numpy as np
-
-            classifiers = tuple(_CYCLE_CLASSES.get(cycle, _OTHER_CLASS)[1] for cycle in self._config.cycles())
-            codes = (_BRANCH_CODES[classifier(a, b, c, p)] for a, b, c in _triples(p) for classifier in classifiers)
-            shape = (p - 1, p - 1, p - 1, len(classifiers))
-            self._codes[p] = np.fromiter(codes, np.uint8, (p - 1) ** 3 * len(classifiers)).reshape(shape)
-        return self._codes[p]
+    def read(self, cycles, shift: int = 0, moment: int = 0):
+        """Values (moment 0) or S1 (moment 1) at a + shift on ``cycles``, indexed [b, c, i]."""
+        return self.slabs[1 + shift][moment][..., [self.index[cycle] for cycle in cycles]]
 
 
 # -- suites --------------------------------------------------------------------
+# A suite's grid check sees one a of the shared grid at a time; its other
+# checks run before the walk or after it.  Each records into its SuiteResult.
 
 
-def _suite_oracle_equiv(config: SweepConfig, grids: _GridCache) -> SuiteResult:
-    """The direct and closed routes agree with the grid's brute force on every grid point."""
-    result = SuiteResult("oracle_equiv")
-    cycles = tuple(config.cycles())
-    for p in config.primes:
-        grid, codes = grids[p], grids.branches(p)
-        for a in range(1, p):
-            values, branches, failures = grid.slab(a, cycles)[0].tolist(), codes[a - 1].tolist(), []
-            for b, c in itertools.product(range(1, p), repeat=2):
-                params = SelbergParams(a, b, c, p)
-                for (l1, l2), code, expected in zip(cycles, branches[b - 1][c - 1], values[b][c]):
-                    branch = _BRANCHES[code]
-                    routes = ("direct", _direct(params, l1, l2)), ("closed", _closed_value(branch, params))
-                    for method, got in routes:
-                        if got != expected:
-                            failures.append(_ce(p, a, b, c, l1, l2, str(branch), expected, got, method=method))
-            result.tally(2 * (p - 1) ** 2 * len(cycles), failures)
-    return result
+def _oracle_equiv(config: SweepConfig, result: SuiteResult, step: _Step):
+    """The direct and closed routes agree with the grid's brute force at every (b, c) of one a."""
+    p, a, cycles = step.p, step.a, tuple(config.cycles())
+    values, branches, failures = step.read(cycles).tolist(), step.codes.tolist(), []
+    for b, c in itertools.product(range(1, p), repeat=2):
+        params = SelbergParams(a, b, c, p)
+        for (l1, l2), code, expected in zip(cycles, branches[b - 1][c - 1], values[b][c]):
+            branch = _BRANCHES[code]
+            routes = ("direct", _direct(params, l1, l2)), ("closed", _closed_value(branch, params))
+            for method, got in routes:
+                if got != expected:
+                    failures.append(_ce(p, a, b, c, l1, l2, str(branch), expected, got, method=method))
+    result.tally(2 * (p - 1) ** 2 * len(cycles), failures)
 
 
 def _recurrences(p: int, a, b, c, s, s1, s2, up_a, up_b, down_a, down_b, inverse: Callable):
@@ -228,58 +203,51 @@ def _recurrences(p: int, a, b, c, s, s1, s2, up_a, up_b, down_a, down_b, inverse
     yield "Ar2", (denom != 0) & (b >= 2), s, down_b * (b * (b + c)) * inv % p
 
 
-def _suite_recurrences(config: SweepConfig, grids: _GridCache) -> SuiteResult:
-    """Contiguous recurrences tying Phi moments to shifted parameters, one slab of a at a time."""
+def _check_recurrences(config: SweepConfig, result: SuiteResult, step: _Step):
+    """Contiguous recurrences tying Phi moments to shifted parameters, on the slab of one a."""
     import numpy as np
 
-    result = SuiteResult("recurrences")
-    for p in config.primes:
-        grid = grids[p]
-        inverse = np.array([0, *(pow(d, -1, p) for d in range(1, p))]).__getitem__
-        b, c = np.arange(1, p)[:, None, None], np.arange(1, p)[None, :, None]
-        down_a = 0  # the slab of a - 1, kept from the step before; Ar1 reads it from a = 2 on
-        for a in range(1, p):
-            # values and S1 indexed [b, c, cycle] for 0 <= b, c < p; the checks read b, c >= 1
-            values, s1 = grid.slab(a, _RECURRENCE_CYCLES)
-            s, s1 = values[1:, 1:], s1[1:, 1:]
-            up_a = grid.slab(a + 1, _RECURRENCE_CYCLES)[0][1:, 1:] if a + 1 < p else s
-            up_b = np.roll(values, -1, axis=0)[1:, 1:]  # b = p - 1 reads b = 0, where Ao3 does not apply
-            down_b = values[:-1, 1:]
-            checks = list(_recurrences(p, a, b, c, s, s1, (2 * s - s1) % p, up_a, up_b, down_a, down_b, inverse))
-            applies, lhs, rhs = (np.stack([np.broadcast_to(check[i], s.shape) for check in checks], axis=-1)
-                                 for i in (1, 2, 3))
-            failed = np.argwhere(applies & (lhs != rhs)).tolist()
-            result.tally(int(applies.sum()), [
-                _ce(p, a, j + 1, k + 1, *_RECURRENCE_CYCLES[i], checks[e][0], int(rhs[j, k, i, e]),
-                    int(lhs[j, k, i, e])) for j, k, i, e in failed])
-            down_a = s
-    return result
+    p, a = step.p, step.a
+    inverse = np.array([0, *(pow(d, -1, p) for d in range(1, p))]).__getitem__
+    b, c = np.arange(1, p)[:, None, None], np.arange(1, p)[None, :, None]
+    # values and S1 indexed [b, c, cycle] for 0 <= b, c < p; the checks read b, c >= 1
+    values, s1 = step.read(_RECURRENCE_CYCLES), step.read(_RECURRENCE_CYCLES, moment=1)[1:, 1:]
+    s, down_a = values[1:, 1:], step.read(_RECURRENCE_CYCLES, -1)[1:, 1:]  # Ar1 reads a - 1 from a = 2 on
+    up_a = step.read(_RECURRENCE_CYCLES, 1)[1:, 1:] if a + 1 < p else s
+    up_b = np.roll(values, -1, axis=0)[1:, 1:]  # b = p - 1 reads b = 0, where Ao3 does not apply
+    down_b = values[:-1, 1:]
+    checks = list(_recurrences(p, a, b, c, s, s1, (2 * s - s1) % p, up_a, up_b, down_a, down_b, inverse))
+    applies, lhs, rhs = (np.stack([np.broadcast_to(check[i], s.shape) for check in checks], axis=-1)
+                         for i in (1, 2, 3))
+    failed = np.argwhere(applies & (lhs != rhs)).tolist()
+    result.tally(int(applies.sum()), [
+        _ce(p, a, j + 1, k + 1, *_RECURRENCE_CYCLES[i], checks[e][0], int(rhs[j, k, i, e]),
+            int(lhs[j, k, i, e])) for j, k, i, e in failed])
 
 
-def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
-    """Multi-cycle regimes: -1/2 relations, uniqueness outside them, golden values."""
-    result = SuiteResult("relations")
-    for p in config.primes:
-        grid = grids[p]
-        for a in range(1, p):
-            values = grid.slab(a, RELATION_CYCLES)[0].tolist()
-            for b, c in itertools.product(range(1, p), repeat=2):
-                params = SelbergParams(a, b, c, p)
-                report = relations_from_values(params, dict(zip(RELATION_CYCLES, values[b][c])).__getitem__)
-                if report.condition_set is None:
-                    result.tally(1, [] if report.uniqueness_holds else [
-                        _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0)])
-                    continue
-                result.tally(1, [] if report.relation_holds else [
-                    _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0)])
-                head = next(iter(report.values))
-                closed_head = _closed_value(_branch(params, *head), params)
-                result.tally(1, [] if closed_head == report.values[head] else [_ce(
-                    p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
-                    report.values[head], closed_head)])
-                if report.condition_set == "R3":
-                    result.tally(1, [] if skew_symmetry_check(params) else [
-                        _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0)])
+def _relations(config: SweepConfig, result: SuiteResult, step: _Step):
+    """Multi-cycle regimes at every (b, c) of one a: -1/2 relations, uniqueness outside them."""
+    p, a, values = step.p, step.a, step.read(RELATION_CYCLES).tolist()
+    for b, c in itertools.product(range(1, p), repeat=2):
+        params = SelbergParams(a, b, c, p)
+        report = relations_from_values(params, dict(zip(RELATION_CYCLES, values[b][c])).__getitem__)
+        if report.condition_set is None:
+            result.tally(1, [] if report.uniqueness_holds else [_ce(p, a, b, c, 0, 0, "uniqueness", 1, 0)])
+            continue
+        result.tally(1, [] if report.relation_holds else [
+            _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0)])
+        head = next(iter(report.values))
+        closed_head = _closed_value(_branch(params, *head), params)
+        result.tally(1, [] if closed_head == report.values[head] else [_ce(
+            p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
+            report.values[head], closed_head)])
+        if report.condition_set == "R3":
+            result.tally(1, [] if skew_symmetry_check(params) else [
+                _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0)])
+
+
+def _golden(config: SweepConfig, result: SuiteResult):
+    """The golden values at the configured primes, by brute force and closed form."""
     for entry in GOLDEN_2D:
         if entry.p not in config.primes:
             continue
@@ -299,38 +267,30 @@ def _suite_relations(config: SweepConfig, grids: _GridCache) -> SuiteResult:
                 f" paper_discrepancy=true, printed {entry.printed_value}, oracle {entry.value}"
                 + (f" ({entry.note})" if entry.note else "")
             )
-    return result
 
 
-def _suite_vanishing(config: SweepConfig, grids: _GridCache) -> SuiteResult:
-    """Every zero branch of the classifier matches a brute-force zero."""
+def _vanishing(config: SweepConfig, result: SuiteResult, step: _Step):
+    """Every zero branch of the classifier at one a matches a brute-force zero."""
     import numpy as np
 
-    result = SuiteResult("vanishing")
-    cycles = tuple(config.cycles())
+    p, a, cycles = step.p, step.a, tuple(config.cycles())
     zero_codes = np.array([branch.is_zero for branch in _BRANCHES])
-    for p in config.primes:
-        grid, codes = grids[p], grids.branches(p)
-        for a in range(1, p):
-            values, zero = grid.slab(a, cycles)[0][1:, 1:], zero_codes[codes[a - 1]]  # [b - 1, c - 1, cycle]
-            # In integer mode every zero point is checked one at a time, else only the failing ones
-            # are, after the passing ones are counted.
-            points = np.argwhere(zero if config.integer_mode else zero & (values != 0)).tolist()
-            if not config.integer_mode:
-                result.tally(int(zero.sum()) - len(points))
-            for j, k, i in points:
-                b, c, branch, value = j + 1, k + 1, _BRANCHES[codes[a - 1, j, k, i]], int(values[j, k, i])
-                result.tally(1, [] if value == 0 else [_ce(p, a, b, c, *cycles[i], str(branch), 0, value)])
-                if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
-                    exact = selberg_bruteforce(SelbergParams(a, b, c, p).spec(2), cycles[i], exact=True)
-                    result.tally(1, [] if exact == 0 else [
-                        _ce(p, a, b, c, *cycles[i], f"{branch} (integer)", 0, exact)])
-    return result
+    values, zero = step.read(cycles)[1:, 1:], zero_codes[step.codes]  # [b - 1, c - 1, cycle]
+    # In integer mode every zero point is checked one at a time, else only the failing ones
+    # are, after the passing ones are counted.
+    points = np.argwhere(zero if config.integer_mode else zero & (values != 0)).tolist()
+    if not config.integer_mode:
+        result.tally(int(zero.sum()) - len(points))
+    for j, k, i in points:
+        b, c, branch, value = j + 1, k + 1, _BRANCHES[step.codes[j, k, i]], int(values[j, k, i])
+        result.tally(1, [] if value == 0 else [_ce(p, a, b, c, *cycles[i], str(branch), 0, value)])
+        if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
+            exact = selberg_bruteforce(SelbergParams(a, b, c, p).spec(2), cycles[i], exact=True)
+            result.tally(1, [] if exact == 0 else [_ce(p, a, b, c, *cycles[i], f"{branch} (integer)", 0, exact)])
 
 
-def _suite_morris(config: SweepConfig, grids: _GridCache) -> SuiteResult:
-    """Constant-term identity, the rewritten form, and the Selberg bridge."""
-    result = SuiteResult("morris")
+def _morris_identities(config: SweepConfig, result: SuiteResult):
+    """The constant-term identity and its rewritten form."""
     for n in (1, 2, 3):
         for alpha, beta, gamma in itertools.product(range(4), repeat=3):
             mp = MorrisParams(n, alpha, beta, gamma)
@@ -340,22 +300,22 @@ def _suite_morris(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             sym = morris_lhs_symmetric_form(mp)
             result.tally(1, [] if sym == ct else [
                 _ce(0, alpha, beta, gamma, n, n, "morris symmetric form", ct, sym)])
-    for p in [q for q in config.primes if q <= _BRIDGE_MAX_P]:
-        grid = grids[p]
-        for a, b, c in _triples(p):
-            params = SelbergParams(a, b, c, p)
-            for l in _BRIDGE_LEVELS:
-                if a + b + c < l * p - 1 or a + c > l * p - 1:
-                    continue
-                via = selberg_via_morris(params, l) % p
-                brute = grid.value(a, b, c, (l, l))
-                result.tally(1, [] if via == brute else [_ce(p, a, b, c, l, l, "morris bridge", brute, via)])
-    return result
 
 
-def _suite_stokes(config: SweepConfig, grids: _GridCache) -> SuiteResult:
+def _morris_bridge(config: SweepConfig, result: SuiteResult, step: _Step):
+    """The Selberg bridge against the grid's brute force at every (b, c) of one a."""
+    p, a, values = step.p, step.a, step.read([(l, l) for l in _BRIDGE_LEVELS]).tolist()
+    for b, c in itertools.product(range(1, p), repeat=2):
+        params = SelbergParams(a, b, c, p)
+        for l, brute in zip(_BRIDGE_LEVELS, values[b][c]):
+            if a + b + c < l * p - 1 or a + c > l * p - 1:
+                continue
+            via = selberg_via_morris(params, l) % p
+            result.tally(1, [] if via == brute else [_ce(p, a, b, c, l, l, "morris bridge", brute, via)])
+
+
+def _stokes(config: SweepConfig, result: SuiteResult):
     """Integrals of first partial derivatives vanish, on random polynomials."""
-    result = SuiteResult("stokes")
     rng = random.Random(STOKES_SEED)
     for _ in range(STOKES_COUNT):
         p = rng.choice(config.primes)
@@ -370,33 +330,28 @@ def _suite_stokes(config: SweepConfig, grids: _GridCache) -> SuiteResult:
             value = fp_integral(partial_derivative(poly, i), cycle)
             result.tally(1, [] if value == 0 else [
                 _ce(p, 0, 0, 0, cycle[0], cycle[-1], f"stokes d/dx{i}", 0, value)])
-    return result
 
 
-def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
+def _nd(config: SweepConfig, result: SuiteResult):
     """The n-dimensional closed form against expansion, for n = 1, 2, 3."""
-    result = SuiteResult("nd")
     for p in config.primes:
         ctx = get_context(p)
         # n = 1: reduces to the beta closed form on its whole domain.
-        for a in range(p):
-            for b in range(p):
-                if a + b < p - 1:
-                    continue
-                got = selberg_nd_closed(ctx, 1, a, b, 0)
-                want = beta_closed(ctx, a, b)
+        for a, b in itertools.product(range(p), repeat=2):
+            if a + b >= p - 1:
+                got, want = selberg_nd_closed(ctx, 1, a, b, 0), beta_closed(ctx, a, b)
                 result.tally(1, [] if got == want else [_ce(p, a, b, 0, 1, 1, "nd n=1", want, got)])
         # n = 2, 3: matches its window's brute force; n = 2 also the C11_i closed form.
         for request in _nd_windows(p):
-            window, (cycle,) = selberg_grid(*request), request[1]
-            n = len(cycle)
+            window, cycle = selberg_grid(*request), request[1]
+            n = len(cycle[0])
             for a in range(2 * p):
+                values = window.slab(a, cycle)[0].tolist()  # [b, c, 0]
                 for b in range(2 * p):
                     for c in range(p):
                         if not (p - 1 <= a + b + (n - 1) * c and a + b + (2 * n - 2) * c < 2 * p - 1):
                             continue
-                        got = selberg_nd_closed(ctx, n, a, b, c)
-                        brute = window.value(a, b, c, cycle)
+                        got, brute = selberg_nd_closed(ctx, n, a, b, c), values[b][c][0]
                         result.tally(1, [] if got == brute else [_ce(p, a, b, c, 1, 1, f"nd n={n}", brute, got)])
                         if n == 2 and 0 < a < p and 0 < b < p and 0 < c < p:
                             params = SelbergParams(a, b, c, p)
@@ -407,41 +362,95 @@ def _suite_nd(config: SweepConfig, grids: _GridCache) -> SuiteResult:
         if p > _ND3_MAX_P:
             result.skipped += 1
             result.notes.append(f"n=3 comparison skipped at p={p}: checked at p <= {_ND3_MAX_P}")
-    return result
 
 
-_SUITE_RUNNERS = {
-    "oracle_equiv": _suite_oracle_equiv,
-    "recurrences": _suite_recurrences,
-    "relations": _suite_relations,
-    "vanishing": _suite_vanishing,
-    "morris": _suite_morris,
-    "stokes": _suite_stokes,
-    "nd": _suite_nd,
+# A suite's checks: run before the walk over the shared grids, on each of its steps, and after it.
+_Suite = namedtuple("_Suite", "before grid after", defaults=(None, None, None))
+
+
+_SUITES = {
+    "oracle_equiv": _Suite(grid=_oracle_equiv),
+    "recurrences": _Suite(grid=_check_recurrences),
+    "relations": _Suite(grid=_relations, after=_golden),
+    "vanishing": _Suite(grid=_vanishing),
+    "morris": _Suite(before=_morris_identities, grid=_morris_bridge),
+    "stokes": _Suite(after=_stokes),
+    "nd": _Suite(after=_nd),
 }
+
+
+def _grid_readers(names: Iterable[str], p: int) -> list:
+    """The suites of ``names`` that read the shared grid of p, the bridge at p <= 7 only."""
+    return [name for name in names if _SUITES[name].grid and (name != "morris" or p <= _BRIDGE_MAX_P)]
+
+
+def _guard_grids(config: SweepConfig) -> tuple:
+    """The cycles of the shared grid: the configured ones, then those suites read besides them.
+
+    Raises ResourceLimitError, before any suite runs, if a grid a selected suite
+    reads is over the cap at some prime, nd's own windows included.  The shared
+    cycles are counted for that, and listed only if a selected suite reads them.
+    """
+    bound, shared = config.cycle_bound, [p for p in config.primes if _grid_readers(config.suites, p)]
+    extra = tuple(cycle for cycle in _SUITE_CYCLES if not cycle[0] <= cycle[1] <= bound)
+    count, top = bound * (bound + 1) // 2 + len(extra), max([bound, *itertools.chain(*extra)])
+    for p in config.primes:
+        if p in shared:
+            _grid_window(p, 2, p, count, top)
+        if "nd" in config.suites:
+            for window in _nd_windows(p):
+                _guard_grid(*window)
+    return (*config.cycles(), *extra) if shared else ()
 
 
 def run_verification(config: SweepConfig) -> VerificationReport:
     """Run the selected suites and collect per-suite outcomes.
 
-    Suites run one after another in this thread, sharing each prime's grid;
-    ``nd`` builds its own windows.  An error inside a suite other than the
-    resource guard ends only that suite, as one failed check naming the error.
+    Suites run in this thread.  For each prime one walk builds the shared grid
+    and reads it in ascending a, one slab of every shared cycle per a, and
+    hands the slabs of a - 1, a and a + 1 to each grid check; the grid is
+    dropped before the next prime.  A suite's ``seconds`` count its own checks
+    only.  An error inside a suite other than the resource guard ends only
+    that suite, as one failed check naming the error.
     """
-    grids = _GridCache(config)
-    suites = []
-    for name in config.suites:
+    cycles = _guard_grids(config)
+    results = {name: SuiteResult(name) for name in config.suites}
+    broken = set()
+
+    def attempt(name: str, check: Callable | None, *step):
+        if check is None or name in broken:
+            return
         start = time.perf_counter()
         try:
-            outcome = _SUITE_RUNNERS[name](config, grids)
+            check(config, results[name], *step)
         except ResourceLimitError:
             raise
         except Exception as exc:
-            outcome = SuiteResult(name)
-            outcome.tally(1, [{"error": f"{type(exc).__name__}: {exc}"}])
-        outcome.seconds = time.perf_counter() - start
-        suites.append(outcome)
-    return VerificationReport(suites)
+            broken.add(name)
+            results[name] = SuiteResult(name)
+            results[name].tally(1, [{"error": f"{type(exc).__name__}: {exc}"}])
+        results[name].seconds += time.perf_counter() - start
+
+    for name in config.suites:
+        attempt(name, _SUITES[name].before)
+    index = {cycle: k for k, cycle in enumerate(cycles)}
+    for p in config.primes:
+        readers = [name for name in _grid_readers(config.suites, p) if name not in broken]
+        if not readers:
+            continue
+        grid = selberg_grid(p, cycles)
+        codes = _branch_codes(config, p) if {"oracle_equiv", "vanishing"} & set(readers) else None
+        down, here = grid.slab(0, cycles), grid.slab(1, cycles)
+        for a in range(1, p):
+            up = grid.slab(a + 1, cycles) if a + 1 < p else None
+            step = _Step(p, a, (down, here, up), index, None if codes is None else codes[a - 1])
+            for name in readers:
+                attempt(name, _SUITES[name].grid, step)
+            down, here = here, up
+        del grid, codes
+    for name in config.suites:
+        attempt(name, _SUITES[name].after)
+    return VerificationReport([results[name] for name in config.suites])
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:

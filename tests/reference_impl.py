@@ -277,6 +277,16 @@ def ref_render_sweep_text(rows: list) -> str:
 # -- verify suites, one point at a time ---------------------------------------------
 
 
+def grid_value(grid, a: int, b: int, c: int, cycle) -> int:
+    """The integral of Phi_{a,b,c} over the cycle as a Python int, read from the slab of its a,
+    as ``selberg_bruteforce`` gives it; a point outside the grid box is refused."""
+    # Explicit bounds: a negative numpy index would silently wrap around.
+    if not (0 <= a < grid.ab_stop and 0 <= b < grid.ab_stop and 0 <= c < grid.p):
+        raise ValueError(f"(a, b, c) = ({a}, {b}, {c}) outside the grid box"
+                         f" [0, {grid.ab_stop})^2 x [0, {grid.p})")
+    return int(grid.slab(a, [cycle])[0][b, c, 0])
+
+
 def grid_moments(grid, a: int, b: int, c: int, cycle) -> tuple:
     """(S1, S2) of one grid point, from the slab of its a; S2 = n * value - S1."""
     values, s1 = grid.slab(a, [cycle])
@@ -302,7 +312,7 @@ def ref_suite_oracle_equiv(config, grids) -> SuiteResult:
             params = SelbergParams(a, b, c, p)
             for l1, l2 in config.cycles():
                 branch = _branch(params, l1, l2)
-                expected = grid.value(a, b, c, (l1, l2))
+                expected = grid_value(grid, a, b, c, (l1, l2))
                 for method in ("direct", "closed"):
                     got = _route_value(method, params, l1, l2, branch)
                     _check(result, got == expected, lambda: _ce(
@@ -319,7 +329,7 @@ def ref_suite_recurrences(config, grids) -> SuiteResult:
         for a, b, c in all_triples(p):
             for cycle in _RECURRENCE_CYCLES:
                 def value(a, b, source=grid):  # 0 outside the box, where no recurrence reads it
-                    return source.value(a, b, c, cycle) if a < p and b < p else 0
+                    return grid_value(source, a, b, c, cycle) if a < p and b < p else 0
 
                 shifted = value(a + 1, b, up), value(a, b + 1), value(a - 1, b, down), value(a, b - 1)
                 checks = _recurrences(p, a, b, c, value(a, b), *grid_moments(grid, a, b, c, cycle), *shifted,
@@ -336,7 +346,7 @@ def ref_suite_relations(config, grids) -> SuiteResult:
         grid = grids[p]
         for a, b, c in all_triples(p):
             params = SelbergParams(a, b, c, p)
-            report = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
+            report = relations_from_values(params, lambda cycle: grid_value(grid, a, b, c, cycle))
             if report.condition_set is None:
                 _check(result, bool(report.uniqueness_holds),
                        lambda: _ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
@@ -383,7 +393,7 @@ def ref_suite_vanishing(config, grids) -> SuiteResult:
                 branch = _branch(params, l1, l2)
                 if not branch.is_zero:
                     continue
-                value = grid.value(a, b, c, (l1, l2))
+                value = grid_value(grid, a, b, c, (l1, l2))
                 _check(result, value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
                 if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
                     exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)

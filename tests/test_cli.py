@@ -163,6 +163,20 @@ def test_point_queries_near_a_million_build_no_factorial_table(capsys):
     get_context.cache_clear()
 
 
+def test_verbose_eval_reads_the_closed_value_once(capsys):
+    # eval -v prints the value eval computed; its factorial sweep is not made twice.
+    point = ("-p", "999983", "--params", "400000,400000,300000", "-l", "1,1")
+    swept = []
+    for verbose in ((), ("-v",)):
+        get_context.cache_clear()
+        code, out, _ = run(capsys, "eval", *point, *verbose)
+        assert code == 0 and "value = 144219\nbranch = C11_i\n" in out
+        swept.append(get_context(999983).swept)
+    get_context.cache_clear()
+    assert out.endswith("value 144219\n")
+    assert swept[1] == swept[0] > 0
+
+
 @pytest.mark.parametrize("method", ["closed", "direct"])
 def test_sweeps_at_small_primes_build_the_tables(capsys, method):
     # Many points at one prime: the context's sweeps soon cost as much as the tables,
@@ -455,10 +469,10 @@ def test_unknown_command_is_usage_error(capsys):
 def test_internal_error_in_a_suite_fails_only_that_suite(monkeypatch, capsys):
     import fpselberg.verify as verify_mod
 
-    def broken(config, grids):
+    def broken(config, result, step):
         raise ValueError("factorial argument -1 outside table range")
 
-    monkeypatch.setitem(verify_mod._SUITE_RUNNERS, "relations", broken)
+    monkeypatch.setitem(verify_mod._SUITES, "relations", verify_mod._Suite(grid=broken))
     code, out, _ = run(capsys, "verify", "--suite", "relations,stokes", "--primes", "5", "--format", "json")
     assert code == 1
     suites = {s["name"]: s for s in json.loads(out)["suites"]}

@@ -46,11 +46,11 @@ VERIFY_P23_COUNTS = {
 }
 # The grid windows each run builds, in order, as (p, ab_stop, cycles, start):
 # the shared grid of each prime, then nd's n = 2 and n = 3 windows.  At p = 23
-# the shared grid holds 19 of its 23 a values, so each of the four suites that
-# read it in ascending a builds the block from 0, then the block from 19.
+# the shared grid holds 19 of its 23 a values, so the one walk that feeds every
+# suite reading it builds the block from 0, then the block from 19.
 VERIFY_BUILDS = [(p, p, 12, 0) for p in (3, 5, 7, 11, 13)] + [
     (p, 2 * p, 1, 0) for p in (3, 3, 5, 5, 7, 7, 11, 11, 13)]
-VERIFY_P23_BUILDS = [(23, 23, 12, 0), (23, 23, 12, 19)] * 4 + [(23, 46, 1, 0)]
+VERIFY_P23_BUILDS = [(23, 23, 12, 0), (23, 23, 12, 19), (23, 46, 1, 0)]
 # A brute-force sweep builds each prime's grid on its 10 cycles once when the
 # whole box fits; at the smallest p = 5 window, one a value wide, it moves it
 # to each a after the 0 it was made at.

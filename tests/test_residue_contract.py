@@ -32,7 +32,7 @@ from fpselberg.selberg2d_closed import (
     relations_from_values,
 )
 
-from reference_impl import dense_terms
+from reference_impl import dense_terms, grid_value
 from test_selberg2d_closed import delta_boundary_forms
 
 CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)]
@@ -74,17 +74,17 @@ def test_two_dimensional_evaluators_return_residues(p, exhaustive):
         poly = MultiPoly(2, dense_terms(_dense_master(2, a, b, c, p)), p)
         for cycle in CYCLES:
             seen("selberg_bruteforce", selberg_bruteforce(spec, cycle))
-            seen("SelbergGrid.value", grid.value(a, b, c, cycle))
+            seen("SelbergGrid.slab", grid_value(grid, a, b, c, cycle))
             seen("selberg_direct_2d", selberg_direct_2d(params, *cycle))
             seen("eval_closed", eval_closed(params, *cycle))
             seen("moment_integral S1", moment_integral(params, cycle, "S1"))
             seen("moment_integral S2", moment_integral(params, cycle, "S2"))
             seen("fp_integral", fp_integral(poly, cycle))
         for report in (relations_check(params),
-                       relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))):
+                       relations_from_values(params, lambda cycle: grid_value(grid, a, b, c, cycle))):
             for value in report.values.values():
                 seen("RelationReport.values", value)
-    seen.assert_both(["selberg_bruteforce", "SelbergGrid.value", "selberg_direct_2d", "eval_closed",
+    seen.assert_both(["selberg_bruteforce", "SelbergGrid.slab", "selberg_direct_2d", "eval_closed",
                       "moment_integral S1", "moment_integral S2", "fp_integral",
                       "RelationReport.values"])
 

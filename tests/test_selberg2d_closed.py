@@ -38,7 +38,7 @@ from fpselberg.selberg2d_closed import (
     skew_symmetry_check,
 )
 
-from reference_impl import (PRIMES, all_triples, prime_at_or_above, ref_branch, ref_closed_value, ref_cross,
+from reference_impl import (PRIMES, all_triples, grid_value, prime_at_or_above, ref_branch, ref_closed_value, ref_cross,
                             ref_direct_coefficient, ref_direct_runs, ref_mul, ref_univariate)
 
 
@@ -341,7 +341,7 @@ def test_relations_hold_exhaustively(p):
         params = SelbergParams(a, b, c, p)
         report = relations_check(params)
         assert report_ok(report), (p, a, b, c, report.condition_set)
-        shared = relations_from_values(params, lambda cycle: grid.value(a, b, c, cycle))
+        shared = relations_from_values(params, lambda cycle: grid_value(grid, a, b, c, cycle))
         assert (shared.condition_set, shared.values, report_ok(shared)) == (
             report.condition_set, report.values, report_ok(report))
 

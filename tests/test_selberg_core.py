@@ -25,8 +25,8 @@ from fpselberg.selberg_core import (
     selberg_nd_closed,
 )
 
-from reference_impl import (PRIMES, all_triples, dense_terms, grid_moments, ref_integral, ref_mul, ref_phi, ref_reduce,
-                            ref_selberg, ref_univariate)
+from reference_impl import (PRIMES, all_triples, dense_terms, grid_moments, grid_value, ref_integral, ref_mul, ref_phi,
+                            ref_reduce, ref_selberg, ref_univariate)
 
 # The default verify cycles l1 <= l2 <= 4 plus the transposed relation cycles.
 GRID_CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)] + [(2, 1), (3, 1)]
@@ -355,7 +355,7 @@ def test_grid_matches_per_point_bruteforce(p):
     for a, b, c in itertools.product(range(p), repeat=3):
         spec = MasterPolySpec(2, a, b, c, p)
         for cycle in GRID_CYCLES:
-            assert grid.value(a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
+            assert grid_value(grid, a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
             if a and b and c:
                 params = SelbergParams(a, b, c, p)
                 s1, s2 = grid_moments(grid, a, b, c, cycle)
@@ -384,7 +384,7 @@ def test_grid_window_reads_in_any_order(monkeypatch, order):
     for a, b, c in points:
         spec = MasterPolySpec(2, a, b, c, p)
         for cycle in GRID_CYCLES:
-            assert grid.value(a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
+            assert grid_value(grid, a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
             if a and b and c:
                 params = SelbergParams(a, b, c, p)
                 assert grid_moments(grid, a, b, c, cycle) == (moment_integral(params, cycle, "S1"),
@@ -429,17 +429,17 @@ def test_grid_slab_matches_values_and_moments(monkeypatch, windowed, order):
     slabs = {}
     for a in range(p) if order == "ascending" else reversed(range(p)):
         values, s1 = slabs[a] = grid.slab(a, cycles)
-        twin.value(a, 0, 0, cycles[0])
+        grid_value(twin, a, 0, 0, cycles[0])
         assert grid.start == twin.start
         assert values.dtype == s1.dtype == np.int64
         assert values.shape == s1.shape == (p, p, len(cycles))
         for b, c in itertools.product(range(p), repeat=2):
             s1_poly = ref_mul(MOMENT_FACTORS["S1"], ref_phi(2, a, b, c))
             for i, cycle in enumerate(cycles):
-                assert values[b, c, i] == twin.value(a, b, c, cycle), (a, b, c, cycle)
+                assert values[b, c, i] == grid_value(twin, a, b, c, cycle), (a, b, c, cycle)
                 assert s1[b, c, i] == ref_integral(s1_poly, p, cycle), (a, b, c, cycle)
     for a, (values, s1) in slabs.items():
-        assert values.tolist() == [[[twin.value(a, b, c, cycle) for cycle in cycles] for c in range(p)]
+        assert values.tolist() == [[[grid_value(twin, a, b, c, cycle) for cycle in cycles] for c in range(p)]
                                    for b in range(p)], a
         assert s1.tolist() == [[[grid_moments(twin, a, b, c, cycle)[0] for cycle in cycles] for c in range(p)]
                                for b in range(p)], a
@@ -450,7 +450,7 @@ def test_grid_nd_window_reads_absent_coefficients_as_zero(p):
     # a, b in [0, 2p): for a >= p the read index T - a is negative.
     grid = selberg_grid(p, [(1, 1)], 2 * p)
     for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
-        value = grid.value(a, b, c, (1, 1))
+        value = grid_value(grid, a, b, c, (1, 1))
         assert value == selberg_bruteforce(MasterPolySpec(2, a, b, c, p), (1, 1)), (a, b, c)
         if a >= p:
             assert value == 0 and grid_moments(grid, a, b, c, (1, 1)) == (0, 0)
@@ -462,14 +462,14 @@ def test_grid_matches_reference_expansion(p):
     for a, b, c in all_triples(p):
         phi = ref_phi(2, a, b, c)
         for l1, l2 in GRID_CYCLES:
-            assert grid.value(a, b, c, (l1, l2)) == phi.get((l1 * p - 1, l2 * p - 1), 0) % p
+            assert grid_value(grid, a, b, c, (l1, l2)) == phi.get((l1 * p - 1, l2 * p - 1), 0) % p
 
 
 def test_grid_reads_outside_the_box_are_refused():
     grid = selberg_grid(5, [(1, 1)])
     for a, b, c in [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (5, 1, 1), (1, 1, 5)]:
         with pytest.raises(ValueError):
-            grid.value(a, b, c, (1, 1))
+            grid_value(grid, a, b, c, (1, 1))
     with pytest.raises(ValueError):
         grid_moments(grid, 1, 1, 1, (1, 2))
     for a, cycles in [(-1, [(1, 1)]), (5, [(1, 1)]), (1, [(1, 1), (1, 2)])]:
@@ -515,7 +515,7 @@ def test_grid_guard_counts_only_the_truncated_expansion(monkeypatch):
     grid = selberg_grid(13, [(1, 1)], ab_stop=1)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS")
     for c in range(13):
-        assert grid.value(0, 0, c, (1, 1)) == selberg_bruteforce(MasterPolySpec(2, 0, 0, c, 13), (1, 1))
+        assert grid_value(grid, 0, 0, c, (1, 1)) == selberg_bruteforce(MasterPolySpec(2, 0, 0, c, 13), (1, 1))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -524,7 +524,7 @@ def test_grid_n3_window_matches_per_point_bruteforce(p):
     grid = selberg_grid(p, [(1, 1, 1)], 2 * p)
     for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
         want = selberg_bruteforce(MasterPolySpec(3, a, b, c, p), (1, 1, 1))
-        assert grid.value(a, b, c, (1, 1, 1)) == want, (a, b, c)
+        assert grid_value(grid, a, b, c, (1, 1, 1)) == want, (a, b, c)
 
 
 @pytest.mark.parametrize("p, count", [(11, 411), (13, 658)])
@@ -534,7 +534,7 @@ def test_grid_n3_window_matches_nd_closed_form(p, count):
     checked = 0
     for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
         if p - 1 <= a + b + 2 * c and a + b + 4 * c < 2 * p - 1:
-            assert grid.value(a, b, c, (1, 1, 1)) == selberg_nd_closed(ctx, 3, a, b, c), (a, b, c)
+            assert grid_value(grid, a, b, c, (1, 1, 1)) == selberg_nd_closed(ctx, 3, a, b, c), (a, b, c)
             checked += 1
     assert checked == count
 
@@ -561,7 +561,7 @@ def test_grid_n3_values_and_moments_match_reference(monkeypatch, windowed):
         phi = ref_phi(3, a, b, c)
         s1_poly, s2_poly = ref_mul(s1_factor, phi), ref_mul(s2_factor, phi)
         for cycle in N3_CYCLES:
-            assert grid.value(a, b, c, cycle) == ref_integral(phi, p, cycle), (a, b, c, cycle)
+            assert grid_value(grid, a, b, c, cycle) == ref_integral(phi, p, cycle), (a, b, c, cycle)
             assert grid_moments(grid, a, b, c, cycle) == (ref_integral(s1_poly, p, cycle),
                                                     ref_integral(s2_poly, p, cycle)), (a, b, c, cycle)
 

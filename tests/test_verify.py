@@ -166,7 +166,7 @@ def test_grid_over_the_cap_runs_window_by_window(monkeypatch):
     whole, closed = run_verification(config), sweep_rows(SweepConfig(primes=(5, 7), suites=("stokes",)))
     for cap, width in [(1576, 1), (2752, 2), (4000, 3)]:
         monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cap))
-        assert selberg_core._guard_grid(7, verify._GridCache(config).cycles, None)[3] == width
+        assert selberg_core._guard_grid(7, verify._guard_grids(config), None)[3] == width
         windowed = run_verification(config)
         assert windowed.failed_total == whole.failed_total == 0
         assert _without_seconds(windowed) == _without_seconds(whole), cap
@@ -194,7 +194,7 @@ def test_default_cap_thresholds(monkeypatch, run, last, refused):
     monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     guards = {
-        "verify": lambda p: verify._GridCache(SweepConfig(primes=(p,))),
+        "verify": lambda p: verify._guard_grids(SweepConfig(primes=(p,))),
         "bruteforce-sweep": lambda p: sweep.iter_sweep_rows(SweepConfig(primes=(p,), methods=("bruteforce",))),
     }
     guards[run](last)
@@ -221,6 +221,44 @@ def test_every_pass_reads_its_grids_in_ascending_a(monkeypatch, run):
     assert any(len(built) > 1 for built in starts.values())
     for built in starts.values():
         assert built == sorted(set(built)), built
+
+
+def test_one_walk_builds_each_shared_block_once(monkeypatch):
+    # At 1,576 cells the shared p = 7 grid holds one a value at a time.  Every
+    # suite of a full run reads it from one walk, which builds each a once, in
+    # ascending order; a pass per suite built 31 windows.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", "1576")
+    builds = []
+    build = selberg_core.SelbergGrid._build
+    monkeypatch.setattr(selberg_core.SelbergGrid, "_build", lambda self, start: builds.append(
+        (self.p, self.ab_stop, len(self._index), start)) or build(self, start))
+    assert run_verification(SweepConfig(primes=(7,), suites=ALL_SUITES)).failed_total == 0
+    assert [start for p, ab_stop, count, start in builds if ab_stop == p] == list(range(7))
+
+
+@pytest.mark.parametrize("name", ["oracle_equiv", "recurrences", "relations", "vanishing", "morris"])
+def test_an_error_in_the_middle_of_the_walk_fails_only_that_suite(monkeypatch, name):
+    # The grid check of one suite raises at a = 3 of p = 7: that suite is one
+    # failed check naming the error, and every other suite reads the rest of
+    # the walk as a clean run does.
+    config = SweepConfig(primes=(5, 7))
+    clean = _without_seconds(run_verification(config))
+    suite = verify._SUITES[name]
+
+    def raising(config, result, step):
+        if (step.p, step.a) == (7, 3):
+            raise ArithmeticError("a check broke at a = 3")
+        suite.grid(config, result, step)
+
+    monkeypatch.setitem(verify._SUITES, name, suite._replace(grid=raising))
+    broken = _without_seconds(run_verification(config))
+    for got, want in zip(broken["suites"], clean["suites"]):
+        if got["name"] != name:
+            assert got == want, got["name"]
+            continue
+        assert (got["checked"], got["passed"], got["failed"], got["skipped"], got["notes"]) == (1, 0, 1, 0, [])
+        assert got["counterexamples"] == [{"error": "ArithmeticError: a check broke at a = 3"}]
+    assert broken["failed_total"] == 1
 
 
 # Mutations the pinned reports below are made under.  C12_ii_sign flips the
@@ -277,7 +315,7 @@ def test_windowed_verify_keeps_counterexample_order(monkeypatch):
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     whole = run_verification(config)
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "12000")
-    assert selberg_core._guard_grid(11, verify._GridCache(config).cycles, None)[3] == 3
+    assert selberg_core._guard_grid(11, verify._guard_grids(config), None)[3] == 3
     windowed = run_verification(config)
     assert whole.failed_total > 0
     assert _without_seconds(windowed) == _without_seconds(whole)
@@ -300,16 +338,18 @@ def test_mutated_verify_reports_are_pinned(monkeypatch, tmp_path, mutation, cap)
 @pytest.mark.parametrize("cap", [None, "12000"], ids=["whole", "windowed"])
 @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
 def test_grid_suites_match_per_point_reference(monkeypatch, mutation, cap):
-    # The suites that read a slab of a at a time give the counts, notes and
-    # counterexamples, in order, of per-point loops over the same grids.
+    # The suites that read a slab of a at a time from the walk give the counts,
+    # notes and counterexamples, in order, of per-point loops over the same grids.
     _set_cap(monkeypatch, cap)
     if mutation:
         _mutate(monkeypatch, mutation)
     config = SweepConfig(primes=(5, 7, 11), integer_mode=True)
+    suites = {suite.name: suite for suite in run_verification(config).suites}
+    cycles = verify._guard_grids(config)
     failed = 0
     for name, reference in REF_SUITES.items():
-        got = verify._SUITE_RUNNERS[name](config, verify._GridCache(config))
-        want = reference(config, verify._GridCache(config))
+        got = suites[name]
+        want = reference(config, {p: selberg_core.selberg_grid(p, cycles) for p in config.primes})
         assert (got.checked, got.passed, got.failed, got.skipped, got.notes) == \
                (want.checked, want.passed, want.failed, want.skipped, want.notes), name
         assert got.counterexamples == want.counterexamples, name
@@ -318,10 +358,18 @@ def test_grid_suites_match_per_point_reference(monkeypatch, mutation, cap):
 
 
 def _record_suite_runs(monkeypatch) -> list:
+    """The suites whose checks run from here on, in the order each first runs one."""
     ran = []
-    for name, runner in verify._SUITE_RUNNERS.items():
-        monkeypatch.setitem(verify._SUITE_RUNNERS, name,
-                            lambda *args, name=name, runner=runner: ran.append(name) or runner(*args))
+
+    def recorded(name, check):
+        def run(*args):
+            if name not in ran:
+                ran.append(name)
+            return check(*args)
+        return run
+
+    for name, suite in verify._SUITES.items():
+        monkeypatch.setitem(verify._SUITES, name, verify._Suite(*(check and recorded(name, check) for check in suite)))
     return ran
 
 
