@@ -1,20 +1,23 @@
 """Exact arithmetic in the prime field F_p.
 
-An :class:`FpContext` fixes an odd prime p.  Its factorial and
-inverse-factorial tables cover only [0, (p-1)/2]; Wilson reflection,
-n! (p-1-n)! = (-1)^(n+1), gives the upper half of [0, p-1].  Factorials of
-arguments >= p are 0 by construction (p divides n!), and the closed-form
-evaluators elsewhere in the package rely on that vanishing; only arguments in
-[0, p-1] may ever be inverted.
+An :class:`FpContext` fixes an odd prime p.  Its one factorial reader,
+``factorial_ratio``, returns prod top! / prod bottom! mod p.  Factorials of
+arguments >= p are 0 by construction (p divides n!), so a top argument >= p
+makes the ratio 0 at any prime; the closed-form evaluators elsewhere in the
+package rely on that vanishing.  Only arguments in [0, p-1] may ever be
+inverted.
 
-The tables cost about p steps to build, which a point query that reads a
-handful of factorials at p near 10^6 need not pay.  So the batch read
-``factorial_ratio``, prod top! / prod bottom!, answers without them by one
-ascending sweep to its largest reflected argument and one inversion, and
-builds the tables only once the context's sweeps would have cost as many
-steps as the tables do: a single point query builds none, a run of many
-queries at one prime builds them after a few and reads them from then on.
-The single reads ``factorial`` and ``inv_factorial`` build them at once.
+Any other ratio is read from factorial and inverse-factorial tables over
+[0, (p-1)/2], with Wilson reflection, n! (p-1-n)! = (-1)^(n+1), for the upper
+half of [0, p-1], once they are built.  The tables cost about p steps to
+build, which a point query that reads a handful of factorials at p near 10^6
+need not pay.  So until then the reader answers by one ascending sweep to its
+largest reflected argument and one inversion, and builds them only once the
+context's sweeps would have cost as many steps as the tables do: a single
+point query builds none, a run of many queries at one prime builds them after
+a few and reads them from then on.  A prime whose tables would be over the
+cap is refused instead of swept.  ``factorial`` and ``binomial`` read
+through it.
 
 Field values throughout the package are plain ints reduced into [0, p);
 callers write ``% p`` and ``FpContext.inverse`` where they need arithmetic.
@@ -72,7 +75,7 @@ def is_prime(n: int) -> bool:
 
 
 # Largest half-table the context builds, so p up to about 3e7.  Above it a
-# factorial read that needs the tables raises ResourceLimitError instead of
+# factorial read that does not vanish raises ResourceLimitError instead of
 # exhausting memory.
 MAX_TABLE_ENTRIES = 15_000_000
 # The tables are C-int arrays, 4 bytes an entry: residues below p < 2^25 fit,
@@ -84,16 +87,15 @@ _TABLE_TYPECODE = "i"
 class FpContext:
     """An odd prime p with lazily built factorial and inverse-factorial tables.
 
-    Constructing a context only validates p.  The first factorial read that
-    needs them builds the half-tables, each of (p+1)/2 entries:
+    Constructing a context only validates p.  ``factorial_ratio`` is its one
+    factorial reader; ``factorial`` and ``binomial`` call it.  Once its sweeps
+    have cost as many steps as the tables (``swept`` counts them), it builds
+    the half-tables, each of (p+1)/2 entries:
       * ``fact[n]`` = n! mod p for 0 <= n <= (p-1)/2;
       * ``inv_fact[n]`` = the inverse of n! mod p on the same range.
-    ``factorial``, ``inv_factorial``, ``binomial`` and ``factorial_ratio``
-    reach the rest of [0, p-1] by Wilson reflection; both tables are ``None``
-    until then, and ``factorial_ratio`` sweeps instead of building them while
-    its sweeps have cost fewer steps than the tables would (``swept`` counts
-    them).  Both are C-int arrays (``array('i')``).  Building them is
-    idempotent, so a context may be shared.
+    It reaches the rest of [0, p-1] by Wilson reflection.  Both tables are
+    ``None`` until then, and C-int arrays (``array('i')``) after.  Building
+    them is idempotent, so a context may be shared.
     """
 
     __slots__ = ("p", "fact", "inv_fact", "swept")
@@ -117,7 +119,6 @@ class FpContext:
             )
 
     def _build_tables(self):
-        self.check_table_size()
         p = self.p
         half = (p + 1) // 2
         fact = array(_TABLE_TYPECODE, [1]) * half
@@ -135,38 +136,15 @@ class FpContext:
 
     def factorial(self, n: int) -> int:
         """n! mod p as a plain int; n must lie in [0, 4p], and n >= p gives 0."""
-        p = self.p
-        if n < 0 or n > 4 * p:
-            raise ValueError(f"factorial argument {n} outside [0, {4 * p}]")
-        if n >= p:
-            return 0
-        if self.fact is None:
-            self._build_tables()
-        if 2 * n < p:
-            return self.fact[n]
-        v = self.inv_fact[p - 1 - n]  # n! = (-1)^(n+1) / (p-1-n)!
-        return v if n & 1 else p - v
-
-    def inv_factorial(self, n: int) -> int:
-        """Inverse of n! mod p; requires 0 <= n <= p-1 so that n! is non-zero."""
-        p = self.p
-        if n < 0 or n >= p:
-            raise ValueError(f"inverse factorial needs 0 <= n < p, got n={n} for p={p}")
-        if self.fact is None:
-            self._build_tables()
-        if 2 * n < p:
-            return self.inv_fact[n]
-        v = self.fact[p - 1 - n]  # 1/n! = (-1)^(n+1) (p-1-n)!
-        return v if n & 1 else p - v
+        return self.factorial_ratio((n,), ())
 
     def factorial_ratio(self, top, bottom) -> int:
         """prod(n! for n in top) / prod(n! for n in bottom) mod p, as a plain int.
 
         Each top argument must lie in [0, 4p], and one >= p makes the ratio 0;
-        each bottom argument must lie in [0, p-1], as for ``factorial`` and
-        ``inv_factorial``.  With the tables built every factor is one table
-        read; before, ``_swept_ratio`` answers or builds them.  Either way a
-        prime over the table cap is refused, as a table read would be.
+        each bottom argument must lie in [0, p-1], so that its factorial is
+        non-zero.  With the tables built every factor is one table read;
+        before, ``_swept_ratio`` answers or builds them.
         """
         fact = self.fact
         if fact is None:
@@ -196,12 +174,13 @@ class FpContext:
     def _swept_ratio(self, top, bottom) -> int:
         """``factorial_ratio`` without the tables: one sweep 1, 2, ..., m and one inversion.
 
-        Wilson reflection sends every argument n > (p-1)/2 to p-1-n on the
-        other side of the fraction, with the sign (-1)^(n+1), so m is at most
-        (p-1)/2.  Once the context's sweeps would reach the p + 1 steps that
-        building both half tables takes, it builds them and reads those.
+        After the range checks, a top argument >= p answers 0 at any prime.
+        Otherwise a prime over the table cap is refused, as its tables would
+        be.  Wilson reflection sends every argument n > (p-1)/2 to p-1-n on
+        the other side of the fraction, with the sign (-1)^(n+1), so m is at
+        most (p-1)/2.  Once the context's sweeps would reach the p + 1 steps
+        that building both half tables takes, it builds them and reads those.
         """
-        self.check_table_size()
         p = self.p
         for n in bottom:
             if n < 0 or n >= p:
@@ -211,6 +190,7 @@ class FpContext:
                 raise ValueError(f"factorial argument {n} outside [0, {4 * p}]")
         if any(n >= p for n in top):
             return 0
+        self.check_table_size()
         reads, negative = [], False  # (m, whether m! multiplies), m <= (p-1)/2
         for n, up in [(n, True) for n in top] + [(n, False) for n in bottom]:
             if 2 * n < p:
@@ -240,7 +220,7 @@ class FpContext:
 
         Total on n, m >= 0 of any size, with the convention C(n, m) = 0 when
         n < m (applied digit by digit).  A digit with m_i = 0 or m_i = n_i
-        contributes 1 and reads no table.
+        contributes 1 and reads no factorial; any other is one ratio read.
         """
         if n < 0 or m < 0:
             raise ValueError(f"binomial arguments must be non-negative, got ({n}, {m})")
@@ -252,8 +232,7 @@ class FpContext:
             if md > nd:
                 return 0
             if 0 < md < nd:
-                result = (result * self.factorial(nd) % p * self.inv_factorial(md) % p
-                          * self.inv_factorial(nd - md) % p)
+                result = result * self.factorial_ratio((nd,), (md, nd - md)) % p
             n //= p
             m //= p
         return result

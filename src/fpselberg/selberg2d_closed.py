@@ -31,8 +31,12 @@ Each block is one classifier over plain ints (a, b, c, p), and the table
 cycle, is the dispatch: one lookup and one call, OTHER_zero off the table.
 Within a block the conditions are exhaustive and mutually exclusive; the
 (1,2) classifier raises GuardError if it ever falls through, and the test
-suite checks that this never happens.  Every formula is a signed ratio of
-factorials whose denominator arguments provably lie in [0, p-1] on its branch.
+suite checks that this never happens.  What a branch answers is its row in
+``_ROWS``, one per branch: a formula branch's template and formula, a signed
+ratio of factorials whose denominator arguments provably lie in [0, p-1] on
+its branch, or a zero branch's reason and whether it vanishes over Z.
+``Branch.is_zero``, ``_formula``, ``describe`` and verify's integer mode all
+read these rows.
 
 The module also verifies the three regimes in which several cycles are
 non-zero at once (condition sets R1, R2, R3 and the -1/2 relations between
@@ -44,8 +48,9 @@ and the direct sum ``_direct_coefficient`` live here, so ``eval`` and
 ``classify`` load this module, ``errors`` and ``modp_arith`` and nothing
 of the expansion code.  A closed value is one ``FpContext.factorial_ratio``
 read, which at a single large prime sweeps instead of building factorial
-tables; the direct sum steps each run of its k interval by the ratio of
-consecutive terms, one inversion and one ratio read per run.
+tables, and answers 0 at any prime when a numerator argument reaches p; the
+direct sum steps each run of its k interval by the ratio of consecutive
+terms, one inversion and one ratio read per run.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ class Branch(str, Enum):
 
     @property
     def is_zero(self) -> bool:
-        return self in _ZERO_REASONS
+        return type(_ROWS[self]) is _ZeroRow
 
 
 def classify(params: SelbergParams, l1: int, l2: int) -> Branch:
@@ -220,62 +225,73 @@ _CYCLE_CLASSES = {
 _OTHER_CLASS = ("OTHER", _other)
 
 
-# Non-zero branch formulas: sign, numerator factorial args, denominator
-# factorial args.  Denominator arguments are in [0, p-1] whenever the branch
-# conditions hold; numerators may vanish (argument >= p), encoding the
-# "non-zero iff 2c < p" dichotomy on C11_i, C11_ii and C22_i.
+# One row per branch.  A formula branch's row holds its template, as describe prints it,
+# and its formula: (a, b, c, p) -> (sign, numerator factorial arguments, denominator
+# factorial arguments).  Denominator arguments are in [0, p-1] whenever the branch
+# conditions hold; numerators may vanish (argument >= p), encoding the "non-zero iff
+# 2c < p" dichotomy on C11_i, C11_ii and C22_i.  A zero branch's row holds the reason it
+# vanishes and whether it vanishes over Z (degree or truncation arguments), not merely
+# mod p, which verify's integer mode checks with the exact oracle.
+_FormulaRow = namedtuple("_FormulaRow", "template formula")
+_ZeroRow = namedtuple("_ZeroRow", "reason over_z")
+
+_ROWS = {
+    Branch.C11_i: _FormulaRow(
+        "(2c)!/c! * a!(a+c)!b!(b+c)! / ((a+b+c-p+1)!(a+b+2c-p+1)!)",
+        lambda a, b, c, p: (1, [2 * c, a, a + c, b, b + c],
+                            [c, a + b + c - p + 1, a + b + 2 * c - p + 1])),
+    Branch.C11_ii: _FormulaRow(
+        "(2c)!/c! * a!(a+c)!b!(b+c-p)! / ((a+b+c-p+1)!(a+b+2c-2p+1)!)",
+        lambda a, b, c, p: (1, [2 * c, a, a + c, b, b + c - p],
+                            [c, a + b + c - p + 1, a + b + 2 * c - 2 * p + 1])),
+    Branch.C11_iii_zero: _ZeroRow("b+c >= p with a+b+2c <= 2p-2", False),
+    Branch.C22_i: _FormulaRow(
+        "-(2c)!/c! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-2p+1)!)",
+        lambda a, b, c, p: (-1, [2 * c, a, a + c - p, b, b + c - p],
+                            [c, a + b + c - 2 * p + 1, a + b + 2 * c - 2 * p + 1])),
+    Branch.C22_ii: _FormulaRow(
+        "-(2c-p)!/c! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-3p+1)!)",
+        lambda a, b, c, p: (-1, [2 * c - p, a, a + c - p, b, b + c - p],
+                            [c, a + b + c - 2 * p + 1, a + b + 2 * c - 3 * p + 1])),
+    Branch.C12_delta_neg_zero: _ZeroRow("delta < 0: x2 exponent 2p-1 is out of reach", True),
+    Branch.C12_delta0_zero: _ZeroRow("delta = 0 with a+b < p-1", True),
+    Branch.C12_delta0_formula: _FormulaRow(
+        "(-1)^(b+1) * a!b! / (a+b-p+1)!",
+        lambda a, b, c, p: ((-1) ** (b + 1), [a, b], [a + b - p + 1])),
+    Branch.C12_i: _FormulaRow(
+        "-(2c-1)!/(c-1)! * a!(a+c)!b!(b+c-p)! / ((a+b+c-p+1)!(a+b+2c-2p+1)!)",
+        lambda a, b, c, p: (-1, [2 * c - 1, a, a + c, b, b + c - p],
+                            [c - 1, a + b + c - p + 1, a + b + 2 * c - 2 * p + 1])),
+    # Sign is +: at delta = 0 this form must agree with the (-1)^(b+1) a! b! / (a+b-p+1)!
+    # form, and a+b odd there forces it; pinned against the expansion oracle on the full grid.
+    Branch.C12_ii: _FormulaRow(
+        "(2c-1)!/(c-1)! * a!(a+c-p)!b!(b+c)! / ((a+b+c-p+1)!(a+b+2c-2p+1)!)",
+        lambda a, b, c, p: (1, [2 * c - 1, a, a + c - p, b, b + c],
+                            [c - 1, a + b + c - p + 1, a + b + 2 * c - 2 * p + 1])),
+    Branch.C12_iii_zero: _ZeroRow("a+c, b+c >= p with a+b+c < 2p-1", False),
+    Branch.C12_iv: _FormulaRow(
+        "(2c-1)!/(c-1)! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-2p+1)!)",
+        lambda a, b, c, p: (1, [2 * c - 1, a, a + c - p, b, b + c - p],
+                            [c - 1, a + b + c - 2 * p + 1, a + b + 2 * c - 2 * p + 1])),
+    Branch.C12_v_zero: _ZeroRow("2c > p with a+c >= p", False),
+    Branch.C12_vi_zero: _ZeroRow("2c > p with b+c >= p", False),
+    Branch.C13_zero: _ZeroRow("a+b+2c < 3p-1: x2 exponent 3p-1 is out of reach", True),
+    Branch.C13_formula: _FormulaRow(
+        "(2c-1-p)!/(c-1)! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-3p+1)!)",
+        lambda a, b, c, p: (1, [2 * c - 1 - p, a, a + c - p, b, b + c - p],
+                            [c - 1, a + b + c - 2 * p + 1, a + b + 2 * c - 3 * p + 1])),
+    Branch.C23_zero: _ZeroRow("the [2,3] coefficient always vanishes in the window 0 < a,b,c < p", False),
+    Branch.OTHER_zero: _ZeroRow("cycle outside {(1,1),(2,2),(1,2),(1,3)}: degree too small", True),
+    Branch.NOT_APPLICABLE_zero: _ZeroRow("target monomial cannot occur in the expansion", True),
+}
+
+
 def _formula(branch: Branch, params: SelbergParams) -> tuple[int, list[int], list[int]]:
-    a, b, c, p = params.a, params.b, params.c, params.p
-    s = a + b + c
-    t = a + b + 2 * c
-    if branch == Branch.C11_i:
-        return 1, [2 * c, a, a + c, b, b + c], [c, s - p + 1, t - p + 1]
-    if branch == Branch.C11_ii:
-        return 1, [2 * c, a, a + c, b, b + c - p], [c, s - p + 1, t - 2 * p + 1]
-    if branch == Branch.C22_i:
-        return -1, [2 * c, a, a + c - p, b, b + c - p], [c, s - 2 * p + 1, t - 2 * p + 1]
-    if branch == Branch.C22_ii:
-        return -1, [2 * c - p, a, a + c - p, b, b + c - p], [c, s - 2 * p + 1, t - 3 * p + 1]
-    if branch == Branch.C12_delta0_formula:
-        return (-1) ** (b + 1), [a, b], [a + b - p + 1]
-    if branch == Branch.C12_i:
-        return -1, [2 * c - 1, a, a + c, b, b + c - p], [c - 1, s - p + 1, t - 2 * p + 1]
-    if branch == Branch.C12_ii:
-        # Sign is +: at delta = 0 this form must agree with the
-        # (-1)^(b+1) a! b! / (a+b-p+1)! form, and a+b odd there forces it;
-        # pinned against the expansion oracle on the full grid.
-        return 1, [2 * c - 1, a, a + c - p, b, b + c], [c - 1, s - p + 1, t - 2 * p + 1]
-    if branch == Branch.C12_iv:
-        return 1, [2 * c - 1, a, a + c - p, b, b + c - p], [c - 1, s - 2 * p + 1, t - 2 * p + 1]
-    if branch == Branch.C13_formula:
-        return 1, [2 * c - 1 - p, a, a + c - p, b, b + c - p], [c - 1, s - 2 * p + 1, t - 3 * p + 1]
-    raise GuardError(f"no formula for branch {branch}")
-
-
-_TEMPLATES = {
-    Branch.C11_i: "(2c)!/c! * a!(a+c)!b!(b+c)! / ((a+b+c-p+1)!(a+b+2c-p+1)!)",
-    Branch.C11_ii: "(2c)!/c! * a!(a+c)!b!(b+c-p)! / ((a+b+c-p+1)!(a+b+2c-2p+1)!)",
-    Branch.C22_i: "-(2c)!/c! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-2p+1)!)",
-    Branch.C22_ii: "-(2c-p)!/c! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-3p+1)!)",
-    Branch.C12_delta0_formula: "(-1)^(b+1) * a!b! / (a+b-p+1)!",
-    Branch.C12_i: "-(2c-1)!/(c-1)! * a!(a+c)!b!(b+c-p)! / ((a+b+c-p+1)!(a+b+2c-2p+1)!)",
-    Branch.C12_ii: "(2c-1)!/(c-1)! * a!(a+c-p)!b!(b+c)! / ((a+b+c-p+1)!(a+b+2c-2p+1)!)",
-    Branch.C12_iv: "(2c-1)!/(c-1)! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-2p+1)!)",
-    Branch.C13_formula: "(2c-1-p)!/(c-1)! * a!(a+c-p)!b!(b+c-p)! / ((a+b+c-2p+1)!(a+b+2c-3p+1)!)",
-}
-
-_ZERO_REASONS = {
-    Branch.NOT_APPLICABLE_zero: "target monomial cannot occur in the expansion",
-    Branch.C11_iii_zero: "b+c >= p with a+b+2c <= 2p-2",
-    Branch.C12_delta_neg_zero: "delta < 0: x2 exponent 2p-1 is out of reach",
-    Branch.C12_delta0_zero: "delta = 0 with a+b < p-1",
-    Branch.C12_iii_zero: "a+c, b+c >= p with a+b+c < 2p-1",
-    Branch.C12_v_zero: "2c > p with a+c >= p",
-    Branch.C12_vi_zero: "2c > p with b+c >= p",
-    Branch.C13_zero: "a+b+2c < 3p-1: x2 exponent 3p-1 is out of reach",
-    Branch.C23_zero: "the [2,3] coefficient always vanishes in the window 0 < a,b,c < p",
-    Branch.OTHER_zero: "cycle outside {(1,1),(2,2),(1,2),(1,3)}: degree too small",
-}
+    """The sign and the numerator and denominator factorial arguments of a formula branch."""
+    row = _ROWS[branch]
+    if type(row) is _ZeroRow:
+        raise GuardError(f"no formula for branch {branch}")
+    return row.formula(*params)
 
 
 # The evaluation routes of a two-dimensional point, by CLI --method name.
@@ -376,10 +392,10 @@ def describe(params: SelbergParams, l1: int, l2: int, branch: Branch | None = No
         f"cycle class {cycle_class}, branch {branch}, delta={params.delta}",
     ]
     if branch.is_zero:
-        lines.append(f"value 0: {_ZERO_REASONS[branch]}")
+        lines.append(f"value 0: {_ROWS[branch].reason}")
     else:
         sign, top, bottom = _formula(branch, params)
-        lines.append(f"formula: {_TEMPLATES[branch]}")
+        lines.append(f"formula: {_ROWS[branch].template}")
         sgn = "-" if sign % p == p - 1 else "+"
         lines.append(f"numerator factorial arguments {top!r}, denominator {bottom!r}, sign {sgn}")
         lines.append(f"value {_closed_value(branch, params) if value is None else value}")
@@ -463,8 +479,8 @@ def skew_symmetry_check(params: SelbergParams) -> bool:
         lower = (x1-x2)^(2c-p) * x1^a (1-x1)^b x2^a (1-x2)^b   (coeffs beta)
 
     the alpha coefficients at cycle exponents are finite differences of beta,
-    and `lower` is skew-symmetric in x1, x2.  Confirms, for parameters with
-    2c > p and a+b+2c >= 3p-1:
+    and `lower` is skew-symmetric in x1, x2.  Confirms, for parameters in R3
+    (2c > p and a+b+2c >= 3p-1):
 
         beta(p-1, 2p-1) = -beta(2p-1, p-1)
         alpha(3p-1, p-1) =  beta(2p-1, p-1)
@@ -476,10 +492,10 @@ def skew_symmetry_check(params: SelbergParams) -> bool:
     h = c - (p+1)/2 in [0, (p-3)/2], so beta(t) = half[t - e1] - half[t - e2]
     on half = Phi(a, b, h).  alpha and beta are read by the direct sum.
     """
-    a, b, c, p = params.a, params.b, params.c, params.p
-    if not (2 * c > p and a + b + 2 * c >= 3 * p - 1):
+    if not in_condition_sets(params)[2]:
         raise DomainError(f"skew-symmetry check needs 2c > p and a+b+2c >= 3p-1, got {params}")
 
+    a, b, c, p = params.a, params.b, params.c, params.p
     full = functools.partial(_direct_coefficient, params.ctx, a, b, c)
     alpha_31, alpha_22, alpha_13 = (full(*t) for t in
                                     ((3 * p - 1, p - 1), (2 * p - 1, 2 * p - 1), (p - 1, 3 * p - 1)))

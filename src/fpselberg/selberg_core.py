@@ -241,7 +241,7 @@ def beta_closed(ctx: FpContext, a: int, b: int) -> int:
             raise ValueError(f"beta_closed needs 0 <= {name} < p={p}, got {v}")
     if a + b < p - 1:
         return 0
-    return -ctx.factorial(a) * ctx.factorial(b) * ctx.inv_factorial(a + b - p + 1) % p
+    return -ctx.factorial_ratio((a, b), (a + b - p + 1,)) % p
 
 
 def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> int:
@@ -268,17 +268,17 @@ def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> int:
             f"closed form needs p-1 <= a+b+(n-1)c and a+b+(2n-2)c < 2p-1;"
             f" got a={a}, b={b}, c={c}, n={n}, p={p}"
         )
-    value = (-1) ** n % p
+    top, bottom = [], []
     for j in range(1, n + 1):
         d = a + b + (n + j - 2) * c + 1 - p
         if not 0 <= d < p:
             raise GuardError(f"denominator factorial argument {d} outside [0, p-1]")
         if j > 1:  # the j = 1 ratio (jc)!/c! is identically 1
-            value = value * ctx.factorial(j * c) % p * ctx.inv_factorial(c) % p
-        value = value * ctx.factorial(a + (j - 1) * c) % p
-        value = value * ctx.factorial(b + (j - 1) * c) % p
-        value = value * ctx.inv_factorial(d) % p
-    return value
+            top.append(j * c)
+            bottom.append(c)
+        top += [a + (j - 1) * c, b + (j - 1) * c]
+        bottom.append(d)
+    return (-1) ** n * ctx.factorial_ratio(top, bottom) % p
 
 
 def moment_integral(params: SelbergParams, cycle: Sequence[int], kind: str) -> int:

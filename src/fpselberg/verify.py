@@ -39,6 +39,7 @@ from .selberg2d_closed import (
     RELATION_CYCLES,
     _CYCLE_CLASSES,
     _OTHER_CLASS,
+    _ROWS,
     Branch,
     SelbergParams,
     _branch,
@@ -61,17 +62,6 @@ __all__ = [
 
 STOKES_SEED = 0x5E1B
 STOKES_COUNT = 200
-
-# Branches whose vanishing holds over Z (degree or truncation arguments),
-# not merely mod p; checked by the exact-integer oracle in integer mode.
-_INTEGER_ZERO_BRANCHES = {
-    Branch.NOT_APPLICABLE_zero,
-    Branch.C12_delta_neg_zero,
-    Branch.C12_delta0_zero,
-    Branch.C13_zero,
-    Branch.OTHER_zero,
-}
-
 
 @dataclass
 class SuiteResult:
@@ -284,7 +274,7 @@ def _vanishing(config: SweepConfig, result: SuiteResult, step: _Step):
     for j, k, i in points:
         b, c, branch, value = j + 1, k + 1, _BRANCHES[step.codes[j, k, i]], int(values[j, k, i])
         result.tally(1, [] if value == 0 else [_ce(p, a, b, c, *cycles[i], str(branch), 0, value)])
-        if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
+        if config.integer_mode and _ROWS[branch].over_z:
             exact = selberg_bruteforce(SelbergParams(a, b, c, p).spec(2), cycles[i], exact=True)
             result.tally(1, [] if exact == 0 else [_ce(p, a, b, c, *cycles[i], f"{branch} (integer)", 0, exact)])
 

@@ -10,15 +10,16 @@ suites themselves did before they read a slab of a at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
 from fpselberg.errors import GuardError
 from fpselberg.golden import GOLDEN_2D
 from fpselberg.selberg_core import SelbergParams, _direct, selberg_bruteforce, selberg_grid
-from fpselberg.selberg2d_closed import (Branch, _branch, _closed_value, _formula, eval_closed,
+from fpselberg.selberg2d_closed import (_ROWS, Branch, _branch, _closed_value, _formula, eval_closed,
                                         relations_from_values, skew_symmetry_check)
-from fpselberg.verify import _INTEGER_ZERO_BRANCHES, _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
+from fpselberg.verify import _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -115,16 +116,46 @@ def dense_terms(arr, p: int | None = None) -> dict:
 # -- factorial reads -------------------------------------------------------------------
 # The closed and direct routes as they were before they read factorials through
 # FpContext.factorial_ratio: one table read per factorial, and one term of the direct
-# sum at a time.  Their context builds its tables on the first read.
+# sum at a time.  ``ref_factorial`` and ``ref_inv_factorial`` are FpContext's single
+# table reads as they were before factorial_ratio became its only reader; they build
+# the context's tables on their first read.
+
+
+def ref_factorial(ctx, n: int) -> int:
+    """n! mod p as a plain int; n must lie in [0, 4p], and n >= p gives 0."""
+    p = ctx.p
+    if n < 0 or n > 4 * p:
+        raise ValueError(f"factorial argument {n} outside [0, {4 * p}]")
+    if n >= p:
+        return 0
+    if ctx.fact is None:
+        ctx._build_tables()
+    if 2 * n < p:
+        return ctx.fact[n]
+    v = ctx.inv_fact[p - 1 - n]  # n! = (-1)^(n+1) / (p-1-n)!
+    return v if n & 1 else p - v
+
+
+def ref_inv_factorial(ctx, n: int) -> int:
+    """Inverse of n! mod p; requires 0 <= n <= p-1 so that n! is non-zero."""
+    p = ctx.p
+    if n < 0 or n >= p:
+        raise ValueError(f"inverse factorial needs 0 <= n < p, got n={n} for p={p}")
+    if ctx.fact is None:
+        ctx._build_tables()
+    if 2 * n < p:
+        return ctx.inv_fact[n]
+    v = ctx.fact[p - 1 - n]  # 1/n! = (-1)^(n+1) (p-1-n)!
+    return v if n & 1 else p - v
 
 
 def ref_factorial_ratio(ctx, top, bottom) -> int:
-    """prod top! / prod bottom! mod p, one ``factorial`` or ``inv_factorial`` read per argument."""
+    """prod top! / prod bottom! mod p, one ``ref_factorial`` or ``ref_inv_factorial`` read per argument."""
     value = 1
     for n in top:
-        value = value * ctx.factorial(n) % ctx.p
+        value = value * ref_factorial(ctx, n) % ctx.p
     for n in bottom:
-        value = value * ctx.inv_factorial(n) % ctx.p
+        value = value * ref_inv_factorial(ctx, n) % ctx.p
     return value
 
 
@@ -137,13 +168,13 @@ def ref_closed_value(branch: Branch, params: SelbergParams) -> int:
     sign, top, bottom = _formula(branch, params)
     value = sign % p
     for arg in top:
-        value = value * ctx.factorial(arg) % p
+        value = value * ref_factorial(ctx, arg) % p
     for arg in bottom:
         if not 0 <= arg < p:
             raise GuardError(
                 f"denominator factorial argument {arg} outside [0, p-1] on branch {branch.value}"
             )
-        value = value * ctx.inv_factorial(arg) % p
+        value = value * ref_inv_factorial(ctx, arg) % p
     return value
 
 
@@ -156,7 +187,7 @@ def ref_direct_coefficient(ctx, a: int, b: int, c: int, t1: int, t2: int) -> int
     if lo > hi:
         return 0
     n0 = 2 * c % p
-    inv = ctx.inv_factorial
+    inv = functools.partial(ref_inv_factorial, ctx)
     total = 0
     for start, stop in ((0, n0), (p, 2 * c)) if 2 * c >= p else ((0, n0),):
         for k in range(max(lo, start), min(hi, stop) + 1):
@@ -165,7 +196,7 @@ def ref_direct_coefficient(ctx, a: int, b: int, c: int, t1: int, t2: int) -> int
                     * inv(j2) % p * inv(b - j2) % p)
             total = (total - term if (k + t1 + t2) & 1 else total + term) % p
     if total:
-        total = total * ctx.factorial(n0) % p * ctx.factorial(b) ** 2 % p
+        total = total * ref_factorial(ctx, n0) % p * ref_factorial(ctx, b) ** 2 % p
     return total
 
 
@@ -395,7 +426,7 @@ def ref_suite_vanishing(config, grids) -> SuiteResult:
                     continue
                 value = grid_value(grid, a, b, c, (l1, l2))
                 _check(result, value == 0, lambda: _ce(p, a, b, c, l1, l2, str(branch), 0, value))
-                if config.integer_mode and branch in _INTEGER_ZERO_BRANCHES:
+                if config.integer_mode and _ROWS[branch].over_z:
                     exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
                     _check(result, exact == 0,
                            lambda: _ce(p, a, b, c, l1, l2, f"{branch} (integer)", 0, exact))

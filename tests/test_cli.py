@@ -146,6 +146,32 @@ def test_factorial_table_guard_exit_code(capsys, monkeypatch):
     get_context.cache_clear()
 
 
+def test_vanishing_numerator_above_the_table_cap_answers(capsys, monkeypatch):
+    # At p = 30000001 the tables would need 15000001 entries, one over the cap.  On
+    # C11_ii at (1, 29999998, 15000001) the numerator (2c)! has 2c >= p, so every route
+    # answers 0 without a table; the C11_i point (16000000, 15000000, 1) does not vanish
+    # and is still refused.
+    def build(ctx):
+        raise AssertionError(f"built the factorial tables of {ctx.p}")
+
+    monkeypatch.setattr(modp_arith.FpContext, "_build_tables", build)
+    get_context.cache_clear()
+    point = ("-p", "30000001", "-a", "1", "-b", "29999998", "-c", "15000001", "-l", "1,1")
+    for method in ("closed", "direct"):
+        code, out, _ = run(capsys, "eval", *point, "--method", method)
+        assert code == 0
+        assert out.endswith("\nvalue = 0\nbranch = C11_ii\n")
+    code, out, _ = run(capsys, "classify", *point)
+    assert code == 0
+    assert "branch C11_ii" in out and out.endswith("\nvalue 0\n")
+    assert get_context(30000001).fact is None
+    code, out, err = run(capsys, "eval", "-p", "30000001", "-a", "16000000", "-b", "15000000", "-c", "1",
+                         "-l", "1,1")
+    assert (code, out) == (3, "")
+    assert err == "resource guard: factorial tables at p=30000001 need 15000001 entries each, cap is 15000000\n"
+    get_context.cache_clear()
+
+
 def test_point_queries_near_a_million_build_no_factorial_table(capsys):
     # One point reads at most 8 factorials: a sweep to the largest reflected one
     # costs less than the two half tables of p = 999983, so neither route builds them.

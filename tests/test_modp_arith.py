@@ -60,7 +60,7 @@ def test_get_context_is_cached():
 def test_factorial_table_shape_and_vanishing(p):
     ctx = get_context(p)
     for n in range(p):
-        assert ctx.inv_factorial(n) * ctx.factorial(n) % p == 1
+        assert ctx.factorial_ratio((), (n,)) * ctx.factorial(n) % p == 1
     for n in range(4 * p + 1):
         assert ctx.factorial(n) == math.factorial(n) % p
         assert (ctx.factorial(n) == 0) == (n >= p)
@@ -74,6 +74,7 @@ def test_tables_are_half_size_and_built_on_first_read():
     assert ctx.binomial(7, 0) == ctx.binomial(7, 7) == ctx.binomial(7 * 101 + 3, 7 * 101) == 1
     assert ctx.binomial(3, 7 * 101) == 0
     assert ctx.fact is None
+    ctx._build_tables()
     assert ctx.factorial(100) == 100
     assert len(ctx.fact) == len(ctx.inv_fact) == 51
     # Compact C-int arrays, so peak memory hardly depends on whether a query built them.
@@ -83,12 +84,13 @@ def test_tables_are_half_size_and_built_on_first_read():
 def test_table_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(modp_arith, "MAX_TABLE_ENTRIES", 50)
     ctx = FpContext(101)  # needs 51 entries per table
-    assert ctx.factorial(101) == 0
-    for read in (lambda: ctx.factorial(3), lambda: ctx.inv_factorial(3), lambda: ctx.binomial(5, 2),
-                 lambda: ctx.factorial_ratio((3,), ()), lambda: ctx.factorial_ratio((3, 200), (1,))):
+    # A vanishing read answers before the cap check.
+    assert ctx.factorial(101) == ctx.factorial_ratio((3, 200), (1,)) == 0
+    for read in (lambda: ctx.factorial(3), lambda: ctx.factorial_ratio((), (3,)), lambda: ctx.binomial(5, 2),
+                 lambda: ctx.factorial_ratio((3,), ())):
         with pytest.raises(ResourceLimitError):
             read()
-    assert ctx.fact is None and ctx.inv_fact is None
+    assert ctx.fact is None and ctx.inv_fact is None and ctx.swept == 0
     assert FpContext(97).factorial(96) == 96  # 49 entries fit
 
 
@@ -106,7 +108,7 @@ def test_factorials_match_bignum_at_large_primes(p, data):
             n += 1
             running = running * n % p
         assert ctx.factorial(n) == running
-        assert ctx.inv_factorial(n) * running % p == 1
+        assert ctx.factorial_ratio((), (n,)) * running % p == 1
     assert ctx.factorial(p - 1) == p - 1
 
 
@@ -196,7 +198,7 @@ def test_inverse_total_on_nonzero(p):
     ctx = get_context(p)
     for x in range(1, p):
         assert x * ctx.inverse(x) % p == 1
-        assert ctx.inv_factorial(x) * ctx.factorial(x) % p == 1
+        assert ctx.factorial_ratio((), (x,)) * ctx.factorial(x) % p == 1
 
 
 @settings(deadline=None)
@@ -222,7 +224,7 @@ def _swept(p: int) -> FpContext:
 
 def _tabled(p: int) -> FpContext:
     ctx = FpContext(p)
-    ctx.factorial(1)  # builds the tables
+    ctx._build_tables()
     return ctx
 
 
@@ -257,7 +259,7 @@ def test_factorial_ratio_matches_table_reads_at_large_primes(p, data):
     assert ctx.factorial_ratio(top, bottom) == want
     assert ctx.fact is None
     assert ctx.swept <= half
-    ctx.factorial(1)
+    ctx._build_tables()
     assert ctx.factorial_ratio(top, bottom) == want
     get_context.cache_clear()  # the reference tables go with it
 

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import operator
 import random
 import re
@@ -21,8 +22,7 @@ from fpselberg.selberg_core import (
     selberg_grid,
 )
 from fpselberg.selberg2d_closed import (
-    _TEMPLATES,
-    _ZERO_REASONS,
+    _ROWS,
     RELATION_CYCLES,
     Branch,
     _branch,
@@ -129,14 +129,67 @@ def test_one_entry_table_mutation_is_caught(monkeypatch):
 def test_every_branch_has_a_reason_or_a_formula(b):
     params = SelbergParams(3, 4, 3, 7)
     assert b.is_zero == b.value.endswith("_zero")
+    row = _ROWS[b]
     if b.is_zero:
-        assert b in _ZERO_REASONS and b not in _TEMPLATES
+        assert row.reason and isinstance(row.over_z, bool) and not hasattr(row, "template")
         with pytest.raises(GuardError):
             _formula(b, params)
     else:
-        assert b in _TEMPLATES and b not in _ZERO_REASONS
+        assert row.template and not hasattr(row, "reason")
         sign, top, bottom = _formula(b, params)
         assert sign in (1, -1) and top and bottom
+
+
+# A factorial in a template: (...)! or a bare a!, b! or c!.
+_TEMPLATE_FACTORIAL = re.compile(r"\(([^()]*)\)!|\b([abc])!")
+
+
+def _template_reading(template: str):
+    """The sign and the numerator and denominator factorial arguments a template writes, as
+    code over a, b, c, p.  Its terms are joined by " * ", each one numerator / denominator or
+    the sign (-1)^(...); a leading "-" negates, and 2c reads as 2*c."""
+    def code(text):
+        return compile(re.sub(r"(\d)([abcp])", r"\1*\2", text), template, "eval")
+
+    sign, top, bottom = [code("-1" if template.startswith("-") else "1")], [], []
+    for term in template.lstrip("-").split(" * "):
+        if term.startswith("(-1)^"):
+            sign.append(code(f"(-1) ** {term[len('(-1)^'):]}"))
+            continue
+        num, _, den = term.partition("/")
+        for part, args in ((num, top), (den, bottom)):
+            args += [code(group or letter) for group, letter in _TEMPLATE_FACTORIAL.findall(part)]
+    return sign, top, bottom
+
+
+def _template_mismatches(rows) -> int:
+    """How many formula-branch points of the default grid have a formula that differs from
+    what the branch's template writes."""
+    readings = {b: _template_reading(row.template) for b, row in rows.items() if not b.is_zero}
+    mismatches = 0
+    for p in PRIMES:
+        for a, b, c in all_triples(p):
+            params = SelbergParams(a, b, c, p)
+            for cycle in itertools.combinations_with_replacement(range(1, 5), 2):
+                br = classify(params, *cycle)
+                if br.is_zero:
+                    continue
+                env = {"a": a, "b": b, "c": c, "p": p}
+                sign, top, bottom = ([eval(arg, env) for arg in args] for args in readings[br])
+                mismatches += (math.prod(sign), top, bottom) != rows[br].formula(a, b, c, p)
+    return mismatches
+
+
+def test_every_template_writes_its_formula():
+    assert _template_mismatches(_ROWS) == 0
+
+
+def test_a_template_that_misstates_one_argument_is_caught():
+    # C11_ii's (b+c-p)! written as (b+c)!: each of its 286 points on the default grid differs.
+    row = _ROWS[Branch.C11_ii]
+    assert row.template.count("(b+c-p)!") == 1
+    wrong = row._replace(template=row.template.replace("(b+c-p)!", "(b+c)!"))
+    assert _template_mismatches({**_ROWS, Branch.C11_ii: wrong}) == 286
 
 
 @pytest.mark.parametrize("b", list(Branch))
@@ -188,7 +241,7 @@ def test_run_wise_direct_sum_matches_the_per_term_sum_exhaustively(p):
     # Every 0 < a, b, c < p on every cycle l1, l2 <= 4 and its off-cycle targets, on a
     # fresh context (sweeping) and on a built one (table reads).
     tabled = FpContext(p)
-    tabled.factorial(1)
+    tabled._build_tables()
     targets = _targets(p, SMALL_CYCLES)
     for a, b, c in all_triples(p):
         for t1, t2 in targets:
