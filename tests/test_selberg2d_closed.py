@@ -169,12 +169,11 @@ def _template_mismatches(rows) -> int:
     mismatches = 0
     for p in PRIMES:
         for a, b, c in all_triples(p):
-            params = SelbergParams(a, b, c, p)
+            params, env = SelbergParams(a, b, c, p), {"a": a, "b": b, "c": c, "p": p}
             for cycle in itertools.combinations_with_replacement(range(1, 5), 2):
                 br = classify(params, *cycle)
                 if br.is_zero:
                     continue
-                env = {"a": a, "b": b, "c": c, "p": p}
                 sign, top, bottom = ([eval(arg, env) for arg in args] for args in readings[br])
                 mismatches += (math.prod(sign), top, bottom) != rows[br].formula(a, b, c, p)
     return mismatches
