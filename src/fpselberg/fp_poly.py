@@ -146,6 +146,15 @@ def _dense_mul(arr: np.ndarray, factor: list, p: int | None, cut: int | None = N
     return out
 
 
+def _dense_powers(arr: np.ndarray, factors: list, count: int, p: int | None, cut: int | None = None):
+    """arr times (prod of ``factors``)^k for k = 0, ..., count, each stepped from the last."""
+    yield arr
+    for _ in range(count):
+        for factor in factors:
+            arr = _dense_mul(arr, factor, p, cut)
+        yield arr
+
+
 def _dense_product(num_vars: int, factors: list, p: int | None, cut: int | None = None) -> np.ndarray:
     """Expand a product of sparse factors into a dense coefficient array.
 

@@ -13,11 +13,10 @@ its role here is to provide a third, independent route to the [1,1] and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError, ResourceLimitError
-from .fp_poly import _binomial_terms, _coefficient, _dense_product
+from .fp_poly import _binomial_terms, _coefficient, _dense_powers, _dense_product, _exact_dtype
 from .selberg2d_closed import SelbergParams
 from .selberg_core import _master_factors
 
@@ -88,16 +87,14 @@ def morris_ct_bruteforce(mp: MorrisParams) -> int:
 def morris_rhs(mp: MorrisParams) -> int:
     """The factorial product side of the identity (always a positive integer)."""
     n, alpha, beta, gamma = mp.n, mp.alpha, mp.beta, mp.gamma
-    value = Fraction(1)
+    top = bottom = 1
     for j in range(1, n + 1):
-        value *= Fraction(factorial(j * gamma), factorial(gamma))
-        value *= Fraction(
-            factorial(alpha + beta + (j - 1) * gamma),
-            factorial(alpha + (j - 1) * gamma) * factorial(beta + (j - 1) * gamma),
-        )
-    if value.denominator != 1:
+        top *= factorial(j * gamma) * factorial(alpha + beta + (j - 1) * gamma)
+        bottom *= factorial(gamma) * factorial(alpha + (j - 1) * gamma) * factorial(beta + (j - 1) * gamma)
+    value, rest = divmod(top, bottom)
+    if rest:
         raise ArithmeticError(f"product formula did not reduce to an integer at {mp}")
-    return value.numerator
+    return value
 
 
 def morris_lhs_symmetric_form(mp: MorrisParams) -> int:
@@ -114,6 +111,39 @@ def morris_lhs_symmetric_form(mp: MorrisParams) -> int:
     s = beta + (n - 1) * gamma
     sign = (-1) ** ((n * (n - 1) // 2) * gamma + n * beta)
     return sign * _coefficient(_dense_product(n, factors, None), (s,) * n)
+
+
+def _morris_family(n: int, gamma: int, top: int) -> dict:
+    """Both constant-term sides at every 0 <= alpha, beta <= top for one (n, gamma).
+
+    Maps (alpha, beta) to (``morris_ct_bruteforce``, ``morris_lhs_symmetric_form``) at
+    MorrisParams(n, alpha, beta, gamma), from two expansions: prod_{j!=k} (x_k-x_j)^gamma,
+    stepped in alpha by prod_i (1-x_i) and in beta by prod_i (x_i-1), and
+    Phi_n(0, 0, gamma), stepped in m = alpha + beta by prod_i (1-x_i).  Both are cut at
+    the largest exponent read, top + (n-1)*gamma: every factor only raises exponents.
+    Each expansion takes the dtype that is exact for its largest product.
+    """
+    _guard(MorrisParams(n, top, top, gamma))
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+    one_minus = [_binomial_terms(zero, zero, unit, 1) for unit in units]  # the factors 1 - x_i
+    minus_one = [_binomial_terms(zero, unit, zero, 1) for unit in units]  # the factors x_i - 1
+    cross = [_binomial_terms(zero, units[k], units[j], gamma)
+             for j in range(n) for k in range(n) if j != k] if gamma else []
+    master = _master_factors(n, 0, 0, gamma)  # Phi_n(0, 0, gamma)
+    shift = (n - 1) * gamma  # the constant term at beta is the coefficient at beta + shift
+    cut = top + shift
+    ct, sym = {}, {}
+    base = _dense_product(n, cross, None, cut).astype(_exact_dtype(cross + (one_minus + minus_one) * top))
+    for alpha, row in enumerate(_dense_powers(base, one_minus, top, None, cut)):
+        for beta, arr in enumerate(_dense_powers(row, minus_one, top, None, cut)):
+            ct[alpha, beta] = _coefficient(arr, (beta + shift,) * n)
+    base = _dense_product(n, master, None, cut).astype(_exact_dtype(master + one_minus * 2 * top))
+    for m, arr in enumerate(_dense_powers(base, one_minus, 2 * top, None, cut)):
+        for beta in range(max(0, m - top), min(m, top) + 1):
+            sign = (-1) ** ((n * (n - 1) // 2) * gamma + n * beta)
+            sym[m - beta, beta] = sign * _coefficient(arr, (beta + shift,) * n)
+    return {key: (ct[key], sym[key]) for key in ct}
 
 
 def morris_substitution(params: SelbergParams, l: int) -> MorrisParams:

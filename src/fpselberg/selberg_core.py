@@ -27,11 +27,12 @@ expansion cap's guards are here.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import namedtuple
 from typing import Sequence
 
 from .errors import MAX_TERMS_ENV, DomainError, GuardError, ResourceLimitError, _max_cells
-from .fp_poly import _binomial_terms, _coefficient, _dense_product
+from .fp_poly import _binomial_terms, _coefficient, _dense_powers, _dense_product
 from .modp_arith import FpContext, get_context
 from .selberg2d_closed import SelbergParams, _direct, _direct_coefficient, check_cycle
 
@@ -103,10 +104,11 @@ class SelbergGrid:
     values from ``start`` on.  ``slab`` copies out every (b, c) of one a; a read
     of an a outside the window rebuilds it as the block of ``width`` a values
     that holds a, from a - a % width, so a pass in ascending a builds each
-    block once.
+    block once.  A build steps b on a stack of consecutive c values, as many
+    Q_{0,c} as the cells the window leaves under the cap hold, at most p.
     """
 
-    __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_index", "_values", "_s1")
+    __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_chunk", "_index", "_values", "_s1")
 
     def __init__(self, p: int, ab_stop: int, cycles: tuple, deg: int, width: int):
         import numpy as np
@@ -119,37 +121,52 @@ class SelbergGrid:
         # int64 arrays indexed [a - start, b, c, cycle index]
         self._values = np.empty((width, ab_stop, p, len(cycles)), dtype=np.int64)
         self._s1 = np.empty_like(self._values)
+        # A build stacks Q for as many consecutive c as the cells the two boxes leave under
+        # the cap hold, (deg+2)^n each; the guard has left room for one.
+        self._chunk = min(p, (_max_cells() - 2 * self._values.size) // (deg + 2) ** len(cycles[0]))
         self._build(0)
 
     def _build(self, start: int):
-        """Fill the window of a values [start, start + width), one expansion of Q per c."""
+        """Fill the window of a values [start, start + width), stepping one factor at a time.
+
+        Q_{0,c} is stepped over c, cut at ``_deg``; the cut is exact, since every factor
+        only raises exponents.  b is stepped on stacks of ``_chunk`` consecutive c, one
+        shift-subtract per axis and one reduction mod p per b for the whole stack, and
+        one gather per (stack, b) writes both boxes.
+        """
         import numpy as np
 
-        p, deg = self.p, self._deg
+        p, deg, chunk = self.p, self._deg, self._chunk
         zero = deg + 1
         self.start = -self.width  # no a is in the window until the build is complete
-        targets = np.array([[l * p - 1 for l in cycle] for cycle in self._index]).T[:, :, None]
-        n = len(targets)
-        # Read 0 is Phi[T], read i is Phi[T - e_i]: index reads x axis x cycles x a.
+        targets = np.array([[l * p - 1 for l in cycle] for cycle in self._index])  # cycles x axis
+        n = targets.shape[1]
+        # Read 0 is Phi[T], read i is Phi[T - e_i]: index reads x a x cycles x axis.
         shifts = np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)])
-        index = (targets - np.arange(start, start + self.width))[None] - shifts[:, :, None, None]
-        inside = ((index >= 0) & (index <= deg)).all(axis=1, keepdims=True)
-        index = tuple(np.where(inside, index, zero).swapaxes(0, 1))
-        reads = np.empty((self.ab_stop, *index[0].shape), dtype=np.int64)  # b x reads x cycles x a
-        for c in range(p):
-            q = np.zeros((zero + 1,) * n, dtype=np.int64)
-            q0 = _dense_product(n, _master_factors(n, 0, 0, c), p, deg)  # Q_{0,c} = Phi_{0,0,c}
-            q[tuple(map(slice, q0.shape))] = q0
-            block = q[(slice(0, zero),) * n]
-            axes = [np.moveaxis(block, k, 0) for k in range(n)]  # views of block, axis k first
+        index = targets - np.arange(start, start + self.width)[:, None, None] - shifts[:, None, None]
+        inside = ((index >= 0) & (index <= deg)).all(axis=-1, keepdims=True)
+        index = np.where(inside, index, zero) @ (zero + 1) ** np.arange(n - 1, -1, -1)  # into one Q
+        # Each Q lives in the leading (deg+1)^n block of its stack slot, whose last slice on
+        # every axis stays zero; every index outside the block is sent there.
+        stack = np.zeros((chunk,) + (zero + 1,) * n, dtype=np.int64)
+        flat = index[:, :, None] + (zero + 1) ** n * np.arange(chunk)[:, None]  # reads x a x slot x cycles
+        block = stack[(slice(None),) + (slice(0, zero),) * n]
+        axes = [np.moveaxis(block, k, 0) for k in range(1, n + 1)]  # views of block, axis k first
+        # Q_{0,c} for c = 0, 1, ..., p - 1: Q_{0,c+1} = Q_{0,c} prod_{i<j} (xi-xj)^2
+        qs = _dense_powers(np.ones((1,) * n, dtype=np.int64), _master_factors(n, 0, 0, 1), p - 1, p, deg)
+        for low in range(0, p, chunk):
+            high = min(low + chunk, p)
+            stack.fill(0)
+            for slot, q in enumerate(itertools.islice(qs, chunk)):
+                stack[(slot, *map(slice, q.shape))] = q
             for b in range(self.ab_stop):
                 if b:
                     for along in axes:  # times (1 - x_k)
                         along[1:] = along[1:] - along[:-1]
                     block %= p
-                reads[b] = q[index]
-            self._values[:, :, c] = reads[:, 0].transpose(2, 0, 1)
-            self._s1[:, :, c] = (reads[:, 1:].sum(axis=1) % p).transpose(2, 0, 1)
+                reads = stack.take(flat[:, :, : high - low])
+                self._values[:, b, low:high] = reads[0]
+                np.remainder(reads[1:].sum(axis=0), p, out=self._s1[:, b, low:high])
         self.start = start
 
     def slab(self, a: int, cycles) -> tuple:
@@ -213,12 +230,14 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
 
     The cycles share one arity, the number of variables n.  Phi_{a,b,c} =
     (x1...xn)^a * Q_{b,c} with Q_{b,c} = prod_{i<j} (xi-xj)^(2c) prod_i (1-xi)^b,
-    so one expansion of Q_{0,c} per c serves a whole window: Q_{b+1,c} is
-    Q_{b,c} times prod_i (1-xi), one shift-subtract mod p per axis, and a only
-    moves the index that is read, Phi[t] = Q[t - (a, ..., a)].  S1 at the cycle
+    and a window is built one factor at a time: Q_{0,c+1} is Q_{0,c} times
+    prod_{i<j} (xi-xj)^2, Q_{b+1,c} is Q_{b,c} times prod_i (1-xi), one
+    shift-subtract mod p per axis on a stack of consecutive c, and a only moves
+    the index that is read, Phi[t] = Q[t - (a, ..., a)].  S1 at the cycle
     exponents T is the sum over i of Phi[T - e_i]; an index below 0 reads as 0.
-    ``ab_stop`` defaults to p.  The cells of Q and of one window's value and
-    moment boxes are checked against the expansion cap before any allocation.
+    ``ab_stop`` defaults to p.  The cells of one Q and of one window's value and
+    moment boxes are checked against the expansion cap before any allocation;
+    the stack takes what the window leaves, at least one Q.
     """
     return SelbergGrid(p, *_guard_grid(p, cycles, ab_stop))
 

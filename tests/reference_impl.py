@@ -5,7 +5,9 @@ convolution with exact integer coefficients and stdlib binomials, sharing no
 code path with the package's dense kernels or table-driven arithmetic.
 ``dense_terms`` only reads out a dense array the package made.  The verify
 suite loops at the end read the package's grids one point at a time, as the
-suites themselves did before they read a slab of a at a time.
+suites themselves did before they read a slab of a at a time.  ``ref_grid_build``
+is the grid window builder as it was before it stepped c: one dense expansion
+of Q_{0,c} per c, then b stepped one c at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import itertools
 from math import comb
 
 from fpselberg.errors import GuardError
+from fpselberg.fp_poly import _dense_product
 from fpselberg.golden import GOLDEN_2D
-from fpselberg.selberg_core import SelbergParams, _direct, selberg_bruteforce, selberg_grid
+from fpselberg.selberg_core import (SelbergParams, _direct, _master_factors, selberg_bruteforce,
+                                    selberg_grid)
 from fpselberg.selberg2d_closed import (_ROWS, Branch, _branch, _closed_value, _formula, eval_closed,
                                         relations_from_values, skew_symmetry_check)
 from fpselberg.verify import _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
@@ -303,6 +307,41 @@ def ref_render_sweep_text(rows: list) -> str:
             f"{_bool_str(r[9]):>5} {_bool_str(r[10]):>5}"
         )
     return "\n".join(lines) + "\n"
+
+
+# -- the brute-force grid, one expansion per c ---------------------------------------
+
+
+def ref_grid_build(self, start: int):
+    """Fill the window of a values [start, start + width) of a ``SelbergGrid``, one expansion of Q per c."""
+    import numpy as np
+
+    p, deg = self.p, self._deg
+    zero = deg + 1
+    self.start = -self.width  # no a is in the window until the build is complete
+    targets = np.array([[l * p - 1 for l in cycle] for cycle in self._index]).T[:, :, None]
+    n = len(targets)
+    # Read 0 is Phi[T], read i is Phi[T - e_i]: index reads x axis x cycles x a.
+    shifts = np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)])
+    index = (targets - np.arange(start, start + self.width))[None] - shifts[:, :, None, None]
+    inside = ((index >= 0) & (index <= deg)).all(axis=1, keepdims=True)
+    index = tuple(np.where(inside, index, zero).swapaxes(0, 1))
+    reads = np.empty((self.ab_stop, *index[0].shape), dtype=np.int64)  # b x reads x cycles x a
+    for c in range(p):
+        q = np.zeros((zero + 1,) * n, dtype=np.int64)
+        q0 = _dense_product(n, _master_factors(n, 0, 0, c), p, deg)  # Q_{0,c} = Phi_{0,0,c}
+        q[tuple(map(slice, q0.shape))] = q0
+        block = q[(slice(0, zero),) * n]
+        axes = [np.moveaxis(block, k, 0) for k in range(n)]  # views of block, axis k first
+        for b in range(self.ab_stop):
+            if b:
+                for along in axes:  # times (1 - x_k)
+                    along[1:] = along[1:] - along[:-1]
+                block %= p
+            reads[b] = q[index]
+        self._values[:, :, c] = reads[:, 0].transpose(2, 0, 1)
+        self._s1[:, :, c] = (reads[:, 1:].sum(axis=1) % p).transpose(2, 0, 1)
+    self.start = start
 
 
 # -- verify suites, one point at a time ---------------------------------------------

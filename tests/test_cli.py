@@ -237,6 +237,9 @@ assert cli.main(["verify", "--suite", "nd", "--primes", "3"]) == 0
 assert cli.main(["sweep", "--primes", "3"]) == 0
 assert cli.main(["morris", "--n", "2", "--alpha", "1", "--beta", "1", "--gamma", "1"]) == 0
 assert {"fpselberg.verify", "fpselberg.morris_ct"} <= set(sys.modules)
+OFF_THE_VERIFY_PATH = ("fractions", "decimal")  # the Morris product is read in plain integers
+loaded = [name for name in OFF_THE_VERIFY_PATH if name in sys.modules]
+assert not loaded, loaded
 """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -250,13 +250,14 @@ def test_dense_product_places_its_first_factor():
 
 
 # The per-point expansions of Phi, brute force's alone, all go through
-# selberg_core._dense_master behind the cell cap; the grid and the Morris
-# constant terms keep their own guards.
+# selberg_core._dense_master behind the cell cap; the Morris constant terms
+# keep their own guard.  The grid expands nothing whole: it steps Q_{0,c} over c
+# with _dense_mul.
 DENSE_PRODUCT_CALLERS = {
     "selberg_core._dense_master",
-    "selberg_core.SelbergGrid._build",
     "morris_ct.morris_ct_bruteforce",
     "morris_ct.morris_lhs_symmetric_form",
+    "morris_ct._morris_family",
 }
 
 

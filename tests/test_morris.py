@@ -3,9 +3,13 @@ from math import comb
 
 import pytest
 
+from fpselberg import morris_ct
 from fpselberg.errors import DomainError, ResourceLimitError
 from fpselberg.morris_ct import (
+    MAX_EXPONENT,
+    MAX_N,
     MorrisParams,
+    _morris_family,
     morris_ct_bruteforce,
     morris_lhs_symmetric_form,
     morris_rhs,
@@ -57,6 +61,35 @@ def test_identity_on_small_grid():
             ct = morris_ct_bruteforce(mp)
             assert ct == morris_rhs(mp)
             assert ct == morris_lhs_symmetric_form(mp)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_family_matches_per_point_sides(n):
+    # Every (alpha, beta, gamma) the guard admits: both sides, stepped through
+    # one family per gamma, against the per-point expansions.
+    exponents = range(MAX_EXPONENT + 1)
+    for gamma in exponents:
+        family = _morris_family(n, gamma, MAX_EXPONENT)
+        assert sorted(family) == list(itertools.product(exponents, repeat=2))
+        for (alpha, beta), sides in family.items():
+            mp = MorrisParams(n, alpha, beta, gamma)
+            assert sides == (morris_ct_bruteforce(mp), morris_lhs_symmetric_form(mp)), mp
+
+
+def test_family_guard():
+    with pytest.raises(ResourceLimitError):
+        _morris_family(MAX_N + 1, 1, 1)
+    with pytest.raises(ResourceLimitError):
+        _morris_family(2, MAX_EXPONENT + 1, 1)
+    with pytest.raises(ResourceLimitError):
+        _morris_family(2, 1, MAX_EXPONENT + 1)
+
+
+def test_rhs_refuses_a_quotient_that_does_not_divide(monkeypatch):
+    # With (k + 2) for k!, the n = 1 product at (1, 1, 0) is 2*4 / (2*3*3).
+    monkeypatch.setattr(morris_ct, "factorial", lambda k: k + 2)
+    with pytest.raises(ArithmeticError, match="did not reduce to an integer"):
+        morris_rhs(MorrisParams(1, 1, 1, 0))
 
 
 def test_ct_matches_dict_reference():

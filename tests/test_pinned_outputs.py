@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from fpselberg import morris_ct, selberg_core
 from fpselberg.cli import main
 from fpselberg.selberg_core import SelbergGrid
 
@@ -56,6 +57,10 @@ VERIFY_P23_BUILDS = [(23, 23, 12, 0), (23, 23, 12, 19), (23, 46, 1, 0)]
 # whole box fits; at the smallest p = 5 window, one a value wide, it moves it
 # to each a after the 0 it was made at.
 SWEEP_BUILDS = [(p, p, 10, 0) for p in (3, 5, 7, 11, 13)]
+# The whole expansions a default verify makes, per module: the Morris families
+# expand each of their two sides once per (n, gamma), 12 families, and brute force
+# the 6 golden points; the grids step their Q_{0,c} over c instead.
+VERIFY_DENSE_PRODUCTS = {"morris_ct": 24, "selberg_core": 6}
 SWEEP_P5_WINDOW_BUILDS = [(3, 3, 10, 0), *((5, 5, 10, a) for a in range(5))]
 SWEEP_CSV_SHA256 = "abeb7230281bbb0a9433242eca0d3564bd2248a49760734870dda0548a7dd470"
 SWEEP_JSON_SHA256 = "9a0560aeeccf6597471e167696fa934910941d1cd62f9e5eef030063fce2288a"
@@ -166,6 +171,22 @@ def test_default_verify_counts(tmp_path, monkeypatch):
     counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
     assert counts == VERIFY_COUNTS
     assert (report["checked_total"], report["failed_total"]) == (160312, 0)
+
+
+def test_default_verify_dense_products(tmp_path, monkeypatch):
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    selberg_core._dense_master.cache_clear()  # a point expanded earlier would be read, not made
+    calls = {}
+    for module in (morris_ct, selberg_core):
+        name, expand = module.__name__.rpartition(".")[2], module._dense_product
+
+        def counted(*args, _name=name, _expand=expand):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _expand(*args)
+
+        monkeypatch.setattr(module, "_dense_product", counted)
+    assert main(["verify", "--format", "json", "--out", str(tmp_path / "verify.json")]) == 0
+    assert calls == VERIFY_DENSE_PRODUCTS
 
 
 def test_integer_mode_verify_counts(tmp_path):

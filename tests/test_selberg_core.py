@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpselberg import selberg_core
+from fpselberg import selberg_core, verify
 from fpselberg.errors import DomainError, GuardError, ResourceLimitError
 from fpselberg.fp_poly import _coefficient
 from fpselberg.modp_arith import get_context
@@ -24,9 +24,10 @@ from fpselberg.selberg_core import (
     selberg_grid,
     selberg_nd_closed,
 )
+from fpselberg.sweep import SweepConfig
 
-from reference_impl import (PRIMES, all_triples, dense_terms, grid_moments, grid_value, ref_integral, ref_mul, ref_phi,
-                            ref_reduce, ref_selberg, ref_univariate)
+from reference_impl import (PRIMES, all_triples, dense_terms, grid_moments, grid_value, ref_grid_build, ref_integral,
+                            ref_mul, ref_phi, ref_reduce, ref_selberg, ref_univariate)
 
 # The default verify cycles l1 <= l2 <= 4 plus the transposed relation cycles.
 GRID_CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)] + [(2, 1), (3, 1)]
@@ -443,6 +444,40 @@ def test_grid_slab_matches_values_and_moments(monkeypatch, windowed, order):
                                    for b in range(p)], a
         assert s1.tolist() == [[[grid_moments(twin, a, b, c, cycle)[0] for cycle in cycles] for c in range(p)]
                                for b in range(p)], a
+
+
+def _windows_match_reference(grid):
+    """Every window of the grid, built by ``_build`` and by the reference, holds the same boxes."""
+    for start in range(0, grid.ab_stop, grid.width):
+        grid._build(start)
+        values, s1 = grid._values.copy(), grid._s1.copy()
+        ref_grid_build(grid, start)
+        assert np.array_equal(values, grid._values) and np.array_equal(s1, grid._s1), start
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_grid_builds_match_reference_on_default_grids(monkeypatch, p):
+    # verify's shared grid, nd's windows (n = 2, and n = 3 up to p = 11) and the
+    # brute-force sweep's grid: at the default cap each stacks all p values of c.
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    config = SweepConfig(primes=(p,))
+    requests = [(p, verify._guard_grids(config)), *verify._nd_windows(p), (p, tuple(config.cycles()))]
+    assert len(requests) == (4 if p <= 11 else 3)
+    for request in requests:
+        grid = selberg_grid(*request)
+        assert grid._chunk == p
+        _windows_match_reference(grid)
+
+
+@pytest.mark.parametrize("max_terms, width, chunk", [(8632, 7, 1), (9032, 7, 2), (11032, 7, 7), (1576, 1, 1)],
+                         ids=["whole-box-one-c", "two-c", "whole-stack", "one-a"])
+def test_grid_stacks_under_the_cap_match_reference(monkeypatch, max_terms, width, chunk):
+    # The shared grid at p = 7: Q cut at degree 18 takes 20^2 = 400 cells, one a
+    # value of its boxes 2 * 7 * 7 * 12 = 1176.  What the window leaves holds the stack.
+    monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(max_terms))
+    grid = selberg_grid(7, verify._guard_grids(SweepConfig(primes=(7,))))
+    assert (grid.width, grid._chunk) == (width, chunk)
+    _windows_match_reference(grid)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -491,3 +494,41 @@ def test_relations_recurrences_and_skew_symmetry_at_large_primes():
     finally:
         get_context.cache_clear()  # each prime's tables are freed with the test
     assert seen == {"Ao1", "Ao2", "Ao3", "Ao4", "Ar1", "Ar2"}
+
+
+# Makes the first import of numpy in the process take NUMPY_SLEEP seconds longer.
+NUMPY_SLEEP = 1.0
+_SLOW_NUMPY = f"""
+import sys, time
+
+
+class SlowNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            time.sleep({NUMPY_SLEEP})
+        return None
+
+
+sys.meta_path.insert(0, SlowNumpy())
+from fpselberg import cli
+from fpselberg.sweep import SweepConfig
+from fpselberg.verify import run_verification
+
+assert cli.main(["verify", "--suite", "stokes", "--primes", "3"]) == 0
+assert "numpy" not in sys.modules
+start = time.perf_counter()
+report = run_verification(SweepConfig(primes=(3,), suites=("morris", "stokes")))
+print(time.perf_counter() - start, *(suite.seconds for suite in report.suites))
+"""
+
+
+def test_suite_seconds_leave_out_the_numpy_import():
+    # morris is the first suite to read numpy; the run loads it before any
+    # suite's clock starts, and a stokes-only run never loads it.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SLOW_NUMPY], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    total, morris, stokes = map(float, proc.stdout.split()[-3:])
+    assert total > NUMPY_SLEEP > morris + stokes, proc.stdout
