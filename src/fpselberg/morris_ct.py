@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DomainError, ResourceLimitError
-from .fp_poly import _binomial_terms, _coefficient, _dense_powers, _dense_product, _exact_dtype
+from .fp_poly import _coefficient, _dense_powers, _dense_product, _exact_dtype
 from .selberg2d_closed import SelbergParams
-from .selberg_core import _master_factors
+from .selberg_core import _master_factors, _morris_factors
 
 __all__ = [
     "MorrisParams",
@@ -69,19 +69,8 @@ def morris_ct_bruteforce(mp: MorrisParams) -> int:
     """
     _guard(mp)
     n, alpha, beta, gamma = mp.n, mp.alpha, mp.beta, mp.gamma
-    zero = (0,) * n
-    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
-    factors = []
-    for unit in units:
-        if alpha:
-            factors.append(_binomial_terms(zero, zero, unit, alpha))
-        if beta:
-            factors.append(_binomial_terms(zero, unit, zero, beta))
-    if gamma:
-        factors += [_binomial_terms(zero, units[k], units[j], gamma)
-                    for j in range(n) for k in range(n) if j != k]
     s = beta + (n - 1) * gamma
-    return _coefficient(_dense_product(n, factors, None), (s,) * n)
+    return _coefficient(_dense_product(n, _morris_factors(n, alpha, beta, gamma), None), (s,) * n)
 
 
 def morris_rhs(mp: MorrisParams) -> int:
@@ -124,12 +113,9 @@ def _morris_family(n: int, gamma: int, top: int) -> dict:
     Each expansion takes the dtype that is exact for its largest product.
     """
     _guard(MorrisParams(n, top, top, gamma))
-    zero = (0,) * n
-    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
-    one_minus = [_binomial_terms(zero, zero, unit, 1) for unit in units]  # the factors 1 - x_i
-    minus_one = [_binomial_terms(zero, unit, zero, 1) for unit in units]  # the factors x_i - 1
-    cross = [_binomial_terms(zero, units[k], units[j], gamma)
-             for j in range(n) for k in range(n) if j != k] if gamma else []
+    one_minus = _morris_factors(n, 1, 0, 0)  # the factors 1 - x_i
+    minus_one = _morris_factors(n, 0, 1, 0)  # the factors x_i - 1
+    cross = _morris_factors(n, 0, 0, gamma)  # the factors (x_k - x_j)^gamma, none at gamma = 0
     master = _master_factors(n, 0, 0, gamma)  # Phi_n(0, 0, gamma)
     shift = (n - 1) * gamma  # the constant term at beta is the coefficient at beta + shift
     cut = top + shift

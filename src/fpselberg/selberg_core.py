@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import namedtuple
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import MAX_TERMS_ENV, DomainError, GuardError, ResourceLimitError, _max_cells
 from .fp_poly import _binomial_terms, _coefficient, _dense_powers, _dense_product
@@ -38,7 +38,6 @@ from .selberg2d_closed import SelbergParams, _direct, _direct_coefficient, check
 
 __all__ = [
     "MasterPolySpec",
-    "SelbergGrid",
     "beta_closed",
     "moment_integral",
     "selberg_bruteforce",
@@ -75,6 +74,17 @@ def _master_factors(n: int, a: int, b: int, c: int) -> list:
     return [factor for factor in factors if factor != [(zero, 1)]]  # a factor 1 adds nothing
 
 
+def _morris_factors(n: int, alpha: int, beta: int, gamma: int) -> list:
+    """Sparse factors of prod_i (1 - x_i)^alpha (x_i - 1)^beta * prod_{j!=k} (x_k - x_j)^gamma,
+    exact integers; a zero exponent adds no factor."""
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+    factors = [_binomial_terms(zero, zero, unit, alpha) for unit in units]
+    factors += [_binomial_terms(zero, unit, zero, beta) for unit in units]
+    factors += [_binomial_terms(zero, units[k], units[j], gamma) for j in range(n) for k in range(n) if j != k]
+    return [factor for factor in factors if factor != [(zero, 1)]]
+
+
 @functools.lru_cache(maxsize=1)  # every reuse in the package reads the point just expanded
 def _dense_master(n: int, a: int, b: int, c: int, p: int | None):
     """The last expansion made, p = None for exact integers."""
@@ -96,102 +106,54 @@ def selberg_bruteforce(spec: MasterPolySpec, cycle: Sequence[int], exact: bool =
     return _coefficient(_dense_master(n, a, b, c, None if exact else p), tuple(l * p - 1 for l in cycle))
 
 
-class SelbergGrid:
-    """Brute-force values and S1 moments of a parameter box at one prime.
+def _build_window(p: int, cycles: tuple, deg: int, chunk: int, start: int, values, s1) -> None:
+    """Fill the boxes ``values`` and ``s1``, indexed [a - start, b, c, cycle], for the window
+    of a values from ``start``, stepping one factor at a time.
 
-    Built by ``selberg_grid``; covers 0 <= a, b < ``ab_stop``, 0 <= c < p and
-    the cycles it was built for, all of one arity n, holding the ``width`` a
-    values from ``start`` on.  ``slab`` copies out every (b, c) of one a; a read
-    of an a outside the window rebuilds it as the block of ``width`` a values
-    that holds a, from a - a % width, so a pass in ascending a builds each
-    block once.  A build steps b on a stack of consecutive c values, as many
-    Q_{0,c} as the cells the window leaves under the cap hold, at most p.
+    Q_{0,c} is stepped over c, cut at ``deg``; the cut is exact, since every factor
+    only raises exponents.  b is stepped on stacks of ``chunk`` consecutive c, one
+    shift-subtract per axis and one reduction mod p per b for the whole stack, and
+    one gather per (stack, b) writes both boxes.
     """
+    import numpy as np
 
-    __slots__ = ("p", "ab_stop", "width", "start", "_deg", "_chunk", "_index", "_values", "_s1")
-
-    def __init__(self, p: int, ab_stop: int, cycles: tuple, deg: int, width: int):
-        import numpy as np
-
-        self.p = p
-        self.ab_stop = ab_stop
-        self.width = width
-        self._deg = deg  # Q is cut at this degree
-        self._index = {cycle: k for k, cycle in enumerate(cycles)}
-        # int64 arrays indexed [a - start, b, c, cycle index]
-        self._values = np.empty((width, ab_stop, p, len(cycles)), dtype=np.int64)
-        self._s1 = np.empty_like(self._values)
-        # A build stacks Q for as many consecutive c as the cells the two boxes leave under
-        # the cap hold, (deg+2)^n each; the guard has left room for one.
-        self._chunk = min(p, (_max_cells() - 2 * self._values.size) // (deg + 2) ** len(cycles[0]))
-        self._build(0)
-
-    def _build(self, start: int):
-        """Fill the window of a values [start, start + width), stepping one factor at a time.
-
-        Q_{0,c} is stepped over c, cut at ``_deg``; the cut is exact, since every factor
-        only raises exponents.  b is stepped on stacks of ``_chunk`` consecutive c, one
-        shift-subtract per axis and one reduction mod p per b for the whole stack, and
-        one gather per (stack, b) writes both boxes.
-        """
-        import numpy as np
-
-        p, deg, chunk = self.p, self._deg, self._chunk
-        zero = deg + 1
-        self.start = -self.width  # no a is in the window until the build is complete
-        targets = np.array([[l * p - 1 for l in cycle] for cycle in self._index])  # cycles x axis
-        n = targets.shape[1]
-        # Read 0 is Phi[T], read i is Phi[T - e_i]: index reads x a x cycles x axis.
-        shifts = np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)])
-        index = targets - np.arange(start, start + self.width)[:, None, None] - shifts[:, None, None]
-        inside = ((index >= 0) & (index <= deg)).all(axis=-1, keepdims=True)
-        index = np.where(inside, index, zero) @ (zero + 1) ** np.arange(n - 1, -1, -1)  # into one Q
-        # Each Q lives in the leading (deg+1)^n block of its stack slot, whose last slice on
-        # every axis stays zero; every index outside the block is sent there.
-        stack = np.zeros((chunk,) + (zero + 1,) * n, dtype=np.int64)
-        flat = index[:, :, None] + (zero + 1) ** n * np.arange(chunk)[:, None]  # reads x a x slot x cycles
-        block = stack[(slice(None),) + (slice(0, zero),) * n]
-        axes = [np.moveaxis(block, k, 0) for k in range(1, n + 1)]  # views of block, axis k first
-        # Q_{0,c} for c = 0, 1, ..., p - 1: Q_{0,c+1} = Q_{0,c} prod_{i<j} (xi-xj)^2
-        qs = _dense_powers(np.ones((1,) * n, dtype=np.int64), _master_factors(n, 0, 0, 1), p - 1, p, deg)
-        for low in range(0, p, chunk):
-            high = min(low + chunk, p)
-            stack.fill(0)
-            for slot, q in enumerate(itertools.islice(qs, chunk)):
-                stack[(slot, *map(slice, q.shape))] = q
-            for b in range(self.ab_stop):
-                if b:
-                    for along in axes:  # times (1 - x_k)
-                        along[1:] = along[1:] - along[:-1]
-                    block %= p
-                reads = stack.take(flat[:, :, : high - low])
-                self._values[:, b, low:high] = reads[0]
-                np.remainder(reads[1:].sum(axis=0), p, out=self._s1[:, b, low:high])
-        self.start = start
-
-    def slab(self, a: int, cycles) -> tuple:
-        """(values, S1) at one a: int64 copies indexed [b, c, i] for 0 <= b < ab_stop,
-        0 <= c < p and the i-th of ``cycles``; a value is what ``selberg_bruteforce`` gives.
-
-        S1 is the integral of (x1+...+xn)*Phi and S2 = n*value - S1 that of
-        ((1-x1)+...+(1-xn))*Phi, as ``moment_integral`` gives them at n = 2.  The
-        copies stay as they are when the window moves.
-        """
-        if not 0 <= a < self.ab_stop:
-            raise ValueError(f"a = {a} outside the grid box [0, {self.ab_stop})")
-        try:
-            ks = [self._index[tuple(cycle)] for cycle in cycles]
-        except KeyError as missing:
-            raise ValueError(f"cycle {missing.args[0]} is not in the grid") from None
-        if not self.start <= a < self.start + self.width:
-            self._build(a - a % self.width)
-        return self._values[a - self.start][..., ks], self._s1[a - self.start][..., ks]
+    width, ab_stop = values.shape[:2]
+    zero = deg + 1
+    targets = np.array([[l * p - 1 for l in cycle] for cycle in cycles])  # cycles x axis
+    n = targets.shape[1]
+    # Read 0 is Phi[T], read i is Phi[T - e_i]: index reads x a x cycles x axis.
+    shifts = np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)])
+    index = targets - np.arange(start, start + width)[:, None, None] - shifts[:, None, None]
+    inside = ((index >= 0) & (index <= deg)).all(axis=-1, keepdims=True)
+    index = np.where(inside, index, zero) @ (zero + 1) ** np.arange(n - 1, -1, -1)  # into one Q
+    # Each Q lives in the leading (deg+1)^n block of its stack slot, whose last slice on
+    # every axis stays zero; every index outside the block is sent there.
+    stack = np.zeros((chunk,) + (zero + 1,) * n, dtype=np.int64)
+    flat = index[:, :, None] + (zero + 1) ** n * np.arange(chunk)[:, None]  # reads x a x slot x cycles
+    block = stack[(slice(None),) + (slice(0, zero),) * n]
+    axes = [np.moveaxis(block, k, 0) for k in range(1, n + 1)]  # views of block, axis k first
+    # Q_{0,c} for c = 0, 1, ..., p - 1: Q_{0,c+1} = Q_{0,c} prod_{i<j} (xi-xj)^2
+    qs = _dense_powers(np.ones((1,) * n, dtype=np.int64), _master_factors(n, 0, 0, 1), p - 1, p, deg)
+    for low in range(0, p, chunk):
+        high = min(low + chunk, p)
+        stack.fill(0)
+        for slot, q in enumerate(itertools.islice(qs, chunk)):
+            stack[(slot, *map(slice, q.shape))] = q
+        for b in range(ab_stop):
+            if b:
+                for along in axes:  # times (1 - x_k)
+                    along[1:] = along[1:] - along[:-1]
+                block %= p
+            reads = stack.take(flat[:, :, : high - low])
+            values[:, b, low:high] = reads[0]
+            np.remainder(reads[1:].sum(axis=0), p, out=s1[:, b, low:high])
 
 
 def _grid_window(p: int, n: int, ab_stop: int, count: int, top: int) -> tuple:
-    """(deg, width) for ``count`` cycles in n variables, largest entry ``top``: the degree Q
-    is cut at, and the a values a window holds, as many as fit up to ab_stop and at
-    least one, else ResourceLimitError."""
+    """The cell budget of a grid of ``count`` cycles in n variables, largest entry ``top``:
+    (deg, width, chunk), the degree Q is cut at, the a values a window holds, as many as
+    fit up to ab_stop and at least one, else ResourceLimitError, and the c values a
+    build stacks, as many Q as the cells the window leaves hold, at most p."""
     # Q lives in the leading (deg+1)^n block of an array whose last slice on
     # every axis stays zero; every index outside the block is sent there.
     # Shift-adds only raise exponents, so Q may be cut at the largest target
@@ -207,11 +169,11 @@ def _grid_window(p: int, n: int, ab_stop: int, count: int, top: int) -> tuple:
             f" coefficient cells for a window of 1 a value, cap is {cap}"
             f" (raise {MAX_TERMS_ENV} to override)"
         )
-    return deg, width
+    return deg, width, min(p, (cap - width * a_cells) // q_cells)
 
 
 def _guard_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None) -> tuple:
-    """(ab_stop, distinct cycles, deg, width) of a grid request, allocating nothing."""
+    """(ab_stop, distinct cycles, deg, width, chunk) of a grid request, allocating nothing."""
     get_context(p)  # validates the prime
     ab_stop = p if ab_stop is None else ab_stop
     if not isinstance(ab_stop, int) or ab_stop < 1:
@@ -224,22 +186,39 @@ def _guard_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None) ->
     return (ab_stop, cycles, *_grid_window(p, n, ab_stop, len(cycles), max(map(max, cycles))))
 
 
-def selberg_grid(p: int, cycles: Sequence[Sequence[int]],
-                 ab_stop: int | None = None) -> SelbergGrid:
-    """Brute force for every 0 <= a, b < ab_stop, 0 <= c < p, a window of a at a time.
+def _walk_grid(p: int, ab_stop: int, cycles: tuple, deg: int, width: int, chunk: int) -> Iterator[tuple]:
+    import numpy as np
+
+    values = np.empty((width, ab_stop, p, len(cycles)), dtype=np.int64)
+    s1 = np.empty_like(values)
+    for start in range(0, ab_stop, width):  # the last window may run past the box
+        _build_window(p, cycles, deg, chunk, start, values, s1)
+        for k in range(min(width, ab_stop - start)):
+            yield values[k].copy(), s1[k].copy()
+
+
+def selberg_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None = None) -> Iterator[tuple]:
+    """Brute force for every 0 <= a, b < ab_stop, 0 <= c < p, as one walk in ascending a.
+
+    Yields (values, S1) for a = 0, 1, ..., ab_stop - 1: int64 copies indexed
+    [b, c, i] for 0 <= b < ab_stop, 0 <= c < p and the i-th distinct cycle, in
+    the order given; a value is what ``selberg_bruteforce`` gives.  S1 is the
+    integral of (x1+...+xn)*Phi and S2 = n*value - S1 that of
+    ((1-x1)+...+(1-xn))*Phi, as ``moment_integral`` gives them at n = 2.
 
     The cycles share one arity, the number of variables n.  Phi_{a,b,c} =
     (x1...xn)^a * Q_{b,c} with Q_{b,c} = prod_{i<j} (xi-xj)^(2c) prod_i (1-xi)^b,
-    and a window is built one factor at a time: Q_{0,c+1} is Q_{0,c} times
+    and each window of ``width`` consecutive a values is built once, when the
+    walk reaches it, one factor at a time: Q_{0,c+1} is Q_{0,c} times
     prod_{i<j} (xi-xj)^2, Q_{b+1,c} is Q_{b,c} times prod_i (1-xi), one
     shift-subtract mod p per axis on a stack of consecutive c, and a only moves
     the index that is read, Phi[t] = Q[t - (a, ..., a)].  S1 at the cycle
     exponents T is the sum over i of Phi[T - e_i]; an index below 0 reads as 0.
-    ``ab_stop`` defaults to p.  The cells of one Q and of one window's value and
-    moment boxes are checked against the expansion cap before any allocation;
-    the stack takes what the window leaves, at least one Q.
+    ``ab_stop`` defaults to p.  The request is validated, and its cell budget
+    (``_grid_window``) checked against the expansion cap, when this is called,
+    before any allocation.
     """
-    return SelbergGrid(p, *_guard_grid(p, cycles, ab_stop))
+    return _walk_grid(p, *_guard_grid(p, cycles, ab_stop))
 
 
 def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:

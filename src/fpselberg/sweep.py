@@ -96,9 +96,10 @@ def _sweep_rows(config: SweepConfig, method: str) -> Iterator[tuple]:
         cycles = tuple(config.cycles())
         classifiers = tuple(class_of(cycle, _OTHER_CLASS)[1] for cycle in cycles)
         for p in config.primes:
-            grid = selberg_grid(p, cycles)
-            for a in range(1, p):
-                slab = grid.slab(a, cycles)[0].tolist()  # [b][c][cycle]
+            walk = selberg_grid(p, cycles)
+            next(walk)  # a = 0 has no rows
+            for a, (values, _) in enumerate(walk, 1):
+                slab = values.tolist()  # [b][c][cycle]
                 for b, c in itertools.product(range(1, p), repeat=2):
                     r1, r2, r3 = in_condition_sets(SelbergParams(a, b, c, p))
                     for (l1, l2), classifier, cell in zip(cycles, classifiers, slab[b][c]):
@@ -127,9 +128,9 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
     Every resource guard a row could hit is checked for every prime when
     this is called, before the first row is made, so a sweep that would be
     refused is refused before anything is written.  The value column uses
-    the first configured method; brute force builds each prime's grid just
-    before that prime's rows, one window of a values at a time where the
-    whole box is over the cap, and reads it one slab per a.  Rows are made
+    the first configured method; brute force walks each prime's grid in
+    ascending a as that prime's rows are made, one window of a values built
+    at a time where the whole box is over the cap.  Rows are made
     serially; ``config.parallelism`` is not used.  Each row is a tuple in
     ``SWEEP_CSV_HEADER`` column order, with the branch as its name and the
     R1-R3 memberships as bools.  Its branch is classified once, by its

@@ -326,10 +326,9 @@ def _nd(config: SweepConfig, result: SuiteResult):
                 result.tally(1, [] if got == want else [_ce(p, a, b, 0, 1, 1, "nd n=1", want, got)])
         # n = 2, 3: matches its window's brute force; n = 2 also the C11_i closed form.
         for request in _nd_windows(p):
-            window, cycle = selberg_grid(*request), request[1]
-            n = len(cycle[0])
-            for a in range(2 * p):
-                values = window.slab(a, cycle)[0].tolist()  # [b, c, 0]
+            n = len(request[1][0])
+            for a, (values, _) in enumerate(selberg_grid(*request)):
+                values = values.tolist()  # [b, c, 0]
                 for b in range(2 * p):
                     for c in range(p):
                         if not (p - 1 <= a + b + (n - 1) * c and a + b + (2 * n - 2) * c < 2 * p - 1):
@@ -389,10 +388,10 @@ def _guard_grids(config: SweepConfig) -> tuple:
 def run_verification(config: SweepConfig) -> VerificationReport:
     """Run the selected suites and collect per-suite outcomes.
 
-    Suites run in this thread.  For each prime one walk builds the shared grid
-    and reads it in ascending a, one slab of every shared cycle per a, and
-    hands the slabs of a - 1, a and a + 1 to each grid check; the grid is
-    dropped before the next prime.  A suite's ``seconds`` count its own checks
+    Suites run in this thread.  For each prime one walk of the shared grid
+    yields the slabs of every shared cycle in ascending a, and the slabs of
+    a - 1, a and a + 1 go to each grid check; the walk is dropped before the
+    next prime.  A suite's ``seconds`` count its own checks
     only; numpy, which every suite but ``stokes`` reads, is loaded before the
     first of them, so no suite's seconds count its import.  An error inside a
     suite other than the resource guard ends only that suite, as one failed
@@ -425,16 +424,16 @@ def run_verification(config: SweepConfig) -> VerificationReport:
         readers = [name for name in _grid_readers(config.suites, p) if name not in broken]
         if not readers:
             continue
-        grid = selberg_grid(p, cycles)
+        walk = selberg_grid(p, cycles)
         codes = _branch_codes(config, p) if {"oracle_equiv", "vanishing"} & set(readers) else None
-        down, here = grid.slab(0, cycles), grid.slab(1, cycles)
+        down, here = next(walk), next(walk)
         for a in range(1, p):
-            up = grid.slab(a + 1, cycles) if a + 1 < p else None
+            up = next(walk, None)  # None past a = p - 1
             step = _Step(p, a, (down, here, up), index, None if codes is None else codes[a - 1])
             for name in readers:
                 attempt(name, _SUITES[name].grid, step)
             down, here = here, up
-        del grid, codes
+        del walk, codes
     for name in config.suites:
         attempt(name, _SUITES[name].after)
     return VerificationReport([results[name] for name in config.suites])

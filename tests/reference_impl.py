@@ -5,9 +5,10 @@ convolution with exact integer coefficients and stdlib binomials, sharing no
 code path with the package's dense kernels or table-driven arithmetic.
 ``dense_terms`` only reads out a dense array the package made.  The verify
 suite loops at the end read the package's grids one point at a time, as the
-suites themselves did before they read a slab of a at a time.  ``ref_grid_build``
-is the grid window builder as it was before it stepped c: one dense expansion
-of Q_{0,c} per c, then b stepped one c at a time.
+suites themselves did before they read a slab of a at a time, from a
+``ReadGrid`` that keeps every slab of a walk.  ``ref_grid_build`` is the grid
+window builder as it was before it stepped c: one dense expansion of Q_{0,c}
+per c, then b stepped one c at a time.
 """
 
 from __future__ import annotations
@@ -312,56 +313,63 @@ def ref_render_sweep_text(rows: list) -> str:
 # -- the brute-force grid, one expansion per c ---------------------------------------
 
 
-def ref_grid_build(self, start: int):
-    """Fill the window of a values [start, start + width) of a ``SelbergGrid``, one expansion of Q per c."""
+def ref_grid_build(p: int, cycles: tuple, deg: int, chunk: int, start: int, values, s1) -> None:
+    """``_build_window`` as it was before it stepped c: fill the boxes for the window of a values
+    from ``start``, one expansion of Q per c; ``chunk`` is not read."""
     import numpy as np
 
-    p, deg = self.p, self._deg
+    width, ab_stop = values.shape[:2]
     zero = deg + 1
-    self.start = -self.width  # no a is in the window until the build is complete
-    targets = np.array([[l * p - 1 for l in cycle] for cycle in self._index]).T[:, :, None]
+    targets = np.array([[l * p - 1 for l in cycle] for cycle in cycles]).T[:, :, None]
     n = len(targets)
     # Read 0 is Phi[T], read i is Phi[T - e_i]: index reads x axis x cycles x a.
     shifts = np.vstack([np.zeros(n, dtype=np.int64), np.eye(n, dtype=np.int64)])
-    index = (targets - np.arange(start, start + self.width))[None] - shifts[:, :, None, None]
+    index = (targets - np.arange(start, start + width))[None] - shifts[:, :, None, None]
     inside = ((index >= 0) & (index <= deg)).all(axis=1, keepdims=True)
     index = tuple(np.where(inside, index, zero).swapaxes(0, 1))
-    reads = np.empty((self.ab_stop, *index[0].shape), dtype=np.int64)  # b x reads x cycles x a
+    reads = np.empty((ab_stop, *index[0].shape), dtype=np.int64)  # b x reads x cycles x a
     for c in range(p):
         q = np.zeros((zero + 1,) * n, dtype=np.int64)
         q0 = _dense_product(n, _master_factors(n, 0, 0, c), p, deg)  # Q_{0,c} = Phi_{0,0,c}
         q[tuple(map(slice, q0.shape))] = q0
         block = q[(slice(0, zero),) * n]
         axes = [np.moveaxis(block, k, 0) for k in range(n)]  # views of block, axis k first
-        for b in range(self.ab_stop):
+        for b in range(ab_stop):
             if b:
                 for along in axes:  # times (1 - x_k)
                     along[1:] = along[1:] - along[:-1]
                 block %= p
             reads[b] = q[index]
-        self._values[:, :, c] = reads[:, 0].transpose(2, 0, 1)
-        self._s1[:, :, c] = (reads[:, 1:].sum(axis=1) % p).transpose(2, 0, 1)
-    self.start = start
+        values[:, :, c] = reads[:, 0].transpose(2, 0, 1)
+        s1[:, :, c] = (reads[:, 1:].sum(axis=1) % p).transpose(2, 0, 1)
+
+
+class ReadGrid:
+    """Every slab of one ``selberg_grid`` walk, kept for reads in any order: ``slabs[a]`` is
+    its (values, S1) at a, and ``index`` maps a cycle to its column in them."""
+
+    def __init__(self, p: int, cycles, ab_stop: int | None = None):
+        self.p = p
+        self.index = {cycle: k for k, cycle in enumerate(dict.fromkeys(map(tuple, cycles)))}
+        self.slabs = list(selberg_grid(p, cycles, ab_stop))
 
 
 # -- verify suites, one point at a time ---------------------------------------------
 
 
-def grid_value(grid, a: int, b: int, c: int, cycle) -> int:
+def grid_value(grid: ReadGrid, a: int, b: int, c: int, cycle) -> int:
     """The integral of Phi_{a,b,c} over the cycle as a Python int, read from the slab of its a,
-    as ``selberg_bruteforce`` gives it; a point outside the grid box is refused."""
-    # Explicit bounds: a negative numpy index would silently wrap around.
-    if not (0 <= a < grid.ab_stop and 0 <= b < grid.ab_stop and 0 <= c < grid.p):
-        raise ValueError(f"(a, b, c) = ({a}, {b}, {c}) outside the grid box"
-                         f" [0, {grid.ab_stop})^2 x [0, {grid.p})")
-    return int(grid.slab(a, [cycle])[0][b, c, 0])
+    as ``selberg_bruteforce`` gives it."""
+    # Explicit bounds: a negative index would silently wrap around.
+    assert 0 <= a < len(grid.slabs) and 0 <= b < len(grid.slabs) and 0 <= c < grid.p, (a, b, c)
+    return int(grid.slabs[a][0][b, c, grid.index[tuple(cycle)]])
 
 
-def grid_moments(grid, a: int, b: int, c: int, cycle) -> tuple:
+def grid_moments(grid: ReadGrid, a: int, b: int, c: int, cycle) -> tuple:
     """(S1, S2) of one grid point, from the slab of its a; S2 = n * value - S1."""
-    values, s1 = grid.slab(a, [cycle])
-    s1 = int(s1[b, c, 0])
-    return s1, (len(cycle) * int(values[b, c, 0]) - s1) % grid.p
+    values, s1 = grid.slabs[a]
+    k = grid.index[tuple(cycle)]
+    return int(s1[b, c, k]), (len(cycle) * int(values[b, c, k]) - int(s1[b, c, k])) % grid.p
 
 
 def _route_value(method: str, params, l1: int, l2: int, branch) -> int:
@@ -394,14 +402,12 @@ def ref_suite_recurrences(config, grids) -> SuiteResult:
     result = SuiteResult("recurrences")
     for p in config.primes:
         grid = grids[p]
-        # a + 1 and a - 1 are read from grids of their own: each grid is read in ascending a.
-        up, down = selberg_grid(p, _RECURRENCE_CYCLES), selberg_grid(p, _RECURRENCE_CYCLES)
         for a, b, c in all_triples(p):
             for cycle in _RECURRENCE_CYCLES:
-                def value(a, b, source=grid):  # 0 outside the box, where no recurrence reads it
-                    return grid_value(source, a, b, c, cycle) if a < p and b < p else 0
+                def value(a, b):  # 0 outside the box, where no recurrence reads it
+                    return grid_value(grid, a, b, c, cycle) if a < p and b < p else 0
 
-                shifted = value(a + 1, b, up), value(a, b + 1), value(a - 1, b, down), value(a, b - 1)
+                shifted = value(a + 1, b), value(a, b + 1), value(a - 1, b), value(a, b - 1)
                 checks = _recurrences(p, a, b, c, value(a, b), *grid_moments(grid, a, b, c, cycle), *shifted,
                                       lambda d: pow(d, -1, p) if d else 0)
                 for eq, applies, lhs, rhs in checks:

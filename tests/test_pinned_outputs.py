@@ -20,7 +20,6 @@ import pytest
 
 from fpselberg import morris_ct, selberg_core
 from fpselberg.cli import main
-from fpselberg.selberg_core import SelbergGrid
 
 from test_sweep_stream import SMALLEST_P5_WINDOW
 
@@ -151,13 +150,13 @@ DESCRIBE_SHA256 = {
 
 def _record_builds(monkeypatch) -> list:
     builds = []
-    build = SelbergGrid._build
+    build = selberg_core._build_window
 
-    def counted(self, start):
-        builds.append((self.p, self.ab_stop, len(self._index), start))
-        build(self, start)
+    def counted(p, cycles, deg, chunk, start, values, s1):
+        builds.append((p, values.shape[1], len(cycles), start))
+        build(p, cycles, deg, chunk, start, values, s1)
 
-    monkeypatch.setattr(SelbergGrid, "_build", counted)
+    monkeypatch.setattr(selberg_core, "_build_window", counted)
     return builds
 
 

@@ -32,7 +32,7 @@ from fpselberg.selberg2d_closed import (
     relations_from_values,
 )
 
-from reference_impl import dense_terms, grid_value
+from reference_impl import ReadGrid, dense_terms, grid_value
 from test_selberg2d_closed import delta_boundary_forms
 
 CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)]
@@ -67,14 +67,14 @@ def _triples(p: int, exhaustive: bool):
 @pytest.mark.parametrize("p, exhaustive", [(7, True), (13, False)])
 def test_two_dimensional_evaluators_return_residues(p, exhaustive):
     seen = _Seen(p)
-    grid = selberg_grid(p, CYCLES + list(RELATION_CYCLES))
+    grid = ReadGrid(p, CYCLES + list(RELATION_CYCLES))
     for a, b, c in _triples(p, exhaustive):
         params = SelbergParams(a, b, c, p)
         spec = params.spec(2)
         poly = MultiPoly(2, dense_terms(_dense_master(2, a, b, c, p)), p)
         for cycle in CYCLES:
             seen("selberg_bruteforce", selberg_bruteforce(spec, cycle))
-            seen("SelbergGrid.slab", grid_value(grid, a, b, c, cycle))
+            seen("selberg_grid", grid_value(grid, a, b, c, cycle))
             seen("selberg_direct_2d", selberg_direct_2d(params, *cycle))
             seen("eval_closed", eval_closed(params, *cycle))
             seen("moment_integral S1", moment_integral(params, cycle, "S1"))
@@ -84,7 +84,7 @@ def test_two_dimensional_evaluators_return_residues(p, exhaustive):
                        relations_from_values(params, lambda cycle: grid_value(grid, a, b, c, cycle))):
             for value in report.values.values():
                 seen("RelationReport.values", value)
-    seen.assert_both(["selberg_bruteforce", "SelbergGrid.slab", "selberg_direct_2d", "eval_closed",
+    seen.assert_both(["selberg_bruteforce", "selberg_grid", "selberg_direct_2d", "eval_closed",
                       "moment_integral S1", "moment_integral S2", "fp_integral",
                       "RelationReport.values"])
 
@@ -93,11 +93,12 @@ def test_two_dimensional_evaluators_return_residues(p, exhaustive):
 def test_grid_slabs_hold_residues(p):
     # Slabs are int64 arrays, not ints; every entry of the values and S1 is
     # reduced into [0, p), and both hold zeros and non-zeros.
-    grid = selberg_grid(p, CYCLES)
-    for a in range(p):
-        for cells in grid.slab(a, CYCLES):
+    slabs = list(selberg_grid(p, CYCLES))
+    assert len(slabs) == p
+    for a, slab in enumerate(slabs):
+        for cells in slab:
             assert cells.dtype == np.int64 and ((0 <= cells) & (cells < p)).all(), a
-    values, s1 = grid.slab(p - 2, CYCLES)
+    values, s1 = slabs[p - 2]
     assert values.any() and s1.any() and not values.all() and not s1.all()
 
 

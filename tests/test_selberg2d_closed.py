@@ -19,7 +19,6 @@ from fpselberg.selberg_core import (
     moment_integral,
     selberg_bruteforce,
     selberg_direct_2d,
-    selberg_grid,
 )
 from fpselberg.selberg2d_closed import (
     _ROWS,
@@ -38,8 +37,8 @@ from fpselberg.selberg2d_closed import (
     skew_symmetry_check,
 )
 
-from reference_impl import (PRIMES, all_triples, grid_value, prime_at_or_above, ref_branch, ref_closed_value, ref_cross,
-                            ref_direct_coefficient, ref_direct_runs, ref_mul, ref_univariate)
+from reference_impl import (PRIMES, ReadGrid, all_triples, grid_value, prime_at_or_above, ref_branch, ref_closed_value,
+                            ref_cross, ref_direct_coefficient, ref_direct_runs, ref_mul, ref_univariate)
 
 
 def branch(p, a, b, c, l1, l2) -> Branch:
@@ -388,7 +387,7 @@ def test_relations_reports():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_relations_hold_exhaustively(p):
-    grid = selberg_grid(p, RELATION_CYCLES)
+    grid = ReadGrid(p, RELATION_CYCLES)
     for a, b, c in all_triples(p):
         params = SelbergParams(a, b, c, p)
         report = relations_check(params)

@@ -13,7 +13,6 @@ from fpselberg.fp_poly import _coefficient
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import (
     MasterPolySpec,
-    SelbergGrid,
     SelbergParams,
     _dense_master,
     _direct_coefficient,
@@ -26,8 +25,8 @@ from fpselberg.selberg_core import (
 )
 from fpselberg.sweep import SweepConfig
 
-from reference_impl import (PRIMES, all_triples, dense_terms, grid_moments, grid_value, ref_grid_build, ref_integral,
-                            ref_mul, ref_phi, ref_reduce, ref_selberg, ref_univariate)
+from reference_impl import (PRIMES, ReadGrid, all_triples, dense_terms, grid_moments, grid_value, ref_grid_build,
+                            ref_integral, ref_mul, ref_phi, ref_reduce, ref_selberg, ref_univariate)
 
 # The default verify cycles l1 <= l2 <= 4 plus the transposed relation cycles.
 GRID_CYCLES = [(l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5)] + [(2, 1), (3, 1)]
@@ -352,7 +351,7 @@ def test_moment_index_sum_matches_product_formula(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_grid_matches_per_point_bruteforce(p):
-    grid = selberg_grid(p, GRID_CYCLES)
+    grid = ReadGrid(p, GRID_CYCLES)
     for a, b, c in itertools.product(range(p), repeat=3):
         spec = MasterPolySpec(2, a, b, c, p)
         for cycle in GRID_CYCLES:
@@ -370,89 +369,57 @@ def _window_of_3(monkeypatch, p: int, cycles):
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str((deg + 2) ** 2 + 3 * 2 * p * p * len(set(cycles))))
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_grid_window_reads_in_any_order(monkeypatch, order):
-    p = 7
-    _window_of_3(monkeypatch, p, GRID_CYCLES)
-    grid = selberg_grid(p, GRID_CYCLES)
-    assert (grid.width, grid.start) == (3, 0)
-    points = list(itertools.product(range(p), repeat=3))
-    if order == "descending":
-        points.reverse()
-    elif order == "shuffled":
-        random.Random(order).shuffle(points)
-    starts = set()
-    for a, b, c in points:
-        spec = MasterPolySpec(2, a, b, c, p)
-        for cycle in GRID_CYCLES:
-            assert grid_value(grid, a, b, c, cycle) == selberg_bruteforce(spec, cycle), (a, b, c, cycle)
-            if a and b and c:
-                params = SelbergParams(a, b, c, p)
-                assert grid_moments(grid, a, b, c, cycle) == (moment_integral(params, cycle, "S1"),
-                                                        moment_integral(params, cycle, "S2"))
-            starts.add(grid.start)
-    assert len(starts) > 1
-
-
 def test_grid_window_is_built_once_per_ascending_pass(monkeypatch):
-    # A pass in ascending a that reads the slabs of a and a + 1, as the
-    # recurrences do, builds each block of 3 a values once, at its first read:
-    # the first pass finds the block from 0 built, the second starts over.
+    # A walk builds each block of 3 a values once, when it reaches the block's
+    # first a, and a second walk starts over.
     p = 7
     _window_of_3(monkeypatch, p, [(1, 1)])
-    grid = selberg_grid(p, [(1, 1)])
     builds = []
-    build = SelbergGrid._build
-    monkeypatch.setattr(SelbergGrid, "_build", lambda self, start: builds.append(start) or build(self, start))
+    build = selberg_core._build_window
+    monkeypatch.setattr(selberg_core, "_build_window", lambda p, cycles, deg, chunk, start, *boxes: builds.append(
+        start) or build(p, cycles, deg, chunk, start, *boxes))
     for _ in range(2):
-        for a in range(1, p):
-            for shifted in (a, a + 1):
-                if shifted < p:
-                    grid.slab(shifted, [(1, 1)])
-    assert builds == [3, 6, 0, 3, 6]
+        walk = selberg_grid(p, [(1, 1)])
+        seen = builds[:]
+        for a, _slab in enumerate(walk):
+            assert builds == seen + [start for start in (0, 3, 6) if start <= a], a
+    assert builds == [0, 3, 6, 0, 3, 6]
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
 @pytest.mark.parametrize("windowed", [False, True], ids=["whole", "windowed"])
 def test_grid_slab_matches_values_and_moments(monkeypatch, windowed, order):
-    # Each slab holds, at every (b, c) and cycle, what a per-cell read gives
-    # and S1 as the reference product with (x1 + x2); it moves the window as a
-    # per-cell read of its a would, and it is a copy that later window
-    # rebuilds leave as it was.
+    # Each slab holds, at every (b, c) and cycle, the reference value and S1 as
+    # the reference product with (x1 + x2).  Read descending, after the walk
+    # has ended, each slab is a copy that later window builds left as it was.
     p = 5
     if windowed:
         _window_of_3(monkeypatch, p, GRID_CYCLES)
     else:
         monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    grid, twin = selberg_grid(p, GRID_CYCLES), selberg_grid(p, GRID_CYCLES)
-    assert grid.width == (3 if windowed else p)
-    cycles = GRID_CYCLES[::-1]  # an order of their own, not the grid's
-    slabs = {}
-    for a in range(p) if order == "ascending" else reversed(range(p)):
-        values, s1 = slabs[a] = grid.slab(a, cycles)
-        grid_value(twin, a, 0, 0, cycles[0])
-        assert grid.start == twin.start
+    assert selberg_core._guard_grid(p, GRID_CYCLES, None)[3] == (3 if windowed else p)
+    walk = enumerate(selberg_grid(p, GRID_CYCLES))
+    for a, (values, s1) in walk if order == "ascending" else reversed(list(walk)):
         assert values.dtype == s1.dtype == np.int64
-        assert values.shape == s1.shape == (p, p, len(cycles))
+        assert values.shape == s1.shape == (p, p, len(GRID_CYCLES))
         for b, c in itertools.product(range(p), repeat=2):
-            s1_poly = ref_mul(MOMENT_FACTORS["S1"], ref_phi(2, a, b, c))
-            for i, cycle in enumerate(cycles):
-                assert values[b, c, i] == grid_value(twin, a, b, c, cycle), (a, b, c, cycle)
+            phi = ref_phi(2, a, b, c)
+            s1_poly = ref_mul(MOMENT_FACTORS["S1"], phi)
+            for i, cycle in enumerate(GRID_CYCLES):
+                assert values[b, c, i] == ref_integral(phi, p, cycle), (a, b, c, cycle)
                 assert s1[b, c, i] == ref_integral(s1_poly, p, cycle), (a, b, c, cycle)
-    for a, (values, s1) in slabs.items():
-        assert values.tolist() == [[[grid_value(twin, a, b, c, cycle) for cycle in cycles] for c in range(p)]
-                                   for b in range(p)], a
-        assert s1.tolist() == [[[grid_moments(twin, a, b, c, cycle)[0] for cycle in cycles] for c in range(p)]
-                               for b in range(p)], a
 
 
-def _windows_match_reference(grid):
-    """Every window of the grid, built by ``_build`` and by the reference, holds the same boxes."""
-    for start in range(0, grid.ab_stop, grid.width):
-        grid._build(start)
-        values, s1 = grid._values.copy(), grid._s1.copy()
-        ref_grid_build(grid, start)
-        assert np.array_equal(values, grid._values) and np.array_equal(s1, grid._s1), start
+def _walk_matches_reference(monkeypatch, *request):
+    """The walk of a grid request (p, cycles, ab_stop) yields the same slabs with its
+    windows built by ``_build_window`` and by the reference."""
+    got = list(selberg_grid(*request))
+    with monkeypatch.context() as patched:
+        patched.setattr(selberg_core, "_build_window", ref_grid_build)
+        want = list(selberg_grid(*request))
+    assert len(got) == len(want) == request[2]
+    for a, ((values, s1), (ref_values, ref_s1)) in enumerate(zip(got, want)):
+        assert np.array_equal(values, ref_values) and np.array_equal(s1, ref_s1), a
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -461,12 +428,11 @@ def test_grid_builds_match_reference_on_default_grids(monkeypatch, p):
     # brute-force sweep's grid: at the default cap each stacks all p values of c.
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     config = SweepConfig(primes=(p,))
-    requests = [(p, verify._guard_grids(config)), *verify._nd_windows(p), (p, tuple(config.cycles()))]
+    requests = [(p, verify._guard_grids(config), p), *verify._nd_windows(p), (p, tuple(config.cycles()), p)]
     assert len(requests) == (4 if p <= 11 else 3)
     for request in requests:
-        grid = selberg_grid(*request)
-        assert grid._chunk == p
-        _windows_match_reference(grid)
+        assert selberg_core._guard_grid(*request)[4] == p
+        _walk_matches_reference(monkeypatch, *request)
 
 
 @pytest.mark.parametrize("max_terms, width, chunk", [(8632, 7, 1), (9032, 7, 2), (11032, 7, 7), (1576, 1, 1)],
@@ -475,15 +441,15 @@ def test_grid_stacks_under_the_cap_match_reference(monkeypatch, max_terms, width
     # The shared grid at p = 7: Q cut at degree 18 takes 20^2 = 400 cells, one a
     # value of its boxes 2 * 7 * 7 * 12 = 1176.  What the window leaves holds the stack.
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(max_terms))
-    grid = selberg_grid(7, verify._guard_grids(SweepConfig(primes=(7,))))
-    assert (grid.width, grid._chunk) == (width, chunk)
-    _windows_match_reference(grid)
+    cycles = verify._guard_grids(SweepConfig(primes=(7,)))
+    assert selberg_core._guard_grid(7, cycles, None)[3:] == (width, chunk)
+    _walk_matches_reference(monkeypatch, 7, cycles, 7)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_grid_nd_window_reads_absent_coefficients_as_zero(p):
     # a, b in [0, 2p): for a >= p the read index T - a is negative.
-    grid = selberg_grid(p, [(1, 1)], 2 * p)
+    grid = ReadGrid(p, [(1, 1)], 2 * p)
     for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
         value = grid_value(grid, a, b, c, (1, 1))
         assert value == selberg_bruteforce(MasterPolySpec(2, a, b, c, p), (1, 1)), (a, b, c)
@@ -493,7 +459,7 @@ def test_grid_nd_window_reads_absent_coefficients_as_zero(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_grid_matches_reference_expansion(p):
-    grid = selberg_grid(p, GRID_CYCLES)
+    grid = ReadGrid(p, GRID_CYCLES)
     for a, b, c in all_triples(p):
         phi = ref_phi(2, a, b, c)
         for l1, l2 in GRID_CYCLES:
@@ -501,15 +467,9 @@ def test_grid_matches_reference_expansion(p):
 
 
 def test_grid_reads_outside_the_box_are_refused():
-    grid = selberg_grid(5, [(1, 1)])
-    for a, b, c in [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (5, 1, 1), (1, 1, 5)]:
-        with pytest.raises(ValueError):
-            grid_value(grid, a, b, c, (1, 1))
-    with pytest.raises(ValueError):
-        grid_moments(grid, 1, 1, 1, (1, 2))
-    for a, cycles in [(-1, [(1, 1)]), (5, [(1, 1)]), (1, [(1, 1), (1, 2)])]:
-        with pytest.raises(ValueError):
-            grid.slab(a, cycles)
+    # An empty box, no cycle or a p that is not prime is refused when the walk
+    # is asked for; a walk yields only the a values of its box.
+    assert len(list(selberg_grid(5, [(1, 1)], ab_stop=2))) == 2
     with pytest.raises(ValueError):
         selberg_grid(5, [(1, 1)], ab_stop=0)
     with pytest.raises(ValueError):
@@ -547,7 +507,7 @@ def test_grid_guard_counts_only_the_truncated_expansion(monkeypatch):
     with pytest.raises(ResourceLimitError, match=f"needs {cells} "):
         selberg_grid(13, [(1, 1)], ab_stop=1)
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells))
-    grid = selberg_grid(13, [(1, 1)], ab_stop=1)
+    grid = ReadGrid(13, [(1, 1)], ab_stop=1)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS")
     for c in range(13):
         assert grid_value(grid, 0, 0, c, (1, 1)) == selberg_bruteforce(MasterPolySpec(2, 0, 0, c, 13), (1, 1))
@@ -556,7 +516,7 @@ def test_grid_guard_counts_only_the_truncated_expansion(monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_grid_n3_window_matches_per_point_bruteforce(p):
     # nd's three-variable window: a, b < 2p on [1,1,1], read at every point.
-    grid = selberg_grid(p, [(1, 1, 1)], 2 * p)
+    grid = ReadGrid(p, [(1, 1, 1)], 2 * p)
     for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
         want = selberg_bruteforce(MasterPolySpec(3, a, b, c, p), (1, 1, 1))
         assert grid_value(grid, a, b, c, (1, 1, 1)) == want, (a, b, c)
@@ -565,7 +525,7 @@ def test_grid_n3_window_matches_per_point_bruteforce(p):
 @pytest.mark.parametrize("p, count", [(11, 411), (13, 658)])
 def test_grid_n3_window_matches_nd_closed_form(p, count):
     ctx = get_context(p)
-    grid = selberg_grid(p, [(1, 1, 1)], 2 * p)
+    grid = ReadGrid(p, [(1, 1, 1)], 2 * p)
     checked = 0
     for a, b, c in itertools.product(range(2 * p), range(2 * p), range(p)):
         if p - 1 <= a + b + 2 * c and a + b + 4 * c < 2 * p - 1:
@@ -579,15 +539,15 @@ N3_CYCLES = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2)]
 
 @pytest.mark.parametrize("windowed", [False, True])
 def test_grid_n3_values_and_moments_match_reference(monkeypatch, windowed):
-    # Several three-variable cycles at p = 5, read as a whole box and, under a
-    # cap of a 3-value window, in shuffled order.  S1 is the integral of
+    # Several three-variable cycles at p = 5, built as a whole box and, under a
+    # cap of a 3-value window, in windows; the points are read in shuffled order.  S1 is the integral of
     # (x1+x2+x3)*Phi and S2 that of ((1-x1)+(1-x2)+(1-x3))*Phi.
     p = 5
     if windowed:
         cells = 11**3 + 3 * 2 * p * p * len(N3_CYCLES)  # Q cut at degree 2p - 1 = 9, then 3 a values
         monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells))
-    grid = selberg_grid(p, N3_CYCLES)
-    assert grid.width == (3 if windowed else p)
+    assert selberg_core._guard_grid(p, N3_CYCLES, None)[3] == (3 if windowed else p)
+    grid = ReadGrid(p, N3_CYCLES)
     points = list(itertools.product(range(p), repeat=3))
     random.Random(3).shuffle(points)
     s1_factor = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}
@@ -615,9 +575,9 @@ def test_grid_n3_guard_counts_its_cells(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     cells = 8**3 + 2 * 14 * 7
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells))
-    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 1)
+    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 1, 1)
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cells - 1))
     with pytest.raises(ResourceLimitError, match=f"needs {cells} coefficient cells for a window of 1 a value,"):
         selberg_grid(7, [(1, 1, 1)], 14)
     monkeypatch.delenv("FPSELBERG_MAX_TERMS")
-    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 14)
+    assert selberg_core._guard_grid(7, [(1, 1, 1)], 14)[2:] == (6, 14, 7)

@@ -26,7 +26,7 @@ from fpselberg.selberg2d_closed import (
 from fpselberg.sweep import ALL_SUITES, SWEEP_CSV_HEADER, SweepConfig, render_sweep, sweep_rows
 from fpselberg.verify import render_report, run_verification
 
-from reference_impl import REF_SUITES, prime_at_or_above
+from reference_impl import REF_SUITES, ReadGrid, prime_at_or_above
 
 
 def test_config_validation():
@@ -205,6 +205,23 @@ def test_default_cap_thresholds(monkeypatch, run, last, refused):
         guards[run](refused)
 
 
+@pytest.mark.parametrize("run, p, budget", [
+    ("verify", 13, (36, 13, 13)), ("verify", 19, (54, 19, 19)), ("verify", 23, (66, 19, 1)),
+    ("verify", 53, (156, 3, 1)), ("verify", 83, (246, 1, 1)),
+    ("bruteforce-sweep", 23, (66, 23, 1)), ("bruteforce-sweep", 89, (264, 1, 1)),
+])
+def test_default_cap_cell_budgets(monkeypatch, run, p, budget):
+    # (deg, width, chunk) of verify's shared grid (12 cycles) and the sweep's
+    # (10) at the default cap: the whole box and stack fit up to p = 13, the
+    # whole box up to p = 19 (sweep 23); past them one c, then windows of a.
+    # Checked without allocating: numpy is out of reach.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
+    config = SweepConfig(primes=(p,))
+    cycles = verify._guard_grids(config) if run == "verify" else tuple(config.cycles())
+    assert selberg_core._guard_grid(p, cycles, None)[2:] == budget
+
+
 @pytest.mark.parametrize("run", ["oracle_equiv", "recurrences", "relations", "vanishing", "morris", "nd",
                                  "bruteforce-sweep"])
 def test_every_pass_reads_its_grids_in_ascending_a(monkeypatch, run):
@@ -213,12 +230,16 @@ def test_every_pass_reads_its_grids_in_ascending_a(monkeypatch, run):
     # brute-force sweep builds is built at increasing starts, each block once.
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "1576")
     starts = {}
-    build = selberg_core.SelbergGrid._build
-    monkeypatch.setattr(selberg_core.SelbergGrid, "_build",
-                        lambda self, start: starts.setdefault(self, []).append(start) or build(self, start))
+    build = selberg_core._build_window
+
+    def recorded(p, cycles, deg, chunk, start, values, s1):  # one grid per (p, a and b range, cycles)
+        starts.setdefault((p, values.shape[1], cycles), []).append(start)
+        build(p, cycles, deg, chunk, start, values, s1)
+
+    monkeypatch.setattr(selberg_core, "_build_window", recorded)
     if run == "bruteforce-sweep":
         rows = sweep_rows(SweepConfig(primes=(5, 7), methods=("bruteforce",), suites=("stokes",)))
-        assert rows == sweep_rows(SweepConfig(primes=(5, 7), suites=("stokes",)))
+        assert rows == sweep_rows(SweepConfig(primes=(5, 7), methods=("closed",), suites=("stokes",)))
     else:
         assert run_verification(SweepConfig(primes=(7,), suites=(run,))).failed_total == 0
     assert any(len(built) > 1 for built in starts.values())
@@ -232,9 +253,9 @@ def test_one_walk_builds_each_shared_block_once(monkeypatch):
     # ascending order; a pass per suite built 31 windows.
     monkeypatch.setenv("FPSELBERG_MAX_TERMS", "1576")
     builds = []
-    build = selberg_core.SelbergGrid._build
-    monkeypatch.setattr(selberg_core.SelbergGrid, "_build", lambda self, start: builds.append(
-        (self.p, self.ab_stop, len(self._index), start)) or build(self, start))
+    build = selberg_core._build_window
+    monkeypatch.setattr(selberg_core, "_build_window", lambda p, cycles, deg, chunk, start, values, s1: builds.append(
+        (p, values.shape[1], len(cycles), start)) or build(p, cycles, deg, chunk, start, values, s1))
     assert run_verification(SweepConfig(primes=(7,), suites=ALL_SUITES)).failed_total == 0
     assert [start for p, ab_stop, count, start in builds if ab_stop == p] == list(range(7))
 
@@ -290,16 +311,16 @@ def _mutate(monkeypatch, mutation: str):
         monkeypatch.setattr(selberg2d_closed, "_formula", flipped)
         return
     a, b, c, cycle = _MUTATED_CELLS[mutation]
-    build = selberg_core.SelbergGrid._build
+    build = selberg_core._build_window
 
-    def shifted(self, start):
-        build(self, start)
-        if self.p == 7 and cycle in self._index and start <= a < start + self.width:
-            cells = self._values if mutation == "value_cell" else self._s1
-            slot = (a - start, b, c, self._index[cycle])
+    def shifted(p, cycles, deg, chunk, start, values, s1):
+        build(p, cycles, deg, chunk, start, values, s1)
+        if p == 7 and cycle in cycles and start <= a < start + len(values):
+            cells = values if mutation == "value_cell" else s1
+            slot = (a - start, b, c, cycles.index(cycle))
             cells[slot] = (cells[slot] + 1) % 7
 
-    monkeypatch.setattr(selberg_core.SelbergGrid, "_build", shifted)
+    monkeypatch.setattr(selberg_core, "_build_window", shifted)
 
 
 def _set_cap(monkeypatch, cap):
@@ -352,7 +373,7 @@ def test_grid_suites_match_per_point_reference(monkeypatch, mutation, cap):
     failed = 0
     for name, reference in REF_SUITES.items():
         got = suites[name]
-        want = reference(config, {p: selberg_core.selberg_grid(p, cycles) for p in config.primes})
+        want = reference(config, {p: ReadGrid(p, cycles) for p in config.primes})
         assert (got.checked, got.passed, got.failed, got.skipped, got.notes) == \
                (want.checked, want.passed, want.failed, want.skipped, want.notes), name
         assert got.counterexamples == want.counterexamples, name
