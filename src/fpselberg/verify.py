@@ -2,8 +2,9 @@
 
 Every suite checks an exact identity over a finite grid, so the only
 tolerance anywhere is equality.  The run configuration, ``SweepConfig``,
-lives in ``sweep``; this module adds the suites, the brute-force grids and
-the classification they share, and the report.
+lives in ``sweep``; this module adds the suites, the walk that hands each
+grid check one a of the brute-force grid with the points of that a, and the
+report.
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ class VerificationReport:
         return sum(s.checked for s in self.suites)
 
 
-def _triples(p: int):
-    return itertools.product(range(1, p), repeat=3)
-
-
 def _ce(p, a, b, c, l1, l2, branch, expected, got, **extra) -> dict:
     """A counterexample record, keys in report order."""
     return {"p": p, "a": a, "b": b, "c": c, "l1": l1, "l2": l2,
@@ -118,28 +115,20 @@ def _nd_windows(p: int) -> list:
     return [(p, ((1,) * n,), 2 * p) for n in (2, 3) if n == 2 or p <= _ND3_MAX_P]
 
 
-# Branch codes: the classification of a grid point is stored as its index here.
-_BRANCHES = tuple(Branch)
-_BRANCH_CODES = {branch: code for code, branch in enumerate(_BRANCHES)}
+def _points(p: int, a: int, classifiers: tuple) -> list:
+    """(b, c, params, branches) at every (b, c) of (0, p)^2 in ascending order, params the
+    SelbergParams of (a, b, c) and branches its Branch on each of ``classifiers``."""
+    return [(b, c, params, tuple(classify(*params) for classify in classifiers))
+            for b, c in itertools.product(range(1, p), repeat=2) for params in [SelbergParams(a, b, c, p)]]
 
 
-def _branch_codes(config: SweepConfig, p: int):
-    """The branch code of every (a, b, c) at p on every configured cycle, a uint8 array
-    indexed [a - 1, b - 1, c - 1, cycle]; each cycle's classifier is looked up once."""
-    import numpy as np
-
-    classifiers = tuple(_CYCLE_CLASSES.get(cycle, _OTHER_CLASS)[1] for cycle in config.cycles())
-    codes = (_BRANCH_CODES[classifier(a, b, c, p)] for a, b, c in _triples(p) for classifier in classifiers)
-    shape = (p - 1, p - 1, p - 1, len(classifiers))
-    return np.fromiter(codes, np.uint8, (p - 1) ** 3 * len(classifiers)).reshape(shape)
-
-
-class _Step(namedtuple("_Step", "p a slabs index codes")):
+class _Step(namedtuple("_Step", "p a slabs index points")):
     """One a of the walk over the shared grid of p, as each grid check sees it.
 
     ``slabs`` holds (values, S1) at a - 1, a and a + 1, the last None at a = p - 1;
-    ``index`` maps a cycle to its column in them, the configured cycles first; ``codes``
-    holds the branch codes at a, indexed [b - 1, c - 1, configured cycle], or None.
+    ``index`` maps a cycle to its column in them, the configured cycles first; ``points``
+    is ``_points`` at a, branches on the configured cycles where ``oracle_equiv`` or
+    ``vanishing`` reads them and () elsewhere, or None where ``recurrences`` alone reads the walk.
     """
 
     __slots__ = ()
@@ -157,11 +146,9 @@ class _Step(namedtuple("_Step", "p a slabs index codes")):
 def _oracle_equiv(config: SweepConfig, result: SuiteResult, step: _Step):
     """The direct and closed routes agree with the grid's brute force at every (b, c) of one a."""
     p, a, cycles = step.p, step.a, tuple(config.cycles())
-    values, branches, failures = step.read(cycles).tolist(), step.codes.tolist(), []
-    for b, c in itertools.product(range(1, p), repeat=2):
-        params = SelbergParams(a, b, c, p)
-        for (l1, l2), code, expected in zip(cycles, branches[b - 1][c - 1], values[b][c]):
-            branch = _BRANCHES[code]
+    values, failures = step.read(cycles).tolist(), []
+    for b, c, params, branches in step.points:
+        for (l1, l2), branch, expected in zip(cycles, branches, values[b][c]):
             routes = ("direct", _direct(params, l1, l2)), ("closed", _closed_value(branch, params))
             for method, got in routes:
                 if got != expected:
@@ -212,8 +199,7 @@ def _check_recurrences(config: SweepConfig, result: SuiteResult, step: _Step):
 def _relations(config: SweepConfig, result: SuiteResult, step: _Step):
     """Multi-cycle regimes at every (b, c) of one a: -1/2 relations, uniqueness outside them."""
     p, a, values = step.p, step.a, step.read(RELATION_CYCLES).tolist()
-    for b, c in itertools.product(range(1, p), repeat=2):
-        params = SelbergParams(a, b, c, p)
+    for b, c, params, _ in step.points:
         report = relations_from_values(params, dict(zip(RELATION_CYCLES, values[b][c])).__getitem__)
         if report.condition_set is None:
             result.tally(1, [] if report.uniqueness_holds else [_ce(p, a, b, c, 0, 0, "uniqueness", 1, 0)])
@@ -254,23 +240,18 @@ def _golden(config: SweepConfig, result: SuiteResult):
 
 
 def _vanishing(config: SweepConfig, result: SuiteResult, step: _Step):
-    """Every zero branch of the classifier at one a matches a brute-force zero."""
-    import numpy as np
-
+    """Every zero branch of the classifier at one a matches a brute-force zero, and in integer
+    mode an exact expansion too where the branch's zero holds over Z."""
     p, a, cycles = step.p, step.a, tuple(config.cycles())
-    zero_codes = np.array([branch.is_zero for branch in _BRANCHES])
-    values, zero = step.read(cycles)[1:, 1:], zero_codes[step.codes]  # [b - 1, c - 1, cycle]
-    # In integer mode every zero point is checked one at a time, else only the failing ones
-    # are, after the passing ones are counted.
-    points = np.argwhere(zero if config.integer_mode else zero & (values != 0)).tolist()
-    if not config.integer_mode:
-        result.tally(int(zero.sum()) - len(points))
-    for j, k, i in points:
-        b, c, branch, value = j + 1, k + 1, _BRANCHES[step.codes[j, k, i]], int(values[j, k, i])
-        result.tally(1, [] if value == 0 else [_ce(p, a, b, c, *cycles[i], str(branch), 0, value)])
-        if config.integer_mode and _ROWS[branch].over_z:
-            exact = selberg_bruteforce(SelbergParams(a, b, c, p).spec(2), cycles[i], exact=True)
-            result.tally(1, [] if exact == 0 else [_ce(p, a, b, c, *cycles[i], f"{branch} (integer)", 0, exact)])
+    values = step.read(cycles).tolist()
+    for b, c, params, branches in step.points:
+        for cycle, branch, value in zip(cycles, branches, values[b][c]):
+            if not branch.is_zero:
+                continue
+            result.tally(1, [] if value == 0 else [_ce(p, a, b, c, *cycle, str(branch), 0, value)])
+            if config.integer_mode and _ROWS[branch].over_z:
+                exact = selberg_bruteforce(params.spec(2), cycle, exact=True)
+                result.tally(1, [] if exact == 0 else [_ce(p, a, b, c, *cycle, f"{branch} (integer)", 0, exact)])
 
 
 def _morris_identities(config: SweepConfig, result: SuiteResult):
@@ -288,8 +269,7 @@ def _morris_identities(config: SweepConfig, result: SuiteResult):
 def _morris_bridge(config: SweepConfig, result: SuiteResult, step: _Step):
     """The Selberg bridge against the grid's brute force at every (b, c) of one a."""
     p, a, values = step.p, step.a, step.read([(l, l) for l in _BRIDGE_LEVELS]).tolist()
-    for b, c in itertools.product(range(1, p), repeat=2):
-        params = SelbergParams(a, b, c, p)
+    for b, c, params, _ in step.points:
         for l, brute in zip(_BRIDGE_LEVELS, values[b][c]):
             if a + b + c < l * p - 1 or a + c > l * p - 1:
                 continue
@@ -390,12 +370,13 @@ def run_verification(config: SweepConfig) -> VerificationReport:
 
     Suites run in this thread.  For each prime one walk of the shared grid
     yields the slabs of every shared cycle in ascending a, and the slabs of
-    a - 1, a and a + 1 go to each grid check; the walk is dropped before the
-    next prime.  A suite's ``seconds`` count its own checks
-    only; numpy, which every suite but ``stokes`` reads, is loaded before the
-    first of them, so no suite's seconds count its import.  An error inside a
-    suite other than the resource guard ends only that suite, as one failed
-    check naming the error.
+    a - 1, a and a + 1 go to each grid check with the points of a, each
+    built once for every check; the walk is dropped before the next prime.
+    A suite's ``seconds`` count its own checks only; numpy, which every
+    suite but ``stokes`` reads, is loaded before the first of them, so no
+    suite's seconds count its import, and the points are charged to no
+    suite.  An error inside a suite other than the resource guard ends only
+    that suite, as one failed check naming the error.
     """
     cycles = _guard_grids(config)
     if set(config.suites) - {"stokes"}:
@@ -425,15 +406,17 @@ def run_verification(config: SweepConfig) -> VerificationReport:
         if not readers:
             continue
         walk = selberg_grid(p, cycles)
-        codes = _branch_codes(config, p) if {"oracle_equiv", "vanishing"} & set(readers) else None
+        classifiers = (tuple(_CYCLE_CLASSES.get(cycle, _OTHER_CLASS)[1] for cycle in config.cycles())
+                       if {"oracle_equiv", "vanishing"} & set(readers) else ())
         down, here = next(walk), next(walk)
         for a in range(1, p):
             up = next(walk, None)  # None past a = p - 1
-            step = _Step(p, a, (down, here, up), index, None if codes is None else codes[a - 1])
+            step = _Step(p, a, (down, here, up), index,
+                         None if readers == ["recurrences"] else _points(p, a, classifiers))
             for name in readers:
                 attempt(name, _SUITES[name].grid, step)
             down, here = here, up
-        del walk, codes
+        del walk
     for name in config.suites:
         attempt(name, _SUITES[name].after)
     return VerificationReport([results[name] for name in config.suites])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -166,7 +167,8 @@ def test_grid_over_the_cap_runs_window_by_window(monkeypatch):
     config = SweepConfig(primes=(7,), suites=ALL_SUITES)
     bruteforce = SweepConfig(primes=(5, 7), methods=("bruteforce",), suites=("stokes",))
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
-    whole, closed = run_verification(config), sweep_rows(SweepConfig(primes=(5, 7), suites=("stokes",)))
+    whole = run_verification(config)
+    closed = sweep_rows(SweepConfig(primes=(5, 7), methods=("closed",), suites=("stokes",)))
     for cap, width in [(1576, 1), (2752, 2), (4000, 3)]:
         monkeypatch.setenv("FPSELBERG_MAX_TERMS", str(cap))
         assert selberg_core._guard_grid(7, verify._guard_grids(config), None)[3] == width
@@ -258,6 +260,46 @@ def test_one_walk_builds_each_shared_block_once(monkeypatch):
         (p, values.shape[1], len(cycles), start)) or build(p, cycles, deg, chunk, start, values, s1))
     assert run_verification(SweepConfig(primes=(7,), suites=ALL_SUITES)).failed_total == 0
     assert [start for p, ab_stop, count, start in builds if ab_stop == p] == list(range(7))
+
+
+@pytest.mark.parametrize("cap", [None, "1576"], ids=["whole", "windowed"])
+@pytest.mark.parametrize("integer_mode", [False, True], ids=["residue", "integer"])
+def test_each_suite_alone_reports_its_entry_of_the_full_run(monkeypatch, integer_mode, cap):
+    # Which grid checks share a walk decides whether its points carry their
+    # branches; a suite run alone reports what it reports beside every other.
+    _set_cap(monkeypatch, cap)
+    full = _without_seconds(run_verification(SweepConfig(primes=(5, 7), suites=ALL_SUITES,
+                                                         integer_mode=integer_mode)))
+    assert [entry["name"] for entry in full["suites"]] == list(ALL_SUITES)
+    for entry in full["suites"]:
+        config = SweepConfig(primes=(5, 7), suites=(entry["name"],), integer_mode=integer_mode)
+        assert _without_seconds(run_verification(config))["suites"] == [entry], entry["name"]
+
+
+def test_the_walk_builds_each_point_once(monkeypatch):
+    # The grid checks share one SelbergParams per (p, a, b, c) of the walk
+    # and golden builds its own; a walk read by recurrences alone builds no
+    # point and classifies none, and oracle_equiv classifies each point once
+    # on every configured cycle.
+    built, classified = [], []
+    monkeypatch.setattr(verify, "SelbergParams", lambda *args: built.append(args) or SelbergParams(*args))
+
+    def counted(classify):
+        return lambda *args: classified.append(args) or classify(*args)
+
+    for cycle, (label, classify) in selberg2d_closed._CYCLE_CLASSES.items():
+        monkeypatch.setitem(selberg2d_closed._CYCLE_CLASSES, cycle, (label, counted(classify)))
+    monkeypatch.setattr(verify, "_OTHER_CLASS", (verify._OTHER_CLASS[0], counted(verify._OTHER_CLASS[1])))
+    config = SweepConfig(primes=(5, 7), suites=("oracle_equiv", "relations", "vanishing", "morris"))
+    assert run_verification(config).failed_total == 0
+    walk = [(a, b, c, p) for p in config.primes for a, b, c in itertools.product(range(1, p), repeat=3)]
+    golden = [(g.a, g.b, g.c, g.p) for g in GOLDEN_2D if g.p in config.primes]
+    assert len(golden) == 3 and sorted(built) == sorted(walk + golden)
+    built.clear(), classified.clear()
+    assert run_verification(SweepConfig(primes=(5, 7), suites=("recurrences",))).failed_total == 0
+    assert built == classified == []
+    assert run_verification(SweepConfig(primes=(5, 7), suites=("oracle_equiv",))).failed_total == 0
+    assert sorted(classified) == sorted(walk * len(list(config.cycles())))
 
 
 @pytest.mark.parametrize("name", ["oracle_equiv", "recurrences", "relations", "vanishing", "morris"])
