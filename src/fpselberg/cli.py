@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import itertools
 import os
 import sys
 from typing import Iterable
@@ -126,19 +125,8 @@ def _point_params(args) -> tuple:
     return params, l1, l2
 
 
-# The most chunks (sweep rows) joined into one write.
-_BLOCK_CHUNKS = 1024
-
-
-def _write_blocks(chunks: Iterable[str], write):
-    """Call ``write`` once per block of up to ``_BLOCK_CHUNKS`` chunks, joined, as they come."""
-    chunks = iter(chunks)  # islice over a tuple would start again at its first chunk every time
-    while block := list(itertools.islice(chunks, _BLOCK_CHUNKS)):
-        write("".join(block))
-
-
 def _write_output(chunks: Iterable[str], out_path: str | None):
-    """Write text chunks to ``out_path``, or to stdout, a block at a time.
+    """Write text chunks to ``out_path``, or to stdout, one write per chunk as they come.
 
     Both destinations follow one policy.  A reader that closes the destination
     early (``fpselberg sweep | head``, or an ``--out`` that names a pipe) ends
@@ -150,7 +138,8 @@ def _write_output(chunks: Iterable[str], out_path: str | None):
     to_stdout = out_path is None
     try:
         with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w", encoding="utf-8") as fh:
-            _write_blocks(chunks, fh.write)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
     except OSError as exc:
         if to_stdout:
@@ -240,8 +229,8 @@ def _cmd_sweep(args) -> int:
     from .sweep import SweepConfig, iter_render_sweep, iter_sweep_rows
 
     config = SweepConfig(suites=(), methods=(args.method,), **_grid_options(args))
-    rows = iter_sweep_rows(config)  # checks every resource guard before anything is written
-    _write_output(iter_render_sweep(rows, args.format), args.out)
+    records = iter_sweep_rows(config)  # checks every resource guard before anything is written
+    _write_output(iter_render_sweep(records, args.format), args.out)
     return 0
 
 

@@ -59,6 +59,7 @@ import functools
 from collections import namedtuple
 from enum import Enum
 from operator import mul
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .errors import DomainError, GuardError
@@ -160,57 +161,62 @@ def _branch(params: SelbergParams, l1: int, l2: int) -> Branch:
     return _CYCLE_CLASSES.get((l1, l2) if l1 <= l2 else (l2, l1), _OTHER_CLASS)[1](*params)
 
 
+# Branch's members as plain attributes.  A member read off Branch itself takes
+# EnumType's lookup hook, about 100 ns, and every classifier call below makes one read.
+_Branch = SimpleNamespace(**Branch.__members__)
+
+
 # One classifier per cycle class, over plain ints (a, b, c, p), returning its branch.
 def _c11(a: int, b: int, c: int, p: int) -> Branch:
     if a + c >= p or a + b + c <= p - 2:
-        return Branch.NOT_APPLICABLE_zero
+        return _Branch.NOT_APPLICABLE_zero
     # now a+c <= p-1 and a+b+c >= p-1
     if b + c <= p - 1:
-        return Branch.C11_i
+        return _Branch.C11_i
     if a + b + 2 * c >= 2 * p - 1:
-        return Branch.C11_ii
-    return Branch.C11_iii_zero
+        return _Branch.C11_ii
+    return _Branch.C11_iii_zero
 
 
 def _c22(a: int, b: int, c: int, p: int) -> Branch:
     if a + b + c <= 2 * p - 2:
-        return Branch.NOT_APPLICABLE_zero
-    return Branch.C22_i if a + b + 2 * c <= 3 * p - 2 else Branch.C22_ii
+        return _Branch.NOT_APPLICABLE_zero
+    return _Branch.C22_i if a + b + 2 * c <= 3 * p - 2 else _Branch.C22_ii
 
 
 def _c12(a: int, b: int, c: int, p: int) -> Branch:
     delta = a + b + 2 * c + 1 - 2 * p
     if delta < 0:
-        return Branch.C12_delta_neg_zero
+        return _Branch.C12_delta_neg_zero
     if delta == 0:
-        return Branch.C12_delta0_zero if a + b < p - 1 else Branch.C12_delta0_formula
+        return _Branch.C12_delta0_zero if a + b < p - 1 else _Branch.C12_delta0_formula
     # delta > 0 forces (a+c) + (b+c) >= 2p, so a+c and b+c cannot both
     # stay below p; 2c = p is impossible for odd p.
     if 2 * c < p:
         if a + c <= p - 1:
-            return Branch.C12_i
+            return _Branch.C12_i
         if b + c <= p - 1:
-            return Branch.C12_ii
+            return _Branch.C12_ii
         if a + b + c < 2 * p - 1:
-            return Branch.C12_iii_zero
-        return Branch.C12_iv
+            return _Branch.C12_iii_zero
+        return _Branch.C12_iv
     if a + c >= p:
-        return Branch.C12_v_zero
+        return _Branch.C12_v_zero
     if b + c >= p:
-        return Branch.C12_vi_zero
+        return _Branch.C12_vi_zero
     raise GuardError(f"unreachable [1,2] case at {SelbergParams(a, b, c, p)}")
 
 
 def _c13(a: int, b: int, c: int, p: int) -> Branch:
-    return Branch.C13_zero if a + b + 2 * c < 3 * p - 1 else Branch.C13_formula
+    return _Branch.C13_zero if a + b + 2 * c < 3 * p - 1 else _Branch.C13_formula
 
 
 def _c23(a: int, b: int, c: int, p: int) -> Branch:
-    return Branch.C23_zero
+    return _Branch.C23_zero
 
 
 def _other(a: int, b: int, c: int, p: int) -> Branch:
-    return Branch.OTHER_zero
+    return _Branch.OTHER_zero
 
 
 # The cycle classes by canonical cycle (l1 <= l2): the label describe prints and the

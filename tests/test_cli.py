@@ -252,20 +252,22 @@ assert not loaded, loaded
 
 def test_sweeps_import_only_the_sweep():
     # A sweep reads no verifier, Morris bridge or golden table, nor the stdlib
-    # modules only those use; only a brute-force sweep loads numpy, for its grid.
+    # modules only those use; only a brute-force sweep loads the expansion code
+    # and numpy, for its grid.
     script = """
 import sys
 from fpselberg import cli
 OFF_THE_SWEEP_PATH = ("fpselberg.verify", "fpselberg.morris_ct", "fpselberg.golden",
-                      "dataclasses", "json", "fractions", "numpy")
+                      "dataclasses", "json", "fractions")
+GRID_PATH = ("fpselberg.selberg_core", "fpselberg.fp_poly", "numpy")
 for method in ("closed", "direct"):
     for fmt in ("csv", "json"):
         assert cli.main(["sweep", "--primes", "3,5", "--method", method, "--format", fmt]) == 0
-loaded = [name for name in OFF_THE_SWEEP_PATH if name in sys.modules]
+loaded = [name for name in OFF_THE_SWEEP_PATH + GRID_PATH if name in sys.modules]
 assert not loaded, loaded
 assert cli.main(["sweep", "--primes", "3,5", "--method", "bruteforce", "--format", "csv"]) == 0
-loaded = [name for name in OFF_THE_SWEEP_PATH if name in sys.modules]
-assert loaded == ["numpy"], loaded
+loaded = [name for name in OFF_THE_SWEEP_PATH + GRID_PATH if name in sys.modules]
+assert loaded == list(GRID_PATH), loaded
 """
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

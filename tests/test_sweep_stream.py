@@ -37,7 +37,8 @@ REFERENCES = {
 }
 
 
-@pytest.mark.parametrize("cycle_bound", [1, 4])
+# At cycle bound 50 a point has 1,275 cycles, more than one record holds.
+@pytest.mark.parametrize("cycle_bound", [1, 4, 50])
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_streamed_renderers_match_whole_list_references(tmp_path, capsys, method, cycle_bound):
     rows = sweep_rows(SweepConfig(primes=(3, 5), cycle_bound=cycle_bound, methods=(method,), suites=()))
@@ -51,6 +52,15 @@ def test_streamed_renderers_match_whole_list_references(tmp_path, capsys, method
         assert out.read_text(encoding="utf-8") == expected, fmt
         assert main(argv) == 0
         assert capsys.readouterr().out == expected, fmt
+
+
+def test_routes_agree_where_points_split_into_records():
+    # Each point's 1,275 cycles span two records: every route's second record
+    # must take up the point's cells where its first left off.
+    rows = {method: sweep_rows(SweepConfig(primes=(3, 5), cycle_bound=50, methods=(method,), suites=()))
+            for method in ALL_METHODS}
+    assert len(rows["closed"]) == 91800
+    assert rows["direct"] == rows["closed"] and rows["bruteforce"] == rows["closed"]
 
 
 class _CountingWriter(io.StringIO):
@@ -67,14 +77,27 @@ class _CountingWriter(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("fmt, method", [("csv", "bruteforce"), ("json", "closed")])
-def test_sweep_writes_blocks_of_rows(monkeypatch, fmt, method):
-    rows = sweep_rows(SweepConfig(cycle_bound=4, methods=(method,), suites=()))
+# One json row is 13 lines, one of them its "l1" key.
+_ROWS_IN = {"csv": lambda text: text.count("\n"), "json": lambda text: text.count('"l1": ')}
+
+
+@pytest.mark.parametrize("fmt, method, cycle_bound, count", [
+    pytest.param("csv", "bruteforce", 4, 30160, id="csv-bruteforce"),
+    pytest.param("json", "closed", 4, 30160, id="json-closed"),
+    # 1,275 cycles a point, more than one record holds.
+    pytest.param("csv", "closed", 50, 91800, id="csv-closed-split-points"),
+])
+def test_sweep_writes_blocks_of_rows(monkeypatch, fmt, method, cycle_bound, count):
+    primes = (3, 5, 7, 11, 13) if cycle_bound == 4 else (3, 5)
+    rows = sweep_rows(SweepConfig(primes=primes, cycle_bound=cycle_bound, methods=(method,), suites=()))
     most = math.ceil(len(rows) / 1024) + 2
     stdout = _CountingWriter(most)
     monkeypatch.setattr(sys, "stdout", stdout)
-    assert main(["sweep", "--format", fmt, "--method", method]) == 0
-    assert len(rows) == 30160 and len(stdout.writes) <= most
+    argv = ["sweep", "--primes", ",".join(map(str, primes)), "--cycle-bound", str(cycle_bound)]
+    assert main(argv + ["--format", fmt, "--method", method]) == 0
+    assert len(rows) == count and len(stdout.writes) <= most
+    # Blocks are bounded by rows, not by points.
+    assert max(map(_ROWS_IN[fmt], stdout.writes)) <= 2048
     assert "".join(stdout.writes) == render_sweep(rows, fmt)
 
 
@@ -318,26 +341,33 @@ def test_huge_cycle_bound_over_the_grid_cap_is_refused(tmp_path, args):
     assert b"and 50000500" in err and b"cycles needs" in err  # the cycles are counted exactly
 
 
+def _first_record(method: str, fmt: str) -> str:
+    """The header and the rows of the huge-bound sweep's first record in ``fmt``: at
+    (a, b, c) = (1, 1, 1), the cycles (1, 1) ... (1, 1024)."""
+    config = SweepConfig(primes=(3,), cycle_bound=100000, methods=(method,), suites=())
+    record = next(iter_sweep_rows(config))
+    assert record[:4] == (3, 1, 1, 1)
+    assert [cell[:2] for cell in record[7]] == [(1, l2) for l2 in range(1, 1025)]
+    return "".join(itertools.islice(iter_render_sweep([record], fmt), 2))  # no json closing
+
+
 @needs_rlimit_as
 def test_huge_cycle_bound_closed_sweep_streams_rows():
-    # The rows of (a, b, c) = (1, 1, 1) come first, cycles (1, 1) ... (1, 1000).
+    # The rows of (a, b, c) = (1, 1, 1) come first, one line each.
     proc = _cli_in_1gib("sweep", *HUGE_BOUND, "--format", "csv")
     try:
-        lines = [proc.stdout.readline().decode() for _ in range(1001)]
+        lines = [proc.stdout.readline().decode() for _ in range(1025)]
     finally:
         proc.kill()
         proc.communicate()
-    config = SweepConfig(primes=(3,), cycle_bound=1000, methods=("closed",), suites=())
-    rows = itertools.islice(iter_sweep_rows(config), 1000)
-    assert "".join(lines) == "".join(iter_render_sweep(rows, "csv"))
+    assert "".join(lines) == _first_record("closed", "csv")
 
 
 @needs_rlimit_as
 @pytest.mark.parametrize("method, fmt", [("closed", "json"), ("direct", "csv"), ("direct", "json")])
 def test_huge_cycle_bound_sweeps_stream_rows(method, fmt):
-    # The closed csv case is the test above; here the first 1000 rows are compared as bytes.
-    config = SweepConfig(primes=(3,), cycle_bound=1000, methods=(method,), suites=())
-    expected = "".join(itertools.islice(iter_render_sweep(iter_sweep_rows(config), fmt), 1001)).encode()
+    # The closed csv case is the test above; here the first record's 1,024 rows are compared as bytes.
+    expected = _first_record(method, fmt).encode()
     proc = _cli_in_1gib("sweep", *HUGE_BOUND, "--method", method, "--format", fmt)
     try:
         head = proc.stdout.read(len(expected))
