@@ -88,8 +88,9 @@ def fp_integral(P: MultiPoly, cycle: Sequence[int]) -> int:
 # the whole accumulator, which beats dict convolution by a wide margin for
 # the 2- and 3-variable sweep grids.  Every factor in the package is a
 # binomial power, built by ``_binomial_terms``.  numpy is imported inside the
-# functions that use it, so the closed and direct sweeps, which load this
-# module through ``selberg_core``, never pay for loading it.
+# functions that use it, so runs that load this module but build no dense
+# array never pay for loading it: ``verify --suite stokes``, and a brute-force
+# ``eval`` that the cap refuses before numpy loads.
 
 
 def _binomial_terms(shift: Sequence[int], first: Sequence[int], second: Sequence[int], e: int) -> list:

@@ -256,11 +256,7 @@ def selberg_nd_closed(ctx: FpContext, n: int, a: int, b: int, c: int) -> int:
     [0, p-1] under the hypotheses, and a GuardError flags any violation.
     """
     p = ctx.p
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"dimension n must be a positive integer, got {n}")
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if not isinstance(v, int) or v < 0:
-            raise ValueError(f"parameter {name} must be a non-negative integer, got {v}")
+    MasterPolySpec(n, a, b, c, p)  # validates n, a, b and c
     if not (p - 1 <= a + b + (n - 1) * c and a + b + (2 * n - 2) * c < 2 * p - 1):
         raise DomainError(
             f"closed form needs p-1 <= a+b+(n-1)c and a+b+(2n-2)c < 2p-1;"

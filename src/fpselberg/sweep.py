@@ -1,10 +1,12 @@
 """Deterministic parameter sweeps: one row per (p, a, b, c, l1, l2).
 
 A sweep evaluates one route and classifies every 0 < a, b, c < p on every
-cycle 1 <= l1 <= l2 <= bound.  It is made serially, in lexicographic
-parameter order, as records: one per point, holding the columns the point's
-rows share and the (l1, l2, branch, value) cells of up to 1,024 consecutive
-cycles, several in cycle order where a point has more.  The renderer
+cycle 1 <= l1 <= l2 <= bound.  One guard pass checks every prime first;
+then one serial walk over (p, a, b, c), the same for every route, makes
+records in lexicographic parameter order: one per point, holding the
+columns the point's rows share and the (l1, l2, branch, value) cells of up
+to 1,024 consecutive cycles, several in cycle order where a point has more.
+The routes differ only in where a cell's value comes from.  The renderer
 formats each record's shared columns once and joins its cells as the
 records come, which makes CSV/JSON sweep output byte-identical regardless
 of ``--jobs``.  ``sweep_rows`` and ``render_sweep`` are the flat-row list
@@ -78,21 +80,6 @@ class SweepConfig(namedtuple("SweepConfig", "primes cycle_bound methods suites i
         return itertools.combinations_with_replacement(range(1, self.cycle_bound + 1), 2)
 
 
-def _check_sweep(method: str, p: int, config: SweepConfig):
-    """Raise ResourceLimitError if some row of ``method`` at p would hit a resource guard.
-
-    Brute force reads the grid, whose smallest window must fit the cap (its
-    cycles are counted, not made); the closed and direct routes read the
-    factorial tables.
-    """
-    if method == "bruteforce":
-        from .selberg_core import _grid_window
-
-        _grid_window(p, 2, p, config.cycle_bound * (config.cycle_bound + 1) // 2, config.cycle_bound)
-    else:
-        get_context(p).check_table_size()
-
-
 # A cell's branch column, read from a table rather than the enum's value descriptor.
 _BRANCH_NAMES = {branch: branch.value for branch in Branch}
 # The most cells one record holds: a point with more cycles makes several records.
@@ -108,44 +95,35 @@ def _cycle_blocks(cycles: Iterable[tuple]) -> Iterator[list]:
         yield block
 
 
-def _sweep_records(config: SweepConfig, method: str) -> Iterator[tuple]:
+def _sweep_records(config: SweepConfig, method: str, listed: bool) -> Iterator[tuple]:
     names, make = _BRANCH_NAMES, SelbergParams._make  # the values are in range by construction
-    if method == "bruteforce":
-        from .selberg_core import selberg_grid
+    cycles = tuple(config.cycles()) if listed else ()
+    blocks = tuple(_cycle_blocks(cycles))  # empty where each point walks the cycles afresh
+    for p in config.primes:
+        ctx, slabs = get_context(p), itertools.repeat(None)  # closed and direct read no grid
+        if method == "bruteforce":
+            from .selberg_core import selberg_grid
 
-        # Only brute force lists the cycles: its grid guard has bounded their count.
-        cycles = tuple(config.cycles())
-        blocks = tuple(_cycle_blocks(cycles))
-        for p in config.primes:
             walk = selberg_grid(p, cycles)
             next(walk)  # a = 0 has no rows
-            for a, (values, _) in enumerate(walk, 1):
-                slab = values.tolist()  # [b][c][cycle]
-                for b, c in itertools.product(range(1, p), repeat=2):
-                    r1, r2, r3 = in_condition_sets(make((a, b, c, p)))
-                    cells = iter(slab[b][c])  # each block's zip takes its own cells
-                    for block in blocks:
-                        yield p, a, b, c, r1, r2, r3, [(l1, l2, names[classifier(a, b, c, p)], cell)
-                                                       for (l1, l2, classifier), cell in zip(block, cells)]
-        return
-    # Where one block holds every cycle it is built once; otherwise each point walks the
-    # cycles afresh, so they are never listed and any cycle bound streams.
-    one_block = config.cycle_bound * (config.cycle_bound + 1) // 2 <= _RECORD_CELLS
-    blocks = tuple(_cycle_blocks(config.cycles())) if one_block else ()
-    for p in config.primes:
-        ctx = get_context(p)
-        for a, b, c in itertools.product(range(1, p), repeat=3):
-            params = make((a, b, c, p))
-            r1, r2, r3 = in_condition_sets(params)
-            for block in blocks or _cycle_blocks(config.cycles()):
-                if method == "closed":
-                    cells = [(l1, l2, names[branch := classifier(a, b, c, p)], _closed_value(branch, params))
-                             for l1, l2, classifier in block]
-                else:
-                    cells = [(l1, l2, names[classifier(a, b, c, p)],
-                              _direct_coefficient(ctx, a, b, c, l1 * p - 1, l2 * p - 1))
-                             for l1, l2, classifier in block]
-                yield p, a, b, c, r1, r2, r3, cells
+            slabs = (slab.tolist() for slab, _ in walk)  # [b][c][cycle] at each a
+        for a, slab in zip(range(1, p), slabs):
+            for b, c in itertools.product(range(1, p), repeat=2):
+                params = make((a, b, c, p))
+                r1, r2, r3 = in_condition_sets(params)
+                values = iter(slab[b][c]) if slab else None  # each block's zip takes its own values
+                for block in blocks or _cycle_blocks(config.cycles()):
+                    if method == "closed":
+                        cells = [(l1, l2, names[branch := classifier(a, b, c, p)], _closed_value(branch, params))
+                                 for l1, l2, classifier in block]
+                    elif method == "direct":
+                        cells = [(l1, l2, names[classifier(a, b, c, p)],
+                                  _direct_coefficient(ctx, a, b, c, l1 * p - 1, l2 * p - 1))
+                                 for l1, l2, classifier in block]
+                    else:
+                        cells = [(l1, l2, names[classifier(a, b, c, p)], value)
+                                 for (l1, l2, classifier), value in zip(block, values)]
+                    yield p, a, b, c, r1, r2, r3, cells
 
 
 def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
@@ -158,23 +136,31 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
     makes several records in cycle order, so the records list the rows in
     lexicographic (p, a, b, c, l1, l2) order at any cycle bound.
 
-    Every resource guard a row could hit is checked for every prime when
-    this is called, before the first record is made, so a sweep that would
-    be refused is refused before anything is written.  The values use the
-    first configured method; brute force walks each prime's grid in
-    ascending a as that prime's records are made, one window of a values
-    built at a time where the whole box is over the cap.  Records are made
-    serially; ``config.parallelism`` is not used.  Each cell's branch is
-    classified once, by its cycle's classifier in the cycle-class table,
-    its cycle not re-checked.  The closed and direct routes build their
-    cycle blocks once where one block holds every cycle, and otherwise walk
-    the cycles afresh at every point, so they never list the cycles and
-    stream at any cycle bound.
+    When this is called, one guard pass counts the cycles and checks, for
+    every prime, every resource guard a row could hit: brute force's grid,
+    whose smallest window must fit the cap, or the closed and direct
+    routes' factorial tables.  A sweep that would be refused is refused
+    before the first record.  The records are then made by one walk over
+    (p, a, b, c) for every route: a cell's value is the first configured
+    method's closed form or direct sum, or for brute force read from the
+    slab of a that each prime's grid walk yields in ascending a, one window
+    of a values built at a time where the whole box is over the cap.  The
+    cycles are listed, in blocks built once, where brute force's grid guard
+    has bounded their count or one block holds them all; otherwise each
+    point walks them afresh, so any cycle bound streams.  Each cell's
+    branch is classified once, by its cycle's classifier in the cycle-class
+    table.  Records are made serially; ``config.parallelism`` is not used.
     """
     method = config.methods[0]
+    count = config.cycle_bound * (config.cycle_bound + 1) // 2
     for p in config.primes:
-        _check_sweep(method, p, config)
-    return _sweep_records(config, method)
+        if method == "bruteforce":
+            from .selberg_core import _grid_window
+
+            _grid_window(p, 2, p, count, config.cycle_bound)
+        else:
+            get_context(p).check_table_size()
+    return _sweep_records(config, method, method == "bruteforce" or count <= _RECORD_CELLS)
 
 
 def sweep_rows(config: SweepConfig) -> list:

@@ -2,10 +2,11 @@
 
 Any change to the package must leave these untouched: the per-suite counts
 of the default verification run, with and without --integer-mode, and the
-grid windows it builds, the sha256 of the default sweep in each output
-format and for each evaluation route, the sha256 of the `classify` and
-`eval -v` output at one point of each branch, and the (value, branch) pairs
-the benchmark harness records for its seed-0 point queries.
+grid windows it builds, the sha256 of the default sweep and of a sweep whose
+points split into several records, in each output format and by each
+evaluation route, and of a windowed brute-force sweep, the sha256 of the
+`classify` and `eval -v` output at one point of each branch, and the (value,
+branch) pairs the benchmark harness records for its seed-0 point queries.
 """
 
 import hashlib
@@ -63,6 +64,28 @@ VERIFY_DENSE_PRODUCTS = {"morris_ct": 24, "selberg_core": 6}
 SWEEP_P5_WINDOW_BUILDS = [(3, 3, 10, 0), *((5, 5, 10, a) for a in range(5))]
 SWEEP_CSV_SHA256 = "abeb7230281bbb0a9433242eca0d3564bd2248a49760734870dda0548a7dd470"
 SWEEP_JSON_SHA256 = "9a0560aeeccf6597471e167696fa934910941d1cd62f9e5eef030063fce2288a"
+SWEEP_TEXT_SHA256 = "053b2dadbabe7149ffd70c2d5cd9d4ddcef97bc079e1553f061cee182af1fa1e"
+# 1,275 cycles a point, more than one sweep record holds.
+SPLIT_POINT = ("--primes", "3,5", "--cycle-bound", "50")
+SPLIT_POINT_SHA256 = {
+    "csv": "6111e8314cf07b122dc9e49609398742e46c2eabceb8299155c41bbe48813347",
+    "json": "745343445e95080e71298184e99a6c94e7d3fe31c173cd80983fb313ad7142af",
+    "text": "1ad5453878016af533de674abb372badff1026fa61f88982ea68e00c6f16bf06",
+}
+# 1,380 cells hold one a value of the p = 7 grid and two of the p = 5 grid; at
+# 1,379 no p = 7 window fits.
+P57_CSV_SHA256 = "4b1ea80e5ece2a1a846f8ca66bbe061ee4581a2d4c142d460cdf50faf4e1f4fb"
+# Sweeps as (FPSELBERG_MAX_TERMS, options, format, method, sha256 or None where the
+# sweep is refused): every route gives the same bytes.
+SWEEP_BYTES = [
+    *((None, (), fmt, method, digest) for fmt, digest in (
+        ("csv", SWEEP_CSV_SHA256), ("json", SWEEP_JSON_SHA256), ("text", SWEEP_TEXT_SHA256))
+      for method in ("closed", "direct", "bruteforce")),
+    *((None, SPLIT_POINT, fmt, method, digest) for fmt, digest in SPLIT_POINT_SHA256.items()
+      for method in ("closed", "direct", "bruteforce")),
+    ("1380", ("--primes", "5,7"), "csv", "bruteforce", P57_CSV_SHA256),
+    ("1379", ("--primes", "5,7"), "csv", "bruteforce", None),
+]
 
 
 # The first point of each of the 19 branches on the default grid, in sweep order, as
@@ -209,16 +232,23 @@ def test_verify_p23_counts(tmp_path, monkeypatch):
     assert (report["checked_total"], report["failed_total"]) == (575819, 0)
 
 
-@pytest.mark.parametrize("fmt, method, digest", [
-    ("csv", "closed", SWEEP_CSV_SHA256),
-    ("csv", "direct", SWEEP_CSV_SHA256),
-    ("csv", "bruteforce", SWEEP_CSV_SHA256),
-    ("json", "closed", SWEEP_JSON_SHA256),
-])
-def test_default_sweep_bytes(tmp_path, fmt, method, digest):
+def _sweep_id(max_terms, options, fmt, method, digest) -> str:
+    grid = [f"max-terms-{max_terms}"] if max_terms else ["bound-50"] if options == SPLIT_POINT else []
+    return "-".join([*grid, fmt, method, digest or "refused"])
+
+
+@pytest.mark.parametrize("max_terms, options, fmt, method, digest", SWEEP_BYTES,
+                         ids=[_sweep_id(*case) for case in SWEEP_BYTES])
+def test_default_sweep_bytes(tmp_path, monkeypatch, max_terms, options, fmt, method, digest):
+    if max_terms:
+        monkeypatch.setenv("FPSELBERG_MAX_TERMS", max_terms)
     out = tmp_path / f"sweep.{fmt}"
-    assert main(["sweep", "--format", fmt, "--method", method, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    code = main(["sweep", *options, "--format", fmt, "--method", method, "--out", str(out)])
+    if digest is None:
+        assert code == 3 and not out.exists()
+    else:
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("branch", DESCRIBE_SHA256)
