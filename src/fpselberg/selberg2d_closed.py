@@ -35,8 +35,8 @@ suite checks that this never happens.  What a branch answers is its row in
 ``_ROWS``, one per branch: a formula branch's template and formula, a signed
 ratio of factorials whose denominator arguments provably lie in [0, p-1] on
 its branch, or a zero branch's reason and whether it vanishes over Z.
-``Branch.is_zero``, ``_formula``, ``describe`` and verify's integer mode all
-read these rows.
+``_ZERO_BRANCHES``, ``_formula``, ``describe`` and verify's integer mode all
+read these rows; ``Branch.is_zero`` and ``_closed_value`` read that set.
 
 The module also verifies the three regimes in which several cycles are
 non-zero at once (condition sets R1, R2, R3 and the -1/2 relations between
@@ -148,7 +148,7 @@ class Branch(str, Enum):
 
     @property
     def is_zero(self) -> bool:
-        return type(_ROWS[self]) is _ZeroRow
+        return self in _ZERO_BRANCHES
 
 
 def classify(params: SelbergParams, l1: int, l2: int) -> Branch:
@@ -290,6 +290,7 @@ _ROWS = {
     Branch.OTHER_zero: _ZeroRow("cycle outside {(1,1),(2,2),(1,2),(1,3)}: degree too small", True),
     Branch.NOT_APPLICABLE_zero: _ZeroRow("target monomial cannot occur in the expansion", True),
 }
+_ZERO_BRANCHES = frozenset(branch for branch, row in _ROWS.items() if type(row) is _ZeroRow)
 
 
 def _formula(branch: Branch, params: SelbergParams) -> tuple[int, list[int], list[int]]:
@@ -340,7 +341,7 @@ def _direct_coefficient(ctx: FpContext, a: int, b: int, c: int, t1: int, t2: int
     p = ctx.p
     shift = a + 2 * c - t1  # j1 = k - shift
     top = t2 - a  # j2 = top - k
-    lo, hi = max(shift, top - b), min(shift + b, top)
+    lo, hi = (shift if shift > top - b else top - b), (top if top < shift + b else shift + b)
     if lo > hi:
         return 0
     n0 = 2 * c % p
@@ -369,15 +370,14 @@ def _direct_coefficient(ctx: FpContext, a: int, b: int, c: int, t1: int, t2: int
 def _closed_value(branch: Branch, params: SelbergParams) -> int:
     """The value of ``branch`` at ``params``: its formula, one factorial ratio read, or 0 on a
     vanishing branch."""
-    if branch.is_zero:
+    if branch in _ZERO_BRANCHES:
         return 0
     p = params.p
     sign, top, bottom = _formula(branch, params)
     for arg in bottom:
         if not 0 <= arg < p:
-            raise GuardError(
-                f"denominator factorial argument {arg} outside [0, p-1] on branch {branch.value}"
-            )
+            raise GuardError(f"denominator factorial argument {arg} outside [0, p-1] "
+                             f"on branch {branch.value}")
     return sign * params.ctx.factorial_ratio(top, bottom) % p
 
 

@@ -173,7 +173,8 @@ def sweep_rows(config: SweepConfig) -> list:
 _BOOL = ("false", "true")
 # The most cell texts one run of ``iter_render_sweep`` keeps.  Most values are 0, so a
 # run has few distinct cells: 120 on the default grid, 1,385 at cycle bound 50.  A
-# cell holds its cycle, so above 4,096 cycles many cells miss and are formatted.
+# cell holds its cycle, so above 4,096 cycles most cells would miss a full table:
+# from then on the run formats each cell directly.
 _TABLE_CELLS = 4096
 # csv and text lines: header, then the format of a cell's columns, of the point's
 # columns before them and of its R1-R3 columns after them.
@@ -222,7 +223,8 @@ def iter_render_sweep(records: Iterable[tuple], fmt: str) -> Iterator[str]:
     rows.  Every format formats the columns a record's rows share (p, a, b,
     c, R1-R3) once per record and joins its cells between them.  csv and
     text take each cell's text from a table of at most ``_TABLE_CELLS``
-    distinct cells per run, so memory stays bounded at any cycle bound.
+    distinct cells per run, so memory stays bounded at any cycle bound; the
+    records after the table fills format their cells directly.
     The json chunks join to exactly ``json.dumps({"schema": 1,
     "kind": "sweep", "rows": rows}, sort_keys=True, indent=2) + "\\n"`` with
     each row as the dict of its ``SWEEP_CSV_HEADER`` columns: each row fills
@@ -249,14 +251,15 @@ def iter_render_sweep(records: Iterable[tuple], fmt: str) -> Iterator[str]:
         yield ("]" if sep == "\n" else "\n  ]") + ',\n  "schema": 1\n}\n'
         return
     header, cell_form, head_form, tail_form = _LINE_FORMATS[fmt]
-    text = _CellTexts(cell_form).__getitem__
+    table, form = _CellTexts(cell_form), cell_form.format
     yield header
     for block in _record_blocks(records):
         parts = []
         for p, a, b, c, r1, r2, r3, cells in block:
             head, tail = head_form.format(p, a, b, c), tail_form.format(_BOOL[r1], _BOOL[r2], _BOOL[r3])
             parts.append(head)
-            parts.append((tail + head).join(map(text, cells)))
+            parts.append((tail + head).join(map(table.__getitem__, cells) if len(table) < _TABLE_CELLS
+                                            else itertools.starmap(form, cells)))
             parts.append(tail)
         yield "".join(parts)
 

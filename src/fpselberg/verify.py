@@ -35,11 +35,12 @@ from .selberg2d_closed import (
     _CYCLE_CLASSES,
     _OTHER_CLASS,
     _ROWS,
+    _ZERO_BRANCHES,
     Branch,
     SelbergParams,
     _branch,
     _closed_value,
-    _direct,
+    _direct_coefficient,
     eval_closed,
     relations_from_values,
     skew_symmetry_check,
@@ -118,8 +119,10 @@ def _nd_windows(p: int) -> list:
 def _points(p: int, a: int, classifiers: tuple) -> list:
     """(b, c, params, branches) at every (b, c) of (0, p)^2 in ascending order, params the
     SelbergParams of (a, b, c) and branches its Branch on each of ``classifiers``."""
-    return [(b, c, params, tuple(classify(*params) for classify in classifiers))
-            for b, c in itertools.product(range(1, p), repeat=2) for params in [SelbergParams(a, b, c, p)]]
+    cells = list(itertools.product(range(1, p), repeat=2))
+    columns = [[classify(a, b, c, p) for b, c in cells] for classify in classifiers]
+    return [(b, c, SelbergParams(a, b, c, p), branches)
+            for (b, c), branches in zip(cells, zip(*columns) if columns else itertools.repeat(()))]
 
 
 class _Step(namedtuple("_Step", "p a slabs index points")):
@@ -144,15 +147,22 @@ class _Step(namedtuple("_Step", "p a slabs index points")):
 
 
 def _oracle_equiv(config: SweepConfig, result: SuiteResult, step: _Step):
-    """The direct and closed routes agree with the grid's brute force at every (b, c) of one a."""
+    """The direct and closed routes agree with the grid's brute force at every (b, c) of one a.
+
+    Each cell calls the route kernels as a sweep does: the direct sum with the context and
+    each cycle's exponents (l1 p - 1, l2 p - 1) read once per a, then the closed value of
+    the point's branch; a failing direct check is listed before the closed one.
+    """
     p, a, cycles = step.p, step.a, tuple(config.cycles())
+    ctx, targets = get_context(p), [(l1, l2, l1 * p - 1, l2 * p - 1) for l1, l2 in cycles]
     values, failures = step.read(cycles).tolist(), []
     for b, c, params, branches in step.points:
-        for (l1, l2), branch, expected in zip(cycles, branches, values[b][c]):
-            routes = ("direct", _direct(params, l1, l2)), ("closed", _closed_value(branch, params))
-            for method, got in routes:
-                if got != expected:
-                    failures.append(_ce(p, a, b, c, l1, l2, str(branch), expected, got, method=method))
+        for (l1, l2, t1, t2), branch, expected in zip(targets, branches, values[b][c]):
+            direct, closed = _direct_coefficient(ctx, a, b, c, t1, t2), _closed_value(branch, params)
+            if direct != expected:
+                failures.append(_ce(p, a, b, c, l1, l2, str(branch), expected, direct, method="direct"))
+            if closed != expected:
+                failures.append(_ce(p, a, b, c, l1, l2, str(branch), expected, closed, method="closed"))
     result.tally(2 * (p - 1) ** 2 * len(cycles), failures)
 
 
@@ -197,23 +207,30 @@ def _check_recurrences(config: SweepConfig, result: SuiteResult, step: _Step):
 
 
 def _relations(config: SweepConfig, result: SuiteResult, step: _Step):
-    """Multi-cycle regimes at every (b, c) of one a: -1/2 relations, uniqueness outside them."""
+    """Multi-cycle regimes at every (b, c) of one a: -1/2 relations, uniqueness outside them.
+    The checks are counted here and tallied once per a."""
     p, a, values = step.p, step.a, step.read(RELATION_CYCLES).tolist()
+    checked, failures = 0, []
     for b, c, params, _ in step.points:
         report = relations_from_values(params, dict(zip(RELATION_CYCLES, values[b][c])).__getitem__)
+        checked += 1
         if report.condition_set is None:
-            result.tally(1, [] if report.uniqueness_holds else [_ce(p, a, b, c, 0, 0, "uniqueness", 1, 0)])
+            if not report.uniqueness_holds:
+                failures.append(_ce(p, a, b, c, 0, 0, "uniqueness", 1, 0))
             continue
-        result.tally(1, [] if report.relation_holds else [
-            _ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0)])
+        if not report.relation_holds:
+            failures.append(_ce(p, a, b, c, 0, 0, f"{report.condition_set} relation", 1, 0))
         head = next(iter(report.values))
         closed_head = _closed_value(_branch(params, *head), params)
-        result.tally(1, [] if closed_head == report.values[head] else [_ce(
-            p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
-            report.values[head], closed_head)])
+        checked += 1
+        if closed_head != report.values[head]:
+            failures.append(_ce(p, a, b, c, head[0], head[1], f"{report.condition_set} closed form",
+                                report.values[head], closed_head))
         if report.condition_set == "R3":
-            result.tally(1, [] if skew_symmetry_check(params) else [
-                _ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0)])
+            checked += 1
+            if not skew_symmetry_check(params):
+                failures.append(_ce(p, a, b, c, 0, 0, "R3 skew symmetry", 1, 0))
+    result.tally(checked, failures)
 
 
 def _golden(config: SweepConfig, result: SuiteResult):
@@ -241,17 +258,23 @@ def _golden(config: SweepConfig, result: SuiteResult):
 
 def _vanishing(config: SweepConfig, result: SuiteResult, step: _Step):
     """Every zero branch of the classifier at one a matches a brute-force zero, and in integer
-    mode an exact expansion too where the branch's zero holds over Z."""
+    mode an exact expansion too where the branch's zero holds over Z.  The checks are
+    counted here and tallied once per a."""
     p, a, cycles = step.p, step.a, tuple(config.cycles())
-    values = step.read(cycles).tolist()
+    values, checked, failures = step.read(cycles).tolist(), 0, []
     for b, c, params, branches in step.points:
         for cycle, branch, value in zip(cycles, branches, values[b][c]):
-            if not branch.is_zero:
+            if branch not in _ZERO_BRANCHES:
                 continue
-            result.tally(1, [] if value == 0 else [_ce(p, a, b, c, *cycle, str(branch), 0, value)])
+            checked += 1
+            if value != 0:
+                failures.append(_ce(p, a, b, c, *cycle, str(branch), 0, value))
             if config.integer_mode and _ROWS[branch].over_z:
                 exact = selberg_bruteforce(params.spec(2), cycle, exact=True)
-                result.tally(1, [] if exact == 0 else [_ce(p, a, b, c, *cycle, f"{branch} (integer)", 0, exact)])
+                checked += 1
+                if exact != 0:
+                    failures.append(_ce(p, a, b, c, *cycle, f"{branch} (integer)", 0, exact))
+    result.tally(checked, failures)
 
 
 def _morris_identities(config: SweepConfig, result: SuiteResult):
@@ -269,12 +292,16 @@ def _morris_identities(config: SweepConfig, result: SuiteResult):
 def _morris_bridge(config: SweepConfig, result: SuiteResult, step: _Step):
     """The Selberg bridge against the grid's brute force at every (b, c) of one a."""
     p, a, values = step.p, step.a, step.read([(l, l) for l in _BRIDGE_LEVELS]).tolist()
+    checked, failures = 0, []
     for b, c, params, _ in step.points:
         for l, brute in zip(_BRIDGE_LEVELS, values[b][c]):
             if a + b + c < l * p - 1 or a + c > l * p - 1:
                 continue
             via = selberg_via_morris(params, l) % p
-            result.tally(1, [] if via == brute else [_ce(p, a, b, c, l, l, "morris bridge", brute, via)])
+            checked += 1
+            if via != brute:
+                failures.append(_ce(p, a, b, c, l, l, "morris bridge", brute, via))
+    result.tally(checked, failures)
 
 
 def _stokes(config: SweepConfig, result: SuiteResult):
@@ -372,6 +399,8 @@ def run_verification(config: SweepConfig) -> VerificationReport:
     yields the slabs of every shared cycle in ascending a, and the slabs of
     a - 1, a and a + 1 go to each grid check with the points of a, each
     built once for every check; the walk is dropped before the next prime.
+    The grid checks call the route kernels once per cell, as sweeps do, and
+    tally their checks once per slab.
     A suite's ``seconds`` count its own checks only; numpy, which every
     suite but ``stokes`` reads, is loaded before the first of them, so no
     suite's seconds count its import, and the points are charged to no

@@ -1,12 +1,13 @@
-"""The default `verify` counts, `sweep` bytes and benchmark eval pins, pinned.
+"""The default `verify` reports, `sweep` bytes and benchmark eval pins, pinned.
 
 Any change to the package must leave these untouched: the per-suite counts
-of the default verification run, with and without --integer-mode, and the
-grid windows it builds, the sha256 of the default sweep and of a sweep whose
-points split into several records, in each output format and by each
-evaluation route, and of a windowed brute-force sweep, the sha256 of the
-`classify` and `eval -v` output at one point of each branch, and the (value,
-branch) pairs the benchmark harness records for its seed-0 point queries.
+and the sha256 of the default verification report, with and without
+--integer-mode, and the grid windows it builds, the sha256 of the default
+sweep and of a sweep whose points split into several records, in each
+output format and by each evaluation route, and of a windowed brute-force
+sweep, the sha256 of the `classify` and `eval -v` output at one point of
+each branch, and the (value, branch) pairs the benchmark harness records for
+its seed-0 point queries.
 """
 
 import hashlib
@@ -35,6 +36,10 @@ VERIFY_COUNTS = {  # suite: (checked, skipped, failed)
 }
 # verify --integer-mode adds the exact-integer vanishing checks.
 VERIFY_INTEGER_COUNTS = {**VERIFY_COUNTS, "vanishing": (51426, 0, 0)}
+# sha256 of the whole default JSON report, and of the --integer-mode one, with every
+# suite's seconds removed, as json.dumps(report, sort_keys=True, indent=2).
+VERIFY_REPORT_SHA256 = "336b61eb7f68275e1a91f930d5e3361599f46e238e94b449441d7589421aa27f"
+VERIFY_INTEGER_REPORT_SHA256 = "b1b24490f0b9fabe471aac746721ee9a8efbab745a206326bd66801df0d45a74"
 # verify --primes 23: the whole shared grid is over the default cap there, so
 # the suites read it in windows of a values.
 VERIFY_P23_COUNTS = {
@@ -183,6 +188,12 @@ def _record_builds(monkeypatch) -> list:
     return builds
 
 
+def _report_sha256(report: dict) -> str:
+    """sha256 of a JSON verify report with every suite's seconds removed."""
+    suites = [{key: value for key, value in suite.items() if key != "seconds"} for suite in report["suites"]]
+    return hashlib.sha256(json.dumps({**report, "suites": suites}, sort_keys=True, indent=2).encode()).hexdigest()
+
+
 def test_default_verify_counts(tmp_path, monkeypatch):
     monkeypatch.delenv("FPSELBERG_MAX_TERMS", raising=False)
     builds = _record_builds(monkeypatch)
@@ -193,6 +204,7 @@ def test_default_verify_counts(tmp_path, monkeypatch):
     counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
     assert counts == VERIFY_COUNTS
     assert (report["checked_total"], report["failed_total"]) == (160312, 0)
+    assert _report_sha256(report) == VERIFY_REPORT_SHA256
 
 
 def test_default_verify_dense_products(tmp_path, monkeypatch):
@@ -218,6 +230,7 @@ def test_integer_mode_verify_counts(tmp_path):
     counts = {s["name"]: (s["checked"], s["skipped"], s["failed"]) for s in report["suites"]}
     assert counts == VERIFY_INTEGER_COUNTS
     assert (report["checked_total"], report["failed_total"]) == (183733, 0)
+    assert _report_sha256(report) == VERIFY_INTEGER_REPORT_SHA256
 
 
 def test_verify_p23_counts(tmp_path, monkeypatch):

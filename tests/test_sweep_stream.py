@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fpselberg import cli, modp_arith
+from fpselberg import cli, modp_arith, sweep
 from fpselberg.cli import main
 from fpselberg.selberg2d_closed import ALL_METHODS, Branch
 from fpselberg.sweep import SweepConfig, iter_render_sweep, iter_sweep_rows, render_sweep, sweep_rows
@@ -52,6 +52,16 @@ def test_streamed_renderers_match_whole_list_references(tmp_path, capsys, method
         assert out.read_text(encoding="utf-8") == expected, fmt
         assert main(argv) == 0
         assert capsys.readouterr().out == expected, fmt
+
+
+# At cycle bound 100 a point has 5,050 cycles and the run more distinct cells than
+# the renderer's text table keeps, so the cells after it fills are formatted directly.
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_cells_past_a_full_text_table_match_whole_list_references(fmt):
+    config = SweepConfig(primes=(3,), cycle_bound=100, methods=("closed",), suites=())
+    rows = sweep_rows(config)
+    assert len({row[4:8] for row in rows}) > sweep._TABLE_CELLS
+    assert "".join(iter_render_sweep(iter_sweep_rows(config), fmt)) == REFERENCES[fmt](rows)
 
 
 def test_routes_agree_where_points_split_into_records():

@@ -330,8 +330,9 @@ def test_an_error_in_the_middle_of_the_walk_fails_only_that_suite(monkeypatch, n
 # Mutations the pinned reports below are made under.  C12_ii_sign flips the
 # sign of that branch's formula; value_cell and s1_cell add 1 mod p to one
 # value and one S1 cell of the shared p = 7 grid, (a, b, c, cycle) below,
-# whenever a window holding it is built.
-MUTATIONS = ("C12_ii_sign", "value_cell", "s1_cell")
+# whenever a window holding it is built; direct_cell adds 1 mod p to the
+# direct sum at value_cell's point, in every module that binds it.
+MUTATIONS = ("C12_ii_sign", "value_cell", "s1_cell", "direct_cell")
 _MUTATED_CELLS = {"value_cell": (2, 3, 2, (1, 2)), "s1_cell": (4, 2, 5, (2, 2))}
 # sha256 of the JSON report of `verify --primes 5,7,11` without its seconds
 # under each mutation, whole-box or in windows of 3 a values at p = 11.
@@ -339,6 +340,7 @@ MUTATED_REPORT_SHA256 = {
     "C12_ii_sign": "d23716d220fc36b3d1f41180326fd516ed57a060a70cf2ef47ab50d43dda0d3b",
     "value_cell": "a4fcd522c13df351557564408fe3ffa82e6c70d179cb822eac49a0f69f4704a2",
     "s1_cell": "26e0ec970ecd627dd1723186b571e49e74a72848c101350d40b1d233d31a6313",
+    "direct_cell": "3e379de3fdba353f9394c76e2c59d64e36eb69ca46fcb41e925fdf598caf5b53",
 }
 
 
@@ -351,6 +353,17 @@ def _mutate(monkeypatch, mutation: str):
             return (-sign if branch == Branch.C12_ii else sign), top, bottom
 
         monkeypatch.setattr(selberg2d_closed, "_formula", flipped)
+        return
+    if mutation == "direct_cell":
+        a, b, c, (l1, l2) = _MUTATED_CELLS["value_cell"]
+        real = selberg2d_closed._direct_coefficient
+
+        def bumped(ctx, *point):
+            value = real(ctx, *point)
+            return (value + 1) % 7 if (ctx.p, *point) == (7, a, b, c, 7 * l1 - 1, 7 * l2 - 1) else value
+
+        for module in (selberg2d_closed, sweep, verify):
+            monkeypatch.setattr(module, "_direct_coefficient", bumped)
         return
     a, b, c, cycle = _MUTATED_CELLS[mutation]
     build = selberg_core._build_window
