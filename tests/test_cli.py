@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -13,6 +14,14 @@ from fpselberg.modp_arith import get_context
 from test_verify import _record_suite_runs
 
 MERSENNE_61 = 2**61 - 1
+
+
+def _src_env() -> dict:
+    """This environment, with the checkout's src first on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -241,9 +250,7 @@ OFF_THE_VERIFY_PATH = ("fractions", "decimal")  # the Morris product is read in 
 loaded = [name for name in OFF_THE_VERIFY_PATH if name in sys.modules]
 assert not loaded, loaded
 """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("value = 1") == 1  # the brute-force golden point
@@ -269,9 +276,7 @@ assert cli.main(["sweep", "--primes", "3,5", "--method", "bruteforce", "--format
 loaded = [name for name in OFF_THE_SWEEP_PATH + GRID_PATH if name in sys.modules]
 assert loaded == list(GRID_PATH), loaded
 """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3\n") == 3
@@ -289,15 +294,45 @@ cli.entry_point()
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
 def test_entry_point_starts_one_blas_thread_unless_set(preset, seen):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _src_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     proc = subprocess.run([sys.executable, "-c", _SHOW_BLAS_THREADS], env=env, capture_output=True,
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{seen}\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "-p", "7", "-a", "3", "-b", "4", "-c", "3", "-l", "1,1"),
+    ("classify", "-p", "7", "--params", "3,4,3", "-l", "1,1"),
+    ("sweep", "--primes", "3"),
+    ("verify", "--primes", "3", "--suite", "nd"),
+    ("morris", "--n", "2", "--alpha", "1", "--beta", "1", "--gamma", "1"),
+], ids=lambda argv: argv[0])
+def test_main_never_freezes_the_heap(argv, capsys):
+    before = gc.get_freeze_count()
+    assert main(list(argv)) == 0
+    assert gc.get_freeze_count() == before
+
+
+# Runs cli.entry_point with a main that prints one line and returns CODE, after
+# registering an atexit hook that reports whether it sees a frozen heap.
+_FREEZE_AT_EXIT = """
+import atexit, gc
+from fpselberg import cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+cli.main = lambda: print("the one line") or CODE
+cli.entry_point()
+"""
+
+
+@pytest.mark.parametrize("code", [0, 1, 3])
+def test_entry_point_freezes_the_heap_after_main_returns(code):
+    env = _src_env()
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_AT_EXIT.replace("CODE", str(code))], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "the one line\nfrozen True\n", "")
 
 
 def test_main_leaves_the_environment_alone(monkeypatch, capsys):

@@ -190,6 +190,98 @@ def test_a_template_that_misstates_one_argument_is_caught():
     assert _template_mismatches({**_ROWS, Branch.C11_ii: wrong}) == 286
 
 
+class _Linear:
+    """A linear form in (a, b, c, p) plus a constant, held as its five coefficients.  Only form + x,
+    form - x and integer * form are defined, which is all a formula row does with its arguments."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _Linear) else _Linear((0, 0, 0, 0, x))
+
+    def __add__(self, other):
+        return _Linear(map(operator.add, self.coeffs, _Linear.of(other).coeffs))
+
+    def __sub__(self, other):
+        return self + -1 * _Linear.of(other)
+
+    def __rmul__(self, k):
+        return _Linear(k * x for x in self.coeffs) if type(k) is int else NotImplemented
+
+    def at(self, a, b, c):
+        """The value at (a, b, c) with p = 0, as every form is mod p."""
+        ka, kb, kc, _, k = self.coeffs
+        return ka * a + kb * b + kc * c + k
+
+
+_A, _B, _C, _P = (_Linear(int(i == j) for j in range(5)) for i in range(4))
+# Each shift moves one of (a, b, c) up by one: (its index, left factors, right factors) of
+# S(shifted) * left = right * S.  a: Ar1 moved up by one; b: Ar2, the same with a and b swapped;
+# c: Selberg's c-shift at n = 2 (ROADMAP item 17).
+_SHIFTS = {
+    "a": (0, [_A + _B + _C + 2, _A + _B + 2 * _C + 2], [_A + 1, _A + _C + 1]),
+    "b": (1, [_A + _B + _C + 2, _A + _B + 2 * _C + 2], [_B + 1, _B + _C + 1]),
+    "c": (2, [_A + _B + _C + 2, _A + _B + 2 * _C + 2, _A + _B + 2 * _C + 3],
+          [_Linear.of(2), 2 * _C + 1, _A + _C + 1, _B + _C + 1]),
+}
+# Formula branches no shift stays in, with the reason.
+_SHIFT_EXEMPT = {
+    Branch.C12_delta0_formula: "delta = 0 is a slice every shift leaves; its sign is (-1)^(b+1)",
+}
+
+
+def _shift_failures(rows) -> list:
+    """The (branch, shift) pairs whose closed form does not move under the shift as the
+    recurrence says.  With p = 0, (L+s)!/L! = (L+1)...(L+s) for a form L whose coefficient on
+    the shifted variable is s, so each pair is a polynomial identity in Z[a, b, c], checked
+    exactly on a grid {0..d}^3 with d at least its degree."""
+    failures = []
+    for br, row in rows.items():
+        if br.is_zero or br in _SHIFT_EXEMPT:
+            continue
+        sign, top, bottom = row.formula(_A, _B, _C, _P)
+        assert sign in (1, -1)  # a ratio cannot see it
+        for name, (var, left, right) in _SHIFTS.items():
+            assert all(form.coeffs[var] >= 0 for form in top + bottom)
+            left = left + [form + j for form in top for j in range(1, form.coeffs[var] + 1)]
+            right = right + [form + j for form in bottom for j in range(1, form.coeffs[var] + 1)]
+            grid = itertools.product(range(max(len(left), len(right)) + 1), repeat=3)
+            if any(math.prod(f.at(*x) for f in left) != math.prod(f.at(*x) for f in right) for x in grid):
+                failures.append((br, name))
+    return failures
+
+
+def test_closed_forms_follow_the_shifts_at_every_prime():
+    assert _shift_failures(_ROWS) == []
+    assert {b for b in Branch if not b.is_zero} - set(_SHIFT_EXEMPT) == {
+        Branch.C11_i, Branch.C11_ii, Branch.C22_i, Branch.C22_ii,
+        Branch.C12_i, Branch.C12_ii, Branch.C12_iv, Branch.C13_formula}
+
+
+def _one_offset(row, side, i):
+    """The row with 1 added to factorial argument i of its numerator (side 1) or denominator (2)."""
+    def formula(a, b, c, p):
+        out = list(row.formula(a, b, c, p))
+        out[side][i] = out[side][i] + 1
+        return tuple(out)
+    return row._replace(formula=formula)
+
+
+def test_every_one_offset_row_mutation_fails_a_shift():
+    mutants = 0
+    for br, row in _ROWS.items():
+        if br.is_zero or br in _SHIFT_EXEMPT:
+            continue
+        _, top, bottom = row.formula(_A, _B, _C, _P)
+        for side, args in ((1, top), (2, bottom)):
+            for i in range(len(args)):
+                assert _shift_failures({br: _one_offset(row, side, i)}), (br, side, i)
+                mutants += 1
+    assert mutants == 64
+
+
 @pytest.mark.parametrize("b", list(Branch))
 def test_branch_prints_as_its_value(b):
     assert str(b) == f"{b}" == b.value
