@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError, _max_cells
 from .modp_arith import get_context
-from .selberg2d_closed import ALL_METHODS, SelbergParams, _closed_value, _direct, classify, describe
+from .selberg2d_closed import ALL_METHODS, SelbergParams, _closed_value, classify, describe, selberg_direct_2d
 
 # sweep, verify, morris_ct and the brute-force route's selberg_core are imported
 # by the commands that use them, so each command loads only the modules it runs:
@@ -175,7 +175,7 @@ def _cmd_eval(args) -> int:
             exact = selberg_bruteforce(params.spec(2), (l1, l2), exact=True)
         value = selberg_bruteforce(params.spec(2), (l1, l2))
     elif args.method == "direct":
-        value = _direct(params, l1, l2)
+        value = selberg_direct_2d(params, l1, l2)
     else:
         value = _closed_value(branch, params)
     print(f"p={params.p} a={params.a} b={params.b} c={params.c} "

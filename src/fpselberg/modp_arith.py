@@ -7,17 +7,17 @@ makes the ratio 0 at any prime; the closed-form evaluators elsewhere in the
 package rely on that vanishing.  Only arguments in [0, p-1] may ever be
 inverted.
 
-Any other ratio is read from factorial and inverse-factorial tables over
-[0, (p-1)/2], with Wilson reflection, n! (p-1-n)! = (-1)^(n+1), for the upper
-half of [0, p-1], once they are built.  The tables cost about p steps to
-build, which a point query that reads a handful of factorials at p near 10^6
-need not pay.  So until then the reader answers by one ascending sweep to its
-largest reflected argument and one inversion, and builds them only once the
-context's sweeps would have cost as many steps as the tables do: a single
-point query builds none, a run of many queries at one prime builds them after
-a few and reads them from then on.  A prime whose tables would be over the
-cap is refused instead of swept.  ``factorial`` and ``binomial`` read
-through it.
+It checks each argument's range and reflects each into [0, (p-1)/2] once,
+by Wilson's theorem, n! (p-1-n)! = (-1)^(n+1), whether its factorial and
+inverse-factorial tables over [0, (p-1)/2] or a sweep then answer.  The
+tables cost about p steps to build, which a point query that reads a handful
+of factorials at p near 10^6 need not pay.  So the reader answers by one
+ascending sweep to its largest reflected argument and one inversion until
+the context's sweeps would have cost as many steps as the tables do, and
+then builds them: a single point query builds none, a run of many queries at
+one prime builds them after a few and reads them from then on.  A prime
+whose tables would be over the cap is refused instead of swept.
+``factorial`` and ``binomial`` read through it.
 
 Field values throughout the package are plain ints reduced into [0, p);
 callers write ``% p`` and ``FpContext.inverse`` where they need arithmetic.
@@ -143,77 +143,63 @@ class FpContext:
 
         Each top argument must lie in [0, 4p], and one >= p makes the ratio 0;
         each bottom argument must lie in [0, p-1], so that its factorial is
-        non-zero.  With the tables built every factor is one table read;
-        before, ``_swept_ratio`` answers or builds them.
+        non-zero.  One pass checks every argument and reflects each n above
+        (p-1)/2, with the sign (-1)^(n+1), to p-1-n on the other side of the
+        fraction, so every m whose m! multiplies or divides is at most
+        (p-1)/2.  With the tables built each m is one table read.  Before, a
+        prime over the table cap is refused, and one ascending sweep to the
+        largest m and one inversion answer, unless the context's sweeps would
+        reach the p + 1 steps that building both half tables takes: then the
+        read builds them and reads those.
         """
-        fact = self.fact
-        if fact is None:
-            return self._swept_ratio(top, bottom)
-        p, inv_fact = self.p, self.inv_fact
-        value = 1
+        p = self.p
+        half = (p - 1) // 2  # the largest m a table holds
+        ups, downs, minus = [], [], 0  # the m whose m! multiplies and divides; the power of -1
         for n in bottom:
             if n < 0 or n >= p:
                 raise ValueError(f"inverse factorial needs 0 <= n < p, got n={n} for p={p}")
-            if 2 * n < p:
-                value = value * inv_fact[n] % p
+            if n <= half:
+                downs.append(n)
             else:  # 1/n! = (-1)^(n+1) (p-1-n)!
-                v = fact[p - 1 - n]
-                value = value * (v if n & 1 else p - v) % p
+                ups.append(p - 1 - n)
+                minus += n + 1
+        vanishes = False
         for n in top:
             if not 0 <= n < p:
                 if n < 0 or n > 4 * p:
                     raise ValueError(f"factorial argument {n} outside [0, {4 * p}]")
-                value = 0
-            elif 2 * n < p:
-                value = value * fact[n] % p
+                vanishes = True
+            elif n <= half:
+                ups.append(n)
             else:  # n! = (-1)^(n+1) / (p-1-n)!
-                v = inv_fact[p - 1 - n]
-                value = value * (v if n & 1 else p - v) % p
-        return value
-
-    def _swept_ratio(self, top, bottom) -> int:
-        """``factorial_ratio`` without the tables: one sweep 1, 2, ..., m and one inversion.
-
-        After the range checks, a top argument >= p answers 0 at any prime.
-        Otherwise a prime over the table cap is refused, as its tables would
-        be.  Wilson reflection sends every argument n > (p-1)/2 to p-1-n on
-        the other side of the fraction, with the sign (-1)^(n+1), so m is at
-        most (p-1)/2.  Once the context's sweeps would reach the p + 1 steps
-        that building both half tables takes, it builds them and reads those.
-        """
-        p = self.p
-        for n in bottom:
-            if n < 0 or n >= p:
-                raise ValueError(f"inverse factorial needs 0 <= n < p, got n={n} for p={p}")
-        for n in top:
-            if n < 0 or n > 4 * p:
-                raise ValueError(f"factorial argument {n} outside [0, {4 * p}]")
-        if any(n >= p for n in top):
+                downs.append(p - 1 - n)
+                minus += n + 1
+        if vanishes:
             return 0
-        self.check_table_size()
-        reads, negative = [], False  # (m, whether m! multiplies), m <= (p-1)/2
-        for n, up in [(n, True) for n in top] + [(n, False) for n in bottom]:
-            if 2 * n < p:
-                reads.append((n, up))
-            else:  # n! = (-1)^(n+1) / (p-1-n)!
-                reads.append((p - 1 - n, not up))
-                negative ^= not n & 1
-        steps = max(reads)[0] if reads else 0
-        if self.swept + steps >= p + 1:
+        if self.fact is None:
+            self.check_table_size()
+            steps = max(ups + downs, default=0)
+            if self.swept + steps < p + 1:
+                self.swept += steps
+                num = den = v = n = 1  # v = (n-1)! mod p
+                for m, up in sorted([(m, True) for m in ups] + [(m, False) for m in downs]):
+                    for x in range(n, m + 1):
+                        v = v * x % p
+                    n = m + 1
+                    if up:
+                        num = num * v % p
+                    else:
+                        den = den * v % p
+                value = num * pow(den, p - 2, p) % p
+                return p - value if minus & 1 else value
             self._build_tables()
-            return self.factorial_ratio(top, bottom)
-        self.swept += steps
-        num = den = v = n = 1  # v = (n-1)! mod p
-        for m, up in sorted(reads):
-            for x in range(n, m + 1):
-                v = v * x % p
-            n = m + 1
-            if up:
-                num = num * v % p
-            else:
-                den = den * v % p
-        value = num * pow(den, p - 2, p) % p
-        return p - value if negative and value else value
+        fact, inv_fact, value = self.fact, self.inv_fact, 1  # reduced once: a few factors below p
+        for m in ups:
+            value *= fact[m]
+        for m in downs:
+            value *= inv_fact[m]
+        value %= p
+        return p - value if minus & 1 else value
 
     def binomial(self, n: int, m: int) -> int:
         """Binomial coefficient C(n, m) mod p by base-p digit factorization (Lucas).

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import DomainError, ResourceLimitError
-from .fp_poly import _coefficient, _dense_powers, _dense_product, _exact_dtype
+from .fp_poly import _binomial_terms, _coefficient, _dense_powers, _dense_product, _exact_dtype
 from .selberg2d_closed import SelbergParams
-from .selberg_core import _master_factors, _morris_factors
+from .selberg_core import _master_factors
 
 __all__ = [
     "MorrisParams",
@@ -57,6 +57,17 @@ def _guard(mp: MorrisParams):
         raise ResourceLimitError(
             f"constant-term expansion limited to n <= {MAX_N} and exponents <= {MAX_EXPONENT}, got {mp}"
         )
+
+
+def _morris_factors(n: int, alpha: int, beta: int, gamma: int) -> list:
+    """Sparse factors of prod_i (1 - x_i)^alpha (x_i - 1)^beta * prod_{j!=k} (x_k - x_j)^gamma,
+    exact integers; a zero exponent adds no factor."""
+    zero = (0,) * n
+    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+    factors = [_binomial_terms(zero, zero, unit, alpha) for unit in units]
+    factors += [_binomial_terms(zero, unit, zero, beta) for unit in units]
+    factors += [_binomial_terms(zero, units[k], units[j], gamma) for j in range(n) for k in range(n) if j != k]
+    return [factor for factor in factors if factor != [(zero, 1)]]
 
 
 def morris_ct_bruteforce(mp: MorrisParams) -> int:

@@ -43,14 +43,15 @@ non-zero at once (condition sets R1, R2, R3 and the -1/2 relations between
 cycles) and the coefficient-level skew-symmetry argument behind the R3
 relation.
 
-It is the point path: the parameter type ``SelbergParams``, ``check_cycle``
-and the direct sum ``_direct_coefficient`` live here, so ``eval`` and
-``classify`` load this module, ``errors`` and ``modp_arith`` and nothing
-of the expansion code.  A closed value is one ``FpContext.factorial_ratio``
-read, which at a single large prime sweeps instead of building factorial
-tables, and answers 0 at any prime when a numerator argument reaches p; the
-direct sum steps each run of its k interval by the ratio of consecutive
-terms, one inversion and one ratio read per run.
+It is the point path: ``SelbergParams``, ``check_cycle``, the direct sum
+``_direct_coefficient`` and its route ``selberg_direct_2d`` live here, so
+``eval`` and ``classify`` load this module, ``errors`` and ``modp_arith``
+and nothing of the expansion code.  A closed value is one
+``FpContext.factorial_ratio`` read, which at a single large prime sweeps
+instead of building factorial tables, and answers 0 at any prime when a
+numerator argument reaches p; the direct sum steps each run of its k
+interval by the ratio of consecutive terms, one inversion and one ratio read
+per run.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ __all__ = [
     "in_condition_sets",
     "relations_check",
     "relations_from_values",
+    "selberg_direct_2d",
     "skew_symmetry_check",
 ]
 
@@ -305,8 +307,10 @@ def _formula(branch: Branch, params: SelbergParams) -> tuple[int, list[int], lis
 ALL_METHODS = ("bruteforce", "direct", "closed")
 
 
-def _direct(params: SelbergParams, l1: int, l2: int) -> int:
-    """The direct route, ``selberg_core.selberg_direct_2d``, on a checked cycle."""
+def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:
+    """Two-dimensional evaluation by direct binomial summation: ``_direct_coefficient``
+    at the cycle exponents, O(min(b, c)) field operations, no polynomial built."""
+    l1, l2 = check_cycle((l1, l2))
     return _direct_coefficient(params.ctx, params.a, params.b, params.c, l1 * params.p - 1, l2 * params.p - 1)
 
 

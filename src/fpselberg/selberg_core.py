@@ -1,4 +1,4 @@
-"""Master polynomials and the three evaluation routes for Selberg sums mod p.
+"""Master polynomials, their brute-force expansion and closed forms for Selberg sums mod p.
 
 The master polynomial in n variables with parameters (a, b, c) is
 
@@ -9,19 +9,17 @@ integral over the cycle [l1, ..., ln].  This module provides:
 
   * ``selberg_bruteforce`` - full expansion, the ground-truth oracle (with an
     exact-integer mode for the claims that hold over Z, not just mod p);
-  * ``selberg_direct_2d`` - two-dimensional evaluation by binomial summation,
-    O(min(b, c)) field operations, no polynomial construction;
   * ``beta_closed`` and ``selberg_nd_closed`` - the one-dimensional and
     n-dimensional closed forms on their stated domains;
   * ``moment_integral`` - integrals of (x1+x2)*Phi and ((1-x1)+(1-x2))*Phi,
     the quantities tied to Phi by the contiguous recurrences.
 
-Only brute force expands Phi; the direct route, the moments and skew symmetry
-read its coefficients by the direct sum, ``_direct_coefficient``.  That sum,
-``SelbergParams`` and ``check_cycle`` are defined in the point module
-``selberg2d_closed`` and read from there, so a point query never loads this
-module or the dense kernels it imports; the brute-force grid and the
-expansion cap's guards are here.
+Only brute force expands Phi, from the master polynomial's factors built
+here; the moments read its coefficients by the direct sum,
+``_direct_coefficient``.  That sum, the direct route, ``SelbergParams`` and
+``check_cycle`` are defined in the point module ``selberg2d_closed`` and read
+from there, so a point query never loads this module or the dense kernels it
+imports; the brute-force grid and the expansion cap's guards are here.
 """
 
 from __future__ import annotations
@@ -34,14 +32,14 @@ from typing import Iterator, Sequence
 from .errors import MAX_TERMS_ENV, DomainError, GuardError, ResourceLimitError, _max_cells
 from .fp_poly import _binomial_terms, _coefficient, _dense_powers, _dense_product
 from .modp_arith import FpContext, get_context
-from .selberg2d_closed import SelbergParams, _direct, _direct_coefficient, check_cycle
+from .selberg2d_closed import SelbergParams, _direct_coefficient, check_cycle
+from .selberg2d_closed import selberg_direct_2d  # noqa: F401  kept importable from here
 
 __all__ = [
     "MasterPolySpec",
     "beta_closed",
     "moment_integral",
     "selberg_bruteforce",
-    "selberg_direct_2d",
     "selberg_grid",
     "selberg_nd_closed",
 ]
@@ -72,17 +70,6 @@ def _master_factors(n: int, a: int, b: int, c: int) -> list:
     factors = [_binomial_terms(zero, units[i], units[j], 2 * c) for i in range(n) for j in range(i + 1, n)]
     factors += [_binomial_terms(zero[:i] + (a,) + zero[i + 1 :], zero, units[i], b) for i in range(n)]
     return [factor for factor in factors if factor != [(zero, 1)]]  # a factor 1 adds nothing
-
-
-def _morris_factors(n: int, alpha: int, beta: int, gamma: int) -> list:
-    """Sparse factors of prod_i (1 - x_i)^alpha (x_i - 1)^beta * prod_{j!=k} (x_k - x_j)^gamma,
-    exact integers; a zero exponent adds no factor."""
-    zero = (0,) * n
-    units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
-    factors = [_binomial_terms(zero, zero, unit, alpha) for unit in units]
-    factors += [_binomial_terms(zero, unit, zero, beta) for unit in units]
-    factors += [_binomial_terms(zero, units[k], units[j], gamma) for j in range(n) for k in range(n) if j != k]
-    return [factor for factor in factors if factor != [(zero, 1)]]
 
 
 @functools.lru_cache(maxsize=1)  # every reuse in the package reads the point just expanded
@@ -219,12 +206,6 @@ def selberg_grid(p: int, cycles: Sequence[Sequence[int]], ab_stop: int | None = 
     before any allocation.
     """
     return _walk_grid(p, *_guard_grid(p, cycles, ab_stop))
-
-
-def selberg_direct_2d(params: SelbergParams, l1: int, l2: int) -> int:
-    """Two-dimensional evaluation by direct binomial summation: ``_direct_coefficient``
-    at the cycle exponents, O(min(b, c)) field operations, no polynomial built."""
-    return _direct(params, *check_cycle((l1, l2)))
 
 
 def beta_closed(ctx: FpContext, a: int, b: int) -> int:

@@ -20,7 +20,7 @@ from math import comb
 from fpselberg.errors import GuardError
 from fpselberg.fp_poly import _dense_product
 from fpselberg.golden import GOLDEN_2D
-from fpselberg.selberg_core import (SelbergParams, _direct, _master_factors, selberg_bruteforce,
+from fpselberg.selberg_core import (SelbergParams, _master_factors, selberg_bruteforce, selberg_direct_2d,
                                     selberg_grid)
 from fpselberg.selberg2d_closed import (_ROWS, Branch, _branch, _closed_value, _formula, eval_closed,
                                         relations_from_values, skew_symmetry_check)
@@ -374,7 +374,7 @@ def grid_moments(grid: ReadGrid, a: int, b: int, c: int, cycle) -> tuple:
 
 def _route_value(method: str, params, l1: int, l2: int, branch) -> int:
     """The direct or closed route's value on a checked cycle, dispatched per point."""
-    return _direct(params, l1, l2) if method == "direct" else _closed_value(branch, params)
+    return selberg_direct_2d(params, l1, l2) if method == "direct" else _closed_value(branch, params)
 
 
 def _check(result: SuiteResult, ok: bool, counterexample) -> None:

@@ -489,6 +489,16 @@ def test_morris_command(capsys):
     assert "identity holds" in out
 
 
+def test_morris_command_mismatch_exits_1(monkeypatch, capsys):
+    from fpselberg import morris_ct
+
+    rhs = morris_ct.morris_rhs
+    monkeypatch.setattr(morris_ct, "morris_rhs", lambda mp: rhs(mp) + 1)
+    code, out, _ = run(capsys, "morris", "--n", "2", "--alpha", "1", "--beta", "1", "--gamma", "1")
+    assert code == 1
+    assert "MISMATCH" in out
+
+
 def test_morris_command_guard(capsys):
     code, _, err = run(capsys, "morris", "--n", "5", "--alpha", "1", "--beta", "1", "--gamma", "1")
     assert code == 3

@@ -281,6 +281,15 @@ def test_factorial_ratio_builds_the_tables_once_sweeps_cost_as_much():
     fresh = _swept(p)
     assert fresh.factorial_ratio((500, p), (3,)) == 0
     assert fresh.fact is None and fresh.swept == 0
+    # The read that builds the tables reflects on both sides: 1000 moves from
+    # the top to the bottom as 8 with a sign flip, 701 from the bottom to the
+    # top as 307 without one; 1008 + 307 steps reach p + 1.
+    second = _swept(p)
+    for _ in range(2):
+        assert second.factorial_ratio(top, bottom) == 504
+    assert second.fact is None and second.swept == 1008
+    assert second.factorial_ratio((1000,), (3, 701)) == 208  # 1000! / (3! 701!) mod 1009
+    assert second.fact is not None and second.swept == 1008
 
 
 @pytest.mark.parametrize("p", [5, 1009])
