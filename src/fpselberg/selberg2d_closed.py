@@ -26,9 +26,11 @@ the name below.  Writing delta = a+b+2c+1-2p:
   (2,3)  C23_zero              always
   other  OTHER_zero            always (degree cannot reach the coefficient)
 
-Each block is one classifier over plain ints (a, b, c, p), and the table
-``_CYCLE_CLASSES``, holding each block's label and classifier under its
-cycle, is the dispatch: one lookup and one call, OTHER_zero off the table.
+The table ``_CYCLE_CLASSES`` is the dispatch: under each cycle it holds the
+block's label and either its classifier over plain ints (a, b, c, p) or, for
+(2,3), its one branch; OTHER_zero, off the table, is one branch too.  A
+lookup, and a call only where the entry is a classifier; sweeps and verify
+resolve the one-branch classes once per run, not once per point.
 Within a block the conditions are exhaustive and mutually exclusive; the
 (1,2) classifier raises GuardError if it ever falls through, and the test
 suite checks that this never happens.  What a branch answers is its row in
@@ -159,8 +161,9 @@ def classify(params: SelbergParams, l1: int, l2: int) -> Branch:
 
 
 def _branch(params: SelbergParams, l1: int, l2: int) -> Branch:
-    """``classify`` on a checked cycle: one lookup in the cycle-class table."""
-    return _CYCLE_CLASSES.get((l1, l2) if l1 <= l2 else (l2, l1), _OTHER_CLASS)[1](*params)
+    """``classify`` on a checked cycle: one lookup in the cycle-class table, one call if it is a classifier."""
+    rule = _CYCLE_CLASSES.get((l1, l2) if l1 <= l2 else (l2, l1), _OTHER_CLASS)[1]
+    return rule if isinstance(rule, Branch) else rule(*params)
 
 
 # Branch's members as plain attributes.  A member read off Branch itself takes
@@ -213,24 +216,17 @@ def _c13(a: int, b: int, c: int, p: int) -> Branch:
     return _Branch.C13_zero if a + b + 2 * c < 3 * p - 1 else _Branch.C13_formula
 
 
-def _c23(a: int, b: int, c: int, p: int) -> Branch:
-    return _Branch.C23_zero
-
-
-def _other(a: int, b: int, c: int, p: int) -> Branch:
-    return _Branch.OTHER_zero
-
-
 # The cycle classes by canonical cycle (l1 <= l2): the label describe prints and the
-# classifier.  Every other cycle is in ``_OTHER_CLASS``.
+# classifier, or the branch of a class with one branch, which must be a zero branch.
+# Every other cycle is in ``_OTHER_CLASS``.
 _CYCLE_CLASSES = {
     (1, 1): ("C11", _c11),
     (2, 2): ("C22", _c22),
     (1, 2): ("C12", _c12),
     (1, 3): ("C13", _c13),
-    (2, 3): ("C23", _c23),
+    (2, 3): ("C23", Branch.C23_zero),
 }
-_OTHER_CLASS = ("OTHER", _other)
+_OTHER_CLASS = ("OTHER", Branch.OTHER_zero)
 
 
 # One row per branch.  A formula branch's row holds its template, as describe prints it,

@@ -23,8 +23,8 @@ from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .modp_arith import get_context
-from .selberg2d_closed import (ALL_METHODS, _CYCLE_CLASSES, _OTHER_CLASS, Branch, SelbergParams, _closed_value,
-                               _direct_coefficient, in_condition_sets)
+from .selberg2d_closed import (ALL_METHODS, _CYCLE_CLASSES, _OTHER_CLASS, _ZERO_BRANCHES, Branch, SelbergParams,
+                               _closed_value, _direct_coefficient, in_condition_sets)
 
 __all__ = [
     "ALL_SUITES",
@@ -86,17 +86,25 @@ _BRANCH_NAMES = {branch: branch.value for branch in Branch}
 _RECORD_CELLS = 1024
 
 
-def _cycle_blocks(cycles: Iterable[tuple]) -> Iterator[list]:
-    """(l1, l2, classifier) of each cycle, in lists of up to ``_RECORD_CELLS`` consecutive cycles."""
-    class_of = _CYCLE_CLASSES.get  # a class is (label, classifier)
-    cycles = iter(cycles)
+def _cycle_blocks(cycles: Iterable[tuple]) -> Iterator[tuple]:
+    """Up to ``_RECORD_CELLS`` consecutive cycles at a time, resolved on the cycle-class table.
+
+    Each block is ``(cells, classified)``: ``cells`` holds the (l1, l2, branch, 0) cell of
+    each cycle whose class has one branch and None at each classified cycle, and
+    ``classified`` the (index, l1, l2, classifier, zeros) of each classified cycle, with
+    ``zeros`` its (l1, l2, branch, 0) cell of every zero branch.
+    """
+    class_of, cycles = _CYCLE_CLASSES.get, iter(cycles)
     while block := [(l1, l2, class_of((l1, l2), _OTHER_CLASS)[1])
                     for l1, l2 in itertools.islice(cycles, _RECORD_CELLS)]:
-        yield block
+        yield ([(l1, l2, _BRANCH_NAMES[rule], 0) if isinstance(rule, Branch) else None for l1, l2, rule in block],
+               [(i, l1, l2, rule, {branch: (l1, l2, _BRANCH_NAMES[branch], 0) for branch in _ZERO_BRANCHES})
+                for i, (l1, l2, rule) in enumerate(block) if not isinstance(rule, Branch)])
 
 
 def _sweep_records(config: SweepConfig, method: str, listed: bool) -> Iterator[tuple]:
     names, make = _BRANCH_NAMES, SelbergParams._make  # the values are in range by construction
+    closed = method == "closed"
     cycles = tuple(config.cycles()) if listed else ()
     blocks = tuple(_cycle_blocks(cycles))  # empty where each point walks the cycles afresh
     for p in config.primes:
@@ -112,17 +120,18 @@ def _sweep_records(config: SweepConfig, method: str, listed: bool) -> Iterator[t
                 params = make((a, b, c, p))
                 r1, r2, r3 = in_condition_sets(params)
                 values = iter(slab[b][c]) if slab else None  # each block's zip takes its own values
-                for block in blocks or _cycle_blocks(config.cycles()):
-                    if method == "closed":
-                        cells = [(l1, l2, names[branch := classifier(a, b, c, p)], _closed_value(branch, params))
-                                 for l1, l2, classifier in block]
-                    elif method == "direct":
-                        cells = [(l1, l2, names[classifier(a, b, c, p)],
-                                  _direct_coefficient(ctx, a, b, c, l1 * p - 1, l2 * p - 1))
-                                 for l1, l2, classifier in block]
-                    else:
-                        cells = [(l1, l2, names[classifier(a, b, c, p)], value)
-                                 for (l1, l2, classifier), value in zip(block, values)]
+                for fixed, classified in blocks or _cycle_blocks(config.cycles()):
+                    # The branch column; a closed cell of a zero branch is its prebuilt cell.
+                    cells = fixed.copy()
+                    for i, l1, l2, classifier, zeros in classified:
+                        branch = classifier(a, b, c, p)
+                        cells[i] = zeros.get(branch) or (l1, l2, names[branch],
+                                                         _closed_value(branch, params) if closed else None)
+                    if method == "direct":
+                        cells = [(l1, l2, branch, _direct_coefficient(ctx, a, b, c, l1 * p - 1, l2 * p - 1))
+                                 for l1, l2, branch, _ in cells]
+                    elif method == "bruteforce":
+                        cells = [(l1, l2, branch, value) for (l1, l2, branch, _), value in zip(cells, values)]
                     yield p, a, b, c, r1, r2, r3, cells
 
 
@@ -147,9 +156,13 @@ def iter_sweep_rows(config: SweepConfig) -> Iterator[tuple]:
     of a values built at a time where the whole box is over the cap.  The
     cycles are listed, in blocks built once, where brute force's grid guard
     has bounded their count or one block holds them all; otherwise each
-    point walks them afresh, so any cycle bound streams.  Each cell's
-    branch is classified once, by its cycle's classifier in the cycle-class
-    table.  Records are made serially; ``config.parallelism`` is not used.
+    point walks them afresh, so any cycle bound streams.  Each block is
+    resolved on the cycle-class table as it is built: the cells of the
+    one-branch classes, (2,3) and other, are made there, and only the
+    classified cycles call their classifier at each point.  Closed cells of
+    any zero branch are prebuilt (l1, l2, branch, 0) cells; direct and
+    brute-force cells share only the branch and compute every value.
+    Records are made serially; ``config.parallelism`` is not used.
     """
     method = config.methods[0]
     count = config.cycle_bound * (config.cycle_bound + 1) // 2

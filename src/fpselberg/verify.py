@@ -116,11 +116,13 @@ def _nd_windows(p: int) -> list:
     return [(p, ((1,) * n,), 2 * p) for n in (2, 3) if n == 2 or p <= _ND3_MAX_P]
 
 
-def _points(p: int, a: int, classifiers: tuple) -> list:
+def _points(p: int, a: int, rules: tuple) -> list:
     """(b, c, params, branches) at every (b, c) of (0, p)^2 in ascending order, params the
-    SelbergParams of (a, b, c) and branches its Branch on each of ``classifiers``."""
+    SelbergParams of (a, b, c) and branches its Branch on each of ``rules``, the cycle-class
+    table's entries: a classifier is called at every point, a fixed branch is repeated."""
     cells = list(itertools.product(range(1, p), repeat=2))
-    columns = [[classify(a, b, c, p) for b, c in cells] for classify in classifiers]
+    columns = [itertools.repeat(rule) if isinstance(rule, Branch) else [rule(a, b, c, p) for b, c in cells]
+               for rule in rules]
     return [(b, c, SelbergParams(a, b, c, p), branches)
             for (b, c), branches in zip(cells, zip(*columns) if columns else itertools.repeat(()))]
 
@@ -435,13 +437,13 @@ def run_verification(config: SweepConfig) -> VerificationReport:
         if not readers:
             continue
         walk = selberg_grid(p, cycles)
-        classifiers = (tuple(_CYCLE_CLASSES.get(cycle, _OTHER_CLASS)[1] for cycle in config.cycles())
-                       if {"oracle_equiv", "vanishing"} & set(readers) else ())
+        rules = (tuple(_CYCLE_CLASSES.get(cycle, _OTHER_CLASS)[1] for cycle in config.cycles())
+                 if {"oracle_equiv", "vanishing"} & set(readers) else ())
         down, here = next(walk), next(walk)
         for a in range(1, p):
             up = next(walk, None)  # None past a = p - 1
             step = _Step(p, a, (down, here, up), index,
-                         None if readers == ["recurrences"] else _points(p, a, classifiers))
+                         None if readers == ["recurrences"] else _points(p, a, rules))
             for name in readers:
                 attempt(name, _SUITES[name].grid, step)
             down, here = here, up

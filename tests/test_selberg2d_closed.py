@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpselberg import selberg2d_closed
+from fpselberg.cli import main
 from fpselberg.errors import DomainError, GuardError
 from fpselberg.modp_arith import FpContext, get_context
 from fpselberg.selberg_core import (
@@ -122,6 +123,38 @@ def test_one_entry_table_mutation_is_caught(monkeypatch):
     monkeypatch.setitem(selberg2d_closed._CYCLE_CLASSES, (1, 2), ("C12", mutant["_c12"]))
     p, a, b, c, cycle, got, want = _first_disagreement_with_the_if_chain(classify, ODD_PRIMES_TO_31)
     assert sorted(cycle) == [1, 2] and a + c == p - 1 and want == Branch.C12_i != got
+
+
+FIXED_CLASS_CYCLES = ((2, 3), (3, 2), (1, 4), (3, 3), (4, 4), (2, 5))
+
+
+def test_fixed_classes_are_zero_rows_that_every_route_reads(monkeypatch, capsys):
+    # A class with one branch holds that branch in the table, and a sweep shares one
+    # (l1, l2, branch, 0) cell for it, which is exact only on a zero branch.
+    fixed = {label: rule for label, rule in (*selberg2d_closed._CYCLE_CLASSES.values(), selberg2d_closed._OTHER_CLASS)
+             if isinstance(rule, Branch)}
+    assert fixed == {"C23": Branch.C23_zero, "OTHER": Branch.OTHER_zero}
+    assert all(type(_ROWS[branch]) is selberg2d_closed._ZeroRow for branch in fixed.values())
+    for p in PRIMES:
+        for a, b, c in all_triples(p):
+            params = SelbergParams(a, b, c, p)
+            assert [ref_branch(params, *cycle) for cycle in FIXED_CLASS_CYCLES] == \
+                [Branch.C23_zero, Branch.C23_zero] + [Branch.OTHER_zero] * 4, (p, a, b, c)
+
+    # No route names the (2,3) branch itself: a table reading NOT_APPLICABLE_zero there
+    # renames exactly the (2,3) rows of every route's csv.
+    def sweep_csv(method):
+        assert main(["sweep", "--primes", "5", "--format", "csv", "--method", method]) == 0
+        return capsys.readouterr().out
+
+    methods = ("closed", "direct", "bruteforce")
+    before = {method: sweep_csv(method) for method in methods}
+    monkeypatch.setitem(selberg2d_closed._CYCLE_CLASSES, (2, 3), ("C23", Branch.NOT_APPLICABLE_zero))
+    for method in methods:
+        after = sweep_csv(method)
+        assert after != before[method], method
+        assert after == before[method].replace(",2,3,C23_zero,", ",2,3,NOT_APPLICABLE_zero,"), method
+        assert before[method].count(",2,3,C23_zero,0,") == 4 ** 3
 
 
 @pytest.mark.parametrize("b", list(Branch))

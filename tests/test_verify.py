@@ -280,16 +280,23 @@ def test_the_walk_builds_each_point_once(monkeypatch):
     # The grid checks share one SelbergParams per (p, a, b, c) of the walk
     # and golden builds its own; a walk read by recurrences alone builds no
     # point and classifies none, and oracle_equiv classifies each point once
-    # on every configured cycle.
+    # on every configured cycle of a classified class, (1,1), (1,2), (1,3)
+    # and (2,2), and calls nothing for the fixed classes (2,3) and other.
     built, classified = [], []
     monkeypatch.setattr(verify, "SelbergParams", lambda *args: built.append(args) or SelbergParams(*args))
 
     def counted(classify):
         return lambda *args: classified.append(args) or classify(*args)
 
-    for cycle, (label, classify) in selberg2d_closed._CYCLE_CLASSES.items():
-        monkeypatch.setitem(selberg2d_closed._CYCLE_CLASSES, cycle, (label, counted(classify)))
-    monkeypatch.setattr(verify, "_OTHER_CLASS", (verify._OTHER_CLASS[0], counted(verify._OTHER_CLASS[1])))
+    fixed = [entry for entry in (*selberg2d_closed._CYCLE_CLASSES.values(), verify._OTHER_CLASS)
+             if isinstance(entry[1], Branch)]
+    # A fixed entry is a Branch, which cannot be called: a call would raise TypeError and
+    # fail the suite that made it, so every failed_total == 0 below shows that none was called.
+    assert [branch for _, branch in fixed] == [Branch.C23_zero, Branch.OTHER_zero]
+    assert not any(callable(branch) for _, branch in fixed)
+    for cycle, (label, rule) in selberg2d_closed._CYCLE_CLASSES.items():
+        if not isinstance(rule, Branch):
+            monkeypatch.setitem(selberg2d_closed._CYCLE_CLASSES, cycle, (label, counted(rule)))
     config = SweepConfig(primes=(5, 7), suites=("oracle_equiv", "relations", "vanishing", "morris"))
     assert run_verification(config).failed_total == 0
     walk = [(a, b, c, p) for p in config.primes for a, b, c in itertools.product(range(1, p), repeat=3)]
@@ -299,7 +306,7 @@ def test_the_walk_builds_each_point_once(monkeypatch):
     assert run_verification(SweepConfig(primes=(5, 7), suites=("recurrences",))).failed_total == 0
     assert built == classified == []
     assert run_verification(SweepConfig(primes=(5, 7), suites=("oracle_equiv",))).failed_total == 0
-    assert sorted(classified) == sorted(walk * len(list(config.cycles())))
+    assert sorted(classified) == sorted(walk * 4)
 
 
 @pytest.mark.parametrize("name", ["oracle_equiv", "recurrences", "relations", "vanishing", "morris"])
