@@ -28,9 +28,9 @@ _EXPORTS = {
                      "morris_substitution", "selberg_via_morris"), "morris_ct"),
     **dict.fromkeys(("MasterPolySpec", "beta_closed", "moment_integral", "selberg_bruteforce",
                      "selberg_nd_closed"), "selberg_core"),
-    **dict.fromkeys(("Branch", "RelationReport", "SelbergParams", "classify", "condition_set", "describe",
-                     "eval_closed", "in_condition_sets", "relations_check", "selberg_direct_2d",
-                     "skew_symmetry_check"), "selberg2d_closed"),
+    **dict.fromkeys(("Branch", "SelbergParams", "classify", "describe", "eval_closed", "in_condition_sets",
+                     "selberg_direct_2d"), "selberg2d_closed"),
+    **dict.fromkeys(("RelationReport", "condition_set", "relations_check", "skew_symmetry_check"), "relations"),
     **dict.fromkeys(("ALL_SUITES", "SweepConfig", "render_sweep", "sweep_rows"), "sweep"),
     **dict.fromkeys(("SuiteResult", "VerificationReport", "render_report", "run_verification"), "verify"),
 }

@@ -8,20 +8,18 @@ the coefficient cells of any one expansion or grid window.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import errno
 import gc
 import os
 import sys
-from typing import Iterable
 
 from .errors import DomainError, ResourceLimitError, _max_cells
 from .modp_arith import get_context
 from .selberg2d_closed import ALL_METHODS, SelbergParams, _closed_value, classify, describe, selberg_direct_2d
 
-# sweep, verify, morris_ct and the brute-force route's selberg_core are imported
-# by the commands that use them, so each command loads only the modules it runs:
-# a closed or direct point query loads none of the expansion code.
+# verify, sweep and morris live in ``batch``, which main imports only for them, and
+# the brute-force route imports selberg_core where it runs, so each command loads
+# only the modules it runs: a closed or direct point query compiles neither the
+# batch commands nor any of the expansion code.
 
 __all__ = ["build_parser", "entry_point", "main"]
 
@@ -106,13 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _point_params(args) -> tuple:
-    """(params, l1, l2), params validated; the cycle is checked by the command's first call."""
-    p = args.prime
+def _prime(p: int, flag: str) -> int:
+    """``p`` once it is an odd prime; otherwise a usage error that names ``flag``."""
     try:
         get_context(p)
     except ValueError as exc:
-        raise ValueError(f"--prime: {exc}") from None
+        raise ValueError(f"{flag}: {exc}") from None
+    return p
+
+
+def _point_params(args) -> tuple:
+    """(params, l1, l2), params validated; the cycle is checked by the command's first call."""
+    p = _prime(args.prime, "--prime")
     if args.params is not None:
         if any(v is not None for v in (args.a, args.b, args.c)):
             raise ValueError("give either --params a,b,c or the -a/-b/-c flags, not both")
@@ -124,40 +127,6 @@ def _point_params(args) -> tuple:
     params = SelbergParams(a, b, c, p)
     l1, l2 = _int_list(args.cycle, "--cycle", 2)
     return params, l1, l2
-
-
-def _write_output(chunks: Iterable[str], out_path: str | None):
-    """Write text chunks to ``out_path``, or to stdout, one write per chunk as they come.
-
-    Both destinations follow one policy.  A reader that closes the destination
-    early (``fpselberg sweep | head``, or an ``--out`` that names a pipe) ends
-    the output quietly, and the command keeps its own exit code.  Any other
-    OSError is a usage error, ``cannot write <stdout|path>: ...``.  After an
-    error on stdout, stdout is pointed at the null device, so the flush at
-    exit drops what it still holds instead of failing again.
-    """
-    to_stdout = out_path is None
-    try:
-        with contextlib.nullcontext(sys.stdout) if to_stdout else open(out_path, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-    except OSError as exc:
-        if to_stdout:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if not isinstance(exc, BrokenPipeError):
-            raise ValueError(f"cannot write {'stdout' if to_stdout else out_path}: {exc}") from None
-
-
-def _check_out(out_path: str | None):
-    """Refuse, creating nothing, what ``_write_output`` would: "", a directory, a path in a missing one."""
-    if out_path is None:
-        return
-    code = errno.EISDIR if os.path.isdir(out_path) else errno.ENOENT
-    if code == errno.EISDIR or not out_path or not os.path.isdir(os.path.dirname(out_path) or "."):
-        raise ValueError(f"cannot write {out_path}: {OSError(code, os.strerror(code), out_path)}")
 
 
 def _cmd_eval(args) -> int:
@@ -195,68 +164,9 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _parse_suites(raw: list, known: tuple) -> tuple:
-    if not raw:
-        return known
-    names = []
-    for chunk in raw:
-        names.extend(s.strip() for s in chunk.split(",") if s.strip())
-    if not names:
-        raise ValueError(f"--suite names no suite; choose from {','.join(known)}")
-    unknown = set(names) - set(known)
-    if unknown:
-        raise ValueError(f"unknown suite(s) {sorted(unknown)}; choose from {','.join(known)}")
-    return tuple(dict.fromkeys(names))
-
-
-def _grid_options(args) -> dict:
-    """The SweepConfig fields that verify and sweep share."""
-    return {"primes": _int_list(args.primes, "--primes"), "cycle_bound": args.cycle_bound}
-
-
-def _cmd_verify(args) -> int:
-    from .sweep import ALL_SUITES, SweepConfig
-    from .verify import render_report, run_verification
-
-    config = SweepConfig(suites=_parse_suites(args.suite, ALL_SUITES), integer_mode=args.integer_mode,
-                         **_grid_options(args))
-    _check_out(args.out)  # before the suites run, not after
-    report = run_verification(config)
-    _write_output((render_report(report, args.format),), args.out)
-    return 0 if report.failed_total == 0 else 1
-
-
-def _cmd_sweep(args) -> int:
-    from .sweep import SweepConfig, iter_render_sweep, iter_sweep_rows
-
-    config = SweepConfig(suites=(), methods=(args.method,), **_grid_options(args))
-    records = iter_sweep_rows(config)  # checks every resource guard before anything is written
-    _write_output(iter_render_sweep(records, args.format), args.out)
-    return 0
-
-
-def _cmd_morris(args) -> int:
-    from .morris_ct import MorrisParams, morris_ct_bruteforce, morris_lhs_symmetric_form, morris_rhs
-
-    mp = MorrisParams(args.n, args.alpha, args.beta, args.gamma)
-    rhs = morris_rhs(mp)
-    ct = morris_ct_bruteforce(mp)
-    sym = morris_lhs_symmetric_form(mp)
-    print(f"n={mp.n} alpha={mp.alpha} beta={mp.beta} gamma={mp.gamma}")
-    print(f"constant term      = {ct}")
-    print(f"product formula    = {rhs}")
-    print(f"difference form    = {sym}")
-    ok = ct == rhs == sym
-    print("identity holds" if ok else "MISMATCH")
-    return 0 if ok else 1
-
-
-_COMMANDS = {
+_POINT_COMMANDS = {
     "eval": _cmd_eval,
     "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "morris": _cmd_morris,
 }
 
 
@@ -268,7 +178,13 @@ def main(argv: list | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _max_cells()  # a malformed FPSELBERG_MAX_TERMS is a usage error, not a failed check
-        return _COMMANDS[args.command](args)
+        if args.command in _POINT_COMMANDS:
+            return _POINT_COMMANDS[args.command](args)
+        if hasattr(args, "primes"):  # verify and sweep
+            args.primes = tuple(_prime(p, "--primes") for p in _int_list(args.primes, "--primes"))
+        from .batch import COMMANDS
+
+        return COMMANDS[args.command](args)
     except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,11 +40,6 @@ its branch, or a zero branch's reason and whether it vanishes over Z.
 ``_ZERO_BRANCHES``, ``_formula``, ``describe`` and verify's integer mode all
 read these rows; ``Branch.is_zero`` and ``_closed_value`` read that set.
 
-The module also verifies the three regimes in which several cycles are
-non-zero at once (condition sets R1, R2, R3 and the -1/2 relations between
-cycles) and the coefficient-level skew-symmetry argument behind the R3
-relation.
-
 It is the point path: ``SelbergParams``, ``check_cycle``, the direct sum
 ``_direct_coefficient`` and its route ``selberg_direct_2d`` live here, so
 ``eval`` and ``classify`` load this module, ``errors`` and ``modp_arith``
@@ -58,32 +53,25 @@ per run.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from enum import Enum
 from operator import mul
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import DomainError, GuardError
+from .errors import GuardError
 from .modp_arith import FpContext, get_context
 
 __all__ = [
     "ALL_METHODS",
     "Branch",
-    "RELATION_CYCLES",
-    "RelationReport",
     "SelbergParams",
     "check_cycle",
     "classify",
-    "condition_set",
     "describe",
     "eval_closed",
     "in_condition_sets",
-    "relations_check",
-    "relations_from_values",
     "selberg_direct_2d",
-    "skew_symmetry_check",
 ]
 
 
@@ -408,21 +396,9 @@ def describe(params: SelbergParams, l1: int, l2: int, branch: Branch | None = No
     return "\n".join(lines)
 
 
-# -- multi-cycle regimes -------------------------------------------------------
-
-_REL_CYCLES = {
-    "R1": ((1, 1), (1, 2), (2, 1)),
-    "R2": ((2, 2), (1, 2), (2, 1)),
-    "R3": ((2, 2), (1, 3), (3, 1)),
-}
-_UNIQUENESS_CYCLES = tuple((l1, l2) for l1 in range(1, 5) for l2 in range(l1, 5))
-# Every cycle the relation check reads; the transposed (2,1) and (3,1) are
-# read as coefficients in their own right, not by symmetry.
-RELATION_CYCLES = tuple(dict.fromkeys(_UNIQUENESS_CYCLES + sum(_REL_CYCLES.values(), ())))
-
-
 def in_condition_sets(params: SelbergParams) -> tuple[bool, bool, bool]:
-    """Membership of (a, b, c) in the regimes R1, R2, R3 (mutually exclusive)."""
+    """Membership of (a, b, c) in the regimes R1, R2, R3 (mutually exclusive), where several
+    cycles are non-zero at once; every sweep row prints it, and ``relations`` checks them."""
     a, b, c, p = params.a, params.b, params.c, params.p
     r1 = 2 * c < p and a + c <= p - 1 and b + c >= p and a + b + 2 * c >= 2 * p - 1
     r2 = 2 * c < p and a + b + c >= 2 * p - 1
@@ -430,90 +406,10 @@ def in_condition_sets(params: SelbergParams) -> tuple[bool, bool, bool]:
     return r1, r2, r3
 
 
-def condition_set(params: SelbergParams) -> str | None:
-    flags = in_condition_sets(params)
-    hits = [name for name, hit in zip(("R1", "R2", "R3"), flags) if hit]
-    if len(hits) > 1:
-        raise GuardError(f"condition sets overlap at {params}: {hits}")
-    return hits[0] if hits else None
+def __getattr__(name):
+    # benchmarks/inproc.py reads these two checks here; they live in ``relations``.
+    if name in ("relations_check", "skew_symmetry_check"):
+        from . import relations
 
-
-class RelationReport(namedtuple("RelationReport",
-                                "params condition_set values relation_holds uniqueness_holds")):
-    """Outcome of checking the multi-cycle relations for one (a, b, c).
-
-    Inside a condition set, ``relation_holds`` records that the three listed
-    integrals are non-zero and satisfy -1/2 * first = second = third; outside
-    all sets, ``uniqueness_holds`` records that at most one pair l1 <= l2 <= 4
-    carries a non-zero value.  ``values`` maps each cycle read to its integral.
-    """
-
-    __slots__ = ()
-
-
-def relations_check(params: SelbergParams) -> RelationReport:
-    """Verify the applicable multi-cycle relation with brute-force values."""
-    from .selberg_core import selberg_bruteforce
-
-    spec = params.spec(2)
-    return relations_from_values(params, lambda cycle: selberg_bruteforce(spec, cycle))
-
-
-def relations_from_values(params: SelbergParams, value: Callable[[tuple], int]) -> RelationReport:
-    """The multi-cycle relation check on given integrals.
-
-    ``value(cycle)`` returns the integral over ``cycle`` as a residue in
-    [0, p); it is asked only for cycles in ``RELATION_CYCLES``.
-    """
-    cs = condition_set(params)
-    if cs is None:
-        values = {cycle: value(cycle) for cycle in _UNIQUENESS_CYCLES}
-        return RelationReport(params, cs, values, None, sum(1 for v in values.values() if v) <= 1)
-    head, second, third = _REL_CYCLES[cs]
-    values = {cycle: value(cycle) for cycle in (head, second, third)}
-    minus_half = -values[head] * params.ctx.inverse(2) % params.p
-    holds = all(values.values()) and minus_half == values[second] == values[third]
-    return RelationReport(params, cs, values, holds, None)
-
-
-def skew_symmetry_check(params: SelbergParams) -> bool:
-    """Coefficient-level verification of the R3 relation between cycles.
-
-    Over F_p, (x1-x2)^(2c) = (x1^p - x2^p) * (x1-x2)^(2c-p), so with
-
-        full  = (x1-x2)^(2c)   * x1^a (1-x1)^b x2^a (1-x2)^b   (coeffs alpha)
-        lower = (x1-x2)^(2c-p) * x1^a (1-x1)^b x2^a (1-x2)^b   (coeffs beta)
-
-    the alpha coefficients at cycle exponents are finite differences of beta,
-    and `lower` is skew-symmetric in x1, x2.  Confirms, for parameters in R3
-    (2c > p and a+b+2c >= 3p-1):
-
-        beta(p-1, 2p-1) = -beta(2p-1, p-1)
-        alpha(3p-1, p-1) =  beta(2p-1, p-1)
-        alpha(2p-1, 2p-1) = beta(p-1, 2p-1) - beta(2p-1, p-1)
-        alpha(p-1, 3p-1) = -beta(p-1, 2p-1)
-        -1/2 * alpha(2p-1, 2p-1) = alpha(p-1, 3p-1) = alpha(3p-1, p-1)
-
-    `full` is Phi(a, b, c), and `lower` is (x1-x2) * Phi(a, b, h) with
-    h = c - (p+1)/2 in [0, (p-3)/2], so beta(t) = half[t - e1] - half[t - e2]
-    on half = Phi(a, b, h).  alpha and beta are read by the direct sum.
-    """
-    if not in_condition_sets(params)[2]:
-        raise DomainError(f"skew-symmetry check needs 2c > p and a+b+2c >= 3p-1, got {params}")
-
-    a, b, c, p = params.a, params.b, params.c, params.p
-    full = functools.partial(_direct_coefficient, params.ctx, a, b, c)
-    alpha_31, alpha_22, alpha_13 = (full(*t) for t in
-                                    ((3 * p - 1, p - 1), (2 * p - 1, 2 * p - 1), (p - 1, 3 * p - 1)))
-    half = functools.partial(_direct_coefficient, params.ctx, a, b, c - (p + 1) // 2)
-    beta_12, beta_21 = ((half(t1 - 1, t2) - half(t1, t2 - 1)) % p
-                        for t1, t2 in ((p - 1, 2 * p - 1), (2 * p - 1, p - 1)))
-
-    return (
-        beta_12 == -beta_21 % p
-        and alpha_31 == beta_21
-        and alpha_22 == (beta_12 - beta_21) % p
-        and alpha_13 == -beta_12 % p
-        and -alpha_22 * params.ctx.inverse(2) % p == alpha_13
-        and alpha_13 == alpha_31
-    )
+        return getattr(relations, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,7 @@ from .fp_poly import MultiPoly, fp_integral, partial_derivative
 from .golden import GOLDEN_2D
 from .modp_arith import get_context
 from .morris_ct import MorrisParams, _morris_family, morris_rhs, selberg_via_morris
+from .relations import RELATION_CYCLES, relations_from_values, skew_symmetry_check
 from .selberg_core import (
     _grid_window,
     _guard_grid,
@@ -31,7 +32,6 @@ from .selberg_core import (
     selberg_nd_closed,
 )
 from .selberg2d_closed import (
-    RELATION_CYCLES,
     _CYCLE_CLASSES,
     _OTHER_CLASS,
     _ROWS,
@@ -42,8 +42,6 @@ from .selberg2d_closed import (
     _closed_value,
     _direct_coefficient,
     eval_closed,
-    relations_from_values,
-    skew_symmetry_check,
 )
 from .sweep import SweepConfig
 # benchmarks/inproc.py reads the list and string wrappers of a sweep as verify attributes.

@@ -22,8 +22,8 @@ from fpselberg.fp_poly import _dense_product
 from fpselberg.golden import GOLDEN_2D
 from fpselberg.selberg_core import (SelbergParams, _master_factors, selberg_bruteforce, selberg_direct_2d,
                                     selberg_grid)
-from fpselberg.selberg2d_closed import (_ROWS, Branch, _branch, _closed_value, _formula, eval_closed,
-                                        relations_from_values, skew_symmetry_check)
+from fpselberg.relations import relations_from_values, skew_symmetry_check
+from fpselberg.selberg2d_closed import _ROWS, Branch, _branch, _closed_value, _formula, eval_closed
 from fpselberg.verify import _RECURRENCE_CYCLES, SuiteResult, _ce, _recurrences
 
 PRIMES = (3, 5, 7, 11, 13)

@@ -31,14 +31,8 @@ from fpselberg.selberg_core import (
     selberg_direct_2d,
     selberg_nd_closed,
 )
-from fpselberg.selberg2d_closed import (
-    Branch,
-    classify,
-    condition_set,
-    eval_closed,
-    relations_check,
-    skew_symmetry_check,
-)
+from fpselberg.relations import condition_set, relations_check, skew_symmetry_check
+from fpselberg.selberg2d_closed import Branch, classify, eval_closed
 from fpselberg.cli import main as cli_main
 
 from reference_impl import all_triples, ref_integral, ref_univariate

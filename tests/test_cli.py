@@ -234,7 +234,8 @@ import fpselberg
 assert [name for name in sys.modules if name.startswith("fpselberg.")] == []
 from fpselberg import cli
 OFF_THE_POINT_PATH = ("numpy", "fpselberg.verify", "fpselberg.morris_ct", "fpselberg.golden",
-                      "fpselberg.fp_poly", "fpselberg.selberg_core", "dataclasses", "json", "fractions")
+                      "fpselberg.fp_poly", "fpselberg.selberg_core", "fpselberg.relations", "fpselberg.batch",
+                      "dataclasses", "json", "fractions")
 point = ["-p", "10007", "--params", "6000,6000,2000", "-l", "1,1"]  # branch C11_i
 for argv in ([], ["eval", *point], ["eval", *point, "--method", "direct", "-v"], ["classify", *point]):
     assert not argv or cli.main(argv) == 0
@@ -264,7 +265,7 @@ def test_sweeps_import_only_the_sweep():
     script = """
 import sys
 from fpselberg import cli
-OFF_THE_SWEEP_PATH = ("fpselberg.verify", "fpselberg.morris_ct", "fpselberg.golden",
+OFF_THE_SWEEP_PATH = ("fpselberg.verify", "fpselberg.morris_ct", "fpselberg.golden", "fpselberg.relations",
                       "dataclasses", "json", "fractions")
 GRID_PATH = ("fpselberg.selberg_core", "fpselberg.fp_poly", "numpy")
 for method in ("closed", "direct"):
@@ -281,6 +282,35 @@ assert loaded == list(GRID_PATH), loaded
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("p,a,b,c,l1,l2,branch,value,in_R1,in_R2,in_R3\n") == 3
     assert proc.stdout.count('"kind": "sweep"') == 2
+
+
+# Runs each command that lives outside cli.py as `python -m fpselberg.cli` does, with
+# cli.py as __main__; importing fpselberg.cli as well would compile and run it twice.
+_RUN_AS_MAIN = """
+import runpy, sys
+for argv in (["sweep", "--primes", "3"], ["verify", "--primes", "3", "--suite", "stokes"],
+             ["morris", "--n", "2", "--alpha", "1", "--beta", "1", "--gamma", "1"]):
+    sys.argv = ["fpselberg", *argv]
+    try:
+        runpy.run_module("fpselberg.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    assert "fpselberg.cli" not in sys.modules, argv
+assert "fpselberg.batch" in sys.modules
+"""
+
+
+def test_batch_commands_load_cli_once():
+    proc = subprocess.run([sys.executable, "-c", _RUN_AS_MAIN], env=_src_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "total: checked=" in proc.stdout and "identity holds" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_a_non_prime_in_primes_names_the_flag(capsys, command):
+    code, out, err = run(capsys, command, "--primes", "3,2")
+    assert (code, out, err) == (2, "", "error: --primes: p must be an odd prime >= 3, got 2\n")
 
 
 # Runs cli.entry_point with a main that prints the OpenBLAS thread setting it sees.

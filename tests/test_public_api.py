@@ -19,8 +19,8 @@ import fpselberg
 
 ROOT = Path(__file__).resolve().parents[1]
 USERS = (ROOT / "src" / "fpselberg", ROOT / "demos", ROOT / "benchmarks")
-SUBMODULES = ("fp_poly", "modp_arith", "selberg_core", "selberg2d_closed", "morris_ct", "sweep", "verify",
-              "cli")
+SUBMODULES = ("fp_poly", "modp_arith", "selberg_core", "selberg2d_closed", "relations", "morris_ct", "sweep",
+              "verify", "cli", "batch")
 
 
 def _reads(path: Path) -> set:

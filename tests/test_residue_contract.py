@@ -25,12 +25,8 @@ from fpselberg.selberg_core import (
     selberg_grid,
     selberg_nd_closed,
 )
-from fpselberg.selberg2d_closed import (
-    RELATION_CYCLES,
-    eval_closed,
-    relations_check,
-    relations_from_values,
-)
+from fpselberg.relations import RELATION_CYCLES, relations_check, relations_from_values
+from fpselberg.selberg2d_closed import eval_closed
 
 from reference_impl import ReadGrid, dense_terms, grid_value
 from test_selberg2d_closed import delta_boundary_forms

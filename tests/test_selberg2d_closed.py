@@ -21,21 +21,23 @@ from fpselberg.selberg_core import (
     selberg_bruteforce,
     selberg_direct_2d,
 )
+from fpselberg.relations import (
+    RELATION_CYCLES,
+    condition_set,
+    relations_check,
+    relations_from_values,
+    skew_symmetry_check,
+)
 from fpselberg.selberg2d_closed import (
     _ROWS,
-    RELATION_CYCLES,
     Branch,
     _branch,
     _closed_value,
     _formula,
     classify,
-    condition_set,
     describe,
     eval_closed,
     in_condition_sets,
-    relations_check,
-    relations_from_values,
-    skew_symmetry_check,
 )
 
 from reference_impl import (PRIMES, ReadGrid, all_triples, grid_value, prime_at_or_above, ref_branch, ref_closed_value,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fpselberg import cli, modp_arith, sweep
+from fpselberg import batch, modp_arith, sweep
 from fpselberg.cli import main
 from fpselberg.selberg2d_closed import ALL_METHODS, Branch
 from fpselberg.sweep import SweepConfig, iter_render_sweep, iter_sweep_rows, render_sweep, sweep_rows
@@ -118,7 +118,7 @@ def test_verify_writes_its_report_once(monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(argv) == 0
     out = _CountingWriter(1)
-    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: out, raising=False)
+    monkeypatch.setattr(batch, "open", lambda *args, **kwargs: out, raising=False)
     assert main(argv + ["--out", str(tmp_path / "report.txt")]) == 0
     # Each run times its suites on its own: the (N.NNs) fields may round apart.
     masked = [[re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", text) for text in writer.writes] for writer in (out, stdout)]

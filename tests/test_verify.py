@@ -9,20 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from fpselberg import selberg2d_closed, selberg_core, sweep, verify
+from fpselberg import relations, selberg2d_closed, selberg_core, sweep, verify
 from fpselberg.cli import main
 from fpselberg.errors import ResourceLimitError
 from fpselberg.golden import GOLDEN_2D
 from fpselberg.modp_arith import get_context
 from fpselberg.selberg_core import SelbergParams, moment_integral, selberg_direct_2d
+from fpselberg.relations import relations_from_values, skew_symmetry_check
 from fpselberg.selberg2d_closed import (
     ALL_METHODS,
     Branch,
     check_cycle,
     classify,
     eval_closed,
-    relations_from_values,
-    skew_symmetry_check,
 )
 from fpselberg.sweep import ALL_SUITES, SWEEP_CSV_HEADER, SweepConfig, render_sweep, sweep_rows
 from fpselberg.verify import render_report, run_verification
@@ -369,7 +368,7 @@ def _mutate(monkeypatch, mutation: str):
             value = real(ctx, *point)
             return (value + 1) % 7 if (ctx.p, *point) == (7, a, b, c, 7 * l1 - 1, 7 * l2 - 1) else value
 
-        for module in (selberg2d_closed, sweep, verify):
+        for module in (selberg2d_closed, relations, sweep, verify):
             monkeypatch.setattr(module, "_direct_coefficient", bumped)
         return
     a, b, c, cycle = _MUTATED_CELLS[mutation]
@@ -538,7 +537,7 @@ def _large_prime_points(rng, per_stratum: int):
         p = prime_at_or_above(int(10 ** rng.uniform(3, 4)))
         for _ in range(200):
             params = SelbergParams(*(rng.randrange(1, p) for _ in "abc"), p)
-            stratum = selberg2d_closed.condition_set(params) or str(classify(params, 1, 2))
+            stratum = relations.condition_set(params) or str(classify(params, 1, 2))
             if want.get(stratum):
                 want[stratum] -= 1
                 yield stratum, params
